@@ -40,7 +40,6 @@ TARGET_SLOT = "target_contract"
 VALUE_SLOT = "call_value"
 
 DEFAULT_CAR_GAS_GUARD = 50_000
-STIPEND = 2_300
 
 
 class AgentKind(str, Enum):
@@ -68,11 +67,12 @@ class AgentSpec:
     payload: CallPayload
     car_gas_guard: int = DEFAULT_CAR_GAS_GUARD
     cah_iterations: int = 1
+    stipend: int = GasSchedule().stipend  # of the schedule the agent runs under
 
     def __post_init__(self):
         if self.kind == AgentKind.EOA:
             raise ValueError("EOA is the identity actor; no agent to deploy")
-        if self.kind == AgentKind.CAR and self.car_gas_guard <= STIPEND:
+        if self.kind == AgentKind.CAR and self.car_gas_guard <= self.stipend:
             raise ValueError("the recursion guard must exceed the transfer stipend")
         if self.kind == AgentKind.CAH and self.cah_iterations < 1:
             raise ValueError("the heavy fallback needs at least one storage write")

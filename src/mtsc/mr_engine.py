@@ -19,7 +19,8 @@ Gas-limit relations (MR1.x) re-estimate the intrinsic cost per actor
 kind, since an agent wrapper adds its own overhead; account-switching
 relations (MR2.x) run source and follow-up at the block gas limit.
 Sweeps stop at their first violation. Every run starts from the same
-snapshotted context and restores it afterwards.
+snapshotted context and restores it afterwards; source outcomes are
+reused across the pairs of an environment.
 """
 
 from __future__ import annotations
@@ -34,13 +35,11 @@ from .gas_oracle import (
     allocate_reducing,
     estimate_intrinsic_gas,
 )
-from .scenario import Environment, Scenario, build_environment
+from .scenario import ALL_MRS, Environment, Scenario, build_environment
 from .traces import value_dispatches
 from .vm import GasSchedule, Outcome
 
-MR1_1, MR1_2 = "MR1.1", "MR1.2"
-MR2_1, MR2_2, MR2_3 = "MR2.1", "MR2.2", "MR2.3"
-ALL_MRS = (MR1_1, MR1_2, MR2_1, MR2_2, MR2_3)
+MR1_1, MR1_2, MR2_1, MR2_2, MR2_3 = ALL_MRS
 
 MR2_FOLLOW_KIND = {MR2_1: AgentKind.CAH, MR2_2: AgentKind.CAR, MR2_3: AgentKind.CAE}
 
@@ -134,19 +133,27 @@ def build_pairs(env: Environment, estimates: dict, plans: dict,
     return pairs
 
 
-def run_pair(env: Environment, pair: TestPair) -> TestPair:
-    """Execute both inputs of a pair against the identical context."""
+def _run_in_context(env: Environment, actor: ActorInput) -> Outcome:
     state = env.state
     sid = state.snapshot()
     try:
-        src = env.run_target(state, pair.source.kind, pair.source.gas_limit)
+        return env.run_target(state, actor.kind, actor.gas_limit)
     finally:
         state.restore(sid)
-    sid = state.snapshot()
-    try:
-        follow = env.run_target(state, pair.follow_up.kind, pair.follow_up.gas_limit)
-    finally:
-        state.restore(sid)
+
+
+def run_pair(env: Environment, pair: TestPair) -> TestPair:
+    """Execute both inputs of a pair against the identical context.
+
+    Every run starts from the restored context and execution is
+    deterministic, so a source input's outcome is computed once per
+    environment and reused by every pair that shares it.
+    """
+    key = (pair.source.kind, pair.source.gas_limit)
+    src = env.source_outcomes.get(key)
+    if src is None:
+        src = env.source_outcomes[key] = _run_in_context(env, pair.source)
+    follow = _run_in_context(env, pair.follow_up)
     return replace(pair, source_outcome=src, follow_outcome=follow)
 
 

@@ -26,7 +26,7 @@ contract names to their deployment, other balance keys to EOAs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -166,6 +166,8 @@ class Environment:
     agent_specs: dict             # AgentKind -> AgentSpec (agents only)
     driver: str
     context_digest: str = ""
+    # (AgentKind, gas limit) -> Outcome of that source input in the context
+    source_outcomes: dict = field(default_factory=dict)
 
     def resolve(self, token, actor_addr: str):
         if isinstance(token, bool) or isinstance(token, int):
@@ -261,7 +263,8 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
             value=target.value,
         )
         spec = AgentSpec(kind=kind, target=target_addr, payload=payload,
-                         car_gas_guard=car_gas_guard, cah_iterations=cah_iterations)
+                         car_gas_guard=car_gas_guard, cah_iterations=cah_iterations,
+                         stipend=schedule.stipend)
         addr = make_agent(state, spec, name=f"Agent{kind.value}")
         assert addr == predicted
         env.actor_accounts[kind] = addr

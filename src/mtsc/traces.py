@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from .vm import CallEntered, CallExited, FailReason
-
-# call failures recorded before the callee ever ran
-_STILLBORN = (FailReason.DEPTH_EXCEEDED, FailReason.BALANCE_INSUFFICIENT)
+from .vm import CallEntered, CallExited
+from .vm.interp import STILLBORN
 
 
 def paired_calls(trace):
@@ -25,7 +23,7 @@ def value_dispatches(trace, callee: str):
         (enter, exited)
         for enter, exited in paired_calls(trace)
         if enter.callee == callee and enter.value > 0
-        and exited.reason not in _STILLBORN
+        and exited.reason not in STILLBORN
     ]
 
 

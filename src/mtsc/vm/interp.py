@@ -30,6 +30,15 @@ Failure semantics per call form: `lowcall`/`send` swallow a child failure
 `dcall`/`transfer` re-raise it in the caller, unwinding to the nearest
 swallowing boundary. Any failure rolls the child's state changes back.
 
+Rollback
+--------
+The interpreter never mutates accounts itself: value transfers and
+storage writes go through the world state's undo journal (see
+`state.py`). Each call boundary takes a checkpoint before moving value
+and reverts to it when the child fails; each transaction does the same
+around its dispatch and commits when it returns. Snapshots taken by the
+harness use the same journal, so world-state rollback is one mechanism.
+
 Top level: a Failure outcome leaves the world state untouched, the actor
 balance delta is zero, and OutOfGas consumes the full gas limit. Fees
 accrue on the fee ledger, never on balances.
@@ -37,7 +46,6 @@ accrue on the fee ledger, never on balances.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -74,6 +82,7 @@ class _ReturnSignal(Exception):
 
 @dataclass
 class _Frame:
+    account: Account
     self_addr: str
     msg_sender: str
     msg_value: int
@@ -119,13 +128,11 @@ class _Run:
                 return frame.env[e.name]
             sv = frame.contract.state_var(e.name)
             self.charge(frame, "sload", self.sched.sload)
-            acct = self.state.account(frame.self_addr)
-            return acct.storage_read(e.name, default_for(sv.kind))
+            return frame.account.storage_read(e.name, default_for(sv.kind))
         if t is ast.MapIndex:
             key = self.eval(frame, e.key)
             self.charge(frame, "sload", self.sched.sload)
-            acct = self.state.account(frame.self_addr)
-            return acct.storage_read((e.name, key), 0)
+            return frame.account.storage_read((e.name, key), 0)
         if t is ast.Binary:
             return self.eval_binary(frame, e)
         if t is ast.Not:
@@ -272,9 +279,7 @@ class _Run:
             key = target.name
             default = default_for(sv.kind)
         value = self.eval(frame, s.value)
-        # fetch the account only now: evaluating the value may have run
-        # calls whose rollback replaced the accounts map
-        acct = self.state.account(frame.self_addr)
+        acct = frame.account
         if s.op != "=":
             self.charge(frame, "sload", self.sched.sload)
             self.charge(frame, "arith", self.sched.arith)
@@ -284,7 +289,7 @@ class _Run:
             self.charge(frame, "sstore_set", self.sched.sstore_set)
         else:
             self.charge(frame, "sstore_reset", self.sched.sstore_reset)
-        acct.storage_write(key, value)
+        self.state.store(acct, key, value)
 
     # -- call boundary ---------------------------------------------------------
 
@@ -326,16 +331,15 @@ class _Run:
         target_acct = self.state.accounts.get(target)
         if target_acct is None:
             return stillborn(FailReason.REVERT)
-        sender_acct = self.state.account(caller.self_addr)
-        if value > sender_acct.balance:
+        if value > caller.account.balance:
             return stillborn(FailReason.BALANCE_INSUFFICIENT)
 
         child_budget = fwd + grant
         self.trace.append(CallEntered(form, target, function, value,
                                       child_budget, caller.depth))
-        saved = copy.deepcopy(self.state.accounts)
-        sender_acct.balance -= value
-        target_acct.balance += value
+        checkpoint = self.state.checkpoint()
+        if value:
+            self.state.transfer(caller.account, target_acct, value)
 
         ok, consumed, reason = self.dispatch(target_acct, function, args, value,
                                              caller.self_addr, child_budget,
@@ -347,7 +351,7 @@ class _Run:
             self.trace.append(CallExited(True, consumed, None, stipend_used,
                                          caller.depth))
             return True
-        self.state.accounts = saved
+        self.state.revert(checkpoint)
         self.trace.append(CallExited(False, consumed, reason, stipend_used,
                                      caller.depth))
         if swallow:
@@ -378,8 +382,9 @@ class _Run:
         if value > 0 and not payable:
             return False, 0, FailReason.REVERT
 
-        frame = _Frame(self_addr=acct.address, msg_sender=sender, msg_value=value,
-                       contract=contract, depth=depth, gas=budget, budget=budget,
+        frame = _Frame(account=acct, self_addr=acct.address, msg_sender=sender,
+                       msg_value=value, contract=contract, depth=depth,
+                       gas=budget, budget=budget,
                        env={p.name: a for p, a in zip(params, args)})
         try:
             self.charge(frame, "dispatch", self.sched.dispatch)
@@ -411,23 +416,25 @@ def execute(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Outcom
     run.trace.append(OpExecuted("base_tx", schedule.base_tx, 0))
     budget = tx.gas_limit - schedule.base_tx
 
-    saved = copy.deepcopy(state.accounts)
-    state.account(tx.actor).balance -= tx.value
-    state.account(tx.callee).balance += tx.value
+    actor, callee = state.account(tx.actor), state.account(tx.callee)
+    checkpoint = state.checkpoint()
+    if tx.value:
+        state.transfer(actor, callee, tx.value)
 
-    ok, consumed, reason = run.dispatch(state.account(tx.callee), tx.function,
-                                        list(tx.args), tx.value, tx.actor,
-                                        budget, depth=0)
+    ok, consumed, reason = run.dispatch(callee, tx.function, list(tx.args),
+                                        tx.value, tx.actor, budget, depth=0)
     if ok:
         gas_total = schedule.base_tx + consumed
-        state.fee_ledger += gas_total
-        delta = state.account(tx.actor).balance - actor_before
-        return Outcome(STATUS_SUCCESS, gas_total, delta, tuple(run.trace))
-
-    state.accounts = saved
-    if reason == FailReason.OUT_OF_GAS:
-        gas_total = tx.gas_limit  # a failed allocation is consumed in full
+        delta = actor.balance - actor_before
+        status = STATUS_SUCCESS
     else:
-        gas_total = schedule.base_tx + consumed
+        state.revert(checkpoint)
+        if reason == FailReason.OUT_OF_GAS:
+            gas_total = tx.gas_limit  # a failed allocation is consumed in full
+        else:
+            gas_total = schedule.base_tx + consumed
+        delta = 0
+        status = failure(reason)
+    state.commit()
     state.fee_ledger += gas_total
-    return Outcome(failure(reason), gas_total, 0, tuple(run.trace))
+    return Outcome(status, gas_total, delta, tuple(run.trace))

@@ -85,6 +85,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         AgentSpec(kind=AgentKind.CAH, target="0x0001", payload=PAYLOAD,
                   cah_iterations=0)
+    # the guard is checked against the stipend of the schedule in use
+    AgentSpec(kind=AgentKind.CAR, target="0x0001", payload=PAYLOAD,
+              car_gas_guard=2_000, stipend=1_000)
 
 
 def test_make_agent_requires_deployed_target():

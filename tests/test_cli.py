@@ -1,12 +1,19 @@
 """End-to-end command-line behaviour: exit codes, formats, determinism."""
 
+import hashlib
 import json
+
+import pytest
 
 from mtsc.cli import main
 
 from conftest import CORPUS, scenario_path
 
 LABELS = str(CORPUS / "labels.json")
+
+# sha256 of `mtsc bench corpus corpus/labels.json --format json`; a change
+# to the bytes of the report must update this value deliberately
+GOLDEN_REPORT_SHA256 = "b9b4e46c46c4f15327dc6a4b43608327faa6bb088258034a65d0e546964d05e6"
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +137,34 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     run_cli(capsys, "bench", str(CORPUS), LABELS, "--jobs", "2",
             "--format", "json", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [["--jobs", "1"], []], ids=["serial", "default-jobs"])
+def test_bench_report_matches_the_golden_bytes(tmp_path, capsys, jobs):
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "bench", str(CORPUS), LABELS, *jobs,
+                         "--format", "json", "--out", str(report))
+    assert code == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256
+
+
+def test_car_guard_is_checked_against_the_schedule_stipend(tmp_path, capsys):
+    # a guard between the schedule's stipend and the default one is valid
+    sched = tmp_path / "sched.txt"
+    sched.write_text("stipend = 1000\n")
+    flags = ("--schedule", str(sched), "--car-gas-guard", "2000")
+    code, out, _ = run_cli(capsys, "check", str(scenario_path("counter_baseline")),
+                           *flags)
+    assert code == 0
+    assert "counter_baseline: ok" in out
+    code, out, _ = run_cli(capsys, "check",
+                           str(scenario_path("simple_dao_withdraw")), *flags)
+    assert code == 1
+    assert "Reentrancy" in out
+    code, out, _ = run_cli(capsys, "estimate",
+                           str(scenario_path("simple_dao_withdraw")), *flags)
+    assert code == 0
+    assert "CAR" in out
 
 
 def test_custom_schedule_changes_measurements(tmp_path, capsys):

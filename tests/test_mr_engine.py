@@ -1,5 +1,10 @@
 """Test-pair construction, shared-context execution, and relation checks."""
 
+from collections import Counter
+
+import pytest
+
+from mtsc import mr_engine
 from mtsc.agents import AgentKind
 from mtsc.gas_oracle import IntrinsicGas, allocate_increasing, allocate_reducing
 from mtsc.mr_engine import (
@@ -17,7 +22,7 @@ from mtsc.mr_engine import (
     run_all,
     run_pair,
 )
-from mtsc.scenario import load_scenario
+from mtsc.scenario import Environment, load_scenario
 from mtsc.vm import (
     CallEntered,
     CallExited,
@@ -29,7 +34,7 @@ from mtsc.vm import (
     trace_has_swallow,
 )
 
-from conftest import FIXTURES, scenario_path
+from conftest import CORPUS_SCENARIOS, FIXTURES, scenario_path
 
 S = GasSchedule()
 
@@ -125,6 +130,54 @@ def test_follow_up_sees_pristine_context(environments):
     done = run_pair(env, TestPair(MR1_1, eoa, eoa))
     assert done.source_outcome.ok and done.follow_outcome.ok
     assert done.source_outcome.balance_delta == done.follow_outcome.balance_delta
+
+
+@pytest.mark.parametrize("name", CORPUS_SCENARIOS)
+def test_each_source_input_runs_once_per_environment(monkeypatch, name):
+    envs, pairs, runs = [], [], Counter()
+    in_pair = []
+    run_target = Environment.run_target
+    build_environment = mr_engine.build_environment
+    run_pair_once = mr_engine.run_pair
+
+    def counted_run_target(self, state, kind, gas_limit):
+        if in_pair:
+            runs[(kind, gas_limit)] += 1
+        return run_target(self, state, kind, gas_limit)
+
+    def tracked_run_pair(env, pair):
+        in_pair.append(pair)
+        try:
+            done = run_pair_once(env, pair)
+        finally:
+            in_pair.pop()
+        pairs.append(done)
+        return done
+
+    def captured_build_environment(*args, **kwargs):
+        envs.append(build_environment(*args, **kwargs))
+        return envs[-1]
+
+    monkeypatch.setattr(Environment, "run_target", counted_run_target)
+    monkeypatch.setattr(mr_engine, "run_pair", tracked_run_pair)
+    monkeypatch.setattr(mr_engine, "build_environment", captured_build_environment)
+    result = run_all(load_scenario(scenario_path(name)), S)
+
+    (env,) = envs
+    sources = Counter((p.source.kind, p.source.gas_limit) for p in pairs)
+    follows = Counter((p.follow_up.kind, p.follow_up.gas_limit) for p in pairs)
+    assert pairs
+    for key in sources:
+        assert runs[key] - follows[key] == 1
+    assert sum(runs.values()) == len(sources) + len(pairs)
+
+    def fresh(actor):
+        return run_target(env, env.state.clone(), actor.kind, actor.gas_limit)
+
+    for violation in result.violations:
+        assert violation.pair.source_outcome == fresh(violation.pair.source)
+    for pair in pairs:
+        assert pair.source_outcome == fresh(pair.source)
 
 
 # -- relation checks ---------------------------------------------------------

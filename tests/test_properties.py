@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mtsc.agents import AgentKind
 from mtsc.minisol import ast, parse, pretty, validate
 from mtsc.scenario import ALL_ACTOR_KINDS
-from mtsc.vm import FailReason
+from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
 
 from conftest import CORPUS_SCENARIOS
 
@@ -111,11 +111,18 @@ def test_balances_are_conserved_and_failures_roll_back(environments, name, kind,
 
 # -- random syntax trees ---------------------------------------------------------
 
-NAMES = st.sampled_from(["a", "b", "c", "x1", "y2", "foo", "bar_", "qux"])
+NAME_POOL = ["a", "b", "c", "x1", "y2", "foo", "bar_", "qux"]
+NAMES = st.sampled_from(NAME_POOL)
 KINDS = st.sampled_from([ast.Kind.UINT, ast.Kind.BOOL, ast.Kind.ADDR])
 
 
-def exprs():
+BINARY_OPS = ["+", "-", "*", "==", "!=", "<", "<=", ">", ">=", "&&", "||"]
+# without "*": unvalidated code may multiply an address string by a large
+# uint, and Python would build that string before the range check
+EXECUTABLE_OPS = [op for op in BINARY_OPS if op != "*"]
+
+
+def exprs(binary_ops=BINARY_OPS):
     leaves = st.one_of(
         st.integers(min_value=0, max_value=2**64).map(lambda v: ast.IntLit(value=v)),
         st.booleans().map(lambda v: ast.BoolLit(value=v)),
@@ -129,8 +136,7 @@ def exprs():
     def compound(children):
         binary = st.builds(
             lambda op, left, right: ast.Binary(op=op, left=left, right=right),
-            st.sampled_from(["+", "-", "*", "==", "!=", "<", "<=", ">", ">=",
-                             "&&", "||"]),
+            st.sampled_from(binary_ops),
             children, children)
         negation = children.map(lambda e: ast.Not(operand=e))
         map_index = st.builds(lambda n, k: ast.MapIndex(name=n, key=k),
@@ -161,8 +167,8 @@ def exprs():
     return st.recursive(leaves, compound, max_leaves=12)
 
 
-def stmts():
-    expr = exprs()
+def stmts(binary_ops=BINARY_OPS):
+    expr = exprs(binary_ops)
     lvalue = st.one_of(
         NAMES.map(lambda n: ast.Var(name=n)),
         st.builds(lambda n, k: ast.MapIndex(name=n, key=k), NAMES, expr))
@@ -227,3 +233,62 @@ def test_validation_is_pure_and_stable(contract):
     second = validate(unit)
     assert [str(e) for e in first] == [str(e) for e in second]
     assert unit.contracts == before.contracts
+
+
+# -- the rollback journal against independent clones ---------------------------
+
+def _writes(name):
+    """Body prefix: a map write whose key is often new to the storage."""
+    return [ast.Assign(target=ast.MapIndex(name=name, key=ast.MsgSender()), op="=",
+                       value=ast.MsgValue())]
+
+
+# Every generated name is a declared uint and every function is payable
+# and starts with storage writes, so generated bodies write storage and
+# move value instead of failing on the first undeclared name.
+journal_contracts = st.builds(
+    lambda fns, fb: ast.ContractDef(
+        name="Gen",
+        state_vars=[ast.StateVar(name=n, kind=ast.Kind.UINT) for n in NAME_POOL],
+        functions=[ast.FunctionDef(name=n, params=[], payable=True,
+                                   body=_writes(n) + b)
+                   for n, b in fns.items()],
+        fallback=ast.FallbackDef(payable=True, body=_writes("qux") + fb)),
+    st.dictionaries(NAMES, st.lists(stmts(EXECUTABLE_OPS), max_size=4), max_size=3),
+    st.lists(stmts(EXECUTABLE_OPS), max_size=3),
+)
+
+
+def _attempt(state, tx):
+    try:
+        return execute(state, tx, GasSchedule())
+    except Exception as exc:  # generated programs are unvalidated
+        return type(exc)
+
+
+@given(contract=journal_contracts,
+       gas=st.integers(min_value=21_000, max_value=600_000))
+@settings(deadline=None, max_examples=100)
+def test_journaled_runs_match_clone_runs(contract, gas):
+    state = WorldState()
+    actor = state.create_eoa(10**9)
+    first = deploy(state, contract, 1_000)
+    second = deploy(state, contract, 500)
+    # each copy finds the other under `a`, so `a` as a call target crosses over
+    state.store(state.account(first), "a", second)
+    state.store(state.account(second), "a", first)
+    txs = [Transaction(actor, gas, first, fn.name, (), 3) for fn in contract.functions]
+    txs.append(Transaction(actor, gas, first, None, (), 2))
+    for tx in txs:  # give the context storage that later runs overwrite
+        _attempt(state, tx)
+
+    clone = state.clone()
+    expected = [_attempt(clone, tx) for tx in txs]
+    digest = state.digest()
+    sid = state.snapshot()
+    try:
+        assert [_attempt(state, tx) for tx in txs] == expected
+        assert state.digest() == clone.digest()
+    finally:
+        state.restore(sid)
+    assert state.digest() == digest

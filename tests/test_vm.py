@@ -422,6 +422,133 @@ def test_snapshot_covers_the_address_counter():
     assert deploy(state, unit.contracts[0]) == first
 
 
+# -- the rollback journal -------------------------------------------------------
+
+JOURNAL = """
+contract Inner {
+    uint poked;
+    map marks;
+    fn scribble(k: addr) payable { poked = 7; marks[k] = 3; revert(); }
+}
+contract Middle {
+    uint step;
+    map seen;
+    fn relay(t: addr) payable {
+        step = 1; seen[t] = 2; dcall t.scribble(this) value 4; step = 9;
+    }
+}
+contract Outer {
+    bool ok;
+    fn direct(t: addr) payable { ok = lowcall t.scribble(this) value 5; }
+    fn twice(m: addr, t: addr) payable {
+        ok = lowcall m.relay(t) value 6;
+        require(balance(this) == 100);
+    }
+}
+"""
+
+
+def journal_world():
+    unit = parse(JOURNAL)
+    assert validate(unit) == []
+    state = WorldState()
+    actor = state.create_eoa(1_000)
+    inner = deploy(state, unit.contract("Inner"))
+    middle = deploy(state, unit.contract("Middle"), 50)
+    outer = deploy(state, unit.contract("Outer"), 100)
+    return state, actor, inner, middle, outer
+
+
+def expected_digest(before, out, addr, storage):
+    """Digest of `before` plus only the fee and the given top-frame writes."""
+    ref = before.clone()
+    ref.fee_ledger += out.gas_consumed
+    ref.account(addr).storage.update(storage)
+    return ref.digest()
+
+
+def test_swallowed_child_writes_to_absent_keys_are_deleted():
+    state, actor, inner, _, outer = journal_world()
+    before = state.clone()
+    out = run(state, actor, outer, "direct", (inner,))
+    assert out.ok
+    assert sum(isinstance(ev, ExceptionSwallowed) for ev in out.trace) == 1
+    # the child's fresh keys are gone, not reset to their defaults
+    assert state.account(inner).storage == {}
+    assert state.digest() == expected_digest(before, out, outer, {"ok": False})
+
+
+def test_failing_dcall_unwinds_two_frames():
+    state, actor, inner, middle, outer = journal_world()
+    before = state.clone()
+    out = run(state, actor, outer, "twice", (middle, inner))
+    assert out.ok
+    exits = [ev for ev in out.trace if isinstance(ev, CallExited)]
+    assert [ev.success for ev in exits] == [False, False]
+    # value moved into Middle and on into Inner came back with the unwind
+    assert state.account(middle).storage == {}
+    assert state.account(middle).balance == 50
+    assert state.account(inner).balance == 0
+    assert state.digest() == expected_digest(before, out, outer, {"ok": False})
+
+
+def test_caller_reference_sees_the_reverted_balance():
+    state, actor, inner, middle, outer = journal_world()
+    outer_acct, middle_acct = state.account(outer), state.account(middle)
+    assert run(state, actor, outer, "twice", (middle, inner)).ok
+    assert state.account(outer) is outer_acct
+    assert outer_acct.balance == 100 and middle_acct.balance == 50
+    # a failed transaction rewinds the value the actor sent in
+    actor_acct = state.account(actor)
+    out = run(state, actor, inner, "scribble", (actor,), value=10)
+    assert out.status.reason == FailReason.REVERT
+    assert actor_acct.balance == 1_000
+
+
+def test_nested_snapshots_restore_their_own_points():
+    state, actor, dao = fresh_dao()
+    start = state.digest()
+    outer = state.snapshot()
+    assert run(state, actor, dao, "deposit", (actor,), 10).ok
+    middle = state.digest()
+    inner = state.snapshot()
+    assert run(state, actor, dao, "deposit", (dao,), 20).ok
+    state.restore(inner)
+    assert state.digest() == middle
+    again = state.snapshot()
+    assert run(state, actor, dao, "withdraw", (5,)).ok
+    state.restore(outer)  # also consumes the snapshot taken after it
+    assert state.digest() == start
+    with pytest.raises(UnknownSnapshot):
+        state.restore(again)
+
+
+def test_create_after_restore_reuses_the_addresses():
+    unit = parse("contract Empty { }")
+    state = WorldState()
+    state.create_eoa(5)
+    start = state.digest()
+    sid = state.snapshot()
+    eoa = state.create_eoa(7)
+    contract = deploy(state, unit.contracts[0], 3)
+    state.restore(sid)
+    assert not state.has_account(eoa) and not state.has_account(contract)
+    assert state.digest() == start
+    assert state.create_eoa(7) == eoa
+    assert deploy(state, unit.contracts[0], 3) == contract
+
+
+def test_journal_is_dropped_without_an_open_snapshot():
+    state, actor, dao = fresh_dao()
+    for _ in range(3):
+        assert run(state, actor, dao, "deposit", (actor,), 10).ok
+    assert state.checkpoint() == 0
+    sid = state.snapshot()
+    assert run(state, actor, dao, "deposit", (actor,), 10).ok
+    assert state.checkpoint() > 0  # the open snapshot still needs it
+    state.restore(sid)
+
+
 # -- determinism and audits ---------------------------------------------------
 
 
