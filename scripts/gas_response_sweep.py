@@ -9,6 +9,11 @@ with the allocation, and swallowed exceptions show success below the
 requirement. These curves are exactly the signals the gas-allocation
 relations test for.
 
+It also prints whether the source run at the intrinsic gas is
+gas-certified, and the depth of its deepest gas-sensitive event (-1 for
+none). A certified source cannot change with the gas limit, so the
+engine decides its MR1.1 and MR1.2 sweeps from their first pair.
+
 Usage:
     python3 scripts/gas_response_sweep.py corpus/simple_dao_withdraw.scenario.json CAR
     python3 scripts/gas_response_sweep.py tests/fixtures/notifier_ping.scenario.json EOA --points 30
@@ -21,7 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from mtsc.agents import AgentKind  # noqa: E402
+from mtsc.agents import AgentKind, gas_certified  # noqa: E402
 from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas  # noqa: E402
 from mtsc.scenario import build_environment, load_scenario  # noqa: E402
 from mtsc.vm import GasSchedule, trace_has_swallow  # noqa: E402
@@ -46,7 +51,10 @@ def main(argv=None) -> int:
         print(f"no allocation makes this interaction succeed: {exc.status}")
         return 1
     print(f"intrinsic gas for {kind.value}: {gc.value} "
-          f"(trials={gc.trials}, converged={gc.converged})\n")
+          f"(trials={gc.trials}, converged={gc.converged})")
+    source = env.run_target(env.state.clone(), kind, gc.value)
+    print(f"gas-certified source: {'yes' if gas_certified(kind, source) else 'no'} "
+          f"(deepest gas-sensitive event at depth {source.gas_sensitive_depth})\n")
 
     lo = max(0, gc.value - 5 * max(1, gc.value // args.points))
     hi = min(int(gc.value * args.span), schedule.block_gas_limit)

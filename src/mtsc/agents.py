@@ -168,6 +168,20 @@ def _target_call_status(outcome: Outcome, target: str):
     return outcome.status  # no target-bound call surfaced; keep the envelope
 
 
+def gas_certified(kind: AgentKind, outcome: Outcome) -> bool:
+    """Whether a successful run cannot change with its gas limit.
+
+    Certified means two things (see the interpreter's "Gas sensitivity"
+    notes): every higher limit gives the same status, consumption and
+    balance delta, and the limits at which the run succeeds are
+    upward-closed. An EOA run may contain no gas-sensitive event. An
+    agent run may contain one at depth 0: the AgentCall wrapper's own
+    forward-all call into the target, whose status the outcome reports.
+    """
+    allowed = -1 if kind == AgentKind.EOA else 0
+    return outcome.ok and outcome.gas_sensitive_depth <= allowed
+
+
 def agent_interact(state: WorldState, agent: str, spec: AgentSpec, driver: str,
                    gas_limit: int, schedule: GasSchedule) -> Outcome:
     """Run driver -> agent.AgentCall and report the interaction as the

@@ -1,8 +1,10 @@
 """Command-line frontend: `mtsc check | bench | estimate`.
 
 Exit codes: 0 clean, 1 vulnerabilities found (check), 2 usage or
-configuration errors. Runs are fully deterministic; repeated invocations
-produce byte-identical reports.
+configuration errors (including unparsable or invalid contracts), 3 an
+internal error, reported as one `mtsc: internal error: ...` line. Runs
+are fully deterministic; repeated invocations produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from typing import Optional
 
 from .agents import AgentKind
 from .detector import UnknownScenario, Verdict, compute_metrics, emit_report
-from .gas_oracle import NeverSucceeds, estimate_intrinsic_gas
+from .gas_oracle import NeverSucceeds
+from .gas_oracle import estimate_intrinsic_gas  # noqa: F401  perfbench's traced run wraps it
 from .minisol import ParseError
-from .mr_engine import ALL_MRS, EngineConfig, run_all
+from .mr_engine import ALL_MRS, EngineConfig, estimate_kinds, run_all
 from .scenario import ALL_ACTOR_KINDS, ScenarioError, build_environment, load_scenario
 from .vm import GasSchedule, ScheduleError, load_schedule
 
@@ -183,15 +186,12 @@ def cmd_estimate(args, config: Config) -> int:
                             car_gas_guard=config.engine.car_gas_guard,
                             cah_iterations=config.engine.cah_iterations)
     rows = []
-    for kind in ALL_ACTOR_KINDS:
-        try:
-            gc = estimate_intrinsic_gas(env.state, None, config.schedule,
-                                        growth=config.engine.growth,
-                                        runner=env.runner_for(kind))
+    for kind, gc in estimate_kinds(env, ALL_ACTOR_KINDS, config.engine.growth):
+        if isinstance(gc, NeverSucceeds):
+            rows.append((kind.value, {"error": f"never succeeds: {gc.status}"}))
+        else:
             rows.append((kind.value, {"value": gc.value, "trials": gc.trials,
                                       "converged": gc.converged}))
-        except NeverSucceeds as exc:
-            rows.append((kind.value, {"error": f"never succeeds: {exc.status}"}))
     if config.fmt == "json":
         text = json.dumps({"schema": "estimate-v1", "scenario": scenario.scenario_id,
                            "estimates": dict(rows)}, indent=2) + "\n"
@@ -221,6 +221,9 @@ def main(argv=None) -> int:
             ParseError, OSError) as exc:
         print(f"mtsc: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 means "vulnerable"; a crash must not say so
+        print(f"mtsc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

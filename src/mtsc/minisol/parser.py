@@ -5,9 +5,14 @@ Grammar (frozen in the README). Operator precedence, loosest first:
 Call forms (lowcall / dcall / send / transfer) parse as primary expressions;
 their target is a primary expression and their `value`/`gas` operands parse
 at additive precedence, so comparisons around a call need parentheses.
+
+Expressions and blocks nest at most MAX_NESTING levels deep; deeper input
+raises ParseError instead of exhausting the Python stack.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 from . import ast
 from .lexer import ParseError, Token, tokenize
@@ -18,12 +23,17 @@ KIND_TOKENS = {"uint": ast.Kind.UINT, "bool": ast.Kind.BOOL,
 ASSIGN_OPS = {"=", "+=", "-="}
 COMPARE_OPS = {"==", "!=", "<", "<=", ">", ">="}
 
+# Every recursive rule passes through a primary expression, a `!` or a
+# block; one level of parentheses costs about eight Python frames.
+MAX_NESTING = 64
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], source_name: str):
         self.tokens = tokens
         self.pos = 0
         self.source_name = source_name
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -51,6 +61,18 @@ class _Parser:
             raise ParseError(tok.line, tok.col,
                              f"expected {want}, found {tok.text or 'end of input'!r}")
         return self.advance()
+
+    @contextmanager
+    def nested(self):
+        tok = self.peek()
+        if self.depth >= MAX_NESTING:
+            raise ParseError(tok.line, tok.col,
+                             f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
 
     # -- declarations ------------------------------------------------------
 
@@ -134,8 +156,9 @@ class _Parser:
     def parse_block(self) -> list:
         self.expect("{")
         stmts = []
-        while not self.accept("}"):
-            stmts.append(self.parse_stmt())
+        with self.nested():
+            while not self.accept("}"):
+                stmts.append(self.parse_stmt())
         return stmts
 
     def parse_stmt(self):
@@ -248,8 +271,9 @@ class _Parser:
 
     def parse_unary(self):
         if self.check("!"):
-            op = self.advance()
-            return ast.Not(line=op.line, col=op.col, operand=self.parse_unary())
+            with self.nested():
+                op = self.advance()
+                return ast.Not(line=op.line, col=op.col, operand=self.parse_unary())
         return self.parse_primary()
 
     def parse_call_args(self) -> list:
@@ -263,6 +287,10 @@ class _Parser:
         return args
 
     def parse_primary(self):
+        with self.nested():
+            return self.parse_primary_unguarded()
+
+    def parse_primary_unguarded(self):
         tok = self.peek()
 
         if tok.type == "INT":

@@ -18,9 +18,20 @@ Five relations over transaction outcomes drive the detector:
 Gas-limit relations (MR1.x) re-estimate the intrinsic cost per actor
 kind, since an agent wrapper adds its own overhead; account-switching
 relations (MR2.x) run source and follow-up at the block gas limit.
-Sweeps stop at their first violation. Every run starts from the same
-snapshotted context and restores it afterwards; source outcomes are
-reused across the pairs of an environment.
+Every run starts from the same snapshotted context and restores it
+afterwards; source outcomes are reused across the pairs of an
+environment.
+
+Sweeps stop at their first violation, and an MR1.x sweep also stops
+after its first pair when the source outcome is gas-certified
+(`agents.gas_certified`): the run read no `gasleft` and let no starved
+child failure be swallowed where the gas limit reaches. Such a source
+keeps its status and consumption at every higher limit, so no MR1.1
+follow-up can differ, and it succeeds on an upward-closed set of limits,
+so when the largest MR1.2 follow-up fails every smaller one fails too.
+Sweeps whose source reads `gasleft` or swallows a forward-all call that
+needs more than its stipend (CAR re-entry, a heavy fallback behind an
+unbounded `lowcall`) still run every pair.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .agents import AgentKind
+from .agents import AgentKind, gas_certified
 from .gas_oracle import (
     NeverSucceeds,
     allocate_increasing,
@@ -99,38 +110,53 @@ class EngineResult:
     context_digest: str
 
 
+def sweep_pairs(env: Environment, mr: str, kind: AgentKind, gc: int, plan):
+    """Lazily yield one MR1.x sweep: source at gc, follow-ups along the plan."""
+    addr = env.actor_accounts[kind]
+    source = ActorInput(kind, addr, gc)
+    for g in plan.limits:
+        yield TestPair(mr, source, ActorInput(kind, addr, g))
+
+
+def mr2_pairs(env: Environment, mrs) -> list:
+    """One pair per selected MR2.x relation: the EOA against the relation's
+    agent kind, both at the block gas limit."""
+    g_ample = env.schedule.block_gas_limit
+    eoa = ActorInput(AgentKind.EOA, env.actor_accounts[AgentKind.EOA], g_ample)
+    return [TestPair(mr, eoa, ActorInput(kind, env.actor_accounts[kind], g_ample))
+            for mr, kind in MR2_FOLLOW_KIND.items() if mr in mrs]
+
+
 def build_pairs(env: Environment, estimates: dict, plans: dict,
                 mrs, mr1_actors) -> list:
-    """Assemble pair inputs for the selected relations.
+    """Every pair of the selected relations, with each sweep built in full.
 
     estimates/plans map actor kinds to their IntrinsicGas and
     (increasing, reducing) plans; kinds without an estimate are skipped.
-    MR2.x pairs compare the EOA against the relation's agent kind at the
-    block gas limit.
     """
     pairs = []
-    g_ample = env.schedule.block_gas_limit
     for kind in mr1_actors:
-        if kind not in estimates:
-            continue
-        gc = estimates[kind].value
-        addr = env.actor_accounts[kind]
-        increasing, reducing = plans[kind]
-        if MR1_1 in mrs:
-            for g in increasing.limits:
-                pairs.append(TestPair(MR1_1, ActorInput(kind, addr, gc),
-                                      ActorInput(kind, addr, g)))
-        if MR1_2 in mrs:
-            for g in reducing.limits:
-                pairs.append(TestPair(MR1_2, ActorInput(kind, addr, gc),
-                                      ActorInput(kind, addr, g)))
-    eoa = env.actor_accounts[AgentKind.EOA]
-    for mr, kind in MR2_FOLLOW_KIND.items():
-        if mr in mrs:
-            agent = env.actor_accounts[kind]
-            pairs.append(TestPair(mr, ActorInput(AgentKind.EOA, eoa, g_ample),
-                                  ActorInput(kind, agent, g_ample)))
-    return pairs
+        if kind in estimates:
+            for mr, plan in zip((MR1_1, MR1_2), plans[kind]):
+                if mr in mrs:
+                    pairs.extend(sweep_pairs(env, mr, kind, estimates[kind].value,
+                                             plan))
+    return pairs + mr2_pairs(env, mrs)
+
+
+def estimate_kinds(env: Environment, kinds, growth: float) -> list:
+    """(kind, estimate) for each kind in order, where the estimate is the
+    IntrinsicGas of the kind's source run, or the NeverSucceeds raised when
+    that run fails even at the block gas limit."""
+    rows = []
+    for kind in kinds:
+        try:
+            gc = estimate_intrinsic_gas(env.state, None, env.schedule,
+                                        growth=growth, runner=env.runner_for(kind))
+        except NeverSucceeds as exc:
+            gc = exc
+        rows.append((kind, gc))
+    return rows
 
 
 def _run_in_context(env: Environment, actor: ActorInput) -> Outcome:
@@ -184,11 +210,15 @@ def check(pair: TestPair) -> Optional[ViolationRecord]:
 
 
 def _sweep(env: Environment, pairs, violations) -> None:
-    """Run a gas sweep in order, stopping at the first violation."""
+    """Run an MR1.x sweep in order, stopping at the first violation or
+    after the first pair whose source outcome is gas-certified."""
     for pair in pairs:
-        violation = check(run_pair(env, pair))
+        done = run_pair(env, pair)
+        violation = check(done)
         if violation is not None:
             violations.append(violation)
+            return
+        if gas_certified(pair.source.kind, done.source_outcome):
             return
 
 
@@ -205,37 +235,31 @@ def run_all(scenario: Scenario, schedule: GasSchedule,
     violations: list = []
     diagnostics: list = []
 
-    estimates: dict = {}
-    plans: dict = {}
-    if any(m in mrs for m in (MR1_1, MR1_2)):
-        for kind in mr1_actors:
-            try:
-                gc = estimate_intrinsic_gas(env.state, None, schedule,
-                                            growth=config.growth,
-                                            runner=env.runner_for(kind))
-            except NeverSucceeds as exc:
+    plans: dict = {}  # kind -> (intrinsic gas, {MR1.1: plan, MR1.2: plan})
+    if MR1_1 in mrs or MR1_2 in mrs:
+        for kind, gc in estimate_kinds(env, mr1_actors, config.growth):
+            if isinstance(gc, NeverSucceeds):
                 diagnostics.append(Diagnostic(
                     f"MR1.x/{kind.value}",
-                    f"estimate unavailable, source run never succeeds: {exc.status}"))
+                    f"estimate unavailable, source run never succeeds: {gc.status}"))
                 continue
-            estimates[kind] = gc
             increasing = allocate_increasing(gc.value, config.inc_count,
                                              schedule.block_gas_limit)
             if increasing.warning:
                 diagnostics.append(Diagnostic(f"MR1.1/{kind.value}", increasing.warning))
-            plans[kind] = (increasing, allocate_reducing(gc.value, config.n))
+            plans[kind] = (gc.value, {MR1_1: increasing,
+                                      MR1_2: allocate_reducing(gc.value, config.n)})
 
-    pairs = build_pairs(env, estimates, plans, mrs, mr1_actors)
     for mr in (MR1_1, MR1_2):
-        for kind in mr1_actors:
-            sweep = [p for p in pairs
-                     if p.mr_id == mr and p.follow_up.kind == kind]
-            _sweep(env, sweep, violations)
-    for pair in pairs:
-        if pair.mr_id in MR2_FOLLOW_KIND:
-            violation = check(run_pair(env, pair))
-            if violation is not None:
-                violations.append(violation)
+        if mr in mrs:
+            for kind in mr1_actors:
+                if kind in plans:
+                    gc, by_mr = plans[kind]
+                    _sweep(env, sweep_pairs(env, mr, kind, gc, by_mr[mr]), violations)
+    for pair in mr2_pairs(env, mrs):
+        violation = check(run_pair(env, pair))
+        if violation is not None:
+            violations.append(violation)
 
     return EngineResult(scenario_id=scenario.scenario_id, violations=violations,
                         diagnostics=diagnostics, context_digest=env.context_digest)

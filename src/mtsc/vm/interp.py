@@ -42,6 +42,32 @@ harness use the same journal, so world-state rollback is one mechanism.
 Top level: a Failure outcome leaves the world state untouched, the actor
 balance delta is zero, and OutOfGas consumes the full gas limit. Fees
 accrue on the fee ledger, never on balances.
+
+Gas sensitivity
+---------------
+A frame is *elastic* when its budget comes from the transaction's gas
+limit: the top frame, and every child of a `lowcall`/`dcall` without a
+gas clause made from an elastic frame. Children of `send`/`transfer`
+and of `gas g` calls get fixed budgets and are never elastic.
+
+Each elastic frame also tracks its *need*: the smallest budget at which
+it repeats its run. That is its consumption, raised by the headroom a
+`gas g` reserve demands and by the needs of its forward-all children; a
+frame that ran out of gas itself has no finite need. A run records the
+deepest frame depth of a gas-sensitive event in
+`Outcome.gas_sensitive_depth` (-1 for none). There are two kinds:
+
+* a `gasleft()` read in an elastic frame;
+* a forward-all `lowcall` from an elastic frame whose child needed more
+  than its stipend grant. At a lower limit that child can run out of
+  gas, the failure is swallowed, and the caller goes on with 0 gas.
+
+`dcall` passes a starved child's failure up to its caller, and a
+reserve the caller cannot produce fails the caller itself, so neither
+lets a run succeed on less gas and neither is an event. A successful run
+without events repeats (same status, consumption and state changes) at
+every higher limit; at a lower one it either repeats or fails out of
+gas, so the limits at which it succeeds are upward-closed.
 """
 
 from __future__ import annotations
@@ -67,6 +93,9 @@ from .types import (
 
 MAX_CALL_DEPTH = 128  # frames 0..127; entering deeper fails DepthExceeded
 
+# the need of a frame that ran out of gas: no budget is known to repeat it
+STARVED = float("inf")
+
 # call failures that never dispatched the callee
 STILLBORN = (FailReason.DEPTH_EXCEEDED, FailReason.BALANCE_INSUFFICIENT)
 
@@ -91,6 +120,8 @@ class _Frame:
     gas: int
     budget: int
     env: dict = field(default_factory=dict)
+    elastic: bool = False  # budget comes from the transaction's gas limit
+    peak: float = 0        # need beyond consumption: reserves, children
 
     @property
     def consumed(self) -> int:
@@ -102,6 +133,7 @@ class _Run:
         self.state = state
         self.sched = schedule
         self.trace: list = []
+        self.sensitive_depth = -1  # deepest gas-sensitive event
 
     # -- gas ---------------------------------------------------------------
 
@@ -109,6 +141,7 @@ class _Run:
         if cost > frame.gas:
             self.trace.append(OpExecuted(op, frame.gas, frame.depth))
             frame.gas = 0
+            frame.peak = STARVED
             raise _FrameFail(FailReason.OUT_OF_GAS)
         frame.gas -= cost
         self.trace.append(OpExecuted(op, cost, frame.depth))
@@ -146,6 +179,8 @@ class _Run:
             return frame.self_addr
         if t is ast.GasLeft:
             self.charge(frame, "gasleft", self.sched.gasleft)
+            if frame.elastic and frame.depth > self.sensitive_depth:
+                self.sensitive_depth = frame.depth
             return frame.gas
         if t is ast.BalanceOf:
             target = self.eval(frame, e.target)
@@ -303,6 +338,7 @@ class _Run:
             self.charge(caller, "value_surcharge", sched.value_transfer_surcharge)
         grant = sched.stipend if value > 0 else 0
 
+        elastic = False
         if stipend_only:
             fwd = 0
         elif explicit_gas is not None:
@@ -310,12 +346,16 @@ class _Run:
                 # the caller must produce the reserved gas in full
                 self.trace.append(OpExecuted("call_reserve", caller.gas, caller.depth))
                 caller.gas = 0
+                caller.peak = STARVED
                 raise _FrameFail(FailReason.OUT_OF_GAS)
+            # the reserve is headroom the caller needs beyond what it consumes
+            caller.peak = max(caller.peak, caller.consumed + explicit_gas)
             caller.gas -= explicit_gas
             fwd = explicit_gas
         else:
             fwd = caller.gas
             caller.gas = 0
+            elastic = caller.elastic
 
         def stillborn(reason: FailReason) -> bool:
             caller.gas += fwd  # nothing was dispatched; the reserve returns
@@ -341,9 +381,16 @@ class _Run:
         if value:
             self.state.transfer(caller.account, target_acct, value)
 
-        ok, consumed, reason = self.dispatch(target_acct, function, args, value,
-                                             caller.self_addr, child_budget,
-                                             caller.depth + 1)
+        ok, consumed, reason, need = self.dispatch(
+            target_acct, function, args, value, caller.self_addr, child_budget,
+            caller.depth + 1, elastic)
+        if elastic:
+            # the caller repeats this call when it can forward need - grant
+            need_here = caller.budget - fwd + need - grant
+            if need_here > caller.peak:
+                caller.peak = need_here
+            if swallow and need > grant and caller.depth > self.sensitive_depth:
+                self.sensitive_depth = caller.depth
         stipend_used = min(grant, consumed)
         refund = fwd - max(0, consumed - grant)
         caller.gas += refund
@@ -360,40 +407,44 @@ class _Run:
         raise _FrameFail(reason)
 
     def dispatch(self, acct: Account, function: Optional[str], args: list,
-                 value: int, sender: str, budget: int, depth: int):
-        """Run the callee; returns (ok, gas_consumed, fail_reason)."""
+                 value: int, sender: str, budget: int, depth: int,
+                 elastic: bool):
+        """Run the callee; returns (ok, gas_consumed, fail_reason, need)."""
         if acct.kind == AccountKind.EOA:
-            return True, 0, None  # no code: receives value, executes nothing
+            return True, 0, None, 0  # no code: receives value, executes nothing
 
         contract = acct.code
         fn = contract.function(function) if function is not None else None
         if fn is not None:
             if len(fn.params) != len(args):
-                return False, 0, FailReason.REVERT
+                return False, 0, FailReason.REVERT, 0
             payable, params, body = fn.payable, fn.params, fn.body
         else:
             # unknown function or plain transfer: the fallback handles it,
             # discarding whatever call data came along
             if contract.fallback is None:
-                return False, 0, FailReason.REVERT
+                return False, 0, FailReason.REVERT, 0
             payable = contract.fallback.payable
             params, args = [], []
             body = contract.fallback.body
         if value > 0 and not payable:
-            return False, 0, FailReason.REVERT
+            return False, 0, FailReason.REVERT, 0
 
         frame = _Frame(account=acct, self_addr=acct.address, msg_sender=sender,
                        msg_value=value, contract=contract, depth=depth,
                        gas=budget, budget=budget,
-                       env={p.name: a for p, a in zip(params, args)})
+                       env={p.name: a for p, a in zip(params, args)},
+                       elastic=elastic)
+        ok, reason = True, None
         try:
             self.charge(frame, "dispatch", self.sched.dispatch)
             self.exec_block(frame, body)
         except _ReturnSignal:
             pass
         except _FrameFail as fail:
-            return False, frame.consumed, fail.reason
-        return True, frame.consumed, None
+            ok, reason = False, fail.reason
+        consumed = budget - frame.gas
+        return ok, consumed, reason, max(consumed, frame.peak)
 
 
 def execute(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Outcome:
@@ -421,8 +472,9 @@ def execute(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Outcom
     if tx.value:
         state.transfer(actor, callee, tx.value)
 
-    ok, consumed, reason = run.dispatch(callee, tx.function, list(tx.args),
-                                        tx.value, tx.actor, budget, depth=0)
+    ok, consumed, reason, _ = run.dispatch(callee, tx.function, list(tx.args),
+                                           tx.value, tx.actor, budget, depth=0,
+                                           elastic=True)
     if ok:
         gas_total = schedule.base_tx + consumed
         delta = actor.balance - actor_before
@@ -437,4 +489,4 @@ def execute(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Outcom
         status = failure(reason)
     state.commit()
     state.fee_ledger += gas_total
-    return Outcome(status, gas_total, delta, tuple(run.trace))
+    return Outcome(status, gas_total, delta, tuple(run.trace), run.sensitive_depth)

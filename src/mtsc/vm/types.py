@@ -103,13 +103,16 @@ class Outcome:
 
     gas_consumed is the whole-transaction figure (fees accrue on it even
     for failures); balance_delta is the actor's balance change, zero for
-    any failure because state rolls back.
+    any failure because state rolls back. gas_sensitive_depth is the
+    deepest frame depth at which the run could change with its gas limit,
+    -1 when it cannot (see the interpreter's "Gas sensitivity" notes).
     """
 
     status: Status
     gas_consumed: int
     balance_delta: int
     trace: tuple = field(default_factory=tuple)
+    gas_sensitive_depth: int = -1
 
     @property
     def ok(self) -> bool:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from mtsc import cli
 from mtsc.cli import main
 
 from conftest import CORPUS, scenario_path
@@ -187,3 +188,32 @@ def test_bad_schedule_exits_two(tmp_path, capsys):
                            "--schedule", str(sched))
     assert code == 2
     assert "mystery_key" in err
+
+
+def test_deeply_nested_contract_exits_two(tmp_path, capsys):
+    nested = "(" * 600 + "1" + ")" * 600
+    (tmp_path / "deep.msol").write_text(
+        f"contract Deep {{ uint x; fn f() {{ x = {nested}; }} }}\n")
+    path = tmp_path / "deep.scenario.json"
+    path.write_text(json.dumps({"schema": "scenario-v1", "sources": ["deep.msol"],
+                                "balances": {}, "target": {"callee": "Deep",
+                                                           "function": "f"}}))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert "nesting deeper than" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", str(scenario_path("simple_dao_withdraw"))],
+    ["bench", str(CORPUS), LABELS, "--jobs", "1"],
+], ids=["check", "bench"])
+def test_internal_errors_exit_three(monkeypatch, capsys, argv):
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "run_all", crash)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3  # never 1, which would claim a vulnerability
+    assert out == ""
+    assert err == "mtsc: internal error: RecursionError: maximum recursion depth exceeded\n"

@@ -6,6 +6,7 @@ import pytest
 
 from mtsc.minisol import ParseError, parse, pretty, validate
 from mtsc.minisol import ast
+from mtsc.minisol.parser import MAX_NESTING
 
 from conftest import CORPUS
 
@@ -56,6 +57,27 @@ def test_parse_error_carries_position():
 def test_parse_rejects_malformed(source):
     with pytest.raises(ParseError):
         parse(source)
+
+
+@pytest.mark.parametrize("source", [
+    "contract A { uint x; fn f() { x = " + "(" * 600 + "1" + ")" * 600 + "; } }",
+    "contract A { bool x; fn f() { x = " + "!" * 600 + "true; } }",
+    "contract A { map m; fn f() { m[this] = " + "m[" * 600 + "this" + "]" * 600 + "; } }",
+    "contract A { fn f() { " + "if (true) { " * 600 + "}" * 600 + " } }",
+    "contract A { fn f(t: addr) { dcall " + "lowcall " * 600 + "t.f(t); } }",
+], ids=["parentheses", "negations", "map-keys", "blocks", "call-targets"])
+def test_deep_nesting_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse(source)
+
+
+def test_nesting_up_to_the_limit_parses():
+    # the function body and the innermost literal take one level each
+    depth = MAX_NESTING - 2
+    source = "contract A { uint x; fn f() { x = " + "(" * depth + "1" + ")" * depth + "; } }"
+    assert validate(parse(source)) == []
+    with pytest.raises(ParseError):
+        parse(source.replace("(", "((", 1).replace(")", "))", 1))
 
 
 def test_duplicate_fallback_rejected():

@@ -1,11 +1,13 @@
 """Test-pair construction, shared-context execution, and relation checks."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from mtsc import mr_engine
 from mtsc.agents import AgentKind
+from mtsc.detector import emit_report, verdict_for
 from mtsc.gas_oracle import IntrinsicGas, allocate_increasing, allocate_reducing
 from mtsc.mr_engine import (
     ALL_MRS,
@@ -22,7 +24,7 @@ from mtsc.mr_engine import (
     run_all,
     run_pair,
 )
-from mtsc.scenario import Environment, load_scenario
+from mtsc.scenario import ALL_ACTOR_KINDS, Environment, load_scenario
 from mtsc.vm import (
     CallEntered,
     CallExited,
@@ -326,3 +328,55 @@ def test_detection_survives_a_perturbed_schedule():
         scenario = load_scenario(scenario_path(name))
         result = run_all(scenario, sched, EngineConfig())
         assert {v.mr_id for v in result.violations} == expected, name
+
+
+# -- the gas certificate against the full sweep --------------------------------
+
+CERTIFICATE_CONFIGS = {
+    "default": (S, EngineConfig()),
+    "coarse": (S, EngineConfig(n=37, inc_count=2, car_gas_guard=S.stipend + 1)),
+    "perturbed": (GasSchedule(sload=400, dispatch=250, call_base=1_200, stipend=3_000),
+                  EngineConfig(n=250, growth=2.0, car_gas_guard=60_000,
+                               cah_iterations=2)),
+    "low-stipend": (GasSchedule(stipend=1_000, sstore_set=25_000),
+                    EngineConfig(n=100, inc_count=4, car_gas_guard=2_000)),
+}
+
+
+def report_bytes(name, schedule, config):
+    scenario = load_scenario(scenario_path(name))
+    config = replace(config, mr1_actors_override=ALL_ACTOR_KINDS)
+    return emit_report([verdict_for(run_all(scenario, schedule, config))], fmt="json")
+
+
+@pytest.mark.parametrize("config", sorted(CERTIFICATE_CONFIGS))
+@pytest.mark.parametrize("name", CORPUS_SCENARIOS + ["notifier_ping"])
+def test_certificate_matches_the_full_sweep(monkeypatch, name, config):
+    schedule, engine = CERTIFICATE_CONFIGS[config]
+    cut = report_bytes(name, schedule, engine)
+    monkeypatch.setattr(mr_engine, "gas_certified", lambda kind, outcome: False)
+    assert report_bytes(name, schedule, engine) == cut
+
+
+def test_certificate_cuts_every_gas_rigid_corpus_sweep(monkeypatch):
+    runs = Counter()
+    run_pair_once = mr_engine.run_pair
+
+    def counted_run_pair(env, pair):
+        runs[(env.scenario.scenario_id, pair.mr_id, pair.source.kind.value)] += 1
+        return run_pair_once(env, pair)
+
+    monkeypatch.setattr(mr_engine, "run_pair", counted_run_pair)
+    for name in CORPUS_SCENARIOS:
+        run_all(load_scenario(scenario_path(name)), S)
+    full = {key for key, count in runs.items()
+            if key[1] == MR1_2 and count > 1}
+    assert full == {("crowd_pay_guarded", MR1_2, "CAH"),
+                    ("simple_dao_withdraw", MR1_2, "CAH"),
+                    ("simple_dao_withdraw", MR1_2, "CAR"),
+                    ("token_ether_transfer", MR1_2, "CAH"),
+                    ("token_ether_transfer", MR1_2, "CAR")}
+    cut = [(name, kind) for (name, mr, kind), count in runs.items()
+           if mr == MR1_2 and count == 1]
+    assert len(cut) == 15
+    assert all(runs[(name, MR1_1, kind)] == 1 for name, kind in cut)

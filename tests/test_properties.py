@@ -2,10 +2,17 @@
 round-trips over randomly generated syntax trees."""
 
 import copy
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mtsc.agents import AgentKind
+from mtsc import mr_engine, scenario
+from mtsc.agents import AgentKind, gas_certified
+from mtsc.detector import emit_report, verdict_for
+from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
 from mtsc.minisol import ast, parse, pretty, validate
 from mtsc.scenario import ALL_ACTOR_KINDS
 from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
@@ -292,3 +299,140 @@ def test_journaled_runs_match_clone_runs(contract, gas):
     finally:
         state.restore(sid)
     assert state.digest() == digest
+
+
+# -- the gas certificate against the full sweep, on generated contracts ---------
+
+# A small block gas limit bounds the work of a generated contract that
+# calls itself more than once per frame: every call costs at least 800 gas.
+GEN_SCHEDULE = GasSchedule(block_gas_limit=1_000_000)
+
+
+def _report_or_error(path, config):
+    try:
+        result = mr_engine.run_all(scenario.load_scenario(path), GEN_SCHEDULE, config)
+    except Exception as exc:  # generated programs are unvalidated
+        return type(exc)
+    return emit_report([verdict_for(result)], fmt="json")
+
+
+@given(contract=journal_contracts,
+       entry=st.integers(min_value=0, max_value=3),
+       value=st.sampled_from([0, 0, 1, 700]),
+       n=st.integers(min_value=1, max_value=40))
+@settings(deadline=None, max_examples=40)
+def test_certificate_matches_the_full_sweep_on_generated_contracts(contract, entry,
+                                                                   value, n):
+    functions = [fn.name for fn in contract.functions]
+    target = {"callee": "Gen", "function": (functions + [None])[
+        min(entry, len(functions))], "value": value}
+    config = mr_engine.EngineConfig(n=n, inc_count=3,
+                                    mr1_actors_override=ALL_ACTOR_KINDS)
+    with tempfile.TemporaryDirectory() as tmp:
+        unit = ast.SourceUnit(contracts=[contract], source_name="gen.msol")
+        (Path(tmp) / "gen.msol").write_text(pretty(unit))
+        path = Path(tmp) / "gen.scenario.json"
+        path.write_text(json.dumps({
+            "schema": "scenario-v1", "sources": ["gen.msol"],
+            "balances": {"Gen": 5_000, "$ACTOR": 10_000}, "target": target}))
+        # generated bodies are well-formed but untyped; run them unvalidated
+        with mock.patch.object(scenario, "validate", lambda unit: []):
+            cut = _report_or_error(path, config)
+            with mock.patch.object(mr_engine, "gas_certified",
+                                   lambda kind, outcome: False):
+                full = _report_or_error(path, config)
+    assert cut == full
+
+
+# Well-typed contracts built from the gas-sensitive idioms: self-calls in
+# every call form, with and without value and gas clauses, calls back
+# into the actor, gasleft guards, and branches on a call's result.
+GAS_FNS = 3
+_fn = st.integers(min_value=0, max_value=GAS_FNS - 1)
+_gas = st.sampled_from([0, 100, 1_000, 2_300, 2_400, 5_000, 30_000, 60_000])
+_calls = st.one_of(
+    _fn.map(lambda k: f"lowcall this.f{k}()"),
+    _fn.map(lambda k: f"lowcall this.f{k}() value 1"),
+    st.builds(lambda k, g: f"lowcall this.f{k}() gas {g}", _fn, _gas),
+    st.builds(lambda k, g: f"lowcall this.f{k}() value 1 gas {g}", _fn, _gas),
+    st.just("lowcall msg.sender value 1"),
+    st.just("lowcall msg.sender"),
+    _gas.map(lambda g: f"lowcall msg.sender value 1 gas {g}"),
+    st.just("send msg.sender value 1"),
+)
+
+
+def _gas_stmt(children):
+    block = st.lists(children, max_size=2).map(" ".join)
+    return st.one_of(
+        _calls.map(lambda c: f"{c};"),
+        _fn.map(lambda k: f"dcall this.f{k}();"),
+        _fn.map(lambda k: f"dcall this.f{k}() value 1;"),
+        st.just("transfer msg.sender value 1;"),
+        st.builds(lambda c, t, o: f"if ({c}) {{ {t} }} else {{ {o} }}", _calls, block, block),
+        _calls.map(lambda c: f"require({c});"),
+        st.builds(lambda g, t: f"if (gasleft() > {g}) {{ {t} }}", _gas, block),
+        _gas.map(lambda g: f"require(gasleft() > {g});"),
+    )
+
+
+_gas_stmts = st.recursive(
+    st.sampled_from(["x = 1;", "x += 1;", "y = 7;", "n[msg.sender] += 1;",
+                     "emit E();", "require(x < 3);", "revert();"]),
+    lambda children: st.one_of(children, _gas_stmt(children)), max_leaves=8)
+_gas_body = st.lists(_gas_stmts, max_size=4).map(" ".join)
+
+
+def _gas_shape(bodies, fallback=""):
+    return ("contract Gen { uint x; uint y; map n;\n"
+            + "".join(f"fn f{i}() payable {{ {b} }}\n" for i, b in enumerate(bodies))
+            + f"fallback payable {{ {fallback} }} }}\n")
+
+
+gas_shape_sources = st.builds(
+    _gas_shape, st.lists(_gas_body, min_size=GAS_FNS, max_size=GAS_FNS), _gas_body)
+
+
+@given(source=gas_shape_sources,
+       entry=st.sampled_from(["f0", "f1", None]),
+       value=st.sampled_from([0, 1, 700]))
+@settings(deadline=None, max_examples=40)
+# self-recursion until a child starts with no gas to forward: its need is
+# unbounded although it consumed nothing beyond its (zero) grant
+@example(source=_gas_shape(["lowcall this.f0();"]), entry="f0", value=0)
+# a child within its stipend whose reserve needs more than the stipend
+@example(source=_gas_shape(["if (lowcall this.f1() value 1) { x = 1; }",
+                            "lowcall this.f2() gas 5000;", ""]), entry="f0", value=0)
+def test_certified_runs_repeat_above_and_fail_below(source, entry, value):
+    assert validate(parse(source)) == []
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "gen.msol").write_text(source)
+        path = Path(tmp) / "gen.scenario.json"
+        path.write_text(json.dumps({
+            "schema": "scenario-v1", "sources": ["gen.msol"],
+            "balances": {"Gen": 5_000, "$ACTOR": 10_000},
+            "target": {"callee": "Gen", "function": entry, "value": value}}))
+        env = scenario.build_environment(scenario.load_scenario(path), GEN_SCHEDULE)
+    block = env.schedule.block_gas_limit
+    for kind in ALL_ACTOR_KINDS:
+        try:
+            gc = estimate_intrinsic_gas(env.state, None, env.schedule,
+                                        runner=env.runner_for(kind)).value
+        except NeverSucceeds:
+            continue
+
+        def run(limit):
+            return env.run_target(env.state.clone(), kind, limit)
+
+        source_out = run(gc)
+        if not gas_certified(kind, source_out):
+            continue
+        expected = (True, source_out.gas_consumed, source_out.balance_delta)
+        for limit in {min(g, block) for g in (gc + 1, gc + 2_300, 2 * gc, block)}:
+            out = run(limit)
+            assert (out.ok, out.gas_consumed, out.balance_delta) == expected, (kind, limit)
+        below = sorted({max(0, gc - d) for d in range(1, 3_000, 97)}
+                       | {max(0, gc - d) for d in (2_300, 5_000, 20_000, gc // 2, gc)})
+        succeeded = [run(limit).ok for limit in below]
+        # the limits that succeed are upward-closed
+        assert succeeded == sorted(succeeded), (kind, gc)

@@ -572,6 +572,104 @@ def test_gas_limit_independence_without_gasleft_or_swallows():
                (base.ok, base.gas_consumed, base.balance_delta)
 
 
+# -- gas sensitivity ----------------------------------------------------------
+
+GAS_PROBES = """
+contract Reader {
+    uint hoard;
+    fallback payable { require(gasleft() > 0); }
+    fn read() { require(gasleft() > 0); }
+    fn heavy() { hoard = 1; }
+    fn relay(t: addr) payable { lowcall t gas 5000; }
+}
+contract Caller {
+    uint done;
+    fn top() { require(gasleft() > 0); }
+    fn via_send(t: addr) { send t value 1; }
+    fn via_transfer(t: addr) { transfer t value 1; }
+    fn via_lowcall(t: addr) { lowcall t.read(); }
+    fn via_reserve(t: addr) { lowcall t.read() gas 2300; }
+    fn via_dcall(t: addr) { dcall t.heavy(); }
+    fn via_heavy_lowcall(t: addr) { lowcall t.heavy(); }
+    fn via_relay(r: addr, t: addr) {
+        if (lowcall r.relay(t) value 1) { done = 1; }
+    }
+}
+"""
+
+
+@pytest.fixture
+def gas_probes():
+    unit = parse(GAS_PROBES)
+    assert validate(unit) == []
+    state = WorldState()
+    actor = state.create_eoa(0)
+    reader = deploy(state, unit.contract("Reader"))
+    caller = deploy(state, unit.contract("Caller"), 1_000)
+    return state, actor, reader, caller
+
+
+def sensitive_depth(gas_probes, fn, *args):
+    state, actor, _, caller = gas_probes
+    out = run(state.clone(), actor, caller, fn, args)
+    assert out.ok
+    return out.gas_sensitive_depth
+
+
+def test_gasleft_in_the_top_frame_is_an_event(gas_probes):
+    assert sensitive_depth(gas_probes, "top") == 0
+
+
+@pytest.mark.parametrize("fn", ["via_send", "via_transfer"])
+def test_gasleft_under_a_stipend_call_is_not_an_event(gas_probes, fn):
+    reader = gas_probes[2]
+    assert sensitive_depth(gas_probes, fn, reader) == -1
+
+
+def test_gasleft_under_a_forward_all_lowcall_is_an_event(gas_probes):
+    reader = gas_probes[2]
+    assert sensitive_depth(gas_probes, "via_lowcall", reader) == 1
+
+
+def test_forward_all_lowcall_into_an_eoa_is_not_an_event(gas_probes):
+    actor = gas_probes[1]
+    assert sensitive_depth(gas_probes, "via_lowcall", actor) == -1
+
+
+def test_reserve_call_is_not_an_event(gas_probes):
+    reader = gas_probes[2]
+    assert sensitive_depth(gas_probes, "via_reserve", reader) == -1
+
+
+def test_forward_all_dcall_is_not_an_event(gas_probes):
+    reader = gas_probes[2]
+    assert sensitive_depth(gas_probes, "via_dcall", reader) == -1
+
+
+def test_swallowed_heavy_lowcall_is_an_event(gas_probes):
+    reader = gas_probes[2]
+    assert sensitive_depth(gas_probes, "via_heavy_lowcall", reader) == 0
+
+
+def test_swallowed_child_needing_reserve_headroom_is_an_event(gas_probes):
+    # the child consumes less than its stipend, but its reserve needs more;
+    # starved of that headroom it fails, the caller skips its write and
+    # succeeds on less gas, while a limit just below the ample run fails
+    state, actor, reader, caller = gas_probes
+
+    def relay(gas):
+        return run(state.clone(), actor, caller, "via_relay", (reader, actor), gas=gas)
+
+    ample = relay(AMPLE)
+    assert ample.ok and ample.gas_sensitive_depth == 0
+    (child,) = [ev for ev in ample.trace
+                if isinstance(ev, CallExited) and ev.depth == 0]
+    assert child.success and child.gas_used < S.stipend
+    assert not relay(ample.gas_consumed - 1).ok
+    assert relay(op_sum("base_tx", "dispatch", "call_base",
+                        "value_transfer_surcharge") + 1_000).ok
+
+
 def _pairs(trace):
     stack, out = [], []
     for ev in trace:
