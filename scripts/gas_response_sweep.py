@@ -12,7 +12,11 @@ relations test for.
 It also prints whether the source run at the intrinsic gas is
 gas-certified, and the depth of its deepest gas-sensitive event (-1 for
 none). A certified source cannot change with the gas limit, so the
-engine decides its MR1.1 and MR1.2 sweeps from their first pair.
+engine decides its MR1.1 and MR1.2 sweeps from their first pair. The
+next line names the highest follow-up limit of the MR1.2 plan (default
+subdivisions) whose run is a gas-certified failure, with the depth of
+its deepest gas-sensitive event below (or "none"): that run fails at
+every lower limit, so the engine's MR1.2 sweep stops there at the latest.
 
 Usage:
     python3 scripts/gas_response_sweep.py corpus/simple_dao_withdraw.scenario.json CAR
@@ -27,7 +31,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from mtsc.agents import AgentKind, gas_certified  # noqa: E402
-from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas  # noqa: E402
+from mtsc.gas_oracle import (  # noqa: E402
+    NeverSucceeds,
+    allocate_reducing,
+    estimate_intrinsic_gas,
+)
 from mtsc.scenario import build_environment, load_scenario  # noqa: E402
 from mtsc.vm import GasSchedule, trace_has_swallow  # noqa: E402
 
@@ -54,7 +62,15 @@ def main(argv=None) -> int:
           f"(trials={gc.trials}, converged={gc.converged})")
     source = env.run_target(env.state.clone(), kind, gc.value)
     print(f"gas-certified source: {'yes' if gas_certified(kind, source) else 'no'} "
-          f"(deepest gas-sensitive event at depth {source.gas_sensitive_depth})\n")
+          f"(deepest gas-sensitive event at depth {source.gas_sensitive_depth})")
+    for limit in allocate_reducing(gc.value).limits:
+        out = env.run_target(env.state.clone(), kind, limit)
+        if not out.ok and gas_certified(kind, out):
+            print(f"highest certified-failure MR1.2 follow-up: {limit} (deepest "
+                  f"gas-sensitive event below at depth {out.gas_sensitive_depth_below})\n")
+            break
+    else:
+        print("highest certified-failure MR1.2 follow-up: none\n")
 
     lo = max(0, gc.value - 5 * max(1, gc.value // args.points))
     hi = min(int(gc.value * args.span), schedule.block_gas_limit)

@@ -169,17 +169,21 @@ def _target_call_status(outcome: Outcome, target: str):
 
 
 def gas_certified(kind: AgentKind, outcome: Outcome) -> bool:
-    """Whether a successful run cannot change with its gas limit.
+    """Whether a run's status cannot change with its gas limit in the
+    direction its status leaves open.
 
-    Certified means two things (see the interpreter's "Gas sensitivity"
-    notes): every higher limit gives the same status, consumption and
-    balance delta, and the limits at which the run succeeds are
-    upward-closed. An EOA run may contain no gas-sensitive event. An
-    agent run may contain one at depth 0: the AgentCall wrapper's own
-    forward-all call into the target, whose status the outcome reports.
+    A certified success (see the interpreter's "Gas sensitivity" notes)
+    gives the same status, consumption and balance delta at every higher
+    limit, and the limits at which it succeeds are upward-closed. A
+    certified failure fails at every lower limit. An EOA run may contain
+    no event of the kind that matters. An agent run may contain one at
+    depth 0: the AgentCall wrapper's own forward-all call into the
+    target, whose status the outcome reports.
     """
     allowed = -1 if kind == AgentKind.EOA else 0
-    return outcome.ok and outcome.gas_sensitive_depth <= allowed
+    if outcome.ok:
+        return outcome.gas_sensitive_depth <= allowed
+    return outcome.gas_sensitive_depth_below <= allowed
 
 
 def agent_interact(state: WorldState, agent: str, spec: AgentSpec, driver: str,

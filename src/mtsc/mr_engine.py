@@ -31,7 +31,13 @@ follow-up can differ, and it succeeds on an upward-closed set of limits,
 so when the largest MR1.2 follow-up fails every smaller one fails too.
 Sweeps whose source reads `gasleft` or swallows a forward-all call that
 needs more than its stipend (CAR re-entry, a heavy fallback behind an
-unbounded `lowcall`) still run every pair.
+unbounded `lowcall`) run pair by pair.
+
+Such an MR1.2 sweep stops at its first follow-up that is a gas-certified
+failure: the run read no `gasleft` and swallowed no forward-all child
+that succeeded while needing more than its stipend grant, where the gas
+limit reaches. It fails at every lower limit, and the plan's limits
+descend. MR1.1 limits ascend and get no such cut.
 """
 
 from __future__ import annotations
@@ -145,11 +151,11 @@ def build_pairs(env: Environment, estimates: dict, plans: dict,
 
 
 def estimate_kinds(env: Environment, kinds, growth: float) -> list:
-    """(kind, estimate) for each kind in order, where the estimate is the
-    IntrinsicGas of the kind's source run, or the NeverSucceeds raised when
-    that run fails even at the block gas limit."""
+    """(kind, estimate) for each distinct kind in order of first mention,
+    where the estimate is the IntrinsicGas of the kind's source run, or the
+    NeverSucceeds raised when that run fails even at the block gas limit."""
     rows = []
-    for kind in kinds:
+    for kind in dict.fromkeys(kinds):
         try:
             gc = estimate_intrinsic_gas(env.state, None, env.schedule,
                                         growth=growth, runner=env.runner_for(kind))
@@ -210,15 +216,20 @@ def check(pair: TestPair) -> Optional[ViolationRecord]:
 
 
 def _sweep(env: Environment, pairs, violations) -> None:
-    """Run an MR1.x sweep in order, stopping at the first violation or
-    after the first pair whose source outcome is gas-certified."""
+    """Run an MR1.x sweep in order, stopping at the first violation, after
+    the first pair whose source outcome is a gas-certified success, or at
+    the first MR1.2 follow-up that is a gas-certified failure."""
     for pair in pairs:
         done = run_pair(env, pair)
         violation = check(done)
         if violation is not None:
             violations.append(violation)
             return
-        if gas_certified(pair.source.kind, done.source_outcome):
+        kind, source, follow = pair.source.kind, done.source_outcome, done.follow_outcome
+        if source.ok and gas_certified(kind, source):
+            return
+        # MR1.2 limits descend, so every later follow-up fails as well
+        if pair.mr_id == MR1_2 and not follow.ok and gas_certified(kind, follow):
             return
 
 
@@ -230,13 +241,13 @@ def run_all(scenario: Scenario, schedule: GasSchedule,
                             cah_iterations=config.cah_iterations)
     mrs = tuple(m for m in scenario.mrs
                 if config.mr_filter is None or m in config.mr_filter)
-    mr1_actors = config.mr1_actors_override or scenario.mr1_actors
 
     violations: list = []
     diagnostics: list = []
 
     plans: dict = {}  # kind -> (intrinsic gas, {MR1.1: plan, MR1.2: plan})
     if MR1_1 in mrs or MR1_2 in mrs:
+        mr1_actors = config.mr1_actors_override or scenario.mr1_actors
         for kind, gc in estimate_kinds(env, mr1_actors, config.growth):
             if isinstance(gc, NeverSucceeds):
                 diagnostics.append(Diagnostic(
@@ -252,10 +263,8 @@ def run_all(scenario: Scenario, schedule: GasSchedule,
 
     for mr in (MR1_1, MR1_2):
         if mr in mrs:
-            for kind in mr1_actors:
-                if kind in plans:
-                    gc, by_mr = plans[kind]
-                    _sweep(env, sweep_pairs(env, mr, kind, gc, by_mr[mr]), violations)
+            for kind, (gc, by_mr) in plans.items():
+                _sweep(env, sweep_pairs(env, mr, kind, gc, by_mr[mr]), violations)
     for pair in mr2_pairs(env, mrs):
         violation = check(run_pair(env, pair))
         if violation is not None:

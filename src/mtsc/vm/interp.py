@@ -68,14 +68,34 @@ lets a run succeed on less gas and neither is an event. A successful run
 without events repeats (same status, consumption and state changes) at
 every higher limit; at a lower one it either repeats or fails out of
 gas, so the limits at which it succeeds are upward-closed.
+
+A failing run is read the other way, in
+`Outcome.gas_sensitive_depth_below`. At a lower limit a run follows its
+path until an elastic frame runs short, and the frame that runs short
+fails; a forward-all child that starves leaves its caller with exactly
+0 gas. So a lower limit can change the path only through
+
+* a `gasleft()` read in an elastic frame, or
+* a forward-all `lowcall` from an elastic frame whose child *succeeded*
+  while needing more than its grant. Lower down that child can fail,
+  and the caller goes on with a false result.
+
+A child that failed fails at every lower limit too, and its caller goes
+on with the same false result and no more gas than before, so it is no
+event here even when it needed more than its grant. A failing run
+without such events fails at every lower limit. These events are a
+subset of the upward ones, so the depth below never exceeds
+`gas_sensitive_depth`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..minisol import ast
+from ..minisol.parser import MAX_NESTING
 from .schedule import GasSchedule
 from .state import Account, AccountKind, WorldState, default_for, is_zero
 from .types import (
@@ -92,6 +112,13 @@ from .types import (
 )
 
 MAX_CALL_DEPTH = 128  # frames 0..127; entering deeper fails DepthExceeded
+
+# Python frames the interpreter may stack, which `execute` adds to the
+# recursion limit for the length of a run. Per MiniSol call frame: per
+# nesting level the parser allows, a block (exec_stmt, exec_block) or a
+# `!` plus one binary operator per precedence level (eval, eval_binary
+# each), and a fixed tail for the statement and the call itself.
+RECURSION_BUDGET = MAX_CALL_DEPTH * (12 * MAX_NESTING + 32)
 
 # the need of a frame that ran out of gas: no budget is known to repeat it
 STARVED = float("inf")
@@ -134,6 +161,7 @@ class _Run:
         self.sched = schedule
         self.trace: list = []
         self.sensitive_depth = -1  # deepest gas-sensitive event
+        self.sensitive_depth_below = -1  # deepest one that matters below
 
     # -- gas ---------------------------------------------------------------
 
@@ -179,8 +207,11 @@ class _Run:
             return frame.self_addr
         if t is ast.GasLeft:
             self.charge(frame, "gasleft", self.sched.gasleft)
-            if frame.elastic and frame.depth > self.sensitive_depth:
-                self.sensitive_depth = frame.depth
+            if frame.elastic:
+                if frame.depth > self.sensitive_depth:
+                    self.sensitive_depth = frame.depth
+                if frame.depth > self.sensitive_depth_below:
+                    self.sensitive_depth_below = frame.depth
             return frame.gas
         if t is ast.BalanceOf:
             target = self.eval(frame, e.target)
@@ -389,8 +420,12 @@ class _Run:
             need_here = caller.budget - fwd + need - grant
             if need_here > caller.peak:
                 caller.peak = need_here
-            if swallow and need > grant and caller.depth > self.sensitive_depth:
-                self.sensitive_depth = caller.depth
+            if swallow and need > grant:
+                if caller.depth > self.sensitive_depth:
+                    self.sensitive_depth = caller.depth
+                # a child that failed here fails at every lower limit too
+                if ok and caller.depth > self.sensitive_depth_below:
+                    self.sensitive_depth_below = caller.depth
         stipend_used = min(grant, consumed)
         refund = fwd - max(0, consumed - grant)
         caller.gas += refund
@@ -449,6 +484,15 @@ class _Run:
 
 def execute(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Outcome:
     """Run one transaction to completion; never raises for execution failures."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + RECURSION_BUDGET)
+    try:
+        return _execute(state, tx, schedule)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _execute(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Outcome:
     if tx.actor not in state.accounts or tx.callee not in state.accounts:
         raise ValueError("transaction actor and callee must exist")
     if not 0 <= tx.gas_limit <= schedule.block_gas_limit:
@@ -489,4 +533,5 @@ def execute(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Outcom
         status = failure(reason)
     state.commit()
     state.fee_ledger += gas_total
-    return Outcome(status, gas_total, delta, tuple(run.trace), run.sensitive_depth)
+    return Outcome(status, gas_total, delta, tuple(run.trace), run.sensitive_depth,
+                   run.sensitive_depth_below)

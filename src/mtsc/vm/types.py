@@ -105,7 +105,9 @@ class Outcome:
     for failures); balance_delta is the actor's balance change, zero for
     any failure because state rolls back. gas_sensitive_depth is the
     deepest frame depth at which the run could change with its gas limit,
-    -1 when it cannot (see the interpreter's "Gas sensitivity" notes).
+    -1 when it cannot; gas_sensitive_depth_below is the deepest one at
+    which a lower limit could turn a failure into a success (see the
+    interpreter's "Gas sensitivity" notes). Neither is part of a report.
     """
 
     status: Status
@@ -113,6 +115,7 @@ class Outcome:
     balance_delta: int
     trace: tuple = field(default_factory=tuple)
     gas_sensitive_depth: int = -1
+    gas_sensitive_depth_below: int = -1
 
     @property
     def ok(self) -> bool:

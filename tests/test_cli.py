@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -190,6 +191,29 @@ def test_bad_schedule_exits_two(tmp_path, capsys):
     assert "mystery_key" in err
 
 
+def test_repeated_actor_kinds_are_swept_once(tmp_path, capsys):
+    path = str(scenario_path("simple_dao_withdraw"))
+    once = run_cli(capsys, "check", path, "--mr1-actors", "CAR", "--mr", "MR1.1")
+    assert once[1].count("MR1.1 violated") == 1
+    assert run_cli(capsys, "check", path, "--mr1-actors", "CAR,CAR",
+                   "--mr", "MR1.1") == once
+    # the same list repeated in the scenario file
+    doc = json.loads(scenario_path("simple_dao_withdraw").read_text())
+    doc["mr1_actors"] = ["CAR", "EOA", "CAR"]
+    doc["sources"] = [str(CORPUS / src) for src in doc["sources"]]
+    (tmp_path / "repeated").mkdir()
+    repeated = tmp_path / "repeated" / "dao.scenario.json"
+    repeated.write_text(json.dumps(doc))
+    doc["mr1_actors"] = ["CAR", "EOA"]
+    (tmp_path / "distinct").mkdir()
+    distinct = tmp_path / "distinct" / "dao.scenario.json"
+    distinct.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "check", str(repeated), "--mr", "MR1.1,MR1.2")
+    assert (code, out) == run_cli(capsys, "check", str(distinct),
+                                  "--mr", "MR1.1,MR1.2")[:2]
+    assert out.count("MR1.1 violated") == 1
+
+
 def test_deeply_nested_contract_exits_two(tmp_path, capsys):
     nested = "(" * 600 + "1" + ")" * 600
     (tmp_path / "deep.msol").write_text(
@@ -202,6 +226,22 @@ def test_deeply_nested_contract_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "nesting deeper than" in err
+
+
+def test_deep_recursion_through_nested_expressions_gets_a_verdict(tmp_path, capsys):
+    # 58 `!` around a self-call that recurses towards 128 frames used to
+    # exhaust the Python stack (internal error, exit 3)
+    (tmp_path / "r.msol").write_text(
+        "contract R { bool ok; fn f() { ok = " + "!" * 58 + "(lowcall this.f()); } }\n")
+    path = tmp_path / "r.scenario.json"
+    path.write_text(json.dumps({"schema": "scenario-v1", "sources": ["r.msol"],
+                                "balances": {"R": 0, "$ACTOR": 10_000},
+                                "target": {"callee": "R", "function": "f"}}))
+    limit = sys.getrecursionlimit()
+    code, out, err = run_cli(capsys, "check", str(path), "--mr", "MR2.1")
+    assert code in (0, 1), err
+    assert out.startswith("r: ")
+    assert sys.getrecursionlimit() == limit
 
 
 @pytest.mark.parametrize("argv", [

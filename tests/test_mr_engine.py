@@ -349,6 +349,9 @@ def report_bytes(name, schedule, config):
     return emit_report([verdict_for(run_all(scenario, schedule, config))], fmt="json")
 
 
+# gas_certified is the one predicate behind both cuts of `_sweep` (a
+# certified source success, and a certified MR1.2 follow-up failure), so
+# patching it to False turns both off and leaves the full sweep.
 @pytest.mark.parametrize("config", sorted(CERTIFICATE_CONFIGS))
 @pytest.mark.parametrize("name", CORPUS_SCENARIOS + ["notifier_ping"])
 def test_certificate_matches_the_full_sweep(monkeypatch, name, config):
@@ -380,3 +383,27 @@ def test_certificate_cuts_every_gas_rigid_corpus_sweep(monkeypatch):
            if mr == MR1_2 and count == 1]
     assert len(cut) == 15
     assert all(runs[(name, MR1_1, kind)] == 1 for name, kind in cut)
+
+
+def test_failure_certificate_stops_the_remaining_mr12_sweeps(monkeypatch):
+    runs = Counter()
+    run_pair_once = mr_engine.run_pair
+
+    def counted_run_pair(env, pair):
+        runs[(env.scenario.scenario_id, pair.mr_id, pair.source.kind.value)] += 1
+        return run_pair_once(env, pair)
+
+    monkeypatch.setattr(mr_engine, "run_pair", counted_run_pair)
+    for name in CORPUS_SCENARIOS:
+        run_all(load_scenario(scenario_path(name)), S)
+    # each of these sweeps plans about 1000 follow-ups and stops at the
+    # first one that fails at every lower limit
+    assert {(name, kind): count for (name, mr, kind), count in runs.items()
+            if mr == MR1_2 and count > 1} == {
+        ("crowd_pay_guarded", "CAH"): 163,
+        ("simple_dao_withdraw", "CAH"): 70,
+        ("simple_dao_withdraw", "CAR"): 92,
+        ("token_ether_transfer", "CAH"): 5,
+        ("token_ether_transfer", "CAR"): 7,
+    }
+    assert sum(runs.values()) == 406

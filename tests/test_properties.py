@@ -316,6 +316,9 @@ def _report_or_error(path, config):
     return emit_report([verdict_for(result)], fmt="json")
 
 
+# gas_certified is the one predicate behind both cuts of the MR1.x sweeps
+# (a certified source success, and a certified MR1.2 follow-up failure),
+# so patching it to False turns both off and leaves the full sweep.
 @given(contract=journal_contracts,
        entry=st.integers(min_value=0, max_value=3),
        value=st.sampled_from([0, 0, 1, 700]),
@@ -436,3 +439,51 @@ def test_certified_runs_repeat_above_and_fail_below(source, entry, value):
         succeeded = [run(limit).ok for limit in below]
         # the limits that succeed are upward-closed
         assert succeeded == sorted(succeeded), (kind, gc)
+
+
+def _gas_shape_env(source, entry, value):
+    assert validate(parse(source)) == []
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "gen.msol").write_text(source)
+        path = Path(tmp) / "gen.scenario.json"
+        path.write_text(json.dumps({
+            "schema": "scenario-v1", "sources": ["gen.msol"],
+            "balances": {"Gen": 5_000, "$ACTOR": 10_000},
+            "target": {"callee": "Gen", "function": entry, "value": value}}))
+        return scenario.build_environment(scenario.load_scenario(path), GEN_SCHEDULE)
+
+
+@given(source=gas_shape_sources,
+       entry=st.sampled_from(["f0", "f1", None]),
+       value=st.sampled_from([0, 1, 700]))
+@settings(deadline=None, max_examples=40)
+# the swallowed child succeeds at 100k and the run fails (Revert); at 30k
+# the child starves and the run succeeds: a succeeding child is an event
+@example(source=_gas_shape(["if (lowcall this.f1()) { revert(); } else { }",
+                            "x = 1;", ""]), entry="f0", value=0)
+# self-recursion until a child starts with no gas to forward
+@example(source=_gas_shape(["lowcall this.f0();"]), entry="f0", value=0)
+# f1 succeeds on no gas after its own child f2 starved; lower down f1
+# itself fails and f0 takes the free branch: that child is an event too
+@example(source=_gas_shape(["if (lowcall this.f1()) { x = 1; } else { }",
+                            "y = 1; lowcall this.f2();", "n[msg.sender] = 1; x = 2;"]),
+         entry="f0", value=0)
+def test_certified_failures_fail_at_every_lower_limit(source, entry, value):
+    env = _gas_shape_env(source, entry, value)
+    block = env.schedule.block_gas_limit
+    for kind in ALL_ACTOR_KINDS:
+        def run(limit):
+            return env.run_target(env.state.clone(), kind, limit)
+
+        # a grid below the ample run's consumption, fine near the top
+        top = run(block).gas_consumed
+        limits = sorted({block} | {max(0, top - d) for d in range(0, 3_000, 97)}
+                        | {top * k // 16 for k in range(16)})
+        outs = [run(limit) for limit in limits]
+        for out in outs:
+            assert out.gas_sensitive_depth_below <= out.gas_sensitive_depth
+        certified = [i for i, out in enumerate(outs)
+                     if not out.ok and gas_certified(kind, out)]
+        if certified:
+            highest = certified[-1]
+            assert not any(out.ok for out in outs[:highest]), (kind, limits[highest])

@@ -2,6 +2,8 @@
 
 import importlib.util
 
+from mtsc.gas_oracle import allocate_reducing
+
 from conftest import ROOT, scenario_path
 
 
@@ -26,3 +28,25 @@ def test_gas_response_sweep_shows_the_certificate(capsys):
                        "--points", "4"]) == 0
     out = capsys.readouterr().out
     assert "gas-certified source: yes (deepest gas-sensitive event at depth -1)" in out
+
+
+def test_gas_response_sweep_shows_where_the_mr12_sweep_stops(capsys):
+    sweep = load_script("gas_response_sweep")
+    assert sweep.main([str(scenario_path("simple_dao_withdraw")), "CAR",
+                       "--points", "2"]) == 0
+    out = capsys.readouterr().out
+    # the engine's MR1.2 sweep of this source runs 92 pairs
+    assert "intrinsic gas for CAR: 57216 " in out
+    limit = allocate_reducing(57_216).limits[91]
+    assert (f"highest certified-failure MR1.2 follow-up: {limit} "
+            "(deepest gas-sensitive event below at depth -1)") in out
+
+
+def test_gas_response_sweep_without_a_certified_failure(monkeypatch, capsys):
+    sweep = load_script("gas_response_sweep")
+    monkeypatch.setattr(sweep, "gas_certified", lambda kind, outcome: False)
+    assert sweep.main([str(scenario_path("dividend_vault_payout")), "EOA",
+                       "--points", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "gas-certified source: no (deepest gas-sensitive event at depth -1)" in out
+    assert "highest certified-failure MR1.2 follow-up: none\n" in out

@@ -670,6 +670,96 @@ def test_swallowed_child_needing_reserve_headroom_is_an_event(gas_probes):
                         "value_transfer_surcharge") + 1_000).ok
 
 
+# -- gas sensitivity below a failing run ---------------------------------------
+
+BELOW_PROBES = """
+contract Probe {
+    uint x; uint y; uint z;
+    fn heavy() { x = 1; }
+    fn heavy_revert() { x = 1; revert(); }
+    fn read() { require(gasleft() > 0); }
+    fn relay() { y = 1; lowcall this.heavy(); }
+    fn top_read() { require(gasleft() > 1000000000); }
+    fn after_read() { lowcall this.read(); revert(); }
+    fn after_heavy() { lowcall this.heavy(); revert(); }
+    fn after_revert() { lowcall this.heavy_revert(); revert(); }
+    fn branch() { if (lowcall this.relay()) { z = 1; } else { } }
+}
+"""
+
+
+@pytest.fixture
+def below_probes():
+    unit = parse(BELOW_PROBES)
+    assert validate(unit) == []
+    state = WorldState()
+    actor = state.create_eoa(0)
+    probe = deploy(state, unit.contract("Probe"))
+
+    def probe_run(fn, gas=AMPLE):
+        return run(state.clone(), actor, probe, fn, gas=gas)
+    return probe_run
+
+
+def depths(out):
+    return out.gas_sensitive_depth, out.gas_sensitive_depth_below
+
+
+def child_exits(out, depth=0):
+    return [ev for ev in out.trace if isinstance(ev, CallExited) and ev.depth == depth]
+
+
+def test_gasleft_is_an_event_above_and_below(below_probes):
+    top = below_probes("top_read")
+    assert top.status.reason == FailReason.REQUIRE_FAILED
+    assert depths(top) == (0, 0)
+    nested = below_probes("after_read")
+    assert nested.status.reason == FailReason.REVERT
+    assert depths(nested) == (1, 1)
+
+
+def test_swallowed_child_that_succeeded_beyond_its_grant_is_an_event_below(below_probes):
+    out = below_probes("after_heavy")
+    assert out.status.reason == FailReason.REVERT
+    (child,) = child_exits(out)
+    assert child.success and child.gas_used > 0
+    assert depths(out) == (0, 0)
+
+
+def test_starved_swallowed_child_is_an_event_above_only(below_probes):
+    ample = below_probes("after_heavy")
+    starved = below_probes("after_heavy", gas=ample.gas_consumed - S.sstore_set)
+    (child,) = child_exits(starved)
+    assert child.reason == FailReason.OUT_OF_GAS
+    assert not starved.ok
+    assert depths(starved) == (0, -1)
+    for gas in range(0, starved.gas_consumed, 997):
+        assert not below_probes("after_heavy", gas=gas).ok
+
+
+def test_swallowed_child_that_failed_is_an_event_above_only(below_probes):
+    out = below_probes("after_revert")
+    (child,) = child_exits(out)
+    assert child.reason == FailReason.REVERT and child.gas_used > 0
+    assert depths(out) == (0, -1)
+    for gas in range(0, out.gas_consumed, 997):
+        assert not below_probes("after_revert", gas=gas).ok
+
+
+def test_child_succeeding_after_its_own_child_starved_is_an_event_below(below_probes):
+    # relay's child heavy starves and relay goes on with 0 gas and succeeds;
+    # branch's write then runs out. Lower down relay itself fails and
+    # branch takes the free branch and succeeds
+    by_gas = {gas: below_probes("branch", gas=gas) for gas in range(0, 90_000, 250)}
+    runs = [(gas, out) for gas, out in sorted(by_gas.items())
+            if not out.ok and [ev.success for ev in child_exits(out, 1)] == [False]
+            and [ev.success for ev in child_exits(out)] == [True]]
+    assert runs
+    for gas, out in runs:
+        assert depths(out) == (1, 0), gas
+        assert any(by_gas[lower].ok for lower in by_gas if lower < gas)
+
+
 def _pairs(trace):
     stack, out = [], []
     for ev in trace:
