@@ -37,7 +37,8 @@ from mtsc.gas_oracle import (  # noqa: E402
     estimate_intrinsic_gas,
 )
 from mtsc.scenario import build_environment, load_scenario  # noqa: E402
-from mtsc.vm import GasSchedule, trace_has_swallow  # noqa: E402
+from mtsc.traces import trace_has_swallow  # noqa: E402
+from mtsc.vm import GasSchedule  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -53,18 +54,17 @@ def main(argv=None) -> int:
     env = build_environment(load_scenario(args.scenario), schedule)
     kind = AgentKind(args.kind)
     try:
-        gc = estimate_intrinsic_gas(env.state, None, schedule,
-                                    runner=env.runner_for(kind))
+        gc = estimate_intrinsic_gas(schedule, runner=env.runner_for(kind))
     except NeverSucceeds as exc:
         print(f"no allocation makes this interaction succeed: {exc.status}")
         return 1
     print(f"intrinsic gas for {kind.value}: {gc.value} "
           f"(trials={gc.trials}, converged={gc.converged})")
-    source = env.run_target(env.state.clone(), kind, gc.value)
+    source = env.run(kind, gc.value)
     print(f"gas-certified source: {'yes' if gas_certified(kind, source) else 'no'} "
           f"(deepest gas-sensitive event at depth {source.gas_sensitive_depth})")
     for limit in allocate_reducing(gc.value).limits:
-        out = env.run_target(env.state.clone(), kind, limit)
+        out = env.run(kind, limit)
         if not out.ok and gas_certified(kind, out):
             print(f"highest certified-failure MR1.2 follow-up: {limit} (deepest "
                   f"gas-sensitive event below at depth {out.gas_sensitive_depth_below})\n")
@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     step = max(1, (hi - lo) // args.points)
     print(f"{'gas limit':>12}  {'status':<22} {'consumed':>10} {'delta':>12}  notes")
     for limit in range(lo, hi + 1, step):
-        out = env.run_target(env.state.clone(), kind, limit)
+        out = env.run(kind, limit)
         notes = []
         if trace_has_swallow(out.trace):
             notes.append("swallowed exception")

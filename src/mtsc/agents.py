@@ -23,17 +23,8 @@ from enum import Enum
 from typing import Optional
 
 from .minisol import ast
-from .vm import (
-    CallEntered,
-    CallExited,
-    GasSchedule,
-    Outcome,
-    Transaction,
-    WorldState,
-    deploy,
-    execute,
-    failure,
-)
+from .traces import target_call_status
+from .vm import GasSchedule, Outcome, Transaction, WorldState, deploy, execute
 
 AGENT_CALL = "AgentCall"
 TARGET_SLOT = "target_contract"
@@ -143,31 +134,6 @@ def make_agent(state: WorldState, spec: AgentSpec, name: Optional[str] = None) -
     return deploy(state, contract)
 
 
-def _target_call_status(outcome: Outcome, target: str):
-    """Status of the agent's own call into the target contract.
-
-    The AgentCall wrapper swallows target failures (its call is
-    low-level), so the harness reads the interaction's status off the
-    first target-bound call frame instead of the transaction envelope.
-    """
-    if not outcome.ok:
-        return outcome.status
-    level = None
-    for ev in outcome.trace:
-        if level is None:
-            if isinstance(ev, CallEntered) and ev.depth == 0 and ev.callee == target:
-                level = 0
-        elif isinstance(ev, CallEntered):
-            level += 1
-        elif isinstance(ev, CallExited):
-            if level == 0:
-                if ev.success:
-                    return outcome.status
-                return failure(ev.reason)
-            level -= 1
-    return outcome.status  # no target-bound call surfaced; keep the envelope
-
-
 def gas_certified(kind: AgentKind, outcome: Outcome) -> bool:
     """Whether a run's status cannot change with its gas limit in the
     direction its status leaves open.
@@ -195,5 +161,5 @@ def agent_interact(state: WorldState, agent: str, spec: AgentSpec, driver: str,
     raw = execute(state, Transaction(driver, gas_limit, agent, AGENT_CALL, (), 0),
                   schedule)
     return replace(raw,
-                   status=_target_call_status(raw, spec.target),
+                   status=target_call_status(raw, spec.target),
                    balance_delta=state.balance_of(agent) - before)

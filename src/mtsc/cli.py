@@ -50,16 +50,18 @@ def _parse_args(argv):
     def common(p):
         p.add_argument("--schedule", metavar="PATH",
                        help="gas schedule file (key=value lines)")
-        p.add_argument("--n", type=int, default=1000,
-                       help="subdivisions of the reducing gas sweep (default 1000)")
-        p.add_argument("--inc-count", type=int, default=5,
-                       help="follow-ups per increasing gas sweep (default 5)")
-        p.add_argument("--growth", type=float, default=1.5,
-                       help="estimator growth factor (default 1.5)")
-        p.add_argument("--car-gas-guard", type=int, default=50_000,
-                       help="recursion guard of the CAR agent (default 50000)")
-        p.add_argument("--cah-iterations", type=int, default=1,
-                       help="storage writes in the CAH fallback (default 1)")
+        p.add_argument("--n", type=int, default=EngineConfig.n,
+                       help="subdivisions of the reducing gas sweep (default %(default)s)")
+        p.add_argument("--inc-count", type=int, default=EngineConfig.inc_count,
+                       help="follow-ups per increasing gas sweep (default %(default)s)")
+        p.add_argument("--growth", type=float, default=EngineConfig.growth,
+                       help="estimator growth factor (default %(default)s)")
+        p.add_argument("--car-gas-guard", type=int,
+                       default=EngineConfig.car_gas_guard,
+                       help="recursion guard of the CAR agent (default %(default)s)")
+        p.add_argument("--cah-iterations", type=int,
+                       default=EngineConfig.cah_iterations,
+                       help="storage writes in the CAH fallback (default %(default)s)")
         p.add_argument("--mr", metavar="LIST",
                        help="comma-separated relations to run (restricts scenarios)")
         p.add_argument("--mr1-actors", metavar="LIST",

@@ -6,8 +6,10 @@ measured consumption by re-running at it. Gas-elastic transactions
 (recursion guarded by gasleft, reserved-gas calls) need the verification
 phase: their first successful run can consume less than its limit, or a
 gas reserve can demand headroom above the measured consumption, in which
-case the success boundary is bisected. Every probe runs on a snapshot and
-restores it, so the caller's state never changes.
+case the success boundary is bisected. A runner leaves the state it runs
+on as it found it (`tx_runner` for a bare transaction,
+`Environment.runner_for` for a scenario's target input), so the caller's
+state never changes.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .vm import CallEntered, CallExited, GasSchedule, Outcome, Transaction, WorldState
+from .traces import child_frame_gas
+from .vm import GasSchedule, Outcome, Transaction, WorldState
 from .vm import execute as vm_execute
 
-#: runner(state, gas_limit) -> Outcome, executing "the" transaction at that limit
-Runner = Callable[[WorldState, int], Outcome]
-
-LOW_LEVEL_FORMS = ("lowcall", "send", "transfer")
+#: runner(gas_limit) -> Outcome of "the" transaction at that limit, with the
+#: state it runs on left as it was found
+Runner = Callable[[int], Outcome]
 
 
 class NeverSucceeds(Exception):
@@ -35,7 +37,7 @@ class NeverSucceeds(Exception):
 @dataclass(frozen=True)
 class IntrinsicGas:
     value: int        # smallest verified-sufficient gas limit
-    trials: int       # executions spent probing
+    trials: int       # probes made, a probe answered from a memo included
     converged: bool   # final probe consumed exactly its limit
 
 
@@ -48,75 +50,55 @@ class AllocationPlan:
     warning: Optional[str] = None
 
 
-def tx_runner(tx: Transaction, schedule: GasSchedule) -> Runner:
-    return lambda state, limit: vm_execute(state, replace(tx, gas_limit=limit), schedule)
+def tx_runner(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Runner:
+    """Runner for a bare transaction: each run on a snapshot of `state`,
+    restored afterwards."""
+    def run(limit: int) -> Outcome:
+        sid = state.snapshot()
+        try:
+            return vm_execute(state, replace(tx, gas_limit=limit), schedule)
+        finally:
+            state.restore(sid)
+    return run
 
 
-def child_frame_gas(trace, forms=LOW_LEVEL_FORMS) -> int:
-    """Gas consumed inside outermost call frames of the given forms."""
-    total = 0
-    stack = []  # per open frame: True if it is an outermost counted frame
-    for ev in trace:
-        if isinstance(ev, CallEntered):
-            inside = any(stack)
-            stack.append(ev.call_form in forms and not inside)
-        elif isinstance(ev, CallExited):
-            if stack.pop():
-                total += ev.gas_used
-    return total
-
-
-def default_initial_estimator(state: WorldState, tx: Optional[Transaction],
-                              schedule: GasSchedule,
-                              runner: Optional[Runner] = None) -> int:
+def default_initial_estimator(runner: Runner, schedule: GasSchedule) -> int:
     """Rough estimate: an ample-gas run minus gas spent inside low-level
     call frames. Deliberately understates transactions with internal
     calls, mirroring how on-chain estimation behaves."""
-    run = runner or tx_runner(tx, schedule)
-    sid = state.snapshot()
-    try:
-        out = run(state, schedule.block_gas_limit)
-    finally:
-        state.restore(sid)
+    out = runner(schedule.block_gas_limit)
     if not out.ok:
         raise NeverSucceeds(out.status)
     return max(schedule.base_tx, out.gas_consumed - child_frame_gas(out.trace))
 
 
-def estimate_intrinsic_gas(state: WorldState, tx: Optional[Transaction],
-                           schedule: GasSchedule,
-                           initial_estimator=None,
+def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
                            growth: float = 1.5,
-                           runner: Optional[Runner] = None) -> IntrinsicGas:
+                           first_limit: Optional[int] = None) -> IntrinsicGas:
     """Find the transaction's intrinsic gas requirement.
 
-    Raises NeverSucceeds if the transaction fails at the block gas limit.
-    The result satisfies: executing at `value` succeeds. When the final
-    probe consumed exactly its limit the result is flagged converged;
-    gas-rigid transactions then also fail at `value - 1`.
+    The first probe runs at `first_limit`, by default the rough estimate
+    of `default_initial_estimator`. Raises NeverSucceeds if the
+    transaction fails at the block gas limit. The result satisfies:
+    executing at `value` succeeds. When the final probe consumed exactly
+    its limit the result is flagged converged; gas-rigid transactions
+    then also fail at `value - 1`.
     """
     if growth <= 1.0:
         raise ValueError("growth factor must exceed 1")
-    run = runner or tx_runner(tx, schedule)
     trials = 0
 
     def probe(limit: int) -> Outcome:
         nonlocal trials
         trials += 1
-        sid = state.snapshot()
-        try:
-            return run(state, limit)
-        finally:
-            state.restore(sid)
+        return runner(limit)
 
     block = schedule.block_gas_limit
-    if initial_estimator is None:
-        estimate = default_initial_estimator(state, tx, schedule, runner=run)
-    else:
-        estimate = initial_estimator(state, tx)
+    if first_limit is None:
+        first_limit = default_initial_estimator(runner, schedule)
 
     # growth phase: strictly increasing limits until the first success
-    limit = max(1, min(int(estimate), block))
+    limit = max(1, min(int(first_limit), block))
     while True:
         out = probe(limit)
         if out.ok:

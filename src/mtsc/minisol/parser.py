@@ -7,7 +7,10 @@ their target is a primary expression and their `value`/`gas` operands parse
 at additive precedence, so comparisons around a call need parentheses.
 
 Expressions and blocks nest at most MAX_NESTING levels deep; deeper input
-raises ParseError instead of exhausting the Python stack.
+raises ParseError instead of exhausting the Python stack of the passes
+that walk the tree. Every binary operator counts as a level, a chain of
+one left-associative operator included: `1 + 1 + 1` nests three levels
+deep, two operators above the first literal.
 """
 
 from __future__ import annotations
@@ -23,8 +26,14 @@ KIND_TOKENS = {"uint": ast.Kind.UINT, "bool": ast.Kind.BOOL,
 ASSIGN_OPS = {"=", "+=", "-="}
 COMPARE_OPS = {"==", "!=", "<", "<=", ">", ">="}
 
-# Every recursive rule passes through a primary expression, a `!` or a
-# block; one level of parentheses costs about eight Python frames.
+# binary operators by precedence, loosest first, and whether they chain
+BINARY_LEVELS = (({"||"}, True), ({"&&"}, True), (COMPARE_OPS, False),
+                 ({"+", "-"}, True), ({"*"}, True))
+ADDITIVE = 3  # index of `+ -` in BINARY_LEVELS
+
+# Levels are blocks, primary expressions, `!` and binary operators. Every
+# recursive rule passes through a primary expression, a `!` or a block; one
+# level of parentheses costs about ten Python frames.
 MAX_NESTING = 64
 
 
@@ -33,7 +42,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.source_name = source_name
-        self.depth = 0
+        self.depth = 0  # levels above the node being parsed
+        self.reach = 0  # deepest level the tree reaches so far
 
     # -- token plumbing ----------------------------------------------------
 
@@ -62,12 +72,16 @@ class _Parser:
                              f"expected {want}, found {tok.text or 'end of input'!r}")
         return self.advance()
 
-    @contextmanager
-    def nested(self):
-        tok = self.peek()
-        if self.depth >= MAX_NESTING:
+    def deepen(self, level: int, tok: Token):
+        """Record that the tree reaches `level` levels deep at `tok`."""
+        if level > MAX_NESTING:
             raise ParseError(tok.line, tok.col,
                              f"nesting deeper than {MAX_NESTING} levels")
+        self.reach = max(self.reach, level)
+
+    @contextmanager
+    def nested(self):
+        self.deepen(self.depth + 1, self.peek())
         self.depth += 1
         try:
             yield
@@ -227,46 +241,30 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self):
-        return self.parse_or()
+        return self.parse_binary(0)
 
-    def parse_or(self):
-        left = self.parse_and()
-        while self.check("||"):
-            op = self.advance()
-            right = self.parse_and()
-            left = ast.Binary(line=op.line, col=op.col, op="||", left=left, right=right)
-        return left
+    def parse_binary(self, level: int):
+        """Operands of `BINARY_LEVELS[level]` and tighter, joined left-
+        associatively by that level's operators.
 
-    def parse_and(self):
-        left = self.parse_comparison()
-        while self.check("&&"):
+        Each operator puts its node above everything the chain has parsed
+        so far, so it deepens all of it by one level; its right operand
+        starts one level below the node.
+        """
+        if level == len(BINARY_LEVELS):
+            return self.parse_unary()
+        ops, chained = BINARY_LEVELS[level]
+        outer, self.reach = self.reach, self.depth
+        left = self.parse_binary(level + 1)
+        while self.peek().type in ops:
             op = self.advance()
-            right = self.parse_comparison()
-            left = ast.Binary(line=op.line, col=op.col, op="&&", left=left, right=right)
-        return left
-
-    def parse_comparison(self):
-        left = self.parse_additive()
-        if self.peek().type in COMPARE_OPS:
-            op = self.advance()
-            right = self.parse_additive()
-            return ast.Binary(line=op.line, col=op.col, op=op.type, left=left, right=right)
-        return left
-
-    def parse_additive(self):
-        left = self.parse_multiplicative()
-        while self.peek().type in ("+", "-"):
-            op = self.advance()
-            right = self.parse_multiplicative()
+            self.deepen(self.reach + 1, op)
+            with self.nested():
+                right = self.parse_binary(level + 1)
             left = ast.Binary(line=op.line, col=op.col, op=op.type, left=left, right=right)
-        return left
-
-    def parse_multiplicative(self):
-        left = self.parse_unary()
-        while self.check("*"):
-            op = self.advance()
-            right = self.parse_unary()
-            left = ast.Binary(line=op.line, col=op.col, op="*", left=left, right=right)
+            if not chained:
+                break
+        self.reach = max(outer, self.reach)
         return left
 
     def parse_unary(self):
@@ -333,8 +331,8 @@ class _Parser:
             if self.accept("."):
                 function = self.expect("IDENT", "function name").text
                 args = self.parse_call_args()
-            value = self.parse_additive() if self.accept("value") else None
-            gas = self.parse_additive() if self.accept("gas") else None
+            value = self.parse_binary(ADDITIVE) if self.accept("value") else None
+            gas = self.parse_binary(ADDITIVE) if self.accept("gas") else None
             return ast.LowCall(line=tok.line, col=tok.col, target=target,
                                function=function, args=args, value=value, gas=gas)
         if tok.type == "dcall":
@@ -343,14 +341,14 @@ class _Parser:
             self.expect(".")
             function = self.expect("IDENT", "function name").text
             args = self.parse_call_args()
-            value = self.parse_additive() if self.accept("value") else None
+            value = self.parse_binary(ADDITIVE) if self.accept("value") else None
             return ast.DirectCall(line=tok.line, col=tok.col, target=target,
                                   function=function, args=args, value=value)
         if tok.type in ("send", "transfer"):
             self.advance()
             target = self.parse_primary()
             self.expect("value")
-            value = self.parse_additive()
+            value = self.parse_binary(ADDITIVE)
             cls = ast.Send if tok.type == "send" else ast.Transfer
             return cls(line=tok.line, col=tok.col, target=target, value=value)
         if tok.type == "(":

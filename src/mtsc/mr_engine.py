@@ -18,9 +18,11 @@ Five relations over transaction outcomes drive the detector:
 Gas-limit relations (MR1.x) re-estimate the intrinsic cost per actor
 kind, since an agent wrapper adds its own overhead; account-switching
 relations (MR2.x) run source and follow-up at the block gas limit.
-Every run starts from the same snapshotted context and restores it
-afterwards; source outcomes are reused across the pairs of an
-environment.
+Every input, estimator probe, source or follow-up, runs through
+`Environment.run`: it starts from the shared context, restores it
+afterwards, and runs once per environment, so an MR2.x pair at the block
+gas limit and an MR1.x source at the intrinsic gas reuse the estimator's
+outcomes.
 
 Sweeps stop at their first violation, and an MR1.x sweep also stops
 after its first pair when the source outcome is gas-certified
@@ -45,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .agents import AgentKind, gas_certified
+from .agents import DEFAULT_CAR_GAS_GUARD, AgentKind, gas_certified
 from .gas_oracle import (
     NeverSucceeds,
     allocate_increasing,
@@ -102,7 +104,7 @@ class EngineConfig:
     n: int = 1000                 # reducing-plan subdivisions
     inc_count: int = 5            # increasing follow-ups per sweep
     growth: float = 1.5           # estimator growth factor
-    car_gas_guard: int = 50_000
+    car_gas_guard: int = DEFAULT_CAR_GAS_GUARD
     cah_iterations: int = 1
     mr_filter: Optional[tuple] = None         # restricts the scenario's selection
     mr1_actors_override: Optional[tuple] = None
@@ -157,36 +159,19 @@ def estimate_kinds(env: Environment, kinds, growth: float) -> list:
     rows = []
     for kind in dict.fromkeys(kinds):
         try:
-            gc = estimate_intrinsic_gas(env.state, None, env.schedule,
-                                        growth=growth, runner=env.runner_for(kind))
+            gc = estimate_intrinsic_gas(env.schedule, runner=env.runner_for(kind),
+                                        growth=growth)
         except NeverSucceeds as exc:
             gc = exc
         rows.append((kind, gc))
     return rows
 
 
-def _run_in_context(env: Environment, actor: ActorInput) -> Outcome:
-    state = env.state
-    sid = state.snapshot()
-    try:
-        return env.run_target(state, actor.kind, actor.gas_limit)
-    finally:
-        state.restore(sid)
-
-
 def run_pair(env: Environment, pair: TestPair) -> TestPair:
-    """Execute both inputs of a pair against the identical context.
-
-    Every run starts from the restored context and execution is
-    deterministic, so a source input's outcome is computed once per
-    environment and reused by every pair that shares it.
-    """
-    key = (pair.source.kind, pair.source.gas_limit)
-    src = env.source_outcomes.get(key)
-    if src is None:
-        src = env.source_outcomes[key] = _run_in_context(env, pair.source)
-    follow = _run_in_context(env, pair.follow_up)
-    return replace(pair, source_outcome=src, follow_outcome=follow)
+    """Both outcomes of a pair, each run in the environment's context."""
+    source, follow = pair.source, pair.follow_up
+    return replace(pair, source_outcome=env.run(source.kind, source.gas_limit),
+                   follow_outcome=env.run(follow.kind, follow.gas_limit))
 
 
 def check(pair: TestPair) -> Optional[ViolationRecord]:

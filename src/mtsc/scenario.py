@@ -6,8 +6,10 @@ and the target transaction under test. `$ACTOR` is the placeholder for
 the interacting account: the plain EOA in source runs, the agent contract
 in follow-up runs. Setup entries mentioning `$ACTOR` are instantiated
 once per account kind; all instantiations land in one shared world state,
-which is snapshotted after setup as the common context every test pair
-restores.
+the common context of every run. `Environment.run` executes one (actor
+kind, gas limit) input in that context, restores it, and keeps the
+outcome, so the estimator's probes and both sides of every test pair
+run each distinct input once per environment.
 
 Schema (JSON object, unknown keys rejected):
 
@@ -158,6 +160,9 @@ def load_scenario(path) -> Scenario:
 
 @dataclass
 class Environment:
+    """A deployed, set-up scenario; `state` is the shared context, and
+    `run` the pipeline's one way to run a target input in it."""
+
     state: WorldState
     schedule: GasSchedule
     scenario: Scenario
@@ -166,8 +171,8 @@ class Environment:
     agent_specs: dict             # AgentKind -> AgentSpec (agents only)
     driver: str
     context_digest: str = ""
-    # (AgentKind, gas limit) -> Outcome of that source input in the context
-    source_outcomes: dict = field(default_factory=dict)
+    # (AgentKind, gas limit) -> Outcome of that input run in the context
+    _outcomes: dict = field(default_factory=dict, init=False, repr=False)
 
     def resolve(self, token, actor_addr: str):
         if isinstance(token, bool) or isinstance(token, int):
@@ -186,14 +191,30 @@ class Environment:
                            args, t.value)
 
     def run_target(self, state: WorldState, kind: AgentKind, gas_limit: int) -> Outcome:
+        """Run the target input on `state`, which keeps the run's effects."""
         if kind == AgentKind.EOA:
             return execute(state, self.target_tx(kind, gas_limit), self.schedule)
         return agent_interact(state, self.actor_accounts[kind],
                               self.agent_specs[kind], self.driver,
                               gas_limit, self.schedule)
 
+    def run(self, kind: AgentKind, gas_limit: int) -> Outcome:
+        """The input's outcome in the context, which the run restores;
+        runs are deterministic, so each input runs once per environment."""
+        key = (kind, gas_limit)
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            sid = self.state.snapshot()
+            try:
+                outcome = self.run_target(self.state, kind, gas_limit)
+            finally:
+                self.state.restore(sid)
+            self._outcomes[key] = outcome
+        return outcome
+
     def runner_for(self, kind: AgentKind):
-        return lambda state, limit: self.run_target(state, kind, limit)
+        """The estimator's runner for one actor kind: gas limit -> Outcome."""
+        return lambda limit: self.run(kind, limit)
 
 
 def _load_contracts(scenario: Scenario):

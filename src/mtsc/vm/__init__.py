@@ -15,8 +15,6 @@ from .types import (
     Status,
     Transaction,
     failure,
-    trace_has_gasleft,
-    trace_has_swallow,
 )
 
 __all__ = [
@@ -24,5 +22,5 @@ __all__ = [
     "FailReason", "GasSchedule", "MAX_CALL_DEPTH", "OpExecuted", "Outcome",
     "STATUS_SUCCESS", "ScheduleError", "Status", "Transaction", "UINT_MAX",
     "UnknownSnapshot", "WorldState", "ZERO_ADDR", "deploy", "execute",
-    "failure", "load_schedule", "trace_has_gasleft", "trace_has_swallow",
+    "failure", "load_schedule",
 ]

@@ -115,9 +115,12 @@ MAX_CALL_DEPTH = 128  # frames 0..127; entering deeper fails DepthExceeded
 
 # Python frames the interpreter may stack, which `execute` adds to the
 # recursion limit for the length of a run. Per MiniSol call frame: per
-# nesting level the parser allows, a block (exec_stmt, exec_block) or a
-# `!` plus one binary operator per precedence level (eval, eval_binary
-# each), and a fixed tail for the statement and the call itself.
+# nesting level the parser allows, which is a block (exec_stmt,
+# exec_block), a binary operator (eval, eval_binary), a `!` or a primary
+# expression (eval), at most two frames, and a fixed tail for the
+# statement and the call itself. At the limit the deepest shapes (a chain
+# of `&&` or nested blocks around a self-call) take 127 frames per call,
+# well inside the 12 per level and 32 for the tail allowed here.
 RECURSION_BUDGET = MAX_CALL_DEPTH * (12 * MAX_NESTING + 32)
 
 # the need of a frame that ran out of gas: no budget is known to repeat it

@@ -121,10 +121,3 @@ class Outcome:
     def ok(self) -> bool:
         return self.status.ok
 
-
-def trace_has_gasleft(trace) -> bool:
-    return any(isinstance(ev, OpExecuted) and ev.op == "gasleft" for ev in trace)
-
-
-def trace_has_swallow(trace) -> bool:
-    return any(isinstance(ev, ExceptionSwallowed) for ev in trace)

@@ -36,15 +36,13 @@ from mtsc.detector import (
 from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
 from mtsc.mr_engine import MR1_1, MR1_2, MR2_1, MR2_2, MR2_3, EngineConfig, run_all
 from mtsc.scenario import ALL_ACTOR_KINDS, build_environment, load_scenario
-from mtsc.traces import calls_into, failed_value_dispatches
-from mtsc.vm import (
-    FailReason,
-    GasSchedule,
-    Transaction,
-    execute,
+from mtsc.traces import (
+    calls_into,
+    failed_value_dispatches,
     trace_has_gasleft,
     trace_has_swallow,
 )
+from mtsc.vm import FailReason, GasSchedule, Transaction, execute
 
 from conftest import CORPUS, CORPUS_SCENARIOS, FIXTURES
 
@@ -220,8 +218,7 @@ def test_criterion_4_gas_limit_independence(environments):
         for name, env in environments.items():
             for kind in ALL_ACTOR_KINDS:
                 try:
-                    gc = estimate_intrinsic_gas(env.state, None, S,
-                                                runner=env.runner_for(kind))
+                    gc = estimate_intrinsic_gas(S, runner=env.runner_for(kind))
                 except NeverSucceeds:
                     continue
                 base = env.run_target(env.state.clone(), kind, gc.value)
@@ -245,8 +242,7 @@ def test_criterion_5_estimator_soundness(environments):
         for name, env in environments.items():
             for kind in ALL_ACTOR_KINDS:
                 try:
-                    gc = estimate_intrinsic_gas(env.state, None, S,
-                                                runner=env.runner_for(kind))
+                    gc = estimate_intrinsic_gas(S, runner=env.runner_for(kind))
                 except NeverSucceeds:
                     continue
                 at_value = env.run_target(env.state.clone(), kind, gc.value)

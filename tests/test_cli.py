@@ -8,8 +8,10 @@ import pytest
 
 from mtsc import cli
 from mtsc.cli import main
+from mtsc.mr_engine import EngineConfig
+from mtsc.minisol.parser import MAX_NESTING
 
-from conftest import CORPUS, scenario_path
+from conftest import CORPUS, CORPUS_SCENARIOS, FIXTURES, scenario_path
 
 LABELS = str(CORPUS / "labels.json")
 
@@ -110,6 +112,19 @@ def test_estimate_lists_actor_kinds(capsys):
             values[kind] = int(rest.split("value=")[1].split()[0])
     assert values["CAR"] > values["EOA"]  # recursion overhead shows up
     assert values["EOA"] == 36_216
+
+
+# estimate-v1 documents of the corpus; every value, trial count and
+# convergence flag is part of the output, so a change must be deliberate
+CORPUS_ESTIMATES = json.loads((FIXTURES / "corpus_estimates.json").read_text())
+
+
+@pytest.mark.parametrize("name", CORPUS_SCENARIOS)
+def test_estimate_json_bytes_are_pinned(capsys, name):
+    code, out, _ = run_cli(capsys, "estimate", str(scenario_path(name)),
+                           "--format", "json")
+    assert code == 0
+    assert out == json.dumps(CORPUS_ESTIMATES[name], indent=2) + "\n"
 
 
 def test_estimate_reports_unavailable_kinds(capsys):
@@ -242,6 +257,46 @@ def test_deep_recursion_through_nested_expressions_gets_a_verdict(tmp_path, caps
     assert code in (0, 1), err
     assert out.startswith("r: ")
     assert sys.getrecursionlimit() == limit
+
+
+def write_contract_scenario(tmp_path, source):
+    (tmp_path / "r.msol").write_text(source + "\n")
+    path = tmp_path / "r.scenario.json"
+    path.write_text(json.dumps({"schema": "scenario-v1", "sources": ["r.msol"],
+                                "balances": {"R": 0, "$ACTOR": 10_000},
+                                "target": {"callee": "R", "function": "f"}}))
+    return path
+
+
+@pytest.mark.parametrize("source", [
+    # a chain this deep would exhaust the Python stack in validate
+    "contract R { uint x; fn f() { x = 1" + " + 1" * 799 + "; } }",
+    # and with a self-call at its bottom, the interpreter's recursion budget
+    "contract R { bool ok; fn f() { ok = (lowcall this.f())" + " && true" * 450 + "; } }",
+], ids=["sum-chain", "and-chain"])
+def test_operator_chains_past_the_nesting_limit_exit_two(tmp_path, capsys, source):
+    path = write_contract_scenario(tmp_path, source)
+    code, out, err = run_cli(capsys, "check", str(path), "--mr", "MR2.1")
+    assert code == 2
+    assert out == ""
+    assert "nesting deeper than" in err
+
+
+def test_operator_chain_at_the_nesting_limit_gets_a_verdict(tmp_path, capsys):
+    # the longest `&&` chain that parses, with a self-call at its bottom
+    # recursing towards 128 frames, stays within the recursion budget
+    ops = MAX_NESTING - 4
+    path = write_contract_scenario(
+        tmp_path, "contract R { bool ok; fn f() { ok = (lowcall this.f())"
+        + " && true" * ops + "; } }")
+    code, out, err = run_cli(capsys, "check", str(path), "--mr", "MR2.1")
+    assert code in (0, 1), err
+    assert out.startswith("r: ")
+
+
+def test_engine_options_default_to_the_engine_config():
+    config = cli._build_config(cli._parse_args(["check", "x.scenario.json"]))
+    assert config.engine == EngineConfig()
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,11 +7,12 @@ from mtsc.gas_oracle import (
     NeverSucceeds,
     allocate_increasing,
     allocate_reducing,
-    child_frame_gas,
     default_initial_estimator,
     estimate_intrinsic_gas,
+    tx_runner,
 )
 from mtsc.minisol import parse
+from mtsc.traces import child_frame_gas
 from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
 
 S = GasSchedule()
@@ -27,21 +28,23 @@ def nop_setup():
 def test_estimate_nop_matches_direct_run():
     state, tx = nop_setup()
     direct = execute(state.clone(), tx, S)
-    gc = estimate_intrinsic_gas(state, tx, S)
+    before = state.digest()
+    gc = estimate_intrinsic_gas(S, runner=tx_runner(state, tx, S))
     assert gc.value == direct.gas_consumed == 21_100
     assert gc.trials == 1
     assert gc.converged
+    assert state.digest() == before
 
 
 def test_estimate_without_internal_calls_is_exact():
     state, tx = nop_setup()
-    assert default_initial_estimator(state, tx, S) == 21_100
+    assert default_initial_estimator(tx_runner(state, tx, S), S) == 21_100
 
 
 def test_underestimating_estimator_needs_multiple_trials():
     state, tx = nop_setup()
-    gc = estimate_intrinsic_gas(state, tx, S,
-                                initial_estimator=lambda s, t: S.base_tx)
+    gc = estimate_intrinsic_gas(S, runner=tx_runner(state, tx, S),
+                                first_limit=S.base_tx)
     assert gc.trials >= 2
     assert gc.converged
     assert gc.value == 21_100
@@ -52,13 +55,11 @@ def test_trial_limits_grow_monotonically_until_success(environments):
     seen = []
     inner = env.runner_for(AgentKind.CAR)
 
-    def recording(state, limit):
+    def recording(limit):
         seen.append(limit)
-        return inner(state, limit)
+        return inner(limit)
 
-    estimate_intrinsic_gas(env.state, None, S,
-                           initial_estimator=lambda s, t: S.base_tx,
-                           runner=recording)
+    estimate_intrinsic_gas(S, runner=recording, first_limit=S.base_tx)
     first_ok = next(i for i, lim in enumerate(seen) if lim >= 57_216)
     growth_phase = seen[: first_ok + 1]
     assert all(a < b for a, b in zip(growth_phase, growth_phase[1:]))
@@ -67,7 +68,7 @@ def test_trial_limits_grow_monotonically_until_success(environments):
 def test_estimate_leaves_state_unchanged(environments):
     env = environments["simple_dao_withdraw"]
     before = env.state.digest()
-    estimate_intrinsic_gas(env.state, None, S, runner=env.runner_for(AgentKind.CAR))
+    estimate_intrinsic_gas(S, runner=env.runner_for(AgentKind.CAR))
     assert env.state.digest() == before
 
 
@@ -78,26 +79,22 @@ def test_never_succeeds_reports_reason():
     c = deploy(state, parse(src).contracts[0])
     tx = Transaction(actor, S.block_gas_limit, c, "f", (), 0)
     with pytest.raises(NeverSucceeds) as err:
-        estimate_intrinsic_gas(state, tx, S)
+        estimate_intrinsic_gas(S, runner=tx_runner(state, tx, S))
     assert err.value.status.reason == FailReason.REVERT
 
 
 def test_rough_estimate_understates_internal_call_transactions(environments):
     env = environments["simple_dao_withdraw"]
-    rough = default_initial_estimator(env.state, None, S,
-                                      runner=env.runner_for(AgentKind.CAH))
-    gc = estimate_intrinsic_gas(env.state, None, S,
-                                runner=env.runner_for(AgentKind.CAH))
+    rough = default_initial_estimator(env.runner_for(AgentKind.CAH), S)
+    gc = estimate_intrinsic_gas(S, runner=env.runner_for(AgentKind.CAH))
     assert rough < gc.value
 
 
 def test_agent_wrapped_estimates_exceed_eoa(environments):
     # the agent adds its own dispatch overhead on top of the target's cost
     env = environments["simple_dao_withdraw"]
-    gc_eoa = estimate_intrinsic_gas(env.state, None, S,
-                                    runner=env.runner_for(AgentKind.EOA))
-    gc_car = estimate_intrinsic_gas(env.state, None, S,
-                                    runner=env.runner_for(AgentKind.CAR))
+    gc_eoa = estimate_intrinsic_gas(S, runner=env.runner_for(AgentKind.EOA))
+    gc_car = estimate_intrinsic_gas(S, runner=env.runner_for(AgentKind.CAR))
     assert gc_eoa.value == 36_216
     assert gc_car.value == 57_216
     assert gc_car.value > gc_eoa.value
@@ -107,8 +104,7 @@ def test_gas_reserve_forces_bisection(environments):
     # withdraw_a reserves 2300 gas for its value call: the requirement
     # exceeds the measured consumption by exactly the reserve
     env = environments["simple_dao_withdraw_a"]
-    gc = estimate_intrinsic_gas(env.state, None, S,
-                                runner=env.runner_for(AgentKind.EOA))
+    gc = estimate_intrinsic_gas(S, runner=env.runner_for(AgentKind.EOA))
     assert gc.value == 36_216 + 2_300
     assert gc.converged
     at_value = env.run_target(env.state.clone(), AgentKind.EOA, gc.value)
@@ -122,7 +118,7 @@ def test_estimator_observes_interaction_status(environments):
     # no allocation makes the interaction succeed
     env = environments["dividend_vault_payout"]
     with pytest.raises(NeverSucceeds) as err:
-        estimate_intrinsic_gas(env.state, None, S, runner=env.runner_for(AgentKind.CAH))
+        estimate_intrinsic_gas(S, runner=env.runner_for(AgentKind.CAH))
     assert err.value.status.reason == FailReason.OUT_OF_GAS
 
 
@@ -200,4 +196,4 @@ def test_plan_argument_validation():
         allocate_reducing(5, n=0)
     state, tx = nop_setup()
     with pytest.raises(ValueError):
-        estimate_intrinsic_gas(state, tx, S, growth=1.0)
+        estimate_intrinsic_gas(S, runner=tx_runner(state, tx, S), growth=1.0)

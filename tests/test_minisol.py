@@ -65,7 +65,10 @@ def test_parse_rejects_malformed(source):
     "contract A { map m; fn f() { m[this] = " + "m[" * 600 + "this" + "]" * 600 + "; } }",
     "contract A { fn f() { " + "if (true) { " * 600 + "}" * 600 + " } }",
     "contract A { fn f(t: addr) { dcall " + "lowcall " * 600 + "t.f(t); } }",
-], ids=["parentheses", "negations", "map-keys", "blocks", "call-targets"])
+    "contract R { uint x; fn f() { x = 1" + " + 1" * 799 + "; } }",
+    "contract R { bool ok; fn f() { ok = (lowcall this.f())" + " && true" * 450 + "; } }",
+], ids=["parentheses", "negations", "map-keys", "blocks", "call-targets",
+        "sum-chain", "and-chain"])
 def test_deep_nesting_is_a_parse_error(source):
     with pytest.raises(ParseError, match="nesting deeper than"):
         parse(source)
@@ -78,6 +81,32 @@ def test_nesting_up_to_the_limit_parses():
     assert validate(parse(source)) == []
     with pytest.raises(ParseError):
         parse(source.replace("(", "((", 1).replace(")", "))", 1))
+
+
+@pytest.mark.parametrize("chain", [" + 1", " * 1", " - 0", " || true", " && true"])
+def test_each_chained_operator_counts_as_a_level(chain):
+    # the function body and the first literal take one level each, and
+    # every operator puts one more level above the chain parsed so far
+    def source(ops):
+        kind = "bool" if "true" in chain else "uint"
+        first = "true" if kind == "bool" else "1"
+        return f"contract A {{ {kind} x; fn f() {{ x = {first}{chain * ops}; }} }}"
+
+    assert validate(parse(source(MAX_NESTING - 2))) == []
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse(source(MAX_NESTING - 1))
+
+
+def test_chained_operands_count_their_own_depth():
+    # a chain deepens its first operand by one level per operator: 30
+    # parentheses around it leave room for 32 operators, not 33
+    def source(ops):
+        return ("contract A { uint x; fn f() { x = " + "(" * 30 + "1" + ")" * 30
+                + " + 1" * ops + "; } }")
+
+    assert validate(parse(source(MAX_NESTING - 32))) == []
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse(source(MAX_NESTING - 31))
 
 
 def test_duplicate_fallback_rejected():

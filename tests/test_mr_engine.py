@@ -25,6 +25,7 @@ from mtsc.mr_engine import (
     run_pair,
 )
 from mtsc.scenario import ALL_ACTOR_KINDS, Environment, load_scenario
+from mtsc.traces import trace_has_swallow
 from mtsc.vm import (
     CallEntered,
     CallExited,
@@ -33,7 +34,6 @@ from mtsc.vm import (
     Outcome,
     STATUS_SUCCESS,
     failure,
-    trace_has_swallow,
 )
 
 from conftest import CORPUS_SCENARIOS, FIXTURES, scenario_path
@@ -106,11 +106,21 @@ def test_build_pairs_skips_kinds_without_estimates(environments):
 # -- pair execution ------------------------------------------------------------
 
 
+def distinct_limits(env, kind=AgentKind.EOA):
+    """Two inputs of one actor a unit of gas apart: distinct to the memo of
+    `Environment.run`, so a pair runs both, with equal status, consumption
+    and balance delta on simple_dao_withdraw."""
+    addr = env.actor_accounts[kind]
+    return ActorInput(kind, addr, 40_000), ActorInput(kind, addr, 40_001)
+
+
 def test_identical_inputs_give_identical_outcomes(environments):
     env = environments["simple_dao_withdraw"]
-    same = ActorInput(AgentKind.EOA, env.actor_accounts[AgentKind.EOA], 40_000)
-    done = run_pair(env, TestPair(MR1_1, same, same))
-    assert done.source_outcome == done.follow_outcome
+    source, follow = distinct_limits(env)
+    done = run_pair(env, TestPair(MR1_1, source, follow))
+    s, f = done.source_outcome, done.follow_outcome
+    assert (s.status, s.gas_consumed, s.balance_delta) \
+        == (f.status, f.gas_consumed, f.balance_delta)
 
 
 def test_run_pair_restores_the_shared_context(environments):
@@ -126,60 +136,52 @@ def test_run_pair_restores_the_shared_context(environments):
 
 def test_follow_up_sees_pristine_context(environments):
     env = environments["simple_dao_withdraw"]
-    eoa = ActorInput(AgentKind.EOA, env.actor_accounts[AgentKind.EOA], 40_000)
+    source, follow = distinct_limits(env)
     # the source run drains the actor's position; a follow-up observing
     # the mutated state would fail its balance check
-    done = run_pair(env, TestPair(MR1_1, eoa, eoa))
+    done = run_pair(env, TestPair(MR1_1, source, follow))
     assert done.source_outcome.ok and done.follow_outcome.ok
     assert done.source_outcome.balance_delta == done.follow_outcome.balance_delta
 
 
 @pytest.mark.parametrize("name", CORPUS_SCENARIOS)
 def test_each_source_input_runs_once_per_environment(monkeypatch, name):
+    # every input reaches the VM once per environment: estimator probes,
+    # sources and follow-ups alike
     envs, pairs, runs = [], [], Counter()
-    in_pair = []
     run_target = Environment.run_target
     build_environment = mr_engine.build_environment
     run_pair_once = mr_engine.run_pair
 
     def counted_run_target(self, state, kind, gas_limit):
-        if in_pair:
-            runs[(kind, gas_limit)] += 1
+        runs[(kind, gas_limit)] += 1
         return run_target(self, state, kind, gas_limit)
 
     def tracked_run_pair(env, pair):
-        in_pair.append(pair)
-        try:
-            done = run_pair_once(env, pair)
-        finally:
-            in_pair.pop()
-        pairs.append(done)
-        return done
+        pairs.append(run_pair_once(env, pair))
+        return pairs[-1]
 
     def captured_build_environment(*args, **kwargs):
         envs.append(build_environment(*args, **kwargs))
         return envs[-1]
 
-    monkeypatch.setattr(Environment, "run_target", counted_run_target)
-    monkeypatch.setattr(mr_engine, "run_pair", tracked_run_pair)
     monkeypatch.setattr(mr_engine, "build_environment", captured_build_environment)
-    result = run_all(load_scenario(scenario_path(name)), S)
+    monkeypatch.setattr(mr_engine, "run_pair", tracked_run_pair)
+    monkeypatch.setattr(Environment, "run_target", counted_run_target)
+    run_all(load_scenario(scenario_path(name)), S)
 
     (env,) = envs
-    sources = Counter((p.source.kind, p.source.gas_limit) for p in pairs)
-    follows = Counter((p.follow_up.kind, p.follow_up.gas_limit) for p in pairs)
     assert pairs
-    for key in sources:
-        assert runs[key] - follows[key] == 1
-    assert sum(runs.values()) == len(sources) + len(pairs)
+    assert [key for key, count in runs.items() if count > 1] == []
+    inputs = {(a.kind, a.gas_limit) for p in pairs for a in (p.source, p.follow_up)}
+    assert inputs <= set(runs)
 
     def fresh(actor):
         return run_target(env, env.state.clone(), actor.kind, actor.gas_limit)
 
-    for violation in result.violations:
-        assert violation.pair.source_outcome == fresh(violation.pair.source)
     for pair in pairs:
         assert pair.source_outcome == fresh(pair.source)
+        assert pair.follow_outcome == fresh(pair.follow_up)
 
 
 # -- relation checks ---------------------------------------------------------
@@ -370,6 +372,14 @@ def test_certificate_cuts_every_gas_rigid_corpus_sweep(monkeypatch):
         return run_pair_once(env, pair)
 
     monkeypatch.setattr(mr_engine, "run_pair", counted_run_pair)
+    target_runs = Counter()
+    run_target = Environment.run_target
+
+    def counted_run_target(self, state, kind, gas_limit):
+        target_runs[self.scenario.scenario_id] += 1
+        return run_target(self, state, kind, gas_limit)
+
+    monkeypatch.setattr(Environment, "run_target", counted_run_target)
     for name in CORPUS_SCENARIOS:
         run_all(load_scenario(scenario_path(name)), S)
     full = {key for key, count in runs.items()
@@ -394,6 +404,14 @@ def test_failure_certificate_stops_the_remaining_mr12_sweeps(monkeypatch):
         return run_pair_once(env, pair)
 
     monkeypatch.setattr(mr_engine, "run_pair", counted_run_pair)
+    target_runs = Counter()
+    run_target = Environment.run_target
+
+    def counted_run_target(self, state, kind, gas_limit):
+        target_runs[self.scenario.scenario_id] += 1
+        return run_target(self, state, kind, gas_limit)
+
+    monkeypatch.setattr(Environment, "run_target", counted_run_target)
     for name in CORPUS_SCENARIOS:
         run_all(load_scenario(scenario_path(name)), S)
     # each of these sweeps plans about 1000 follow-ups and stops at the
@@ -407,3 +425,5 @@ def test_failure_certificate_stops_the_remaining_mr12_sweeps(monkeypatch):
         ("token_ether_transfer", "CAR"): 7,
     }
     assert sum(runs.values()) == 406
+    # estimator probes included: each distinct input runs once
+    assert sum(target_runs.values()) == 492

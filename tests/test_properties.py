@@ -419,7 +419,7 @@ def test_certified_runs_repeat_above_and_fail_below(source, entry, value):
     block = env.schedule.block_gas_limit
     for kind in ALL_ACTOR_KINDS:
         try:
-            gc = estimate_intrinsic_gas(env.state, None, env.schedule,
+            gc = estimate_intrinsic_gas(env.schedule,
                                         runner=env.runner_for(kind)).value
         except NeverSucceeds:
             continue
