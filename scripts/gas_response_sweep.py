@@ -64,7 +64,7 @@ def main(argv=None) -> int:
     print(f"gas-certified source: {'yes' if gas_certified(kind, source) else 'no'} "
           f"(deepest gas-sensitive event at depth {source.gas_sensitive_depth})")
     for limit in allocate_reducing(gc.value).limits:
-        out = env.run(kind, limit)
+        out = env.run(kind, limit, keep=False)
         if not out.ok and gas_certified(kind, out):
             print(f"highest certified-failure MR1.2 follow-up: {limit} (deepest "
                   f"gas-sensitive event below at depth {out.gas_sensitive_depth_below})\n")
@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     step = max(1, (hi - lo) // args.points)
     print(f"{'gas limit':>12}  {'status':<22} {'consumed':>10} {'delta':>12}  notes")
     for limit in range(lo, hi + 1, step):
-        out = env.run(kind, limit)
+        out = env.run(kind, limit, keep=False)
         notes = []
         if trace_has_swallow(out.trace):
             notes.append("swallowed exception")

@@ -168,10 +168,15 @@ def estimate_kinds(env: Environment, kinds, growth: float) -> list:
 
 
 def run_pair(env: Environment, pair: TestPair) -> TestPair:
-    """Both outcomes of a pair, each run in the environment's context."""
+    """Both outcomes of a pair, each run in the environment's context.
+
+    A follow-up's outcome is not kept: a sweep's limits are distinct and
+    lie on one side of its source's, MR2.x follow-up kinds are distinct,
+    and a block-gas-limit run repeats the estimator's kept first probe.
+    """
     source, follow = pair.source, pair.follow_up
     return replace(pair, source_outcome=env.run(source.kind, source.gas_limit),
-                   follow_outcome=env.run(follow.kind, follow.gas_limit))
+                   follow_outcome=env.run(follow.kind, follow.gas_limit, keep=False))
 
 
 def check(pair: TestPair) -> Optional[ViolationRecord]:

@@ -198,9 +198,10 @@ class Environment:
                               self.agent_specs[kind], self.driver,
                               gas_limit, self.schedule)
 
-    def run(self, kind: AgentKind, gas_limit: int) -> Outcome:
-        """The input's outcome in the context, which the run restores;
-        runs are deterministic, so each input runs once per environment."""
+    def run(self, kind: AgentKind, gas_limit: int, keep: bool = True) -> Outcome:
+        """The input's outcome in the context, which the run restores. Runs
+        are deterministic, so a kept outcome answers every later run of the
+        input; `keep=False` is for inputs no later run repeats."""
         key = (kind, gas_limit)
         outcome = self._outcomes.get(key)
         if outcome is None:
@@ -209,7 +210,8 @@ class Environment:
                 outcome = self.run_target(self.state, kind, gas_limit)
             finally:
                 self.state.restore(sid)
-            self._outcomes[key] = outcome
+            if keep:
+                self._outcomes[key] = outcome
         return outcome
 
     def runner_for(self, kind: AgentKind):

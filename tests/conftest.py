@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,27 @@ def environments(schedule):
         name: build_environment(load_scenario(scenario_path(name)), schedule)
         for name in CORPUS_SCENARIOS
     }
+
+
+@pytest.fixture
+def unmemoised(environments):
+    """name -> that scenario's shared context behind an empty outcome memo,
+    so every input a test runs through `Environment.run` reaches the VM."""
+    return lambda name: replace(environments[name])
+
+
+@pytest.fixture
+def target_runs(monkeypatch):
+    """(env, kind, gas limit, digest of the state it starts from) of every
+    `Environment.run_target` call made while the test runs, in order."""
+    from mtsc.scenario import Environment
+
+    runs = []
+    run_target = Environment.run_target
+
+    def counted(self, state, kind, gas_limit):
+        runs.append((self, kind, gas_limit, state.digest()))
+        return run_target(self, state, kind, gas_limit)
+
+    monkeypatch.setattr(Environment, "run_target", counted)
+    return runs

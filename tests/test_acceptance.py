@@ -212,10 +212,11 @@ def test_criterion_3_gas_laws_randomized(environments):
         assert elapsed < 60.0, f"{elapsed:.1f}s"
 
 
-def test_criterion_4_gas_limit_independence(environments):
+def test_criterion_4_gas_limit_independence(environments, unmemoised):
     with criterion(4, "success is limit-independent for clean traces"):
         checked = 0
-        for name, env in environments.items():
+        for name in environments:
+            env = unmemoised(name)
             for kind in ALL_ACTOR_KINDS:
                 try:
                     gc = estimate_intrinsic_gas(S, runner=env.runner_for(kind))
@@ -236,10 +237,11 @@ def test_criterion_4_gas_limit_independence(environments):
         assert checked >= 15  # the filter must not empty the criterion
 
 
-def test_criterion_5_estimator_soundness(environments):
+def test_criterion_5_estimator_soundness(environments, unmemoised):
     with criterion(5, "estimates succeed exactly and fail one unit below"):
         checked = 0
-        for name, env in environments.items():
+        for name in environments:
+            env = unmemoised(name)
             for kind in ALL_ACTOR_KINDS:
                 try:
                     gc = estimate_intrinsic_gas(S, runner=env.runner_for(kind))

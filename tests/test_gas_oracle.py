@@ -65,10 +65,12 @@ def test_trial_limits_grow_monotonically_until_success(environments):
     assert all(a < b for a, b in zip(growth_phase, growth_phase[1:]))
 
 
-def test_estimate_leaves_state_unchanged(environments):
-    env = environments["simple_dao_withdraw"]
+def test_estimate_leaves_state_unchanged(unmemoised, target_runs):
+    env = unmemoised("simple_dao_withdraw")
     before = env.state.digest()
-    estimate_intrinsic_gas(S, runner=env.runner_for(AgentKind.CAR))
+    gc = estimate_intrinsic_gas(S, runner=env.runner_for(AgentKind.CAR))
+    # the rough estimate's run at the block gas limit, then every probe
+    assert len(target_runs) == 1 + gc.trials
     assert env.state.digest() == before
 
 

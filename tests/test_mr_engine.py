@@ -24,7 +24,7 @@ from mtsc.mr_engine import (
     run_all,
     run_pair,
 )
-from mtsc.scenario import ALL_ACTOR_KINDS, Environment, load_scenario
+from mtsc.scenario import ALL_ACTOR_KINDS, load_scenario
 from mtsc.traces import trace_has_swallow
 from mtsc.vm import (
     CallEntered,
@@ -114,48 +114,69 @@ def distinct_limits(env, kind=AgentKind.EOA):
     return ActorInput(kind, addr, 40_000), ActorInput(kind, addr, 40_001)
 
 
-def test_identical_inputs_give_identical_outcomes(environments):
-    env = environments["simple_dao_withdraw"]
+def vm_inputs(target_runs):
+    return [(kind, gas_limit) for _, kind, gas_limit, _ in target_runs]
+
+
+def starting_digests(target_runs):
+    return [digest for *_, digest in target_runs]
+
+
+def test_identical_inputs_give_identical_outcomes(unmemoised, target_runs):
+    env = unmemoised("simple_dao_withdraw")
     source, follow = distinct_limits(env)
     done = run_pair(env, TestPair(MR1_1, source, follow))
+    assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000), (AgentKind.EOA, 40_001)]
+    assert starting_digests(target_runs) == [env.context_digest] * 2
     s, f = done.source_outcome, done.follow_outcome
     assert (s.status, s.gas_consumed, s.balance_delta) \
         == (f.status, f.gas_consumed, f.balance_delta)
 
 
-def test_run_pair_restores_the_shared_context(environments):
-    env = environments["simple_dao_withdraw"]
+def test_run_pair_restores_the_shared_context(unmemoised, target_runs):
+    env = unmemoised("simple_dao_withdraw")
     before = env.state.digest()
     assert before == env.context_digest
     eoa = ActorInput(AgentKind.EOA, env.actor_accounts[AgentKind.EOA], 40_000)
     car = ActorInput(AgentKind.CAR, env.actor_accounts[AgentKind.CAR],
                      S.block_gas_limit)
     run_pair(env, TestPair(MR2_2, eoa, car))
+    assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000),
+                                      (AgentKind.CAR, S.block_gas_limit)]
     assert env.state.digest() == before
 
 
-def test_follow_up_sees_pristine_context(environments):
-    env = environments["simple_dao_withdraw"]
+def test_follow_up_sees_pristine_context(unmemoised, target_runs):
+    env = unmemoised("simple_dao_withdraw")
     source, follow = distinct_limits(env)
-    # the source run drains the actor's position; a follow-up observing
-    # the mutated state would fail its balance check
+    # the source run withdraws from the actor's position, yet the
+    # follow-up starts from the context as set up
     done = run_pair(env, TestPair(MR1_1, source, follow))
+    assert env.state.digest() == env.context_digest
+    assert starting_digests(target_runs) == [env.context_digest] * 2
     assert done.source_outcome.ok and done.follow_outcome.ok
     assert done.source_outcome.balance_delta == done.follow_outcome.balance_delta
 
 
+def test_run_pair_keeps_the_source_outcome_only(unmemoised, target_runs):
+    env = unmemoised("simple_dao_withdraw")
+    source, follow = distinct_limits(env)
+    first = run_pair(env, TestPair(MR1_1, source, follow))
+    again = run_pair(env, TestPair(MR1_1, source, follow))
+    # the second pair reads its source from the memo and reruns the follow-up
+    assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000), (AgentKind.EOA, 40_001),
+                                      (AgentKind.EOA, 40_001)]
+    assert again.source_outcome is first.source_outcome
+    assert again.follow_outcome == first.follow_outcome
+
+
 @pytest.mark.parametrize("name", CORPUS_SCENARIOS)
-def test_each_source_input_runs_once_per_environment(monkeypatch, name):
+def test_each_source_input_runs_once_per_environment(monkeypatch, target_runs, name):
     # every input reaches the VM once per environment: estimator probes,
     # sources and follow-ups alike
-    envs, pairs, runs = [], [], Counter()
-    run_target = Environment.run_target
+    envs, pairs = [], []
     build_environment = mr_engine.build_environment
     run_pair_once = mr_engine.run_pair
-
-    def counted_run_target(self, state, kind, gas_limit):
-        runs[(kind, gas_limit)] += 1
-        return run_target(self, state, kind, gas_limit)
 
     def tracked_run_pair(env, pair):
         pairs.append(run_pair_once(env, pair))
@@ -167,17 +188,17 @@ def test_each_source_input_runs_once_per_environment(monkeypatch, name):
 
     monkeypatch.setattr(mr_engine, "build_environment", captured_build_environment)
     monkeypatch.setattr(mr_engine, "run_pair", tracked_run_pair)
-    monkeypatch.setattr(Environment, "run_target", counted_run_target)
     run_all(load_scenario(scenario_path(name)), S)
 
     (env,) = envs
     assert pairs
+    runs = Counter(vm_inputs(target_runs))
     assert [key for key, count in runs.items() if count > 1] == []
     inputs = {(a.kind, a.gas_limit) for p in pairs for a in (p.source, p.follow_up)}
     assert inputs <= set(runs)
 
     def fresh(actor):
-        return run_target(env, env.state.clone(), actor.kind, actor.gas_limit)
+        return env.run_target(env.state.clone(), actor.kind, actor.gas_limit)
 
     for pair in pairs:
         assert pair.source_outcome == fresh(pair.source)
@@ -372,14 +393,6 @@ def test_certificate_cuts_every_gas_rigid_corpus_sweep(monkeypatch):
         return run_pair_once(env, pair)
 
     monkeypatch.setattr(mr_engine, "run_pair", counted_run_pair)
-    target_runs = Counter()
-    run_target = Environment.run_target
-
-    def counted_run_target(self, state, kind, gas_limit):
-        target_runs[self.scenario.scenario_id] += 1
-        return run_target(self, state, kind, gas_limit)
-
-    monkeypatch.setattr(Environment, "run_target", counted_run_target)
     for name in CORPUS_SCENARIOS:
         run_all(load_scenario(scenario_path(name)), S)
     full = {key for key, count in runs.items()
@@ -395,7 +408,7 @@ def test_certificate_cuts_every_gas_rigid_corpus_sweep(monkeypatch):
     assert all(runs[(name, MR1_1, kind)] == 1 for name, kind in cut)
 
 
-def test_failure_certificate_stops_the_remaining_mr12_sweeps(monkeypatch):
+def test_failure_certificate_stops_the_remaining_mr12_sweeps(monkeypatch, target_runs):
     runs = Counter()
     run_pair_once = mr_engine.run_pair
 
@@ -404,14 +417,6 @@ def test_failure_certificate_stops_the_remaining_mr12_sweeps(monkeypatch):
         return run_pair_once(env, pair)
 
     monkeypatch.setattr(mr_engine, "run_pair", counted_run_pair)
-    target_runs = Counter()
-    run_target = Environment.run_target
-
-    def counted_run_target(self, state, kind, gas_limit):
-        target_runs[self.scenario.scenario_id] += 1
-        return run_target(self, state, kind, gas_limit)
-
-    monkeypatch.setattr(Environment, "run_target", counted_run_target)
     for name in CORPUS_SCENARIOS:
         run_all(load_scenario(scenario_path(name)), S)
     # each of these sweeps plans about 1000 follow-ups and stops at the
@@ -426,4 +431,4 @@ def test_failure_certificate_stops_the_remaining_mr12_sweeps(monkeypatch):
     }
     assert sum(runs.values()) == 406
     # estimator probes included: each distinct input runs once
-    assert sum(target_runs.values()) == 492
+    assert len(target_runs) == 492
