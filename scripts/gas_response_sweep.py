@@ -9,14 +9,12 @@ with the allocation, and swallowed exceptions show success below the
 requirement. These curves are exactly the signals the gas-allocation
 relations test for.
 
-It also prints whether the source run at the intrinsic gas is
-gas-certified, and the depth of its deepest gas-sensitive event (-1 for
-none). A certified source cannot change with the gas limit, so the
-engine decides its MR1.1 and MR1.2 sweeps from their first pair. The
-next line names the highest follow-up limit of the MR1.2 plan (default
-subdivisions) whose run is a gas-certified failure, with the depth of
-its deepest gas-sensitive event below (or "none"): that run fails at
-every lower limit, so the engine's MR1.2 sweep stops there at the latest.
+Every run reports its invariance range, the gas limits that give the
+same outcome. The script prints the range of the source run at the
+intrinsic gas, then the follow-ups the engine's MR1.2 sweep (default
+subdivisions) runs: each skips the plan limits inside the range of the
+one before, and the sweep stops at a follow-up that succeeds. Each row
+of the response table also shows its run's range.
 
 Usage:
     python3 scripts/gas_response_sweep.py corpus/simple_dao_withdraw.scenario.json CAR
@@ -30,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from mtsc.agents import AgentKind, gas_certified  # noqa: E402
+from mtsc.agents import AgentKind  # noqa: E402
 from mtsc.gas_oracle import (  # noqa: E402
     NeverSucceeds,
     allocate_reducing,
@@ -60,22 +58,25 @@ def main(argv=None) -> int:
         return 1
     print(f"intrinsic gas for {kind.value}: {gc.value} "
           f"(trials={gc.trials}, converged={gc.converged})")
-    source = env.run(kind, gc.value)
-    print(f"gas-certified source: {'yes' if gas_certified(kind, source) else 'no'} "
-          f"(deepest gas-sensitive event at depth {source.gas_sensitive_depth})")
+    lo, hi = env.run(kind, gc.value).limits
+    print(f"source range: [{lo}, {hi}]")
+    decided = range(0)
     for limit in allocate_reducing(gc.value).limits:
+        if limit in decided:
+            continue
         out = env.run(kind, limit, keep=False)
-        if not out.ok and gas_certified(kind, out):
-            print(f"highest certified-failure MR1.2 follow-up: {limit} (deepest "
-                  f"gas-sensitive event below at depth {out.gas_sensitive_depth_below})\n")
-            break
-    else:
-        print("highest certified-failure MR1.2 follow-up: none\n")
+        lo, hi = out.limits
+        print(f"MR1.2 follow-up {limit}: {out.status}, range [{lo}, {hi}]")
+        if out.ok:
+            break  # a violation ends the sweep
+        decided = range(lo, hi + 1)
+    print()
 
     lo = max(0, gc.value - 5 * max(1, gc.value // args.points))
     hi = min(int(gc.value * args.span), schedule.block_gas_limit)
     step = max(1, (hi - lo) // args.points)
-    print(f"{'gas limit':>12}  {'status':<22} {'consumed':>10} {'delta':>12}  notes")
+    print(f"{'gas limit':>12}  {'status':<22} {'consumed':>10} {'delta':>12}  "
+          f"{'range':<22}  notes")
     for limit in range(lo, hi + 1, step):
         out = env.run(kind, limit, keep=False)
         notes = []
@@ -83,8 +84,9 @@ def main(argv=None) -> int:
             notes.append("swallowed exception")
         if out.ok and limit < gc.value:
             notes.append("success below the requirement")
+        lo, hi = out.limits
         print(f"{limit:>12}  {str(out.status):<22} {out.gas_consumed:>10} "
-              f"{out.balance_delta:>12}  {'; '.join(notes)}")
+              f"{out.balance_delta:>12}  {f'[{lo}, {hi}]':<22}  {'; '.join(notes)}")
     return 0
 
 

@@ -23,7 +23,6 @@ from enum import Enum
 from typing import Optional
 
 from .minisol import ast
-from .traces import target_call_status
 from .vm import GasSchedule, Outcome, Transaction, WorldState, deploy, execute
 
 AGENT_CALL = "AgentCall"
@@ -134,32 +133,13 @@ def make_agent(state: WorldState, spec: AgentSpec, name: Optional[str] = None) -
     return deploy(state, contract)
 
 
-def gas_certified(kind: AgentKind, outcome: Outcome) -> bool:
-    """Whether a run's status cannot change with its gas limit in the
-    direction its status leaves open.
-
-    A certified success (see the interpreter's "Gas sensitivity" notes)
-    gives the same status, consumption and balance delta at every higher
-    limit, and the limits at which it succeeds are upward-closed. A
-    certified failure fails at every lower limit. An EOA run may contain
-    no event of the kind that matters. An agent run may contain one at
-    depth 0: the AgentCall wrapper's own forward-all call into the
-    target, whose status the outcome reports.
-    """
-    allowed = -1 if kind == AgentKind.EOA else 0
-    if outcome.ok:
-        return outcome.gas_sensitive_depth <= allowed
-    return outcome.gas_sensitive_depth_below <= allowed
-
-
 def agent_interact(state: WorldState, agent: str, spec: AgentSpec, driver: str,
                    gas_limit: int, schedule: GasSchedule) -> Outcome:
     """Run driver -> agent.AgentCall and report the interaction as the
     agent experienced it: balance delta of the agent account, status of
-    the agent's call into the target."""
+    the agent's call into the target (the wrapper's own low-level call
+    would otherwise swallow every target failure)."""
     before = state.balance_of(agent)
     raw = execute(state, Transaction(driver, gas_limit, agent, AGENT_CALL, (), 0),
-                  schedule)
-    return replace(raw,
-                   status=target_call_status(raw, spec.target),
-                   balance_delta=state.balance_of(agent) - before)
+                  schedule, reports=spec.target)
+    return replace(raw, balance_delta=state.balance_of(agent) - before)

@@ -38,7 +38,7 @@ class Config:
     engine: EngineConfig
     fmt: str = "text"
     out: Optional[str] = None
-    jobs: int = 0  # 0 = number of cores
+    jobs: int = 1  # 0 = number of cores
 
 
 def _parse_args(argv):
@@ -69,8 +69,9 @@ def _parse_args(argv):
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text")
         p.add_argument("--out", metavar="PATH", help="write the report to a file")
-        p.add_argument("--jobs", type=int, default=0,
-                       help="scenario worker processes (default: cpu count)")
+        p.add_argument("--jobs", type=int, default=Config.jobs,
+                       help="scenario worker processes, 0 for one per core "
+                            "(default %(default)s)")
 
     p_check = sub.add_parser("check", help="test one scenario")
     p_check.add_argument("scenario")

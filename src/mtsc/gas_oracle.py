@@ -7,19 +7,18 @@ measured consumption by re-running at it. Gas-elastic transactions
 phase: their first successful run can consume less than its limit, or a
 gas reserve can demand headroom above the measured consumption, in which
 case the success boundary is bisected. A runner leaves the state it runs
-on as it found it (`tx_runner` for a bare transaction,
-`Environment.runner_for` for a scenario's target input), so the caller's
-state never changes.
+on as it found it (`Environment.runner_for` gives one for a scenario's
+target input), so the caller's state never changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .traces import child_frame_gas
-from .vm import GasSchedule, Outcome, Transaction, WorldState
-from .vm import execute as vm_execute
+from .vm import GasSchedule, Outcome
+from .vm import execute as vm_execute  # noqa: F401  perfbench's traced run wraps it
 
 #: runner(gas_limit) -> Outcome of "the" transaction at that limit, with the
 #: state it runs on left as it was found
@@ -48,18 +47,6 @@ class AllocationPlan:
     step: int
     n: int
     warning: Optional[str] = None
-
-
-def tx_runner(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Runner:
-    """Runner for a bare transaction: each run on a snapshot of `state`,
-    restored afterwards."""
-    def run(limit: int) -> Outcome:
-        sid = state.snapshot()
-        try:
-            return vm_execute(state, replace(tx, gas_limit=limit), schedule)
-        finally:
-            state.restore(sid)
-    return run
 
 
 def default_initial_estimator(runner: Runner, schedule: GasSchedule) -> int:
@@ -156,9 +143,4 @@ def allocate_reducing(gc: int, n: int = 1000) -> AllocationPlan:
     if gc < 1 or n < 1:
         raise ValueError("gc and n must be at least 1")
     step = max(1, gc // n)
-    limits = []
-    g = gc - step
-    while g >= 0:
-        limits.append(g)
-        g -= step
-    return AllocationPlan("Reducing", tuple(limits), step=step, n=n)
+    return AllocationPlan("Reducing", tuple(range(gc - step, -1, -step)), step=step, n=n)

@@ -24,22 +24,14 @@ afterwards, and runs once per environment, so an MR2.x pair at the block
 gas limit and an MR1.x source at the intrinsic gas reuse the estimator's
 outcomes.
 
-Sweeps stop at their first violation, and an MR1.x sweep also stops
-after its first pair when the source outcome is gas-certified
-(`agents.gas_certified`): the run read no `gasleft` and let no starved
-child failure be swallowed where the gas limit reaches. Such a source
-keeps its status and consumption at every higher limit, so no MR1.1
-follow-up can differ, and it succeeds on an upward-closed set of limits,
-so when the largest MR1.2 follow-up fails every smaller one fails too.
-Sweeps whose source reads `gasleft` or swallows a forward-all call that
-needs more than its stipend (CAR re-entry, a heavy fallback behind an
-unbounded `lowcall`) run pair by pair.
-
-Such an MR1.2 sweep stops at its first follow-up that is a gas-certified
-failure: the run read no `gasleft` and swallowed no forward-all child
-that succeeded while needing more than its stipend grant, where the gas
-limit reaches. It fails at every lower limit, and the plan's limits
-descend. MR1.1 limits ascend and get no such cut.
+Sweeps stop at their first violation. Every run reports its invariance
+range (`Outcome.limits`, see the interpreter's "Invariance ranges"
+notes): the gas limits at which it gives the same status, consumption
+and balance delta. An MR1.x sweep skips the plan limits that lie in the
+range of its last follow-up, which held against the source, so they
+hold as well, and every follow-up it does run is a real run. Along the
+plans of the corpus the outcome changes once or twice, so a sweep runs
+one to three pairs whatever `n` is.
 """
 
 from __future__ import annotations
@@ -47,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .agents import DEFAULT_CAR_GAS_GUARD, AgentKind, gas_certified
+from .agents import DEFAULT_CAR_GAS_GUARD, AgentKind
 from .gas_oracle import (
     NeverSucceeds,
     allocate_increasing,
@@ -118,14 +110,6 @@ class EngineResult:
     context_digest: str
 
 
-def sweep_pairs(env: Environment, mr: str, kind: AgentKind, gc: int, plan):
-    """Lazily yield one MR1.x sweep: source at gc, follow-ups along the plan."""
-    addr = env.actor_accounts[kind]
-    source = ActorInput(kind, addr, gc)
-    for g in plan.limits:
-        yield TestPair(mr, source, ActorInput(kind, addr, g))
-
-
 def mr2_pairs(env: Environment, mrs) -> list:
     """One pair per selected MR2.x relation: the EOA against the relation's
     agent kind, both at the block gas limit."""
@@ -133,23 +117,6 @@ def mr2_pairs(env: Environment, mrs) -> list:
     eoa = ActorInput(AgentKind.EOA, env.actor_accounts[AgentKind.EOA], g_ample)
     return [TestPair(mr, eoa, ActorInput(kind, env.actor_accounts[kind], g_ample))
             for mr, kind in MR2_FOLLOW_KIND.items() if mr in mrs]
-
-
-def build_pairs(env: Environment, estimates: dict, plans: dict,
-                mrs, mr1_actors) -> list:
-    """Every pair of the selected relations, with each sweep built in full.
-
-    estimates/plans map actor kinds to their IntrinsicGas and
-    (increasing, reducing) plans; kinds without an estimate are skipped.
-    """
-    pairs = []
-    for kind in mr1_actors:
-        if kind in estimates:
-            for mr, plan in zip((MR1_1, MR1_2), plans[kind]):
-                if mr in mrs:
-                    pairs.extend(sweep_pairs(env, mr, kind, estimates[kind].value,
-                                             plan))
-    return pairs + mr2_pairs(env, mrs)
 
 
 def estimate_kinds(env: Environment, kinds, growth: float) -> list:
@@ -205,22 +172,27 @@ def check(pair: TestPair) -> Optional[ViolationRecord]:
     raise ValueError(f"unknown relation {mr!r}")
 
 
-def _sweep(env: Environment, pairs, violations) -> None:
-    """Run an MR1.x sweep in order, stopping at the first violation, after
-    the first pair whose source outcome is a gas-certified success, or at
-    the first MR1.2 follow-up that is a gas-certified failure."""
-    for pair in pairs:
-        done = run_pair(env, pair)
+def _sweep(env: Environment, mr: str, kind: AgentKind, gc: int, plan,
+           violations) -> None:
+    """Run one MR1.x sweep in order, source at gc and follow-ups along the
+    plan, stopping at the first violation. A follow-up limit inside the
+    invariance range of the last follow-up run is skipped: that follow-up
+    held, and this one would give the same outcome."""
+    addr = env.actor_accounts[kind]
+    source = ActorInput(kind, addr, gc)
+    decided = range(0)
+    for g in plan.limits:
+        if g in decided:
+            continue
+        done = run_pair(env, TestPair(mr, source, ActorInput(kind, addr, g)))
         violation = check(done)
         if violation is not None:
             violations.append(violation)
             return
-        kind, source, follow = pair.source.kind, done.source_outcome, done.follow_outcome
-        if source.ok and gas_certified(kind, source):
-            return
-        # MR1.2 limits descend, so every later follow-up fails as well
-        if pair.mr_id == MR1_2 and not follow.ok and gas_certified(kind, follow):
-            return
+        lo, hi = done.follow_outcome.limits
+        if lo <= plan.limits[-1] <= hi:
+            return  # plans are monotone: every limit left lies in the range
+        decided = range(lo, hi + 1)
 
 
 def run_all(scenario: Scenario, schedule: GasSchedule,
@@ -254,7 +226,7 @@ def run_all(scenario: Scenario, schedule: GasSchedule,
     for mr in (MR1_1, MR1_2):
         if mr in mrs:
             for kind, (gc, by_mr) in plans.items():
-                _sweep(env, sweep_pairs(env, mr, kind, gc, by_mr[mr]), violations)
+                _sweep(env, mr, kind, gc, by_mr[mr], violations)
     for pair in mr2_pairs(env, mrs):
         violation = check(run_pair(env, pair))
         if violation is not None:

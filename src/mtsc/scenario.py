@@ -22,7 +22,9 @@ Schema (JSON object, unknown keys rejected):
     mr1_actors  subset of EOA CAO CAH CAR CAE                 default EOA,CAH,CAR
 
 Role strings in `actor`, `callee`, and `args` resolve to addresses:
-contract names to their deployment, other balance keys to EOAs.
+contract names to their deployment, other balance keys to EOAs. The
+arguments of the target and of every setup entry must fit the called
+function's parameters.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .agents import (
     agent_interact,
     make_agent,
 )
-from .minisol import parse, validate
-from .vm import GasSchedule, Outcome, Transaction, WorldState, deploy, execute
+from .minisol import ast, parse, validate
+from .vm import UINT_MAX, GasSchedule, Outcome, Transaction, WorldState, deploy, execute
 
 SCHEMA_V1 = "scenario-v1"
 ACTOR = "$ACTOR"
@@ -241,6 +243,30 @@ def _load_contracts(scenario: Scenario):
     return contracts
 
 
+def _check_args(where: str, entry: TxTemplate, code, roles: dict):
+    """Raise ScenarioError unless the entry's arguments fit the parameters
+    of the function it calls on a contract with `code`: a uint is a
+    non-bool int in [0, UINT_MAX], a bool a bool, an addr a role."""
+    if entry.function is None:
+        _require(not entry.args, f"{where}: a call with no function takes no args")
+    fn = code.function(entry.function) if code is not None and entry.function else None
+    if fn is None:
+        return
+    if len(entry.args) != len(fn.params):
+        raise ScenarioError(f"{where}: {entry.function} takes {len(fn.params)} args, "
+                            f"got {len(entry.args)}")
+    for param, arg in zip(fn.params, entry.args):
+        if param.kind == ast.Kind.UINT:
+            fits = type(arg) is int and 0 <= arg <= UINT_MAX
+        elif param.kind == ast.Kind.BOOL:
+            fits = type(arg) is bool
+        else:
+            fits = arg == ACTOR or arg in roles
+        if not fits:
+            raise ScenarioError(f"{where}: argument {param.name} of {entry.function} "
+                                f"must be {param.kind.value}, got {arg!r}")
+
+
 def build_environment(scenario: Scenario, schedule: GasSchedule,
                       car_gas_guard: int = DEFAULT_CAR_GAS_GUARD,
                       cah_iterations: int = 1) -> Environment:
@@ -268,11 +294,15 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
     if target.callee not in roles:
         raise ScenarioError(f"target callee {target.callee!r} is not a known role")
     target_addr = roles[target.callee]
+    code = state.account(target_addr).code
     if target.function is not None:
-        code = state.account(target_addr).code
         if code is None or code.function(target.function) is None:
             raise ScenarioError(
                 f"target function {target.function!r} not found on {target.callee}")
+    _check_args("target", target, code, roles)
+    for i, entry in enumerate(scenario.setup):
+        callee = roles.get(entry.callee)
+        _check_args(f"setup[{i}]", entry, callee and state.account(callee).code, roles)
 
     env = Environment(state=state, schedule=schedule, scenario=scenario,
                       roles=roles, actor_accounts={AgentKind.EOA: eoa_actor},

@@ -43,49 +43,48 @@ Top level: a Failure outcome leaves the world state untouched, the actor
 balance delta is zero, and OutOfGas consumes the full gas limit. Fees
 accrue on the fee ledger, never on balances.
 
-Gas sensitivity
----------------
-A frame is *elastic* when its budget comes from the transaction's gas
-limit: the top frame, and every child of a `lowcall`/`dcall` without a
-gas clause made from an elastic frame. Children of `send`/`transfer`
-and of `gas g` calls get fixed budgets and are never elastic.
+Invariance ranges
+-----------------
+A frame is *elastic* while its gas moves one for one with the
+transaction's gas limit G: the top frame, and every child of a
+`lowcall`/`dcall` without a gas clause made from an elastic frame.
+Children of `send`/`transfer` and of `gas g` calls get fixed budgets and
+are never elastic. A frame stops being elastic when it *runs dry*: when
+it cannot pay a charge or produce a reserve, or when a forward-all child
+runs dry and so hands no gas back.
 
-Each elastic frame also tracks its *need*: the smallest budget at which
-it repeats its run. That is its consumption, raised by the headroom a
-`gas g` reserve demands and by the needs of its forward-all children; a
-frame that ran out of gas itself has no finite need. A run records the
-deepest frame depth of a gas-sensitive event in
-`Outcome.gas_sensitive_depth` (-1 for none). There are two kinds:
+Along one path every gas-dependent decision of an elastic frame is a
+bound on G, and the run reports the range they leave as
+`Outcome.limits`:
 
-* a `gasleft()` read in an elastic frame;
-* a forward-all `lowcall` from an elastic frame whose child needed more
-  than its stipend grant. At a lower limit that child can run out of
-  gas, the failure is swallowed, and the caller goes on with 0 gas.
+* a charge or `gas g` reserve that succeeds bounds G from below. Frames
+  fold these bounds into their *need*, the least budget at which they
+  repeat their path, at call exits;
+* a frame or forward-all child that runs dry bounds G from above: a
+  limit higher by the shortfall pays what it could not;
+* `gasleft()` compared directly with a literal bounds G on the side that
+  keeps the comparison's result; any other use pins G to the limit.
 
-`dcall` passes a starved child's failure up to its caller, and a
-reserve the caller cannot produce fails the caller itself, so neither
-lets a run succeed on less gas and neither is an event. A successful run
-without events repeats (same status, consumption and state changes) at
-every higher limit; at a lower one it either repeats or fails out of
-gas, so the limits at which it succeeds are upward-closed.
+Every limit in the range follows the run's path, so it keeps the run's
+status, balance delta, state changes and consumption, which is the
+limit itself when the top frame ran dry.
 
-A failing run is read the other way, in
-`Outcome.gas_sensitive_depth_below`. At a lower limit a run follows its
-path until an elastic frame runs short, and the frame that runs short
-fails; a forward-all child that starves leaves its caller with exactly
-0 gas. So a lower limit can change the path only through
+A run that reports out of gas and consumed its whole limit keeps that
+outcome below its path as well, down to the highest lower bound that
+can *turn* the path instead of failing it: a `gasleft()` comparison that
+holds from below, or a swallowed forward-all child that succeeded while
+needing more than its grant (lower down it fails, and its caller goes on
+with false). Below the path some elastic frame runs short and fails out
+of gas, and every frame above it is left dry. A dry frame cannot read
+`gasleft()` or make a call, as both cost gas, so nothing turns, and the
+failure reaches the reported status. Under a schedule that makes either
+free, the range keeps to the path.
 
-* a `gasleft()` read in an elastic frame, or
-* a forward-all `lowcall` from an elastic frame whose child *succeeded*
-  while needing more than its grant. Lower down that child can fail,
-  and the caller goes on with a false result.
-
-A child that failed fails at every lower limit too, and its caller goes
-on with the same false result and no more gas than before, so it is no
-event here even when it needed more than its grant. A failing run
-without such events fails at every lower limit. These events are a
-subset of the upward ones, so the depth below never exceeds
-`gas_sensitive_depth`.
+With `execute(..., reports=address)` the run reports the status of the
+top frame's first call into that address, as an agent wrapper
+experiences its target, and the range describes that status. Below the
+path the top frame itself may then run short before its call; it fails
+out of gas, which is the status reported, but its own writes roll back.
 """
 
 from __future__ import annotations
@@ -123,9 +122,6 @@ MAX_CALL_DEPTH = 128  # frames 0..127; entering deeper fails DepthExceeded
 # well inside the 12 per level and 32 for the tail allowed here.
 RECURSION_BUDGET = MAX_CALL_DEPTH * (12 * MAX_NESTING + 32)
 
-# the need of a frame that ran out of gas: no budget is known to repeat it
-STARVED = float("inf")
-
 # call failures that never dispatched the callee
 STILLBORN = (FailReason.DEPTH_EXCEEDED, FailReason.BALANCE_INSUFFICIENT)
 
@@ -150,8 +146,8 @@ class _Frame:
     gas: int
     budget: int
     env: dict = field(default_factory=dict)
-    elastic: bool = False  # budget comes from the transaction's gas limit
-    peak: float = 0        # need beyond consumption: reserves, children
+    elastic: bool = False  # gas moves one for one with the gas limit
+    peak: int = 0          # need beyond consumption: reserves, children
 
     @property
     def consumed(self) -> int:
@@ -159,23 +155,50 @@ class _Frame:
 
 
 class _Run:
-    def __init__(self, state: WorldState, schedule: GasSchedule):
+    def __init__(self, state: WorldState, schedule: GasSchedule, limit: int,
+                 reports: Optional[str]):
         self.state = state
         self.sched = schedule
         self.trace: list = []
-        self.sensitive_depth = -1  # deepest gas-sensitive event
-        self.sensitive_depth_below = -1  # deepest one that matters below
+        self.limit = limit                   # the transaction's gas limit G
+        self.hi = schedule.block_gas_limit   # highest limit on this path
+        self.turn = 0                        # highest lower bound that turns it
+        self.reports = reports
+        self.reported = None                 # (ok, reason) of that call
 
     # -- gas ---------------------------------------------------------------
 
     def charge(self, frame: _Frame, op: str, cost: int):
         if cost > frame.gas:
             self.trace.append(OpExecuted(op, frame.gas, frame.depth))
-            frame.gas = 0
-            frame.peak = STARVED
-            raise _FrameFail(FailReason.OUT_OF_GAS)
+            self.run_dry(frame, cost - frame.gas)
         frame.gas -= cost
         self.trace.append(OpExecuted(op, cost, frame.depth))
+
+    def run_dry(self, frame: _Frame, short: int):
+        """The frame is `short` gas short of a charge or reserve: it fails
+        with no gas left, and a limit higher by `short` would pay."""
+        if frame.elastic:
+            self.hi = min(self.hi, self.limit + short - 1)
+            frame.peak = max(frame.peak, frame.consumed)
+            frame.elastic = False
+        frame.gas = 0
+        raise _FrameFail(FailReason.OUT_OF_GAS)
+
+    def read_gas(self, frame: _Frame, literal: Optional[int] = None) -> int:
+        """`gasleft()`, compared with `literal` when one is given."""
+        self.charge(frame, "gasleft", self.sched.gasleft)
+        gas = frame.gas
+        if frame.elastic:
+            # the comparison keeps its result while the gas stays on the
+            # same side of the literal; any other use needs this exact gas
+            if literal is None or gas == literal:
+                self.hi = self.turn = self.limit
+            elif gas < literal:
+                self.hi = min(self.hi, self.limit + literal - 1 - gas)
+            else:
+                self.turn = max(self.turn, self.limit - gas + literal + 1)
+        return gas
 
     # -- expressions ---------------------------------------------------------
 
@@ -209,13 +232,7 @@ class _Run:
         if t is ast.This:
             return frame.self_addr
         if t is ast.GasLeft:
-            self.charge(frame, "gasleft", self.sched.gasleft)
-            if frame.elastic:
-                if frame.depth > self.sensitive_depth:
-                    self.sensitive_depth = frame.depth
-                if frame.depth > self.sensitive_depth_below:
-                    self.sensitive_depth_below = frame.depth
-            return frame.gas
+            return self.read_gas(frame)
         if t is ast.BalanceOf:
             target = self.eval(frame, e.target)
             self.charge(frame, "balance_of", self.sched.balance_of)
@@ -261,8 +278,14 @@ class _Run:
             right = self.eval(frame, e.right)
             return self.arith(op, left, right)
         self.charge(frame, "compare", self.sched.compare)
-        left = self.eval(frame, e.left)
-        right = self.eval(frame, e.right)
+        left, right = e.left, e.right
+        if type(left) is ast.GasLeft and type(right) is ast.IntLit:
+            left, right = self.read_gas(frame, right.value), right.value
+        elif type(right) is ast.GasLeft and type(left) is ast.IntLit:
+            left, right = left.value, self.read_gas(frame, left.value)
+        else:
+            left = self.eval(frame, left)
+            right = self.eval(frame, right)
         if op == "==":
             return left == right
         if op == "!=":
@@ -379,9 +402,7 @@ class _Run:
             if explicit_gas > caller.gas:
                 # the caller must produce the reserved gas in full
                 self.trace.append(OpExecuted("call_reserve", caller.gas, caller.depth))
-                caller.gas = 0
-                caller.peak = STARVED
-                raise _FrameFail(FailReason.OUT_OF_GAS)
+                self.run_dry(caller, explicit_gas - caller.gas)
             # the reserve is headroom the caller needs beyond what it consumes
             caller.peak = max(caller.peak, caller.consumed + explicit_gas)
             caller.gas -= explicit_gas
@@ -391,54 +412,45 @@ class _Run:
             caller.gas = 0
             elastic = caller.elastic
 
-        def stillborn(reason: FailReason) -> bool:
-            caller.gas += fwd  # nothing was dispatched; the reserve returns
-            self.trace.append(CallEntered(form, target, function, value, 0, caller.depth))
-            self.trace.append(CallExited(False, 0, reason, 0, caller.depth))
-            if swallow:
-                self.trace.append(ExceptionSwallowed(reason, caller.depth))
-                return False
-            raise _FrameFail(reason)
-
-        if caller.depth + 1 >= MAX_CALL_DEPTH:
-            return stillborn(FailReason.DEPTH_EXCEEDED)
         target_acct = self.state.accounts.get(target)
-        if target_acct is None:
-            return stillborn(FailReason.REVERT)
-        if value > caller.account.balance:
-            return stillborn(FailReason.BALANCE_INSUFFICIENT)
-
-        child_budget = fwd + grant
-        self.trace.append(CallEntered(form, target, function, value,
-                                      child_budget, caller.depth))
-        checkpoint = self.state.checkpoint()
-        if value:
-            self.state.transfer(caller.account, target_acct, value)
-
-        ok, consumed, reason, need = self.dispatch(
-            target_acct, function, args, value, caller.self_addr, child_budget,
-            caller.depth + 1, elastic)
-        if elastic:
-            # the caller repeats this call when it can forward need - grant
-            need_here = caller.budget - fwd + need - grant
-            if need_here > caller.peak:
-                caller.peak = need_here
-            if swallow and need > grant:
-                if caller.depth > self.sensitive_depth:
-                    self.sensitive_depth = caller.depth
-                # a child that failed here fails at every lower limit too
-                if ok and caller.depth > self.sensitive_depth_below:
-                    self.sensitive_depth_below = caller.depth
-        stipend_used = min(grant, consumed)
-        refund = fwd - max(0, consumed - grant)
-        caller.gas += refund
+        if caller.depth + 1 >= MAX_CALL_DEPTH:
+            reason = FailReason.DEPTH_EXCEEDED
+        elif target_acct is None:
+            reason = FailReason.REVERT
+        elif value > caller.account.balance:
+            reason = FailReason.BALANCE_INSUFFICIENT
+        else:
+            reason = None
+        if reason is not None:  # stillborn: nothing is dispatched
+            caller.gas += fwd  # and the reserve returns
+            self.trace.append(CallEntered(form, target, function, value, 0, caller.depth))
+            ok, consumed, stipend_used = False, 0, 0
+        else:
+            self.trace.append(CallEntered(form, target, function, value,
+                                          fwd + grant, caller.depth))
+            checkpoint = self.state.checkpoint()
+            if value:
+                self.state.transfer(caller.account, target_acct, value)
+            ok, consumed, reason, need, dry = self.dispatch(
+                target_acct, function, args, value, caller.self_addr, fwd + grant,
+                caller.depth + 1, elastic)
+            if elastic:
+                # the caller repeats this call when it can forward need - grant
+                caller.peak = max(caller.peak, caller.budget - fwd + max(need - grant, 0))
+                if swallow and ok and need > grant:
+                    # lower down this child fails, and the caller goes on with false
+                    self.turn = max(self.turn, self.limit - fwd - grant + need)
+                if dry:  # the child hands no gas back at any limit on this path
+                    caller.elastic = False
+            stipend_used = min(grant, consumed)
+            caller.gas += fwd - max(0, consumed - grant)
+            if not ok:
+                self.state.revert(checkpoint)
+        self.trace.append(CallExited(ok, consumed, reason, stipend_used, caller.depth))
+        if caller.depth == 0 and target == self.reports and self.reported is None:
+            self.reported = ok, reason
         if ok:
-            self.trace.append(CallExited(True, consumed, None, stipend_used,
-                                         caller.depth))
             return True
-        self.state.revert(checkpoint)
-        self.trace.append(CallExited(False, consumed, reason, stipend_used,
-                                     caller.depth))
         if swallow:
             self.trace.append(ExceptionSwallowed(reason, caller.depth))
             return False
@@ -447,26 +459,27 @@ class _Run:
     def dispatch(self, acct: Account, function: Optional[str], args: list,
                  value: int, sender: str, budget: int, depth: int,
                  elastic: bool):
-        """Run the callee; returns (ok, gas_consumed, fail_reason, need)."""
+        """Run the callee; returns (ok, gas_consumed, fail_reason, need, dry),
+        where dry says an elastic callee ran dry."""
         if acct.kind == AccountKind.EOA:
-            return True, 0, None, 0  # no code: receives value, executes nothing
+            return True, 0, None, 0, False  # no code: receives value, executes nothing
 
         contract = acct.code
         fn = contract.function(function) if function is not None else None
         if fn is not None:
             if len(fn.params) != len(args):
-                return False, 0, FailReason.REVERT, 0
+                return False, 0, FailReason.REVERT, 0, False
             payable, params, body = fn.payable, fn.params, fn.body
         else:
             # unknown function or plain transfer: the fallback handles it,
             # discarding whatever call data came along
             if contract.fallback is None:
-                return False, 0, FailReason.REVERT, 0
+                return False, 0, FailReason.REVERT, 0, False
             payable = contract.fallback.payable
             params, args = [], []
             body = contract.fallback.body
         if value > 0 and not payable:
-            return False, 0, FailReason.REVERT, 0
+            return False, 0, FailReason.REVERT, 0, False
 
         frame = _Frame(account=acct, self_addr=acct.address, msg_sender=sender,
                        msg_value=value, contract=contract, depth=depth,
@@ -482,35 +495,42 @@ class _Run:
         except _FrameFail as fail:
             ok, reason = False, fail.reason
         consumed = budget - frame.gas
-        return ok, consumed, reason, max(consumed, frame.peak)
+        if frame.elastic:
+            return ok, consumed, reason, max(consumed, frame.peak), False
+        return ok, consumed, reason, frame.peak, elastic
 
 
-def execute(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Outcome:
-    """Run one transaction to completion; never raises for execution failures."""
+def execute(state: WorldState, tx: Transaction, schedule: GasSchedule,
+            reports: Optional[str] = None) -> Outcome:
+    """Run one transaction to completion; never raises for execution
+    failures. With `reports`, a successful transaction reports the status
+    of its top frame's first call into that address."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + RECURSION_BUDGET)
     try:
-        return _execute(state, tx, schedule)
+        return _execute(state, tx, schedule, reports)
     finally:
         sys.setrecursionlimit(limit)
 
 
-def _execute(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Outcome:
+def _execute(state: WorldState, tx: Transaction, schedule: GasSchedule,
+             reports: Optional[str]) -> Outcome:
     if tx.actor not in state.accounts or tx.callee not in state.accounts:
         raise ValueError("transaction actor and callee must exist")
     if not 0 <= tx.gas_limit <= schedule.block_gas_limit:
         raise ValueError("gas limit must be within [0, block_gas_limit]")
 
-    run = _Run(state, schedule)
+    run = _Run(state, schedule, tx.gas_limit, reports)
     actor_before = state.account(tx.actor).balance
     if tx.value > actor_before:
-        return Outcome(failure(FailReason.BALANCE_INSUFFICIENT), 0, 0, ())
+        return Outcome(failure(FailReason.BALANCE_INSUFFICIENT), 0, 0, (),
+                       (0, schedule.block_gas_limit))
 
     if tx.gas_limit < schedule.base_tx:
         run.trace.append(OpExecuted("base_tx", tx.gas_limit, 0))
         state.fee_ledger += tx.gas_limit
         return Outcome(failure(FailReason.OUT_OF_GAS), tx.gas_limit, 0,
-                       tuple(run.trace))
+                       tuple(run.trace), (0, schedule.base_tx - 1))
     run.trace.append(OpExecuted("base_tx", schedule.base_tx, 0))
     budget = tx.gas_limit - schedule.base_tx
 
@@ -519,13 +539,15 @@ def _execute(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Outco
     if tx.value:
         state.transfer(actor, callee, tx.value)
 
-    ok, consumed, reason, _ = run.dispatch(callee, tx.function, list(tx.args),
-                                           tx.value, tx.actor, budget, depth=0,
-                                           elastic=True)
+    ok, consumed, reason, need, _ = run.dispatch(callee, tx.function, list(tx.args),
+                                                 tx.value, tx.actor, budget, depth=0,
+                                                 elastic=True)
     if ok:
         gas_total = schedule.base_tx + consumed
         delta = actor.balance - actor_before
         status = STATUS_SUCCESS
+        if run.reported is not None and not run.reported[0]:
+            status = failure(run.reported[1])
     else:
         state.revert(checkpoint)
         if reason == FailReason.OUT_OF_GAS:
@@ -536,5 +558,8 @@ def _execute(state: WorldState, tx: Transaction, schedule: GasSchedule) -> Outco
         status = failure(reason)
     state.commit()
     state.fee_ledger += gas_total
-    return Outcome(status, gas_total, delta, tuple(run.trace), run.sensitive_depth,
-                   run.sensitive_depth_below)
+    lo = max(run.turn, schedule.base_tx + need)
+    if status.reason == FailReason.OUT_OF_GAS and gas_total == tx.gas_limit \
+            and schedule.gasleft and schedule.call_base:
+        lo = run.turn  # out of gas below the path too, until a bound turns it
+    return Outcome(status, gas_total, delta, tuple(run.trace), (lo, run.hi))

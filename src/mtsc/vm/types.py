@@ -103,19 +103,19 @@ class Outcome:
 
     gas_consumed is the whole-transaction figure (fees accrue on it even
     for failures); balance_delta is the actor's balance change, zero for
-    any failure because state rolls back. gas_sensitive_depth is the
-    deepest frame depth at which the run could change with its gas limit,
-    -1 when it cannot; gas_sensitive_depth_below is the deepest one at
-    which a lower limit could turn a failure into a success (see the
-    interpreter's "Gas sensitivity" notes). Neither is part of a report.
+    any failure because state rolls back. limits = (lo, hi) is the run's
+    invariance range: every gas limit in it gives the same status, balance
+    delta, state changes and consumption, except that a run that consumed
+    its whole limit may consume the whole of another limit in the range
+    (see the interpreter's "Invariance ranges" notes). The default, an
+    empty range, decides no limit. Not part of a report.
     """
 
     status: Status
     gas_consumed: int
     balance_delta: int
     trace: tuple = field(default_factory=tuple)
-    gas_sensitive_depth: int = -1
-    gas_sensitive_depth_below: int = -1
+    limits: tuple = (0, -1)
 
     @property
     def ok(self) -> bool:

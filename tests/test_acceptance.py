@@ -36,15 +36,11 @@ from mtsc.detector import (
 from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
 from mtsc.mr_engine import MR1_1, MR1_2, MR2_1, MR2_2, MR2_3, EngineConfig, run_all
 from mtsc.scenario import ALL_ACTOR_KINDS, build_environment, load_scenario
-from mtsc.traces import (
-    calls_into,
-    failed_value_dispatches,
-    trace_has_gasleft,
-    trace_has_swallow,
-)
+from mtsc.traces import failed_value_dispatches, trace_has_swallow
 from mtsc.vm import FailReason, GasSchedule, Transaction, execute
 
 from conftest import CORPUS, CORPUS_SCENARIOS, FIXTURES
+from support import calls_into, trace_has_gasleft
 
 S = GasSchedule()
 LABELS = {

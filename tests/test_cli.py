@@ -312,3 +312,73 @@ def test_internal_errors_exit_three(monkeypatch, capsys, argv):
     assert code == 3  # never 1, which would claim a vulnerability
     assert out == ""
     assert err == "mtsc: internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+def test_bench_is_serial_by_default(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a default bench started a process pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    code, out, _ = run_cli(capsys, "bench", str(CORPUS), LABELS)
+    assert code == 0 and "TPR 100.00%" in out
+
+
+def test_jobs_zero_starts_one_worker_per_core(monkeypatch, capsys):
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert run_cli(capsys, "bench", str(CORPUS), LABELS, "--jobs", "0")[0] == 0
+    assert pools == [3]
+
+
+def dao_with_target_args(tmp_path, args):
+    doc = json.loads(scenario_path("simple_dao_withdraw").read_text())
+    doc["target"]["args"] = args
+    doc["sources"] = [str(CORPUS / src) for src in doc["sources"]]
+    path = tmp_path / "dao.scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# `withdraw(amount: uint)`: each of these used to run. A role crashed the
+# interpreter (exit 3), no argument gave a clean verdict with only an
+# "estimate unavailable" diagnostic, and 2**128 and true ran as numbers.
+@pytest.mark.parametrize("args,message", [
+    (["$ACTOR"], "argument amount of withdraw must be uint, got '$ACTOR'"),
+    ([], "withdraw takes 1 args, got 0"),
+    ([2**128], "argument amount of withdraw must be uint"),
+    ([True], "argument amount of withdraw must be uint, got True"),
+], ids=["role", "missing", "above-uint-max", "bool"])
+def test_mistyped_target_arguments_exit_two(tmp_path, capsys, args, message):
+    code, out, err = run_cli(capsys, "check", dao_with_target_args(tmp_path, args))
+    assert (code, out) == (2, "")
+    assert err.startswith("mtsc: error: target: ") and message in err
+
+
+def test_mistyped_setup_arguments_exit_two(tmp_path, capsys):
+    doc = json.loads(scenario_path("crowd_pay_guarded").read_text())
+    doc["sources"] = [str(CORPUS / src) for src in doc["sources"]]
+    doc["setup"][0]["args"] = [1000, "founder"]  # init(f: addr, p: uint)
+    path = tmp_path / "pay.scenario.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert "setup[0]: argument f of init must be addr, got 1000" in err
+    doc["setup"][0]["function"] = None
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 2 and "setup[0]: a call with no function takes no args" in err

@@ -9,11 +9,12 @@ from mtsc.gas_oracle import (
     allocate_reducing,
     default_initial_estimator,
     estimate_intrinsic_gas,
-    tx_runner,
 )
 from mtsc.minisol import parse
 from mtsc.traces import child_frame_gas
 from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
+
+from support import tx_runner
 
 S = GasSchedule()
 

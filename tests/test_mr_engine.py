@@ -19,7 +19,6 @@ from mtsc.mr_engine import (
     ActorInput,
     EngineConfig,
     TestPair,
-    build_pairs,
     check,
     run_all,
     run_pair,
@@ -37,6 +36,7 @@ from mtsc.vm import (
 )
 
 from conftest import CORPUS_SCENARIOS, FIXTURES, scenario_path
+from support import build_pairs, reference_sweep
 
 S = GasSchedule()
 
@@ -353,7 +353,7 @@ def test_detection_survives_a_perturbed_schedule():
         assert {v.mr_id for v in result.violations} == expected, name
 
 
-# -- the gas certificate against the full sweep --------------------------------
+# -- invariance ranges against the full sweep ----------------------------------
 
 CERTIFICATE_CONFIGS = {
     "default": (S, EngineConfig()),
@@ -372,19 +372,19 @@ def report_bytes(name, schedule, config):
     return emit_report([verdict_for(run_all(scenario, schedule, config))], fmt="json")
 
 
-# gas_certified is the one predicate behind both cuts of `_sweep` (a
-# certified source success, and a certified MR1.2 follow-up failure), so
-# patching it to False turns both off and leaves the full sweep.
+# `reference_sweep` runs every pair of an MR1.x sweep: the sweep the
+# invariance ranges cut.
 @pytest.mark.parametrize("config", sorted(CERTIFICATE_CONFIGS))
 @pytest.mark.parametrize("name", CORPUS_SCENARIOS + ["notifier_ping"])
 def test_certificate_matches_the_full_sweep(monkeypatch, name, config):
     schedule, engine = CERTIFICATE_CONFIGS[config]
     cut = report_bytes(name, schedule, engine)
-    monkeypatch.setattr(mr_engine, "gas_certified", lambda kind, outcome: False)
+    monkeypatch.setattr(mr_engine, "_sweep", reference_sweep)
     assert report_bytes(name, schedule, engine) == cut
 
 
-def test_certificate_cuts_every_gas_rigid_corpus_sweep(monkeypatch):
+def count_corpus_pairs(monkeypatch, config=EngineConfig(), names=CORPUS_SCENARIOS):
+    """run_pair calls of one corpus pass per (scenario, relation, kind)."""
     runs = Counter()
     run_pair_once = mr_engine.run_pair
 
@@ -393,42 +393,45 @@ def test_certificate_cuts_every_gas_rigid_corpus_sweep(monkeypatch):
         return run_pair_once(env, pair)
 
     monkeypatch.setattr(mr_engine, "run_pair", counted_run_pair)
-    for name in CORPUS_SCENARIOS:
-        run_all(load_scenario(scenario_path(name)), S)
+    verdicts = [verdict_for(run_all(load_scenario(scenario_path(name)), S, config))
+                for name in names]
+    return runs, verdicts
+
+
+def test_certificate_cuts_every_gas_rigid_corpus_sweep(monkeypatch):
+    runs, _ = count_corpus_pairs(monkeypatch)
+    # a sweep runs more than one pair only where the outcome changes along it
     full = {key for key, count in runs.items()
             if key[1] == MR1_2 and count > 1}
     assert full == {("crowd_pay_guarded", MR1_2, "CAH"),
                     ("simple_dao_withdraw", MR1_2, "CAH"),
-                    ("simple_dao_withdraw", MR1_2, "CAR"),
-                    ("token_ether_transfer", MR1_2, "CAH"),
-                    ("token_ether_transfer", MR1_2, "CAR")}
+                    ("token_ether_transfer", MR1_2, "CAH")}
     cut = [(name, kind) for (name, mr, kind), count in runs.items()
            if mr == MR1_2 and count == 1]
-    assert len(cut) == 15
+    assert len(cut) == 17
     assert all(runs[(name, MR1_1, kind)] == 1 for name, kind in cut)
 
 
 def test_failure_certificate_stops_the_remaining_mr12_sweeps(monkeypatch, target_runs):
-    runs = Counter()
-    run_pair_once = mr_engine.run_pair
-
-    def counted_run_pair(env, pair):
-        runs[(env.scenario.scenario_id, pair.mr_id, pair.source.kind.value)] += 1
-        return run_pair_once(env, pair)
-
-    monkeypatch.setattr(mr_engine, "run_pair", counted_run_pair)
-    for name in CORPUS_SCENARIOS:
-        run_all(load_scenario(scenario_path(name)), S)
-    # each of these sweeps plans about 1000 follow-ups and stops at the
-    # first one that fails at every lower limit
+    runs, _ = count_corpus_pairs(monkeypatch)
+    # each of these sweeps plans about 1000 follow-ups; a heavy fallback
+    # that starves lower down turns the run once, to a Revert where the
+    # target checks the call
     assert {(name, kind): count for (name, mr, kind), count in runs.items()
             if mr == MR1_2 and count > 1} == {
-        ("crowd_pay_guarded", "CAH"): 163,
-        ("simple_dao_withdraw", "CAH"): 70,
-        ("simple_dao_withdraw", "CAR"): 92,
-        ("token_ether_transfer", "CAH"): 5,
-        ("token_ether_transfer", "CAR"): 7,
+        ("crowd_pay_guarded", "CAH"): 3,
+        ("simple_dao_withdraw", "CAH"): 2,
+        ("token_ether_transfer", "CAH"): 3,
     }
-    assert sum(runs.values()) == 406
+    assert sum(runs.values()) == 67
     # estimator probes included: each distinct input runs once
-    assert len(target_runs) == 492
+    assert len(target_runs) == 153
+
+
+def test_sweep_cost_does_not_grow_with_n(monkeypatch):
+    # a plan of one follow-up per unit of gas below the intrinsic 127 822
+    name = "crowd_pay_guarded"
+    runs, fine = count_corpus_pairs(monkeypatch, EngineConfig(n=100_000), [name])
+    assert runs[(name, MR1_2, "CAH")] <= 3
+    coarse = verdict_for(run_all(load_scenario(scenario_path(name)), S, EngineConfig()))
+    assert emit_report(fine, fmt="json") == emit_report([coarse], fmt="json")

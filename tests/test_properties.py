@@ -10,7 +10,7 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 from mtsc import mr_engine, scenario
-from mtsc.agents import AgentKind, gas_certified
+from mtsc.agents import TARGET_SLOT, VALUE_SLOT, AgentKind
 from mtsc.detector import emit_report, verdict_for
 from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
 from mtsc.minisol import ast, parse, pretty, validate
@@ -18,6 +18,7 @@ from mtsc.scenario import ALL_ACTOR_KINDS
 from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
 
 from conftest import CORPUS_SCENARIOS
+from support import reference_sweep
 
 SETTINGS = dict(deadline=None, max_examples=150)
 
@@ -301,7 +302,7 @@ def test_journaled_runs_match_clone_runs(contract, gas):
     assert state.digest() == digest
 
 
-# -- the gas certificate against the full sweep, on generated contracts ---------
+# -- invariance ranges against the full sweep, on generated contracts ---------
 
 # A small block gas limit bounds the work of a generated contract that
 # calls itself more than once per frame: every call costs at least 800 gas.
@@ -316,9 +317,8 @@ def _report_or_error(path, config):
     return emit_report([verdict_for(result)], fmt="json")
 
 
-# gas_certified is the one predicate behind both cuts of the MR1.x sweeps
-# (a certified source success, and a certified MR1.2 follow-up failure),
-# so patching it to False turns both off and leaves the full sweep.
+# `reference_sweep` runs every pair of an MR1.x sweep: the sweep the
+# invariance ranges cut.
 @given(contract=journal_contracts,
        entry=st.integers(min_value=0, max_value=3),
        value=st.sampled_from([0, 0, 1, 700]),
@@ -341,8 +341,7 @@ def test_certificate_matches_the_full_sweep_on_generated_contracts(contract, ent
         # generated bodies are well-formed but untyped; run them unvalidated
         with mock.patch.object(scenario, "validate", lambda unit: []):
             cut = _report_or_error(path, config)
-            with mock.patch.object(mr_engine, "gas_certified",
-                                   lambda kind, outcome: False):
+            with mock.patch.object(mr_engine, "_sweep", reference_sweep):
                 full = _report_or_error(path, config)
     assert cut == full
 
@@ -400,12 +399,17 @@ gas_shape_sources = st.builds(
        entry=st.sampled_from(["f0", "f1", None]),
        value=st.sampled_from([0, 1, 700]))
 @settings(deadline=None, max_examples=40)
-# self-recursion until a child starts with no gas to forward: its need is
-# unbounded although it consumed nothing beyond its (zero) grant
+# self-recursion until a child starts with no gas to forward and runs dry
+# at its first charge
 @example(source=_gas_shape(["lowcall this.f0();"]), entry="f0", value=0)
 # a child within its stipend whose reserve needs more than the stipend
 @example(source=_gas_shape(["if (lowcall this.f1() value 1) { x = 1; }",
                             "lowcall this.f2() gas 5000;", ""]), entry="f0", value=0)
+# a range up to the block gas limit above a success that is not
+# upward-closed below: lower down the writes after the child run out,
+# lower still the child starves and the run takes the free branch
+@example(source=_gas_shape(["if (lowcall this.f1()) { x = 1; y = 1; } else { }",
+                            "n[msg.sender] += 1;", ""]), entry="f0", value=0)
 def test_certified_runs_repeat_above_and_fail_below(source, entry, value):
     assert validate(parse(source)) == []
     with tempfile.TemporaryDirectory() as tmp:
@@ -428,7 +432,8 @@ def test_certified_runs_repeat_above_and_fail_below(source, entry, value):
             return env.run_target(env.state.clone(), kind, limit)
 
         source_out = run(gc)
-        if not gas_certified(kind, source_out):
+        # a range that reaches the block gas limit decides every MR1.1 limit
+        if source_out.limits[1] != block:
             continue
         expected = (True, source_out.gas_consumed, source_out.balance_delta)
         for limit in {min(g, block) for g in (gc + 1, gc + 2_300, 2 * gc, block)}:
@@ -436,9 +441,28 @@ def test_certified_runs_repeat_above_and_fail_below(source, entry, value):
             assert (out.ok, out.gas_consumed, out.balance_delta) == expected, (kind, limit)
         below = sorted({max(0, gc - d) for d in range(1, 3_000, 97)}
                        | {max(0, gc - d) for d in (2_300, 5_000, 20_000, gc // 2, gc)})
-        succeeded = [run(limit).ok for limit in below]
-        # the limits that succeed are upward-closed
-        assert succeeded == sorted(succeeded), (kind, gc)
+        # what the MR1.2 sweep skips: a grid limit inside the range of a
+        # run below repeats that run, so a failure whose range reaches 0
+        # leaves no success below it
+        _assert_ranges_hold(below, [run(limit) for limit in below], (kind, gc))
+
+
+def _repeats(out, limit, again, limit_again):
+    """Whether `again`, at `limit_again`, repeats `out` as its range claims."""
+    return (again.status == out.status and again.balance_delta == out.balance_delta
+            and (again.gas_consumed == out.gas_consumed
+                 or out.gas_consumed == limit and again.gas_consumed == limit_again))
+
+
+def _assert_ranges_hold(limits, outs, label):
+    """Every run's range holds its own limit, and every grid limit in it
+    repeats the run."""
+    for limit, out in zip(limits, outs):
+        lo, hi = out.limits
+        assert lo <= limit <= hi, (label, limit, out.limits)
+        for other, again in zip(limits, outs):
+            if lo <= other <= hi:
+                assert _repeats(out, limit, again, other), (label, limit, other)
 
 
 def _gas_shape_env(source, entry, value):
@@ -458,13 +482,13 @@ def _gas_shape_env(source, entry, value):
        value=st.sampled_from([0, 1, 700]))
 @settings(deadline=None, max_examples=40)
 # the swallowed child succeeds at 100k and the run fails (Revert); at 30k
-# the child starves and the run succeeds: a succeeding child is an event
+# the child starves and the run succeeds: a succeeding child turns the run
 @example(source=_gas_shape(["if (lowcall this.f1()) { revert(); } else { }",
                             "x = 1;", ""]), entry="f0", value=0)
 # self-recursion until a child starts with no gas to forward
 @example(source=_gas_shape(["lowcall this.f0();"]), entry="f0", value=0)
 # f1 succeeds on no gas after its own child f2 starved; lower down f1
-# itself fails and f0 takes the free branch: that child is an event too
+# itself fails and f0 takes the free branch: that child turns the run too
 @example(source=_gas_shape(["if (lowcall this.f1()) { x = 1; } else { }",
                             "y = 1; lowcall this.f2();", "n[msg.sender] = 1; x = 2;"]),
          entry="f0", value=0)
@@ -480,10 +504,77 @@ def test_certified_failures_fail_at_every_lower_limit(source, entry, value):
         limits = sorted({block} | {max(0, top - d) for d in range(0, 3_000, 97)}
                         | {top * k // 16 for k in range(16)})
         outs = [run(limit) for limit in limits]
-        for out in outs:
-            assert out.gas_sensitive_depth_below <= out.gas_sensitive_depth
+        _assert_ranges_hold(limits, outs, kind)
+        # a failure whose range reaches 0 fails out of gas at every lower limit
         certified = [i for i, out in enumerate(outs)
-                     if not out.ok and gas_certified(kind, out)]
+                     if not out.ok and out.limits[0] == 0]
         if certified:
             highest = certified[-1]
             assert not any(out.ok for out in outs[:highest]), (kind, limits[highest])
+            assert all(out.status == outs[highest].status and out.gas_consumed == limit
+                       for limit, out in zip(limits[:highest], outs[:highest]))
+
+
+# The gas-shape idioms, plus gasleft() in every other position: on the
+# right of a comparison, against a non-literal, inside arithmetic, and
+# as a stored value.
+_gasleft_uses = st.one_of(
+    _gas.map(lambda g: f"require({g} < gasleft());"),
+    _gas.map(lambda g: f"if (gasleft() == {g}) {{ x = 2; }} else {{ }}"),
+    _gas.map(lambda g: f"if (gasleft() - {g} > 1) {{ x = 3; }} else {{ }}"),
+    st.just("require(gasleft() > y);"),
+    st.just("y = gasleft();"),
+)
+_range_stmts = st.recursive(
+    st.sampled_from(["x = 1;", "x += 1;", "y = 7;", "n[msg.sender] += 1;",
+                     "emit E();", "require(x < 3);", "revert();"]),
+    lambda children: st.one_of(children, _gas_stmt(children), _gasleft_uses),
+    max_leaves=8)
+_range_body = st.lists(_range_stmts, max_size=4).map(" ".join)
+range_shape_sources = st.builds(
+    _gas_shape, st.lists(_range_body, min_size=GAS_FNS, max_size=GAS_FNS), _range_body)
+
+
+def _observe(env, kind, limit):
+    """The outcome of a run on a clone of the context, and the digest of
+    the state it leaves: fees, and an agent wrapper's own bookkeeping
+    slots, aside."""
+    state = env.state.clone()
+    out = env.run_target(state, kind, limit)
+    state.fee_ledger = env.state.fee_ledger
+    if kind != AgentKind.EOA:
+        storage = state.account(env.actor_accounts[kind]).storage
+        for slot in (TARGET_SLOT, VALUE_SLOT):
+            storage.pop(slot, None)
+    return out, state.digest()
+
+
+@given(source=range_shape_sources,
+       entry=st.sampled_from(["f0", "f1", None]),
+       value=st.sampled_from([0, 1, 700]),
+       kind=st.sampled_from(ALL_ACTOR_KINDS),
+       at=st.floats(min_value=0.0, max_value=1.2),
+       inside=st.floats(min_value=0.0, max_value=1.0))
+@settings(deadline=None, max_examples=80)
+# a read that holds bounds the range below, one that fails bounds it above
+@example(source=_gas_shape(["require(gasleft() > 0);", "", ""]), entry="f0",
+         value=0, kind=AgentKind.EOA, at=1.0, inside=0.0)
+@example(source=_gas_shape(["if (gasleft() > 60000) { x = 1; } else { }", "", ""]),
+         entry="f0", value=0, kind=AgentKind.EOA, at=0.9, inside=0.0)
+# a forward-all child that starves bounds the range above: the agent's
+# call into the target, and a self-call
+@example(source=_gas_shape(["", "x = 1;", ""]), entry="f1", value=0,
+         kind=AgentKind.CAO, at=0.75, inside=0.0)
+@example(source=_gas_shape(["lowcall this.f1();", "x = 1;", ""]), entry="f0",
+         value=0, kind=AgentKind.EOA, at=0.75, inside=0.0)
+def test_every_limit_in_a_range_repeats_the_run(source, entry, value, kind, at, inside):
+    env = _gas_shape_env(source, entry, value)
+    block = env.schedule.block_gas_limit
+    limit = min(block, int(at * env.run_target(env.state.clone(), kind, block).gas_consumed))
+    out, digest = _observe(env, kind, limit)
+    lo, hi = out.limits
+    assert lo <= limit <= hi
+    for other in {lo, hi, lo + int((hi - lo) * inside), max(lo, limit - 1), min(hi, limit + 1)}:
+        again, digest_again = _observe(env, kind, other)
+        assert _repeats(out, limit, again, other), (other, again.status, again.gas_consumed)
+        assert digest_again == digest, other

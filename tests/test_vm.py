@@ -21,6 +21,7 @@ from mtsc.vm import (
     WorldState,
     deploy,
     execute,
+    failure,
     load_schedule,
 )
 
@@ -572,7 +573,9 @@ def test_gas_limit_independence_without_gasleft_or_swallows():
                (base.ok, base.gas_consumed, base.balance_delta)
 
 
-# -- gas sensitivity ----------------------------------------------------------
+# -- invariance ranges --------------------------------------------------------
+# An *event* in these tests' names is a gas-dependent decision that bounds
+# the run's invariance range (`Outcome.limits`).
 
 GAS_PROBES = """
 contract Reader {
@@ -609,46 +612,85 @@ def gas_probes():
     return state, actor, reader, caller
 
 
-def sensitive_depth(gas_probes, fn, *args):
+def probe(gas_probes, fn, *args, gas=AMPLE):
     state, actor, _, caller = gas_probes
-    out = run(state.clone(), actor, caller, fn, args)
+    return run(state.clone(), actor, caller, fn, args, gas=gas)
+
+
+def bound_by_a_read(gas_probes, fn, *args):
+    """Whether a `gasleft() > 0` read bounds the range of a successful
+    run: the read holds only while a unit of gas is left at it, one unit
+    above the run's consumption."""
+    out = probe(gas_probes, fn, *args)
     assert out.ok
-    return out.gas_sensitive_depth
+    lo, hi = out.limits
+    assert hi == AMPLE
+    assert lo in (out.gas_consumed, out.gas_consumed + 1)
+    return lo == out.gas_consumed + 1
+
+
+def fails_below_down_to_zero(gas_probes, fn, *args):
+    """A limit below the run's consumption fails out of gas, and its range
+    reaches 0: no gas-dependent decision turns the run lower down."""
+    ample = probe(gas_probes, fn, *args)
+    starved = probe(gas_probes, fn, *args, gas=ample.gas_consumed - 1)
+    return starved.status.reason == FailReason.OUT_OF_GAS and starved.limits[0] == 0
 
 
 def test_gasleft_in_the_top_frame_is_an_event(gas_probes):
-    assert sensitive_depth(gas_probes, "top") == 0
+    assert bound_by_a_read(gas_probes, "top")
+    assert probe(gas_probes, "top", gas=probe(gas_probes, "top").gas_consumed).status \
+        == failure(FailReason.REQUIRE_FAILED)
 
 
 @pytest.mark.parametrize("fn", ["via_send", "via_transfer"])
 def test_gasleft_under_a_stipend_call_is_not_an_event(gas_probes, fn):
     reader = gas_probes[2]
-    assert sensitive_depth(gas_probes, fn, reader) == -1
+    assert not bound_by_a_read(gas_probes, fn, reader)
+    assert fails_below_down_to_zero(gas_probes, fn, reader)
 
 
 def test_gasleft_under_a_forward_all_lowcall_is_an_event(gas_probes):
     reader = gas_probes[2]
-    assert sensitive_depth(gas_probes, "via_lowcall", reader) == 1
+    assert bound_by_a_read(gas_probes, "via_lowcall", reader)
+    # one unit lower the child's read fails, and the caller goes on
+    assert probe(gas_probes, "via_lowcall", reader,
+                 gas=probe(gas_probes, "via_lowcall", reader).gas_consumed - 1).ok
 
 
 def test_forward_all_lowcall_into_an_eoa_is_not_an_event(gas_probes):
     actor = gas_probes[1]
-    assert sensitive_depth(gas_probes, "via_lowcall", actor) == -1
+    assert not bound_by_a_read(gas_probes, "via_lowcall", actor)
+    assert fails_below_down_to_zero(gas_probes, "via_lowcall", actor)
 
 
 def test_reserve_call_is_not_an_event(gas_probes):
     reader = gas_probes[2]
-    assert sensitive_depth(gas_probes, "via_reserve", reader) == -1
+    out = probe(gas_probes, "via_reserve", reader)
+    # the reserve, not the read in its fixed-budget child, sets the lower end
+    assert out.limits == (S.base_tx + op_sum("dispatch", "call_base") + 2_300, AMPLE)
+    below = probe(gas_probes, "via_reserve", reader, gas=out.limits[0] - 1)
+    assert below.status.reason == FailReason.OUT_OF_GAS and below.limits[0] == 0
 
 
 def test_forward_all_dcall_is_not_an_event(gas_probes):
     reader = gas_probes[2]
-    assert sensitive_depth(gas_probes, "via_dcall", reader) == -1
+    out = probe(gas_probes, "via_dcall", reader)
+    assert out.limits == (out.gas_consumed, AMPLE)
+    # a child that starves lower down fails its caller too
+    assert fails_below_down_to_zero(gas_probes, "via_dcall", reader)
 
 
 def test_swallowed_heavy_lowcall_is_an_event(gas_probes):
     reader = gas_probes[2]
-    assert sensitive_depth(gas_probes, "via_heavy_lowcall", reader) == 0
+    ample = probe(gas_probes, "via_heavy_lowcall", reader)
+    assert ample.limits == (ample.gas_consumed, AMPLE)
+    # a unit lower the child starves, the caller goes on dry and succeeds,
+    # consuming its whole limit; a limit higher by the shortfall pays it
+    gas = ample.gas_consumed - 1
+    starved = probe(gas_probes, "via_heavy_lowcall", reader, gas=gas)
+    assert starved.ok and starved.gas_consumed == gas
+    assert starved.limits == (S.base_tx + op_sum("dispatch", "call_base", "dispatch"), gas)
 
 
 def test_swallowed_child_needing_reserve_headroom_is_an_event(gas_probes):
@@ -661,16 +703,20 @@ def test_swallowed_child_needing_reserve_headroom_is_an_event(gas_probes):
         return run(state.clone(), actor, caller, "via_relay", (reader, actor), gas=gas)
 
     ample = relay(AMPLE)
-    assert ample.ok and ample.gas_sensitive_depth == 0
+    assert ample.ok and ample.limits == (ample.gas_consumed, AMPLE)
     (child,) = [ev for ev in ample.trace
                 if isinstance(ev, CallExited) and ev.depth == 0]
     assert child.success and child.gas_used < S.stipend
-    assert not relay(ample.gas_consumed - 1).ok
+    short = relay(ample.gas_consumed - 1)
+    assert short.status.reason == FailReason.OUT_OF_GAS
+    # out of gas down to where the child's reserve turns the run
+    lo = short.limits[0]
+    assert lo > 0 and not relay(lo).ok and relay(lo - 1).ok
     assert relay(op_sum("base_tx", "dispatch", "call_base",
                         "value_transfer_surcharge") + 1_000).ok
 
 
-# -- gas sensitivity below a failing run ---------------------------------------
+# -- invariance ranges below a failing run ---------------------------------------
 
 BELOW_PROBES = """
 contract Probe {
@@ -679,7 +725,7 @@ contract Probe {
     fn heavy_revert() { x = 1; revert(); }
     fn read() { require(gasleft() > 0); }
     fn relay() { y = 1; lowcall this.heavy(); }
-    fn top_read() { require(gasleft() > 1000000000); }
+    fn top_read() { require(gasleft() > 100000); }
     fn after_read() { lowcall this.read(); revert(); }
     fn after_heavy() { lowcall this.heavy(); revert(); }
     fn after_revert() { lowcall this.heavy_revert(); revert(); }
@@ -701,21 +747,23 @@ def below_probes():
     return probe_run
 
 
-def depths(out):
-    return out.gas_sensitive_depth, out.gas_sensitive_depth_below
-
-
 def child_exits(out, depth=0):
     return [ev for ev in out.trace if isinstance(ev, CallExited) and ev.depth == depth]
 
 
 def test_gasleft_is_an_event_above_and_below(below_probes):
-    top = below_probes("top_read")
+    # a read that fails holds at every lower limit: it bounds the range above
+    top = below_probes("top_read", gas=100_000)
     assert top.status.reason == FailReason.REQUIRE_FAILED
-    assert depths(top) == (0, 0)
+    lo, hi = top.limits
+    assert lo == top.gas_consumed and hi < AMPLE
+    # one unit higher the read sees the literal itself, a range of its own
+    assert below_probes("top_read", gas=hi + 1).limits == (hi + 1, hi + 1)
+    assert below_probes("top_read", gas=hi + 2).ok
+    # a read that holds bounds it below: one unit lower the read fails
     nested = below_probes("after_read")
     assert nested.status.reason == FailReason.REVERT
-    assert depths(nested) == (1, 1)
+    assert nested.limits == (nested.gas_consumed + 1, AMPLE)
 
 
 def test_swallowed_child_that_succeeded_beyond_its_grant_is_an_event_below(below_probes):
@@ -723,7 +771,11 @@ def test_swallowed_child_that_succeeded_beyond_its_grant_is_an_event_below(below
     assert out.status.reason == FailReason.REVERT
     (child,) = child_exits(out)
     assert child.success and child.gas_used > 0
-    assert depths(out) == (0, 0)
+    # the child's need sets the lower end; one unit lower it starves
+    lo = out.limits[0]
+    assert lo == out.gas_consumed
+    (starved,) = child_exits(below_probes("after_heavy", gas=lo - 1))
+    assert starved.reason == FailReason.OUT_OF_GAS
 
 
 def test_starved_swallowed_child_is_an_event_above_only(below_probes):
@@ -732,7 +784,11 @@ def test_starved_swallowed_child_is_an_event_above_only(below_probes):
     (child,) = child_exits(starved)
     assert child.reason == FailReason.OUT_OF_GAS
     assert not starved.ok
-    assert depths(starved) == (0, -1)
+    # a limit higher by the child's shortfall lets it finish
+    hi = starved.limits[1]
+    assert hi < AMPLE
+    assert child_exits(below_probes("after_heavy", gas=hi))[0].reason == FailReason.OUT_OF_GAS
+    assert child_exits(below_probes("after_heavy", gas=hi + 1))[0].success
     for gas in range(0, starved.gas_consumed, 997):
         assert not below_probes("after_heavy", gas=gas).ok
 
@@ -741,7 +797,7 @@ def test_swallowed_child_that_failed_is_an_event_above_only(below_probes):
     out = below_probes("after_revert")
     (child,) = child_exits(out)
     assert child.reason == FailReason.REVERT and child.gas_used > 0
-    assert depths(out) == (0, -1)
+    assert out.limits == (out.gas_consumed, AMPLE)
     for gas in range(0, out.gas_consumed, 997):
         assert not below_probes("after_revert", gas=gas).ok
 
@@ -756,8 +812,11 @@ def test_child_succeeding_after_its_own_child_starved_is_an_event_below(below_pr
             and [ev.success for ev in child_exits(out)] == [True]]
     assert runs
     for gas, out in runs:
-        assert depths(out) == (1, 0), gas
-        assert any(by_gas[lower].ok for lower in by_gas if lower < gas)
+        # out of gas down to where relay's own need turns the run
+        lo = out.limits[0]
+        assert out.status.reason == FailReason.OUT_OF_GAS and lo > 0, gas
+        assert all(by_gas[other].status == out.status for other in by_gas if lo <= other <= gas)
+        assert any(by_gas[lower].ok for lower in by_gas if lower < lo)
 
 
 def _pairs(trace):
