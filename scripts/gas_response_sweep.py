@@ -12,9 +12,10 @@ relations test for.
 Every run reports its invariance range, the gas limits that give the
 same outcome. The script prints the range of the source run at the
 intrinsic gas, then the follow-ups the engine's MR1.2 sweep (default
-subdivisions) runs: each skips the plan limits inside the range of the
-one before, and the sweep stops at a follow-up that succeeds. Each row
-of the response table also shows its run's range.
+subdivisions) runs: `mr_engine.sweep` slices past the plan limits inside
+the range of the one before, and the sweep stops at its first violation,
+a follow-up that succeeds. Each row of the response table also shows its
+run's range.
 
 Usage:
     python3 scripts/gas_response_sweep.py corpus/simple_dao_withdraw.scenario.json CAR
@@ -28,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from mtsc import mr_engine  # noqa: E402
 from mtsc.agents import AgentKind  # noqa: E402
 from mtsc.gas_oracle import (  # noqa: E402
     NeverSucceeds,
@@ -60,16 +62,14 @@ def main(argv=None) -> int:
           f"(trials={gc.trials}, converged={gc.converged})")
     lo, hi = env.run(kind, gc.value).limits
     print(f"source range: [{lo}, {hi}]")
-    decided = range(0)
-    for limit in allocate_reducing(gc.value).limits:
-        if limit in decided:
-            continue
-        out = env.run(kind, limit, keep=False)
+    for done in mr_engine.sweep(env, mr_engine.MR1_2, kind, gc.value,
+                                allocate_reducing(gc.value)):
+        out = done.follow_outcome
         lo, hi = out.limits
-        print(f"MR1.2 follow-up {limit}: {out.status}, range [{lo}, {hi}]")
-        if out.ok:
+        print(f"MR1.2 follow-up {done.follow_up.gas_limit}: {out.status}, "
+              f"range [{lo}, {hi}]")
+        if mr_engine.check(done) is not None:
             break  # a violation ends the sweep
-        decided = range(lo, hi + 1)
     print()
 
     lo = max(0, gc.value - 5 * max(1, gc.value // args.points))

@@ -92,7 +92,7 @@ def _parse_args(argv):
 def _build_config(args) -> Config:
     if args.n < 1 or args.inc_count < 1:
         raise UsageError("--n and --inc-count must be at least 1")
-    if args.growth <= 1.0:
+    if not args.growth > 1.0:  # NaN included
         raise UsageError("--growth must exceed 1")
     if args.cah_iterations < 1:
         raise UsageError("--cah-iterations must be at least 1")

@@ -1,4 +1,4 @@
-"""Intrinsic-gas estimation and the gas-allocation plans for MR1.x.
+"""Intrinsic-gas estimation and the MR1.x gas-allocation plans, `range`s.
 
 The estimator probes a transaction's exact gas requirement dynamically:
 grow the limit geometrically until a run succeeds, then verify the
@@ -37,16 +37,7 @@ class NeverSucceeds(Exception):
 class IntrinsicGas:
     value: int        # smallest verified-sufficient gas limit
     trials: int       # probes made, a probe answered from a memo included
-    converged: bool   # final probe consumed exactly its limit
-
-
-@dataclass(frozen=True)
-class AllocationPlan:
-    direction: str              # "Increasing" | "Reducing"
-    limits: tuple
-    step: int
-    n: int
-    warning: Optional[str] = None
+    converged: bool   # True on every return; estimate-v1 prints it
 
 
 def default_initial_estimator(runner: Runner, schedule: GasSchedule) -> int:
@@ -67,11 +58,11 @@ def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
     The first probe runs at `first_limit`, by default the rough estimate
     of `default_initial_estimator`. Raises NeverSucceeds if the
     transaction fails at the block gas limit. The result satisfies:
-    executing at `value` succeeds. When the final probe consumed exactly
-    its limit the result is flagged converged; gas-rigid transactions
-    then also fail at `value - 1`.
+    executing at `value` succeeds, verified by a probe. Every result is
+    flagged converged, whether the final probe consumed exactly its limit
+    or the success boundary was bisected.
     """
-    if growth <= 1.0:
+    if not growth > 1.0:  # NaN included
         raise ValueError("growth factor must exceed 1")
     trials = 0
 
@@ -93,7 +84,7 @@ def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
             break
         if limit >= block:
             raise NeverSucceeds(out.status)
-        limit = min(int(limit * growth) + 1, block)
+        limit = block if limit * growth >= block else int(limit * growth) + 1
 
     # verification phase: the reported value must itself suffice
     last_good = limit
@@ -122,25 +113,17 @@ def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
 
 
 def allocate_increasing(gc: int, count: int = 5,
-                        block_gas_limit: int = GasSchedule().block_gas_limit) -> AllocationPlan:
-    """Follow-up limits {2*gc, 3*gc, ...} capped at the block limit."""
+                        block_gas_limit: int = GasSchedule().block_gas_limit) -> range:
+    """Follow-up limits {2*gc, 3*gc, ...}, at most `count` of them, capped at
+    the block limit; empty when 2*gc exceeds it."""
     if gc < 1:
         raise ValueError("intrinsic gas must be at least 1")
-    limits = []
-    k = 2
-    while len(limits) < count and k * gc <= block_gas_limit:
-        limits.append(k * gc)
-        k += 1
-    warning = None
-    if not limits:
-        warning = f"2*{gc} exceeds the block gas limit {block_gas_limit}"
-    return AllocationPlan("Increasing", tuple(limits), step=gc, n=count,
-                          warning=warning)
+    return range(2 * gc, min(count + 1, block_gas_limit // gc) * gc + 1, gc)
 
 
-def allocate_reducing(gc: int, n: int = 1000) -> AllocationPlan:
+def allocate_reducing(gc: int, n: int = 1000) -> range:
     """Follow-up limits descending from gc in n even steps down to >= 0."""
     if gc < 1 or n < 1:
         raise ValueError("gc and n must be at least 1")
     step = max(1, gc // n)
-    return AllocationPlan("Reducing", tuple(range(gc - step, -1, -step)), step=step, n=n)
+    return range(gc - step, -1, -step)

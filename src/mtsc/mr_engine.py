@@ -27,11 +27,13 @@ outcomes.
 Sweeps stop at their first violation. Every run reports its invariance
 range (`Outcome.limits`, see the interpreter's "Invariance ranges"
 notes): the gas limits at which it gives the same status, consumption
-and balance delta. An MR1.x sweep skips the plan limits that lie in the
-range of its last follow-up, which held against the source, so they
-hold as well, and every follow-up it does run is a real run. Along the
-plans of the corpus the outcome changes once or twice, so a sweep runs
-one to three pairs whatever `n` is.
+and balance delta. An MR1.x plan is a `range` of follow-up limits, and
+`sweep` yields its pairs in plan order. After each pair it slices the
+plan past the range of that follow-up, which held against the source,
+so the limits sliced off hold as well; it never visits them, and every
+follow-up it yields is a real run. Along the plans of the corpus the
+outcome changes once or twice, so a sweep runs one to three pairs, in
+about the same time, whatever `n` is.
 """
 
 from __future__ import annotations
@@ -172,27 +174,19 @@ def check(pair: TestPair) -> Optional[ViolationRecord]:
     raise ValueError(f"unknown relation {mr!r}")
 
 
-def _sweep(env: Environment, mr: str, kind: AgentKind, gc: int, plan,
-           violations) -> None:
-    """Run one MR1.x sweep in order, source at gc and follow-ups along the
-    plan, stopping at the first violation. A follow-up limit inside the
-    invariance range of the last follow-up run is skipped: that follow-up
-    held, and this one would give the same outcome."""
+def sweep(env: Environment, mr: str, kind: AgentKind, gc: int, plan: range):
+    """Yield the run pairs of one MR1.x sweep in plan order: source at gc,
+    follow-ups along the plan. Each pair slices the plan past its
+    follow-up's invariance range, which is sound while the pairs hold:
+    the caller stops at the first violation."""
     addr = env.actor_accounts[kind]
     source = ActorInput(kind, addr, gc)
-    decided = range(0)
-    for g in plan.limits:
-        if g in decided:
-            continue
+    while plan:
+        g = plan[0]
         done = run_pair(env, TestPair(mr, source, ActorInput(kind, addr, g)))
-        violation = check(done)
-        if violation is not None:
-            violations.append(violation)
-            return
+        yield done
         lo, hi = done.follow_outcome.limits
-        if lo <= plan.limits[-1] <= hi:
-            return  # plans are monotone: every limit left lies in the range
-        decided = range(lo, hi + 1)
+        plan = plan[1 + (g - lo if plan.step < 0 else hi - g) // abs(plan.step):]
 
 
 def run_all(scenario: Scenario, schedule: GasSchedule,
@@ -218,15 +212,20 @@ def run_all(scenario: Scenario, schedule: GasSchedule,
                 continue
             increasing = allocate_increasing(gc.value, config.inc_count,
                                              schedule.block_gas_limit)
-            if increasing.warning:
-                diagnostics.append(Diagnostic(f"MR1.1/{kind.value}", increasing.warning))
+            if not increasing:
+                diagnostics.append(Diagnostic(f"MR1.1/{kind.value}", f"2*{gc.value} exceeds "
+                                              f"the block gas limit {schedule.block_gas_limit}"))
             plans[kind] = (gc.value, {MR1_1: increasing,
                                       MR1_2: allocate_reducing(gc.value, config.n)})
 
     for mr in (MR1_1, MR1_2):
         if mr in mrs:
             for kind, (gc, by_mr) in plans.items():
-                _sweep(env, mr, kind, gc, by_mr[mr], violations)
+                for done in sweep(env, mr, kind, gc, by_mr[mr]):
+                    violation = check(done)
+                    if violation is not None:
+                        violations.append(violation)
+                        break
     for pair in mr2_pairs(env, mrs):
         violation = check(run_pair(env, pair))
         if violation is not None:

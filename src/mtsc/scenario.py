@@ -24,7 +24,8 @@ Schema (JSON object, unknown keys rejected):
 Role strings in `actor`, `callee`, and `args` resolve to addresses:
 contract names to their deployment, other balance keys to EOAs. The
 arguments of the target and of every setup entry must fit the called
-function's parameters.
+function's parameters. Balances and values, like every amount the VM
+holds, lie in [0, UINT_MAX].
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ def _parse_template(obj: dict, where: str, need_actor: bool) -> TxTemplate:
     for a in args:
         _require(isinstance(a, (int, bool, str)), f"{where}: bad argument {a!r}")
     value = obj.get("value", 0)
-    _require(isinstance(value, int) and not isinstance(value, bool) and value >= 0,
-             f"{where}: value must be a non-negative integer")
+    _require(type(value) is int and 0 <= value <= UINT_MAX,
+             f"{where}: value must be an integer in [0, 2**128 - 1]")
     return TxTemplate(actor=obj.get("actor", ACTOR), callee=obj["callee"],
                       function=function, args=tuple(args), value=value)
 
@@ -128,8 +129,8 @@ def load_scenario(path) -> Scenario:
     _require(isinstance(balances, dict), f"{path}: balances must be an object")
     for role, amount in balances.items():
         _require(isinstance(role, str), f"{path}: balance roles must be strings")
-        _require(isinstance(amount, int) and not isinstance(amount, bool)
-                 and amount >= 0, f"{path}: balance of {role!r} must be a non-negative int")
+        _require(type(amount) is int and 0 <= amount <= UINT_MAX,
+                 f"{path}: balance of {role!r} must be an integer in [0, 2**128 - 1]")
     setup = [
         _parse_template(entry, f"{path}: setup[{i}]", need_actor=True)
         for i, entry in enumerate(raw.get("setup", []))

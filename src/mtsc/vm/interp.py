@@ -62,8 +62,9 @@ bound on G, and the run reports the range they leave as
   repeat their path, at call exits;
 * a frame or forward-all child that runs dry bounds G from above: a
   limit higher by the shortfall pays what it could not;
-* `gasleft()` compared directly with a literal bounds G on the side that
-  keeps the comparison's result; any other use pins G to the limit.
+* `gasleft()` compared directly with a literal bounds G between the
+  *cuts* around the gas it reads, the gas values at which the comparison
+  changes its result (`GAS_CUTS`); any other use pins G to the limit.
 
 Every limit in the range follows the run's path, so it keeps the run's
 status, balance delta, state changes and consumption, which is the
@@ -111,6 +112,12 @@ from .types import (
 )
 
 MAX_CALL_DEPTH = 128  # frames 0..127; entering deeper fails DepthExceeded
+
+# Offsets from a literal c of the cuts of `gasleft() OP c`: gas below a cut
+# and gas at or above it give different results. `c OP gasleft()` has
+# the cuts of its mirror image.
+GAS_CUTS = {">": (1,), "<=": (1,), ">=": (0,), "<": (0,), "==": (0, 1), "!=": (0, 1)}
+MIRROR = {">": "<", "<": ">", ">=": "<=", "<=": ">=", "==": "==", "!=": "!="}
 
 # Python frames the interpreter may stack, which `execute` adds to the
 # recursion limit for the length of a run. Per MiniSol call frame: per
@@ -185,19 +192,20 @@ class _Run:
         frame.gas = 0
         raise _FrameFail(FailReason.OUT_OF_GAS)
 
-    def read_gas(self, frame: _Frame, literal: Optional[int] = None) -> int:
-        """`gasleft()`, compared with `literal` when one is given."""
+    def read_gas(self, frame: _Frame, cuts=()) -> int:
+        """`gasleft()`, feeding a comparison with these cuts if any."""
         self.charge(frame, "gasleft", self.sched.gasleft)
         gas = frame.gas
         if frame.elastic:
-            # the comparison keeps its result while the gas stays on the
-            # same side of the literal; any other use needs this exact gas
-            if literal is None or gas == literal:
+            # the comparison keeps its result while the gas stays between
+            # the cuts around it; any other use needs this exact gas
+            if not cuts:
                 self.hi = self.turn = self.limit
-            elif gas < literal:
-                self.hi = min(self.hi, self.limit + literal - 1 - gas)
-            else:
-                self.turn = max(self.turn, self.limit - gas + literal + 1)
+            for cut in cuts:
+                if cut <= gas:
+                    self.turn = max(self.turn, self.limit - gas + cut)
+                else:
+                    self.hi = min(self.hi, self.limit + cut - 1 - gas)
         return gas
 
     # -- expressions ---------------------------------------------------------
@@ -280,9 +288,11 @@ class _Run:
         self.charge(frame, "compare", self.sched.compare)
         left, right = e.left, e.right
         if type(left) is ast.GasLeft and type(right) is ast.IntLit:
-            left, right = self.read_gas(frame, right.value), right.value
+            c = right.value
+            left, right = self.read_gas(frame, [c + d for d in GAS_CUTS[op]]), c
         elif type(right) is ast.GasLeft and type(left) is ast.IntLit:
-            left, right = left.value, self.read_gas(frame, left.value)
+            c = left.value
+            left, right = c, self.read_gas(frame, [c + d for d in GAS_CUTS[MIRROR[op]]])
         else:
             left = self.eval(frame, left)
             right = self.eval(frame, right)

@@ -1,10 +1,11 @@
-"""Test-only helpers: the uncut reference sweep, whole-plan pair
-construction, trace queries and a runner for a bare transaction."""
+"""Test-only helpers: the uncut reference sweep, the plans as loops,
+whole-plan pair construction, trace queries and a runner for a bare
+transaction."""
 
 from dataclasses import replace
 
 from mtsc import mr_engine
-from mtsc.mr_engine import MR1_1, MR1_2, ActorInput, TestPair, check, mr2_pairs
+from mtsc.mr_engine import MR1_1, MR1_2, ActorInput, TestPair, mr2_pairs
 from mtsc.vm import CallEntered, OpExecuted
 from mtsc.vm import execute as vm_execute
 
@@ -13,18 +14,35 @@ def sweep_pairs(env, mr, kind, gc, plan):
     """Lazily yield one MR1.x sweep: source at gc, follow-ups along the plan."""
     addr = env.actor_accounts[kind]
     source = ActorInput(kind, addr, gc)
-    for g in plan.limits:
+    for g in plan:
         yield TestPair(mr, source, ActorInput(kind, addr, g))
 
 
-def reference_sweep(env, mr, kind, gc, plan, violations):
-    """`mr_engine._sweep` without invariance ranges: every pair in order,
-    up to the first violation. Report differentials patch it in."""
+def reference_sweep(env, mr, kind, gc, plan):
+    """`mr_engine.sweep` without invariance ranges: every pair of the plan,
+    in order. Report differentials patch it in."""
     for pair in sweep_pairs(env, mr, kind, gc, plan):
-        violation = check(mr_engine.run_pair(env, pair))
-        if violation is not None:
-            violations.append(violation)
-            return
+        yield mr_engine.run_pair(env, pair)
+
+
+def loop_increasing(gc, count, block_gas_limit):
+    """`allocate_increasing` as a loop: {2*gc, 3*gc, ...}, at most `count`
+    limits, none above the block limit."""
+    limits, k = [], 2
+    while len(limits) < count and k * gc <= block_gas_limit:
+        limits.append(k * gc)
+        k += 1
+    return tuple(limits)
+
+
+def loop_reducing(gc, n):
+    """`allocate_reducing` as a loop: from gc down in steps of gc // n (at
+    least 1), every limit down to 0 that the steps reach."""
+    step, limits, g = max(1, gc // n), [], gc
+    while g - step >= 0:
+        g -= step
+        limits.append(g)
+    return tuple(limits)
 
 
 def build_pairs(env, estimates: dict, plans: dict, mrs, mr1_actors) -> list:

@@ -10,6 +10,8 @@ from mtsc import cli
 from mtsc.cli import main
 from mtsc.mr_engine import EngineConfig
 from mtsc.minisol.parser import MAX_NESTING
+from mtsc.scenario import load_scenario
+from mtsc.vm import UINT_MAX
 
 from conftest import CORPUS, CORPUS_SCENARIOS, FIXTURES, scenario_path
 
@@ -54,6 +56,15 @@ def test_check_rejects_bad_flags(capsys):
     assert run_cli(capsys, "check", path, "--mr", "MR9.9")[0] == 2
     assert run_cli(capsys, "check", path, "--mr1-actors", "XYZ")[0] == 2
     assert run_cli(capsys, "check", path, "--car-gas-guard", "100")[0] == 2
+
+
+def test_growth_beyond_floats_gets_a_verdict(capsys):
+    # these used to exit 3: a growth step converted inf (or an overflowing
+    # product) or NaN to an int
+    path = str(scenario_path("simple_dao_withdraw"))
+    assert run_cli(capsys, "check", path, "--growth", "nan")[0] == 2
+    for growth in ("inf", "1e308"):
+        assert run_cli(capsys, "check", path, "--growth", growth)[0] in (0, 1), growth
 
 
 def test_mr_filter_restricts_the_run(capsys):
@@ -345,13 +356,18 @@ def test_jobs_zero_starts_one_worker_per_core(monkeypatch, capsys):
     assert pools == [3]
 
 
-def dao_with_target_args(tmp_path, args):
+def edited_dao(tmp_path, edit):
+    """A copy of simple_dao_withdraw with `edit(doc)` applied to its JSON."""
     doc = json.loads(scenario_path("simple_dao_withdraw").read_text())
-    doc["target"]["args"] = args
     doc["sources"] = [str(CORPUS / src) for src in doc["sources"]]
+    edit(doc)
     path = tmp_path / "dao.scenario.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def dao_with_target_args(tmp_path, args):
+    return edited_dao(tmp_path, lambda doc: doc["target"].update(args=args))
 
 
 # `withdraw(amount: uint)`: each of these used to run. A role crashed the
@@ -367,6 +383,26 @@ def test_mistyped_target_arguments_exit_two(tmp_path, capsys, args, message):
     code, out, err = run_cli(capsys, "check", dao_with_target_args(tmp_path, args))
     assert (code, out) == (2, "")
     assert err.startswith("mtsc: error: target: ") and message in err
+
+
+# The VM holds balances and values in 128 bits; a 2**200 balance used to
+# load and get a verdict.
+AMOUNTS = {
+    "contract-balance": lambda doc, v: doc["balances"].update(SimpleDAO=v),
+    "actor-balance": lambda doc, v: doc["balances"].update({"$ACTOR": v}),
+    "setup-value": lambda doc, v: doc["setup"][0].update(value=v),
+    "target-value": lambda doc, v: doc["target"].update(value=v),
+}
+
+
+@pytest.mark.parametrize("where", sorted(AMOUNTS))
+def test_amounts_above_uint_max_exit_two(tmp_path, capsys, where):
+    path = edited_dao(tmp_path, lambda doc: AMOUNTS[where](doc, UINT_MAX + 1))
+    code, out, err = run_cli(capsys, "check", path)
+    assert (code, out) == (2, "")
+    assert "must be an integer in [0, 2**128 - 1]" in err
+    path = edited_dao(tmp_path, lambda doc: AMOUNTS[where](doc, UINT_MAX))
+    load_scenario(path)
 
 
 def test_mistyped_setup_arguments_exit_two(tmp_path, capsys):

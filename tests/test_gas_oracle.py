@@ -1,6 +1,7 @@
 """Intrinsic-gas estimation and allocation plans."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtsc.agents import AgentKind
 from mtsc.gas_oracle import (
@@ -14,7 +15,7 @@ from mtsc.minisol import parse
 from mtsc.traces import child_frame_gas
 from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
 
-from support import tx_runner
+from support import loop_increasing, loop_reducing, tx_runner
 
 S = GasSchedule()
 
@@ -152,44 +153,53 @@ def test_child_frame_gas_counts_outermost_low_level_frames():
 
 def test_increasing_plan_formula():
     plan = allocate_increasing(50_000, count=3, block_gas_limit=30_000_000)
-    assert plan.limits == (100_000, 150_000, 200_000)
-    assert plan.direction == "Increasing"
-    assert plan.warning is None
-    assert all(b - a >= 50_000 for a, b in zip(plan.limits, plan.limits[1:]))
-    assert all(50_000 < g <= 30_000_000 for g in plan.limits)
+    assert tuple(plan) == (100_000, 150_000, 200_000)
+    assert all(b - a >= 50_000 for a, b in zip(plan, plan[1:]))
+    assert all(50_000 < g <= 30_000_000 for g in plan)
 
 
 def test_increasing_plan_minimal_gc():
-    assert allocate_increasing(1).limits == (2, 3, 4, 5, 6)
+    assert tuple(allocate_increasing(1)) == (2, 3, 4, 5, 6)
 
 
-def test_increasing_plan_empty_with_warning():
-    plan = allocate_increasing(20_000_000, block_gas_limit=30_000_000)
-    assert plan.limits == ()
-    assert plan.warning
+def test_increasing_plan_empty_above_the_block_limit():
+    assert tuple(allocate_increasing(20_000_000, block_gas_limit=30_000_000)) == ()
 
 
 def test_increasing_plan_truncates_at_block_limit():
     plan = allocate_increasing(10_000_000, count=5, block_gas_limit=30_000_000)
-    assert plan.limits == (20_000_000, 30_000_000)
+    assert tuple(plan) == (20_000_000, 30_000_000)
 
 
 def test_reducing_plan_formula():
     plan = allocate_reducing(100_000, n=1000)
-    assert plan.step == 100
-    assert plan.limits[0] == 99_900
-    assert plan.limits[-1] == 0
-    assert len(plan.limits) == 1000
-    assert all(a - b == 100 for a, b in zip(plan.limits, plan.limits[1:]))
-    assert all(0 <= g < 100_000 for g in plan.limits)
+    assert plan.step == -100
+    assert plan[0] == 99_900
+    assert plan[-1] == 0
+    assert len(plan) == 1000
+    assert all(a - b == 100 for a, b in zip(plan, plan[1:]))
+    assert all(0 <= g < 100_000 for g in plan)
 
 
 def test_reducing_plan_single_step():
-    assert allocate_reducing(10, n=1).limits == (0,)
+    assert tuple(allocate_reducing(10, n=1)) == (0,)
 
 
 def test_reducing_plan_step_floor():
-    assert allocate_reducing(7, n=1000).limits == (6, 5, 4, 3, 2, 1, 0)
+    assert tuple(allocate_reducing(7, n=1000)) == (6, 5, 4, 3, 2, 1, 0)
+
+
+@given(gc=st.integers(min_value=1, max_value=50_000),
+       count=st.integers(min_value=0, max_value=40),
+       block=st.integers(min_value=1, max_value=2_000_000),
+       n=st.integers(min_value=1, max_value=100_000))
+@settings(deadline=None, max_examples=200)
+def test_range_plans_match_the_loop_formulas(gc, count, block, n):
+    increasing = allocate_increasing(gc, count, block)
+    reducing = allocate_reducing(gc, n)
+    assert type(increasing) is range and type(reducing) is range
+    assert tuple(increasing) == loop_increasing(gc, count, block)
+    assert tuple(reducing) == loop_reducing(gc, n)
 
 
 def test_plan_argument_validation():
@@ -200,3 +210,5 @@ def test_plan_argument_validation():
     state, tx = nop_setup()
     with pytest.raises(ValueError):
         estimate_intrinsic_gas(S, runner=tx_runner(state, tx, S), growth=1.0)
+    with pytest.raises(ValueError):
+        estimate_intrinsic_gas(S, runner=tx_runner(state, tx, S), growth=float("nan"))

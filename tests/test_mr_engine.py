@@ -8,7 +8,12 @@ import pytest
 from mtsc import mr_engine
 from mtsc.agents import AgentKind
 from mtsc.detector import emit_report, verdict_for
-from mtsc.gas_oracle import IntrinsicGas, allocate_increasing, allocate_reducing
+from mtsc.gas_oracle import (
+    IntrinsicGas,
+    NeverSucceeds,
+    allocate_increasing,
+    allocate_reducing,
+)
 from mtsc.mr_engine import (
     ALL_MRS,
     MR1_1,
@@ -17,9 +22,11 @@ from mtsc.mr_engine import (
     MR2_2,
     MR2_3,
     ActorInput,
+    Diagnostic,
     EngineConfig,
     TestPair,
     check,
+    estimate_kinds,
     run_all,
     run_pair,
 )
@@ -278,6 +285,17 @@ def test_transfer_based_contract_is_clean():
     assert any("MR1.x/CAH" == d.scope for d in result.diagnostics)
 
 
+def test_empty_increasing_plan_is_a_diagnostic():
+    # 2 * gc exceeds a 60 000 block gas limit for EOA and CAR; CAH's
+    # source run never succeeds under it
+    result = run_all(load_scenario(scenario_path("simple_dao_withdraw")),
+                     GasSchedule(block_gas_limit=60_000), EngineConfig(inc_count=50))
+    assert [d for d in result.diagnostics if d.scope.startswith("MR1.1/")] == [
+        Diagnostic("MR1.1/EOA", "2*36216 exceeds the block gas limit 60000"),
+        Diagnostic("MR1.1/CAR", "2*57216 exceeds the block gas limit 60000")]
+    assert not any(v.mr_id == MR1_1 for v in result.violations)
+
+
 def test_empty_selection_runs_nothing():
     result = run_scenario("simple_dao_withdraw", mr_filter=())
     assert result.violations == []
@@ -379,7 +397,7 @@ def report_bytes(name, schedule, config):
 def test_certificate_matches_the_full_sweep(monkeypatch, name, config):
     schedule, engine = CERTIFICATE_CONFIGS[config]
     cut = report_bytes(name, schedule, engine)
-    monkeypatch.setattr(mr_engine, "_sweep", reference_sweep)
+    monkeypatch.setattr(mr_engine, "sweep", reference_sweep)
     assert report_bytes(name, schedule, engine) == cut
 
 
@@ -428,10 +446,48 @@ def test_failure_certificate_stops_the_remaining_mr12_sweeps(monkeypatch, target
     assert len(target_runs) == 153
 
 
+def skip_loop_limits(env, kind, plan):
+    """The follow-up limits of a sweep that tests every plan limit against
+    the range of the last follow-up it ran."""
+    limits, decided = [], range(0)
+    for g in plan:
+        if g not in decided:
+            limits.append(g)
+            lo, hi = env.run(kind, g, keep=False).limits
+            decided = range(lo, hi + 1)
+    return limits
+
+
+@pytest.mark.parametrize("n", [1000, 37])
+@pytest.mark.parametrize("name", ["crowd_pay_guarded", "simple_dao_withdraw",
+                                  "token_ether_transfer"])
+def test_sweep_runs_the_first_plan_limit_outside_each_range(unmemoised, name, n):
+    env = unmemoised(name)
+    for kind, gc in estimate_kinds(env, ALL_ACTOR_KINDS, EngineConfig.growth):
+        if isinstance(gc, NeverSucceeds):
+            continue
+        for mr, plan in ((MR1_1, allocate_increasing(gc.value, 5, S.block_gas_limit)),
+                         (MR1_2, allocate_reducing(gc.value, n))):
+            swept = [p.follow_up.gas_limit
+                     for p in mr_engine.sweep(env, mr, kind, gc.value, plan)]
+            assert swept == skip_loop_limits(env, kind, plan), (kind, mr)
+
+
 def test_sweep_cost_does_not_grow_with_n(monkeypatch):
-    # a plan of one follow-up per unit of gas below the intrinsic 127 822
+    # plans of one follow-up per unit of gas below the intrinsic 127 822
     name = "crowd_pay_guarded"
-    runs, fine = count_corpus_pairs(monkeypatch, EngineConfig(n=100_000), [name])
-    assert runs[(name, MR1_2, "CAH")] <= 3
     coarse = verdict_for(run_all(load_scenario(scenario_path(name)), S, EngineConfig()))
-    assert emit_report(fine, fmt="json") == emit_report([coarse], fmt="json")
+    plans = []
+    sweep_once = mr_engine.sweep
+
+    def recorded_sweep(env, mr, kind, gc, plan):
+        plans.append(plan)
+        return sweep_once(env, mr, kind, gc, plan)
+
+    monkeypatch.setattr(mr_engine, "sweep", recorded_sweep)
+    for n in (100_000, 10**9):
+        runs, fine = count_corpus_pairs(monkeypatch, EngineConfig(n=n), [name])
+        assert runs[(name, MR1_2, "CAH")] <= 3
+        assert emit_report(fine, fmt="json") == emit_report([coarse], fmt="json")
+    # the sweeps walk plans that are never built
+    assert plans and all(type(plan) is range for plan in plans)

@@ -341,7 +341,7 @@ def test_certificate_matches_the_full_sweep_on_generated_contracts(contract, ent
         # generated bodies are well-formed but untyped; run them unvalidated
         with mock.patch.object(scenario, "validate", lambda unit: []):
             cut = _report_or_error(path, config)
-            with mock.patch.object(mr_engine, "_sweep", reference_sweep):
+            with mock.patch.object(mr_engine, "sweep", reference_sweep):
                 full = _report_or_error(path, config)
     assert cut == full
 

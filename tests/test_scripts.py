@@ -21,10 +21,11 @@ def test_gas_response_sweep_shows_the_certificate(capsys):
     assert sweep.main([str(scenario_path("simple_dao_withdraw")), "CAR",
                        "--points", "4"]) == 0
     out = capsys.readouterr().out
-    # the CAR fallback's gasleft guard holds only up to where it re-enters
-    assert "source range: [57216, 99817]" in out
+    # the CAR fallback's `gasleft() > guard` is false up to the limit at
+    # which it reads the guard itself; one unit higher it re-enters
+    assert "source range: [57216, 99818]" in out
     assert "Failure(OutOfGas)" in out
-    assert re.search(r"\n +57216 +Success .* \[57216, 99817\] ", out)
+    assert re.search(r"\n +57216 +Success .* \[57216, 99818\] ", out)
 
     assert sweep.main([str(scenario_path("dividend_vault_payout")), "EOA",
                        "--points", "4"]) == 0
@@ -40,7 +41,7 @@ def test_gas_response_sweep_shows_where_the_mr12_sweep_stops(capsys):
     # the engine's MR1.2 sweep of this source runs 1 pair: its follow-up
     # fails out of gas at every lower limit
     assert "intrinsic gas for CAR: 57216 " in out
-    limit = allocate_reducing(57_216).limits[0]
+    limit = allocate_reducing(57_216)[0]
     assert f"MR1.2 follow-up {limit}: Failure(OutOfGas), range [0, 57215]\n\n" in out
 
 

@@ -5,6 +5,8 @@ a run must perform and summing their schedule costs by hand; the trace is
 then required to agree with the listing.
 """
 
+import operator
+
 import pytest
 
 from mtsc.minisol import parse, validate
@@ -757,13 +759,44 @@ def test_gasleft_is_an_event_above_and_below(below_probes):
     assert top.status.reason == FailReason.REQUIRE_FAILED
     lo, hi = top.limits
     assert lo == top.gas_consumed and hi < AMPLE
-    # one unit higher the read sees the literal itself, a range of its own
-    assert below_probes("top_read", gas=hi + 1).limits == (hi + 1, hi + 1)
-    assert below_probes("top_read", gas=hi + 2).ok
+    # at hi the read sees the literal itself and still fails; one unit
+    # higher it holds
+    assert below_probes("top_read", gas=hi).limits == (lo, hi)
+    assert below_probes("top_read", gas=hi + 1).ok
     # a read that holds bounds it below: one unit lower the read fails
     nested = below_probes("after_read")
     assert nested.status.reason == FailReason.REVERT
     assert nested.limits == (nested.gas_consumed + 1, AMPLE)
+
+
+LITERAL = 50_000
+COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+@pytest.mark.parametrize("side", ["gasleft-left", "gasleft-right"])
+@pytest.mark.parametrize("op", sorted(COMPARE))
+def test_a_read_that_sees_the_literal_keeps_the_comparisons_range(op, side):
+    cond = (f"gasleft() {op} {LITERAL}" if side == "gasleft-left"
+            else f"{LITERAL} {op} gasleft()")
+    unit = parse(f"contract G {{ fn f() {{ require({cond}); }} }}")
+    state = WorldState()
+    actor = state.create_eoa(0)
+    g = deploy(state, unit.contracts[0])
+
+    def outcome_at(gas):
+        out = run(state.clone(), actor, g, "f", gas=gas)
+        return out, (out.status, out.gas_consumed, out.balance_delta)
+
+    # the limit at which the read sees the literal
+    at = op_sum("base_tx", "dispatch", "require", "compare", "gasleft") + LITERAL
+    out, seen = outcome_at(at)
+    assert out.ok is COMPARE[op](LITERAL, LITERAL)
+    lo, hi = out.limits
+    assert lo <= at <= hi
+    assert outcome_at(lo)[1] == outcome_at(hi)[1] == seen
+    if op not in ("==", "!="):
+        assert hi > lo
 
 
 def test_swallowed_child_that_succeeded_beyond_its_grant_is_an_event_below(below_probes):
