@@ -20,9 +20,13 @@ run's range.
 Usage:
     python3 scripts/gas_response_sweep.py corpus/simple_dao_withdraw.scenario.json CAR
     python3 scripts/gas_response_sweep.py tests/fixtures/notifier_ping.scenario.json EOA --points 30
+
+Output piped into a reader that stops early (`| head`) ends the script
+quietly with exit status 1.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -91,4 +95,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # inside the try: a closed pipe fails here
+    except BrokenPipeError:
+        # the reader went away (`| head`): stop quietly, and point stdout
+        # at devnull so that the interpreter's final flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

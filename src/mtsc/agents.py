@@ -78,14 +78,14 @@ def _lit(value) -> ast.Node:
     raise TypeError(f"cannot embed payload argument {value!r}")
 
 
-def _payload_call(payload: CallPayload, value_from_storage: bool) -> ast.LowCall:
+def _payload_call(payload: CallPayload, value_from_storage: bool) -> ast.Call:
     value_expr = None
     if value_from_storage and payload.value > 0:
         value_expr = ast.Var(name=VALUE_SLOT)
-    return ast.LowCall(target=ast.Var(name=TARGET_SLOT),
-                       function=payload.function,
-                       args=[_lit(a) for a in payload.args],
-                       value=value_expr)
+    return ast.Call(form="lowcall", target=ast.Var(name=TARGET_SLOT),
+                    function=payload.function,
+                    args=[_lit(a) for a in payload.args],
+                    value=value_expr)
 
 
 def build_agent_contract(spec: AgentSpec, name: str) -> ast.ContractDef:

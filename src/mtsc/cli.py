@@ -90,12 +90,6 @@ def _parse_args(argv):
 
 
 def _build_config(args) -> Config:
-    if args.n < 1 or args.inc_count < 1:
-        raise UsageError("--n and --inc-count must be at least 1")
-    if not args.growth > 1.0:  # NaN included
-        raise UsageError("--growth must exceed 1")
-    if args.cah_iterations < 1:
-        raise UsageError("--cah-iterations must be at least 1")
     if args.jobs < 0:
         raise UsageError("--jobs must be non-negative")
     try:
@@ -116,10 +110,13 @@ def _build_config(args) -> Config:
             actors = tuple(AgentKind(a.strip()) for a in args.mr1_actors.split(","))
         except ValueError as exc:
             raise UsageError(str(exc))
-    engine = EngineConfig(n=args.n, inc_count=args.inc_count, growth=args.growth,
-                          car_gas_guard=args.car_gas_guard,
-                          cah_iterations=args.cah_iterations,
-                          mr_filter=mr_filter, mr1_actors_override=actors)
+    try:
+        engine = EngineConfig(n=args.n, inc_count=args.inc_count, growth=args.growth,
+                              car_gas_guard=args.car_gas_guard,
+                              cah_iterations=args.cah_iterations,
+                              mr_filter=mr_filter, mr1_actors_override=actors)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     return Config(schedule=schedule, engine=engine, fmt=args.fmt, out=args.out,
                   jobs=args.jobs)
 

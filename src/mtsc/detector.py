@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .agents import AgentKind
+from .minisol import ast
 from .mr_engine import MR1_1, MR1_2, MR2_1, MR2_2, MR2_3, EngineResult, ViolationRecord
 from .traces import failed_value_dispatches
 
@@ -66,7 +67,7 @@ def classify(violations) -> tuple:
             failed = failed_value_dispatches(v.pair.follow_outcome.trace,
                                              v.pair.follow_up.address)
             forms = {enter.call_form for enter, _ in failed}
-            if forms & {"send", "transfer"}:
+            if forms.intersection(ast.STIPEND_ONLY):
                 found.add(GASLESS_SEND)
             if "lowcall" in forms:
                 found.add(EXCEPTION_DISORDER)

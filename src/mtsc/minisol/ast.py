@@ -4,6 +4,10 @@ Nodes carry source positions for diagnostics; positions are excluded from
 equality so that parse -> pretty-print -> parse round-trips compare equal.
 Agent synthesis builds these nodes directly, without going through the
 parser, so every node is constructible with plain values.
+
+The four call forms (`lowcall`, `dcall`, `send`, `transfer`) share one
+node, `Call`, named by its `form`; `SWALLOWING` and `STIPEND_ONLY` name
+the forms that swallow a failed call and that forward no gas.
 """
 
 from __future__ import annotations
@@ -12,14 +16,24 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
+UINT_MAX = 2**128 - 1  # values and balances are unsigned 128-bit
+
+CALL_FORMS = ("lowcall", "dcall", "send", "transfer")
+SWALLOWING = ("lowcall", "send")     # a failed call yields false
+STIPEND_ONLY = ("send", "transfer")  # the callee gets the value stipend only
+
 
 class Kind(str, Enum):
-    """Declared kinds for state variables and parameters."""
+    """Declared kinds for state variables and parameters; they print as
+    spelled in source."""
 
     UINT = "uint"
     BOOL = "bool"
     ADDR = "addr"
     MAP = "map"  # addr -> uint; state variables only
+
+    def __str__(self):
+        return self.value
 
 
 def _pos():
@@ -106,46 +120,24 @@ class BalanceOf(Node):
 
 
 @dataclass
-class LowCall(Node):
-    """Low-level call: failure is swallowed, yields bool."""
+class Call(Node):
+    """A call in one of the four forms. `function` None is a plain value
+    transfer, the only kind `send` and `transfer` make; only `lowcall`
+    takes a `gas` clause. Forms in SWALLOWING yield bool and turn a
+    failed call into false; the others yield nothing and re-raise it.
+    Forms in STIPEND_ONLY forward none of the caller's gas."""
 
+    form: str = "lowcall"  # one of CALL_FORMS
     target: "Expr" = None
-    function: Optional[str] = None  # None = plain value transfer
+    function: Optional[str] = None
     args: list = field(default_factory=list)
     value: Optional["Expr"] = None
     gas: Optional["Expr"] = None
 
 
-@dataclass
-class DirectCall(Node):
-    """Direct call: failure propagates to the caller. No usable result."""
-
-    target: "Expr" = None
-    function: str = ""
-    args: list = field(default_factory=list)
-    value: Optional["Expr"] = None
-
-
-@dataclass
-class Send(Node):
-    """Stipend-limited value transfer, yields bool on failure."""
-
-    target: "Expr" = None
-    value: "Expr" = None
-
-
-@dataclass
-class Transfer(Node):
-    """Stipend-limited value transfer, failure propagates."""
-
-    target: "Expr" = None
-    value: "Expr" = None
-
-
 Expr = Union[
     IntLit, BoolLit, AddrLit, Var, MapIndex, Binary, Not,
-    MsgSender, MsgValue, This, GasLeft, BalanceOf,
-    LowCall, DirectCall, Send, Transfer,
+    MsgSender, MsgValue, This, GasLeft, BalanceOf, Call,
 ]
 
 

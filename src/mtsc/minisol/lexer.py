@@ -1,13 +1,15 @@
 """Tokenizer for MiniSol source text.
 
-Token set (frozen, documented in the README): identifiers, unsigned decimal
-integer literals (underscores allowed), punctuation, and the keyword list
-below. `msg.sender` and `msg.value` are lexed as three tokens and assembled
-by the parser.
+Token set (frozen, documented in the README): ASCII identifiers
+(`[A-Za-z_][A-Za-z0-9_]*`), unsigned decimal integer literals
+(`[0-9][0-9_]*`), punctuation, and the keyword list below; any other
+character outside a comment is a ParseError. `msg.sender` and `msg.value`
+are lexed as three tokens and assembled by the parser.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -35,6 +37,18 @@ PUNCT = [
 ]
 
 
+# one alternative per token class, tried in order; PUNCT lists two-character
+# operators before their one-character prefixes
+TOKEN = re.compile("|".join([
+    r"(?P<newline>\n)",
+    r"(?P<space>[ \t\r]+)",
+    r"(?P<comment>//[^\n]*)",
+    r"(?P<INT>[0-9][0-9_]*)",
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
+    "(?P<PUNCT>" + "|".join(re.escape(p) for p in PUNCT) + ")",
+]))
+
+
 @dataclass
 class Token:
     type: str  # keyword text, punct text, "IDENT", "INT", or "EOF"
@@ -48,44 +62,16 @@ def tokenize(source: str) -> list[Token]:
     line, col = 1, 1
     i, n = 0, len(source)
     while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and (source[i].isdigit() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            tokens.append(Token("INT", text, line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            ttype = text if text in KEYWORDS else "IDENT"
-            tokens.append(Token(ttype, text, line, col))
-            col += i - start
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(line, col, f"unexpected character {ch!r}")
+        match = TOKEN.match(source, i)
+        if match is None:
+            raise ParseError(line, col, f"unexpected character {source[i]!r}")
+        kind, text, i = match.lastgroup, match.group(), match.end()
+        if kind == "newline":
+            line, col = line + 1, 1
+        elif kind != "comment":  # the newline ending a comment resets col
+            if kind != "space":
+                ttype = text if kind == "PUNCT" or text in KEYWORDS else kind
+                tokens.append(Token(ttype, text, line, col))
+            col += len(text)
     tokens.append(Token("EOF", "", line, col))
     return tokens

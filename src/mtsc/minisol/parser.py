@@ -2,9 +2,13 @@
 
 Grammar (frozen in the README). Operator precedence, loosest first:
 `||`, `&&`, comparisons (non-associative), `+ -`, `*`, unary `!`, primary.
-Call forms (lowcall / dcall / send / transfer) parse as primary expressions;
-their target is a primary expression and their `value`/`gas` operands parse
-at additive precedence, so comparisons around a call need parentheses.
+The four call forms (lowcall / dcall / send / transfer) parse as primary
+expressions in one rule, into one `ast.Call` node: the target is a primary
+expression, `.name(args)` follows it in a dcall and may in a lowcall,
+`value` is required by send/transfer and optional otherwise, and only a
+lowcall takes `gas`. The `value`/`gas` operands parse at additive
+precedence, so comparisons around a call need parentheses. Integer
+literals above the uint maximum, 2**128 - 1, are a ParseError.
 
 Expressions and blocks nest at most MAX_NESTING levels deep; deeper input
 raises ParseError instead of exhausting the Python stack of the passes
@@ -30,6 +34,8 @@ COMPARE_OPS = {"==", "!=", "<", "<=", ">", ">="}
 BINARY_LEVELS = (({"||"}, True), ({"&&"}, True), (COMPARE_OPS, False),
                  ({"+", "-"}, True), ({"*"}, True))
 ADDITIVE = 3  # index of `+ -` in BINARY_LEVELS
+
+UINT_DIGITS = len(str(ast.UINT_MAX))
 
 # Levels are blocks, primary expressions, `!` and binary operators. Every
 # recursive rule passes through a primary expression, a `!` or a block; one
@@ -293,8 +299,12 @@ class _Parser:
 
         if tok.type == "INT":
             self.advance()
-            return ast.IntLit(line=tok.line, col=tok.col,
-                              value=int(tok.text.replace("_", "")))
+            digits = tok.text.replace("_", "").lstrip("0") or "0"
+            # the digit count first: int() refuses very long digit strings
+            if len(digits) > UINT_DIGITS or int(digits) > ast.UINT_MAX:
+                raise ParseError(tok.line, tok.col,
+                                 f"integer literal exceeds the uint maximum {ast.UINT_MAX}")
+            return ast.IntLit(line=tok.line, col=tok.col, value=int(digits))
         if tok.type in ("true", "false"):
             self.advance()
             return ast.BoolLit(line=tok.line, col=tok.col, value=tok.type == "true")
@@ -324,33 +334,21 @@ class _Parser:
             target = self.parse_expr()
             self.expect(")")
             return ast.BalanceOf(line=tok.line, col=tok.col, target=target)
-        if tok.type == "lowcall":
-            self.advance()
+        if tok.type in ast.CALL_FORMS:
+            form = self.advance().type
             target = self.parse_primary()
-            function, args = None, []
-            if self.accept("."):
+            function, args, value, gas = None, [], None, None
+            if form == "dcall" or form == "lowcall" and self.check("."):
+                self.expect(".")
                 function = self.expect("IDENT", "function name").text
                 args = self.parse_call_args()
-            value = self.parse_binary(ADDITIVE) if self.accept("value") else None
-            gas = self.parse_binary(ADDITIVE) if self.accept("gas") else None
-            return ast.LowCall(line=tok.line, col=tok.col, target=target,
-                               function=function, args=args, value=value, gas=gas)
-        if tok.type == "dcall":
-            self.advance()
-            target = self.parse_primary()
-            self.expect(".")
-            function = self.expect("IDENT", "function name").text
-            args = self.parse_call_args()
-            value = self.parse_binary(ADDITIVE) if self.accept("value") else None
-            return ast.DirectCall(line=tok.line, col=tok.col, target=target,
-                                  function=function, args=args, value=value)
-        if tok.type in ("send", "transfer"):
-            self.advance()
-            target = self.parse_primary()
-            self.expect("value")
-            value = self.parse_binary(ADDITIVE)
-            cls = ast.Send if tok.type == "send" else ast.Transfer
-            return cls(line=tok.line, col=tok.col, target=target, value=value)
+            # send and transfer require the value clause
+            if self.accept("value") or form in ast.STIPEND_ONLY and self.expect("value"):
+                value = self.parse_binary(ADDITIVE)
+            if form == "lowcall" and self.accept("gas"):
+                gas = self.parse_binary(ADDITIVE)
+            return ast.Call(line=tok.line, col=tok.col, form=form, target=target,
+                            function=function, args=args, value=value, gas=gas)
         if tok.type == "(":
             self.advance()
             expr = self.parse_expr()

@@ -4,27 +4,26 @@ Emits canonical source that re-parses to an equal AST (positions are not
 compared). Parenthesizes every compound sub-expression, which keeps the
 printer oblivious to precedence. AddrLit nodes only occur in generated
 contracts and have no surface syntax; they print as `addr("...")` for
-debugging and do not round-trip.
+debugging and do not round-trip. A `Call` prints its form keyword and
+the clauses it carries, which are the ones its form's syntax allows.
 """
 
 from __future__ import annotations
 
 from . import ast
 
-_CALL_FORMS = (ast.LowCall, ast.DirectCall, ast.Send, ast.Transfer)
-
 
 def _operand(e) -> str:
-    """Call forms greedily consume value/gas clauses and cannot start a
+    """Calls greedily consume value/gas clauses and cannot start a
     call target; parenthesize them (and bare negations in target
     position) so the surrounding expression re-parses unchanged."""
-    if isinstance(e, _CALL_FORMS):
+    if isinstance(e, ast.Call):
         return f"({_expr(e)})"
     return _expr(e)
 
 
 def _target(e) -> str:
-    if isinstance(e, _CALL_FORMS + (ast.Not,)):
+    if isinstance(e, (ast.Call, ast.Not)):
         return f"({_expr(e)})"
     return _expr(e)
 
@@ -54,8 +53,8 @@ def _expr(e) -> str:
         return "gasleft()"
     if isinstance(e, ast.BalanceOf):
         return f"balance({_expr(e.target)})"
-    if isinstance(e, ast.LowCall):
-        out = f"lowcall {_target(e.target)}"
+    if isinstance(e, ast.Call):
+        out = f"{e.form} {_target(e.target)}"
         if e.function is not None:
             out += f".{e.function}({', '.join(_expr(a) for a in e.args)})"
         if e.value is not None:
@@ -63,16 +62,6 @@ def _expr(e) -> str:
         if e.gas is not None:
             out += f" gas {_operand(e.gas)}"
         return out
-    if isinstance(e, ast.DirectCall):
-        out = f"dcall {_target(e.target)}.{e.function}"
-        out += f"({', '.join(_expr(a) for a in e.args)})"
-        if e.value is not None:
-            out += f" value {_operand(e.value)}"
-        return out
-    if isinstance(e, ast.Send):
-        return f"send {_target(e.target)} value {_operand(e.value)}"
-    if isinstance(e, ast.Transfer):
-        return f"transfer {_target(e.target)} value {_operand(e.value)}"
     raise TypeError(f"unknown expression {e!r}")
 
 

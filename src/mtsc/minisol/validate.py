@@ -4,13 +4,15 @@ Checks the name and type rules the interpreter relies on:
 
 * contract / function / state-variable / parameter names unique
 * every referenced name is declared; map indexing only on map state vars
-* expression kinds line up (uint / bool / addr); `lowcall` and `send`
-  yield bool, `dcall` and `transfer` yield nothing and may only appear
-  as expression statements
+* expression kinds line up (uint / bool / addr); a `Call` in a
+  swallowing form (`lowcall`, `send`) yields bool, one in the other forms
+  (`dcall`, `transfer`) yields nothing and may only appear as an
+  expression statement
 * local names are unique within a function and never shadow params or
   state variables (keeps the runtime environment flat)
 
 Validation is pure: it returns a list of errors and touches nothing.
+Messages spell kinds as in source (`uint`, `bool`, `addr`, `map`).
 """
 
 from __future__ import annotations
@@ -193,41 +195,27 @@ class _ContractChecker:
         if isinstance(expr, ast.BalanceOf):
             self.expect_kind(expr.target, ADDR, "balance() argument")
             return UINT
-        if isinstance(expr, ast.LowCall):
+        if isinstance(expr, ast.Call):
+            # send and transfer name themselves; the other forms say "call"
+            what = expr.form if expr.form in ast.STIPEND_ONLY else "call"
             if expr.function is None and expr.args:
                 self.error(expr, "bad-call",
-                           "a plain-transfer lowcall takes no arguments")
-            self.check_call_parts(expr.target, expr.args, expr.value, expr.gas)
-            return BOOL
-        if isinstance(expr, ast.Send):
-            self.expect_kind(expr.target, ADDR, "send target")
-            self.expect_kind(expr.value, UINT, "send value")
-            return BOOL
-        if isinstance(expr, ast.DirectCall):
-            self.check_call_parts(expr.target, expr.args, expr.value, None)
+                           f"a plain-transfer {expr.form} takes no arguments")
+            self.expect_kind(expr.target, ADDR, f"{what} target")
+            for arg in expr.args:
+                if self.infer(arg) == NONE:
+                    self.error(arg, "no-result", "dcall/transfer cannot be an argument")
+            if expr.value is not None:
+                self.expect_kind(expr.value, UINT, f"{what} value")
+            if expr.gas is not None:
+                self.expect_kind(expr.gas, UINT, "call gas")
+            if expr.form in ast.SWALLOWING:
+                return BOOL
             if not statement:
                 self.error(expr, "no-result",
-                           "dcall has no result; use it as a statement")
-            return NONE
-        if isinstance(expr, ast.Transfer):
-            self.expect_kind(expr.target, ADDR, "transfer target")
-            self.expect_kind(expr.value, UINT, "transfer value")
-            if not statement:
-                self.error(expr, "no-result",
-                           "transfer has no result; use it as a statement")
+                           f"{expr.form} has no result; use it as a statement")
             return NONE
         raise TypeError(f"unknown expression {expr!r}")
-
-    def check_call_parts(self, target, args, value, gas):
-        self.expect_kind(target, ADDR, "call target")
-        for arg in args:
-            kind = self.infer(arg)
-            if kind == NONE:
-                self.error(arg, "no-result", "dcall/transfer cannot be an argument")
-        if value is not None:
-            self.expect_kind(value, UINT, "call value")
-        if gas is not None:
-            self.expect_kind(gas, UINT, "call gas")
 
 
 def validate(unit: ast.SourceUnit) -> list[SemanticError]:

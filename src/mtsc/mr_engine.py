@@ -103,13 +103,20 @@ class EngineConfig:
     mr_filter: Optional[tuple] = None         # restricts the scenario's selection
     mr1_actors_override: Optional[tuple] = None
 
+    def __post_init__(self):
+        if self.n < 1 or self.inc_count < 1:
+            raise ValueError("n and inc_count must be at least 1")
+        if not self.growth > 1.0:  # NaN included
+            raise ValueError("growth must exceed 1")
+        if self.cah_iterations < 1:
+            raise ValueError("cah_iterations must be at least 1")
+
 
 @dataclass
 class EngineResult:
     scenario_id: str
     violations: list
     diagnostics: list
-    context_digest: str
 
 
 def mr2_pairs(env: Environment, mrs) -> list:
@@ -232,4 +239,4 @@ def run_all(scenario: Scenario, schedule: GasSchedule,
             violations.append(violation)
 
     return EngineResult(scenario_id=scenario.scenario_id, violations=violations,
-                        diagnostics=diagnostics, context_digest=env.context_digest)
+                        diagnostics=diagnostics)

@@ -173,7 +173,6 @@ class Environment:
     actor_accounts: dict          # AgentKind -> address
     agent_specs: dict             # AgentKind -> AgentSpec (agents only)
     driver: str
-    context_digest: str = ""
     # (AgentKind, gas limit) -> Outcome of that input run in the context
     _outcomes: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -345,5 +344,4 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
                     f"setup transaction {entry.function or 'transfer'} failed "
                     f"for {who}: {out.status}")
 
-    env.context_digest = state.digest()
     return env

@@ -10,14 +10,16 @@ and a frame that runs out consumes its whole budget.
 
 Call boundaries
 ---------------
-The caller pays `call_base` (plus the value-transfer surcharge when value
-moves). Forwarding rules:
+Every call is one `ast.Call` node, and its `form` decides how it
+forwards gas and fails. The caller pays `call_base` (plus the
+value-transfer surcharge when value moves). Forwarding rules:
 
 * `lowcall` / `dcall` without an explicit gas clause forward everything
   the caller has left;
 * `lowcall ... gas g` reserves exactly g — if the caller cannot produce
   g the caller itself runs out of gas (pre-EIP-150 behaviour);
-* `send` / `transfer` forward nothing of the caller's pool.
+* `send` / `transfer` (`ast.STIPEND_ONLY`) forward nothing of the
+  caller's pool.
 
 A call that moves value grants the callee a 2300-gas stipend carved out
 of the surcharge. The stipend is use-it-or-lose-it: the child's unused
@@ -25,10 +27,11 @@ forwarded gas returns to the caller, unused stipend does not. This keeps
 a transaction's total consumption independent of its gas limit for
 gas-rigid code, which the intrinsic-gas estimator relies on.
 
-Failure semantics per call form: `lowcall`/`send` swallow a child failure
-(the expression yields false and an ExceptionSwallowed event is traced);
-`dcall`/`transfer` re-raise it in the caller, unwinding to the nearest
-swallowing boundary. Any failure rolls the child's state changes back.
+Failure semantics per call form: `lowcall`/`send` (`ast.SWALLOWING`)
+swallow a child failure (the expression yields false and an
+ExceptionSwallowed event is traced); `dcall`/`transfer` re-raise it in
+the caller, unwinding to the nearest swallowing boundary. Any failure
+rolls the child's state changes back.
 
 Rollback
 --------
@@ -245,31 +248,12 @@ class _Run:
             target = self.eval(frame, e.target)
             self.charge(frame, "balance_of", self.sched.balance_of)
             return self.state.balance_of(target)
-        if t is ast.LowCall:
+        if t is ast.Call:
             target = self.eval(frame, e.target)
             args = [self.eval(frame, a) for a in e.args]
             value = self.eval(frame, e.value) if e.value is not None else 0
             gas = self.eval(frame, e.gas) if e.gas is not None else None
-            return self.call(frame, "lowcall", target, e.function, args, value,
-                             explicit_gas=gas, swallow=True)
-        if t is ast.DirectCall:
-            target = self.eval(frame, e.target)
-            args = [self.eval(frame, a) for a in e.args]
-            value = self.eval(frame, e.value) if e.value is not None else 0
-            self.call(frame, "dcall", target, e.function, args, value,
-                      explicit_gas=None, swallow=False)
-            return None
-        if t is ast.Send:
-            target = self.eval(frame, e.target)
-            value = self.eval(frame, e.value)
-            return self.call(frame, "send", target, None, [], value,
-                             explicit_gas=None, swallow=True, stipend_only=True)
-        if t is ast.Transfer:
-            target = self.eval(frame, e.target)
-            value = self.eval(frame, e.value)
-            self.call(frame, "transfer", target, None, [], value,
-                      explicit_gas=None, swallow=False, stipend_only=True)
-            return None
+            return self.call(frame, e.form, target, e.function, args, value, gas)
         raise TypeError(f"unknown expression {e!r}")
 
     def eval_binary(self, frame: _Frame, e: ast.Binary):
@@ -397,8 +381,7 @@ class _Run:
 
     def call(self, caller: _Frame, form: str, target: str,
              function: Optional[str], args: list, value: int,
-             explicit_gas: Optional[int], swallow: bool,
-             stipend_only: bool = False) -> bool:
+             explicit_gas: Optional[int]) -> bool:
         sched = self.sched
         self.charge(caller, "call_base", sched.call_base)
         if value > 0:
@@ -406,7 +389,7 @@ class _Run:
         grant = sched.stipend if value > 0 else 0
 
         elastic = False
-        if stipend_only:
+        if form in ast.STIPEND_ONLY:
             fwd = 0
         elif explicit_gas is not None:
             if explicit_gas > caller.gas:
@@ -447,7 +430,7 @@ class _Run:
             if elastic:
                 # the caller repeats this call when it can forward need - grant
                 caller.peak = max(caller.peak, caller.budget - fwd + max(need - grant, 0))
-                if swallow and ok and need > grant:
+                if ok and need > grant and form in ast.SWALLOWING:
                     # lower down this child fails, and the caller goes on with false
                     self.turn = max(self.turn, self.limit - fwd - grant + need)
                 if dry:  # the child hands no gas back at any limit on this path
@@ -461,7 +444,7 @@ class _Run:
             self.reported = ok, reason
         if ok:
             return True
-        if swallow:
+        if form in ast.SWALLOWING:
             self.trace.append(ExceptionSwallowed(reason, caller.depth))
             return False
         raise _FrameFail(reason)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
-UINT_MAX = 2**128 - 1  # values and balances are unsigned 128-bit
+from ..minisol.ast import UINT_MAX  # noqa: F401  re-exported for the VM
 
 
 class FailReason(str, Enum):

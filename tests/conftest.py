@@ -29,15 +29,23 @@ def scenario_path(name: str) -> Path:
 
 
 @pytest.fixture(scope="session")
-def environments(schedule):
+def context_digests():
+    """name -> digest of that scenario's shared context as `environments`
+    built it, so a test sees any drift an earlier test left behind."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def environments(schedule, context_digests):
     """Shared post-setup contexts for every corpus scenario; tests must
     only run against clones or restore their snapshots."""
     from mtsc.scenario import build_environment, load_scenario
 
-    return {
-        name: build_environment(load_scenario(scenario_path(name)), schedule)
-        for name in CORPUS_SCENARIOS
-    }
+    envs = {}
+    for name in CORPUS_SCENARIOS:
+        env = envs[name] = build_environment(load_scenario(scenario_path(name)), schedule)
+        context_digests[name] = env.state.digest()
+    return envs
 
 
 @pytest.fixture

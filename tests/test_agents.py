@@ -63,7 +63,7 @@ def test_car_fallback_guards_on_remaining_gas():
     assert guard.condition.op == ">"
     assert guard.condition.right.value == 60_000
     reentry = guard.then[0].expr
-    assert isinstance(reentry, ast.LowCall)
+    assert isinstance(reentry, ast.Call) and reentry.form == "lowcall"
     assert reentry.function == "withdraw"
     assert reentry.value is None  # re-issued payload carries no value
 
@@ -73,7 +73,7 @@ def test_agent_call_stores_target_then_calls():
     body = contract.function(AGENT_CALL).body
     assert isinstance(body[0], ast.Assign) and body[0].target.name == "target_contract"
     assert isinstance(body[-1], ast.ExprStmt)
-    assert isinstance(body[-1].expr, ast.LowCall)
+    assert isinstance(body[-1].expr, ast.Call) and body[-1].expr.form == "lowcall"
 
 
 def test_spec_validation():

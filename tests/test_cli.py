@@ -52,6 +52,8 @@ def test_check_missing_file_exits_two(capsys):
 def test_check_rejects_bad_flags(capsys):
     path = str(scenario_path("counter_baseline"))
     assert run_cli(capsys, "check", path, "--n", "0")[0] == 2
+    assert run_cli(capsys, "check", path, "--inc-count", "0")[0] == 2
+    assert run_cli(capsys, "check", path, "--cah-iterations", "0")[0] == 2
     assert run_cli(capsys, "check", path, "--growth", "1.0")[0] == 2
     assert run_cli(capsys, "check", path, "--mr", "MR9.9")[0] == 2
     assert run_cli(capsys, "check", path, "--mr1-actors", "XYZ")[0] == 2
@@ -303,6 +305,22 @@ def test_operator_chain_at_the_nesting_limit_gets_a_verdict(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", str(path), "--mr", "MR2.1")
     assert code in (0, 1), err
     assert out.startswith("r: ")
+
+
+# `²` and a 5001-digit literal used to exit 3; `٣` ran as 3 and 2**128 ran
+# although values are 128-bit.
+@pytest.mark.parametrize("literal,message", [
+    ("²", "unexpected character '²'"),
+    ("٣", "unexpected character '٣'"),
+    ("1" * 5001, "integer literal exceeds the uint maximum"),
+    (str(2**128), "integer literal exceeds the uint maximum"),
+], ids=["superscript-two", "arabic-indic-three", "5001-digits", "two-pow-128"])
+def test_literals_outside_the_token_set_exit_two(tmp_path, capsys, literal, message):
+    path = write_contract_scenario(
+        tmp_path, "contract R { uint x; fn f() { x = " + literal + "; } }")
+    code, out, err = run_cli(capsys, "check", str(path), "--mr", "MR2.1")
+    assert (code, out) == (2, "")
+    assert err.startswith("mtsc: error: ") and message in err
 
 
 def test_engine_options_default_to_the_engine_config():

@@ -141,11 +141,11 @@ def test_call_forms_parse():
     """
     fn = parse(src).contracts[0].functions[0]
     low = fn.body[0].value
-    assert isinstance(low, ast.LowCall) and low.function is None
+    assert isinstance(low, ast.Call) and low.form == "lowcall" and low.function is None
     assert low.gas is not None and low.value is not None
     direct = fn.body[3].expr
-    assert isinstance(direct, ast.DirectCall) and direct.function == "pull"
-    assert isinstance(fn.body[4].expr, ast.Transfer)
+    assert isinstance(direct, ast.Call) and direct.form == "dcall" and direct.function == "pull"
+    assert isinstance(fn.body[4].expr, ast.Call) and fn.body[4].expr.form == "transfer"
 
 
 @pytest.mark.parametrize("path", corpus_sources(), ids=lambda p: p.name)
@@ -236,3 +236,83 @@ def test_compound_assign_needs_uint():
 def test_errors_carry_location():
     errors = validate(parse("contract X { fn f() {\n let a = b; } }"))
     assert errors and errors[0].line == 2
+
+
+# Every call form parses in one rule; each still takes only its own clauses.
+@pytest.mark.parametrize("body,message", [
+    ("send t;", "expected 'value', found ';'"),
+    ("transfer t.f() value 1;", "expected 'value', found '.'"),
+    ("transfer t value 1 gas 2;", "expected ';', found 'gas'"),
+    ("dcall t;", "expected '.', found ';'"),
+    ("dcall t.f() gas 5;", "expected ';', found 'gas'"),
+    ("dcall t.f value 1;", "expected '(', found 'value'"),
+    ("lowcall t.(1);", "expected function name, found '('"),
+], ids=["send-no-value", "transfer-function", "transfer-gas", "dcall-no-function",
+        "dcall-gas", "dcall-no-args", "lowcall-no-name"])
+def test_call_forms_reject_clauses_of_other_forms(body, message):
+    with pytest.raises(ParseError) as err:
+        parse("contract X { fn f(t: addr) { " + body + " } }")
+    assert err.value.message == message
+
+
+def test_call_forms_are_one_node():
+    fn = parse("contract X { fn f(t: addr) { lowcall t.g(1) value 2 gas 3; "
+               "dcall t.g(1) value 2; require(send t value 2); transfer t value 2; } }"
+               ).contracts[0].functions[0]
+    calls = [fn.body[0].expr, fn.body[1].expr, fn.body[2].condition, fn.body[3].expr]
+    one, two = ast.IntLit(value=1), ast.IntLit(value=2)
+    target = ast.Var(name="t")
+    assert calls == [
+        ast.Call(form="lowcall", target=target, function="g", args=[one], value=two,
+                 gas=ast.IntLit(value=3)),
+        ast.Call(form="dcall", target=target, function="g", args=[one], value=two),
+        ast.Call(form="send", target=target, value=two),
+        ast.Call(form="transfer", target=target, value=two),
+    ]
+    assert [c.form in ast.SWALLOWING for c in calls] == [True, False, True, False]
+    assert [c.form in ast.STIPEND_ONLY for c in calls] == [False, False, True, True]
+
+
+# The token set is ASCII: other Unicode digits and letters used to lex,
+# and `²` (a digit to str.isdigit, not to int) crashed the parser.
+@pytest.mark.parametrize("source,column", [
+    ("contract X { uint x; fn f() { x = ²; } }", 35),
+    ("contract X { uint x; fn f() { x = ٣; } }", 35),
+    ("contract X { uint é; }", 19),
+    ("contract X { uint xé; }", 20),
+], ids=["superscript-two", "arabic-indic-three", "e-acute", "e-acute-inside"])
+def test_non_ascii_digits_and_letters_are_parse_errors(source, column):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert err.value.message == f"unexpected character {source[column - 1]!r}"
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("digits,value", [
+    (str(ast.UINT_MAX), ast.UINT_MAX),
+    ("0" * 5000 + "7", 7),
+    ("0_1_0", 10),
+    ("340_282_366_920_938_463_463_374_607_431_768_211_455", ast.UINT_MAX),
+], ids=["uint-max", "leading-zeros", "underscored-zeros", "underscores"])
+def test_integer_literals_up_to_uint_max_parse(digits, value):
+    unit = parse("contract X { uint x; fn f() { x = " + digits + "; } }")
+    assert unit.contracts[0].functions[0].body[0].value.value == value
+
+
+# A 5001-digit literal used to exit 3 (Python refuses to convert it), and
+# 2**128 parsed although values are 128-bit.
+@pytest.mark.parametrize("digits", [str(2**128), "9" * 40, "1" * 5001],
+                         ids=["two-pow-128", "forty-digits", "5001-digits"])
+def test_integer_literals_above_uint_max_are_parse_errors(digits):
+    with pytest.raises(ParseError) as err:
+        parse("contract X { uint x; fn f() { x = " + digits + "; } }")
+    assert (err.value.line, err.value.column) == (1, 35)
+    assert err.value.message == f"integer literal exceeds the uint maximum {ast.UINT_MAX}"
+
+
+def test_validator_spells_kinds_as_in_source():
+    errors = validate(parse("contract X { fn f(v: uint) { require(send v value true); } }"))
+    assert [str(e) for e in errors] == [
+        "1:43: [type-mismatch] send target must be addr, got uint",
+        "1:51: [type-mismatch] send value must be uint, got bool",
+    ]

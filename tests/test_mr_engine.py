@@ -30,7 +30,7 @@ from mtsc.mr_engine import (
     run_all,
     run_pair,
 )
-from mtsc.scenario import ALL_ACTOR_KINDS, load_scenario
+from mtsc.scenario import ALL_ACTOR_KINDS, build_environment, load_scenario
 from mtsc.traces import trace_has_swallow
 from mtsc.vm import (
     CallEntered,
@@ -129,21 +129,22 @@ def starting_digests(target_runs):
     return [digest for *_, digest in target_runs]
 
 
-def test_identical_inputs_give_identical_outcomes(unmemoised, target_runs):
+def test_identical_inputs_give_identical_outcomes(unmemoised, target_runs,
+                                                  context_digests):
     env = unmemoised("simple_dao_withdraw")
     source, follow = distinct_limits(env)
     done = run_pair(env, TestPair(MR1_1, source, follow))
     assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000), (AgentKind.EOA, 40_001)]
-    assert starting_digests(target_runs) == [env.context_digest] * 2
+    assert starting_digests(target_runs) == [context_digests["simple_dao_withdraw"]] * 2
     s, f = done.source_outcome, done.follow_outcome
     assert (s.status, s.gas_consumed, s.balance_delta) \
         == (f.status, f.gas_consumed, f.balance_delta)
 
 
-def test_run_pair_restores_the_shared_context(unmemoised, target_runs):
+def test_run_pair_restores_the_shared_context(unmemoised, target_runs, context_digests):
     env = unmemoised("simple_dao_withdraw")
     before = env.state.digest()
-    assert before == env.context_digest
+    assert before == context_digests["simple_dao_withdraw"]
     eoa = ActorInput(AgentKind.EOA, env.actor_accounts[AgentKind.EOA], 40_000)
     car = ActorInput(AgentKind.CAR, env.actor_accounts[AgentKind.CAR],
                      S.block_gas_limit)
@@ -153,14 +154,15 @@ def test_run_pair_restores_the_shared_context(unmemoised, target_runs):
     assert env.state.digest() == before
 
 
-def test_follow_up_sees_pristine_context(unmemoised, target_runs):
+def test_follow_up_sees_pristine_context(unmemoised, target_runs, context_digests):
     env = unmemoised("simple_dao_withdraw")
+    built = context_digests["simple_dao_withdraw"]
     source, follow = distinct_limits(env)
     # the source run withdraws from the actor's position, yet the
     # follow-up starts from the context as set up
     done = run_pair(env, TestPair(MR1_1, source, follow))
-    assert env.state.digest() == env.context_digest
-    assert starting_digests(target_runs) == [env.context_digest] * 2
+    assert env.state.digest() == built
+    assert starting_digests(target_runs) == [built] * 2
     assert done.source_outcome.ok and done.follow_outcome.ok
     assert done.source_outcome.balance_delta == done.follow_outcome.balance_delta
 
@@ -348,10 +350,24 @@ def test_mr12_violation_trace_shows_a_swallowed_exception():
         assert trace_has_swallow(v.pair.follow_outcome.trace)
 
 
+# `run_all` with inc_count=0 used to report "2*gc exceeds the block gas
+# limit" for every kind, although 2*gc was far below it.
+@pytest.mark.parametrize("field,value", [
+    ("n", 0), ("inc_count", 0), ("inc_count", -3), ("growth", 1.0),
+    ("growth", float("nan")), ("cah_iterations", 0),
+])
+def test_engine_config_rejects_unusable_fields(field, value):
+    with pytest.raises(ValueError, match="must"):
+        EngineConfig(**{field: value})
+    EngineConfig(**{field: 2})  # a usable value of each field passes
+
+
 def test_context_digest_is_stable_across_runs():
+    scenario = load_scenario(scenario_path("simple_dao_withdraw"))
+    first, second = (build_environment(scenario, S).state.digest() for _ in range(2))
+    assert first == second
     a = run_scenario("simple_dao_withdraw")
     b = run_scenario("simple_dao_withdraw")
-    assert a.context_digest == b.context_digest
     assert a.violations == b.violations
 
 

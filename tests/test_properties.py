@@ -2,18 +2,21 @@
 round-trips over randomly generated syntax trees."""
 
 import copy
+import io
 import json
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from mtsc import mr_engine, scenario
+from mtsc import cli, mr_engine, scenario
 from mtsc.agents import TARGET_SLOT, VALUE_SLOT, AgentKind
 from mtsc.detector import emit_report, verdict_for
 from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
 from mtsc.minisol import ast, parse, pretty, validate
+from mtsc.minisol.lexer import KEYWORDS, PUNCT
 from mtsc.scenario import ALL_ACTOR_KINDS
 from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
 
@@ -156,18 +159,19 @@ def exprs(binary_ops=BINARY_OPS):
             st.tuples(st.none(), st.just([])),
             st.tuples(NAMES, st.lists(children, max_size=2)))
         low = st.builds(
-            lambda t, fn_args, v, g: ast.LowCall(target=t, function=fn_args[0],
-                                                 args=fn_args[1], value=v, gas=g),
+            lambda t, fn_args, v, g: ast.Call(form="lowcall", target=t,
+                                              function=fn_args[0], args=fn_args[1],
+                                              value=v, gas=g),
             children, dispatch,
             st.one_of(st.none(), children), st.one_of(st.none(), children))
         direct = st.builds(
-            lambda t, fn, args, v: ast.DirectCall(target=t, function=fn,
-                                                  args=args, value=v),
+            lambda t, fn, args, v: ast.Call(form="dcall", target=t, function=fn,
+                                            args=args, value=v),
             children, NAMES, st.lists(children, max_size=2),
             st.one_of(st.none(), children))
-        send = st.builds(lambda t, v: ast.Send(target=t, value=v),
+        send = st.builds(lambda t, v: ast.Call(form="send", target=t, value=v),
                          children, children)
-        transfer = st.builds(lambda t, v: ast.Transfer(target=t, value=v),
+        transfer = st.builds(lambda t, v: ast.Call(form="transfer", target=t, value=v),
                              children, children)
         return st.one_of(binary, negation, map_index, balance, low, direct,
                          send, transfer)
@@ -241,6 +245,38 @@ def test_validation_is_pure_and_stable(contract):
     second = validate(unit)
     assert [str(e) for e in first] == [str(e) for e in second]
     assert unit.contracts == before.contracts
+
+
+# -- token soup through the command line -----------------------------------------
+
+SOUP_TOKENS = st.one_of(
+    st.sampled_from(sorted(KEYWORDS) + PUNCT + ["C", "f", "x", "t", "sender", "_"]),
+    # letters and digits outside the ASCII token set
+    st.sampled_from(["é", "ß", "λ", "Ж", "ﬁ", "²", "٣", "①", "߀", "\u00a0"]),
+    st.from_regex(r"[0-9][0-9_]{0,4}", fullmatch=True),
+    st.integers(min_value=38, max_value=6000).map(lambda n: "9" * n),
+    st.sampled_from([str(2**128 - 1), str(2**128), "0" * 40 + "1"]),
+)
+
+
+@given(tokens=st.lists(SOUP_TOKENS, max_size=40),
+       separator=st.sampled_from([" ", ""]),
+       frame=st.sampled_from(["{}", "contract C {{ uint x; fn f() payable {{ {} }} }}"]))
+@settings(deadline=None, max_examples=150)
+def test_token_soup_never_crashes_the_command_line(tokens, separator, frame):
+    """Whatever the source, `mtsc check` reports a verdict (0 or 1) or an
+    error in the input (2), never an internal error (3)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "soup.msol").write_text(frame.format(separator.join(tokens)),
+                                          encoding="utf-8")
+        path = Path(tmp, "soup.scenario.json")
+        path.write_text(json.dumps({
+            "schema": "scenario-v1", "sources": ["soup.msol"],
+            "balances": {"C": 0, "$ACTOR": 10_000},
+            "target": {"callee": "C", "function": "f"}}))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = cli.main(["check", str(path), "--mr", "MR2.1"])
+    assert code in (0, 1, 2), err.getvalue()
 
 
 # -- the rollback journal against independent clones ---------------------------

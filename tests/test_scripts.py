@@ -2,6 +2,8 @@
 
 import importlib.util
 import re
+import subprocess
+import sys
 
 from mtsc.gas_oracle import allocate_reducing
 
@@ -59,3 +61,15 @@ def test_gas_response_sweep_prints_the_ranges_of_an_mr12_sweep(capsys):
     assert 107_121 < int(lo) <= 107_248
     assert (int(second), status) == (107_121, "Failure(Revert)")
     assert last_lo == "0"
+
+
+def test_gas_response_sweep_stops_quietly_when_its_reader_goes_away():
+    # `... | head -3` used to end in a BrokenPipeError traceback
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "gas_response_sweep.py"),
+         str(scenario_path("crowd_pay_guarded")), "CAH", "--points", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader goes away before the first line
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
