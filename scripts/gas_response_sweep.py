@@ -10,8 +10,10 @@ requirement. These curves are exactly the signals the gas-allocation
 relations test for.
 
 Every run reports its invariance range, the gas limits that give the
-same outcome. The script prints the range of the source run at the
-intrinsic gas, then the follow-ups the engine's MR1.2 sweep (default
+same outcome. The estimator answers a probe inside the range of a run it
+made without running it, and the script prints how many of its trials
+reached the runner. It then prints the range of the source run at the
+intrinsic gas, and the follow-ups the engine's MR1.2 sweep (default
 subdivisions) runs: `mr_engine.sweep` slices past the plan limits inside
 the range of the one before, and the sweep stops at its first violation,
 a follow-up that succeeds. Each row of the response table also shows its
@@ -57,13 +59,23 @@ def main(argv=None) -> int:
     schedule = GasSchedule()
     env = build_environment(load_scenario(args.scenario), schedule)
     kind = AgentKind(args.kind)
+    runner, ran = env.runner_for(kind), []
+
+    def counted(limit):
+        ran.append(limit)
+        return runner(limit)
+
     try:
-        gc = estimate_intrinsic_gas(schedule, runner=env.runner_for(kind))
+        gc = estimate_intrinsic_gas(schedule, runner=counted)
     except NeverSucceeds as exc:
         print(f"no allocation makes this interaction succeed: {exc.status}")
         return 1
     print(f"intrinsic gas for {kind.value}: {gc.value} "
           f"(trials={gc.trials}, converged={gc.converged})")
+    # the rough estimate's block-limit run is not a trial
+    probes = len(ran) - 1
+    print(f"estimate {gc.value}: {gc.trials} trials, {probes} of them reached "
+          f"the runner, {gc.trials - probes} answered from a range")
     lo, hi = env.run(kind, gc.value).limits
     print(f"source range: [{lo}, {hi}]")
     for done in mr_engine.sweep(env, mr_engine.MR1_2, kind, gc.value,

@@ -68,8 +68,8 @@ def tokenize(source: str) -> list[Token]:
         kind, text, i = match.lastgroup, match.group(), match.end()
         if kind == "newline":
             line, col = line + 1, 1
-        elif kind != "comment":  # the newline ending a comment resets col
-            if kind != "space":
+        else:
+            if kind not in ("space", "comment"):
                 ttype = text if kind == "PUNCT" or text in KEYWORDS else kind
                 tokens.append(Token(ttype, text, line, col))
             col += len(text)

@@ -127,7 +127,8 @@ class _Parser:
                 fallback = fb
             else:
                 raise ParseError(tok.line, tok.col,
-                                 f"expected state variable, fn, or fallback, found {tok.text!r}")
+                                 "expected state variable, fn, or fallback, "
+                                 f"found {tok.text or 'end of input'!r}")
         return ast.ContractDef(line=kw.line, col=kw.col, name=name,
                                state_vars=state_vars, functions=functions,
                                fallback=fallback)

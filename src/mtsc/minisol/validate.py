@@ -4,6 +4,8 @@ Checks the name and type rules the interpreter relies on:
 
 * contract / function / state-variable / parameter names unique
 * every referenced name is declared; map indexing only on map state vars
+* a `Call` carries only its form's clauses: `gas` on `lowcall` alone, a
+  function never on `send`/`transfer`, always on `dcall`
 * expression kinds line up (uint / bool / addr); a `Call` in a
   swallowing form (`lowcall`, `send`) yields bool, one in the other forms
   (`dcall`, `transfer`) yields nothing and may only appear as an
@@ -198,6 +200,13 @@ class _ContractChecker:
         if isinstance(expr, ast.Call):
             # send and transfer name themselves; the other forms say "call"
             what = expr.form if expr.form in ast.STIPEND_ONLY else "call"
+            # the clauses the parser takes for each form, for built trees
+            if expr.gas is not None and expr.form != "lowcall":
+                self.error(expr, "bad-call", f"only lowcall takes gas, not {expr.form}")
+            if expr.function is not None and expr.form in ast.STIPEND_ONLY:
+                self.error(expr, "bad-call", f"{expr.form} calls no function")
+            if expr.function is None and expr.form == "dcall":
+                self.error(expr, "bad-call", "dcall must name a function")
             if expr.function is None and expr.args:
                 self.error(expr, "bad-call",
                            f"a plain-transfer {expr.form} takes no arguments")

@@ -20,9 +20,10 @@ kind, since an agent wrapper adds its own overhead; account-switching
 relations (MR2.x) run source and follow-up at the block gas limit.
 Every input, estimator probe, source or follow-up, runs through
 `Environment.run`: it starts from the shared context, restores it
-afterwards, and runs once per environment, so an MR2.x pair at the block
-gas limit and an MR1.x source at the intrinsic gas reuse the estimator's
-outcomes.
+afterwards, and runs at most once per environment, so an MR2.x pair at
+the block gas limit and an MR1.x source at the intrinsic gas reuse the
+estimator's outcomes. A probe the estimator answered from an invariance
+range never ran, so an MR1.x source at its limit runs then.
 
 Sweeps stop at their first violation. Every run reports its invariance
 range (`Outcome.limits`, see the interpreter's "Invariance ranges"

@@ -9,7 +9,7 @@ once per account kind; all instantiations land in one shared world state,
 the common context of every run. `Environment.run` executes one (actor
 kind, gas limit) input in that context, restores it, and keeps the
 outcome, so the estimator's probes and both sides of every test pair
-run each distinct input once per environment.
+run each distinct input at most once per environment.
 
 Schema (JSON object, unknown keys rejected):
 
@@ -131,6 +131,8 @@ def load_scenario(path) -> Scenario:
         _require(isinstance(role, str), f"{path}: balance roles must be strings")
         _require(type(amount) is int and 0 <= amount <= UINT_MAX,
                  f"{path}: balance of {role!r} must be an integer in [0, 2**128 - 1]")
+    for key in ("setup", "mrs", "mr1_actors"):
+        _require(isinstance(raw.get(key, []), list), f"{path}: {key} must be a list")
     setup = [
         _parse_template(entry, f"{path}: setup[{i}]", need_actor=True)
         for i, entry in enumerate(raw.get("setup", []))

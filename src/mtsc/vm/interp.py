@@ -145,7 +145,7 @@ class _ReturnSignal(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     account: Account
     self_addr: str

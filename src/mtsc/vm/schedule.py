@@ -2,12 +2,14 @@
 
 Defaults follow mainnet-like magnitudes. A schedule can be loaded from a
 flat `key=value` text file; unknown keys are rejected, missing keys keep
-their defaults.
+their defaults. Every entry lies in [0, 2**128 - 1], the uint range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+
+from ..minisol.ast import UINT_MAX
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,10 @@ class GasSchedule:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"gas schedule entry {f.name} must be a non-negative int")
+            # gasleft() reads gas as a uint, so no amount of gas exceeds one
+            if not isinstance(v, int) or not 0 <= v <= UINT_MAX:
+                raise ValueError(f"gas schedule entry {f.name} must be an integer "
+                                 "in [0, 2**128 - 1]")
         if self.sstore_set <= self.sstore_reset:
             raise ValueError("sstore_set must exceed sstore_reset")
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from ..minisol.ast import UINT_MAX  # noqa: F401  re-exported for the VM
 
@@ -58,19 +58,20 @@ class Transaction:
 # --------------------------------------------------------------------------
 # Trace events. CallEntered/CallExited nest like brackets; depth is the
 # frame in which the event was recorded (the caller's frame for call
-# events, the swallowing frame for ExceptionSwallowed).
+# events, the swallowing frame for ExceptionSwallowed). Events are named
+# tuples, one allocated per charged op: immutable, hashable, with a
+# dataclass-style repr, and equal to a plain tuple of their fields (each
+# event kind has its own field count, so two kinds never compare equal).
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OpExecuted:
+class OpExecuted(NamedTuple):
     op: str
     gas_cost: int
     depth: int
 
 
-@dataclass(frozen=True)
-class CallEntered:
+class CallEntered(NamedTuple):
     call_form: str            # lowcall | dcall | send | transfer | fallback
     callee: str
     function: Optional[str]   # None for plain value / fallback dispatch
@@ -79,8 +80,7 @@ class CallEntered:
     depth: int
 
 
-@dataclass(frozen=True)
-class CallExited:
+class CallExited(NamedTuple):
     success: bool
     gas_used: int
     reason: Optional[FailReason]
@@ -88,8 +88,7 @@ class CallExited:
     depth: int
 
 
-@dataclass(frozen=True)
-class ExceptionSwallowed:
+class ExceptionSwallowed(NamedTuple):
     reason: FailReason
     depth: int
 

@@ -1,10 +1,11 @@
-"""Test-only helpers: the uncut reference sweep, the plans as loops,
-whole-plan pair construction, trace queries and a runner for a bare
-transaction."""
+"""Test-only helpers: the uncut reference sweep, the estimator that runs
+every probe, the plans as loops, whole-plan pair construction, trace
+queries and a runner for a bare transaction."""
 
 from dataclasses import replace
 
 from mtsc import mr_engine
+from mtsc.gas_oracle import IntrinsicGas, NeverSucceeds, default_initial_estimator
 from mtsc.mr_engine import MR1_1, MR1_2, ActorInput, TestPair, mr2_pairs
 from mtsc.vm import CallEntered, OpExecuted
 from mtsc.vm import execute as vm_execute
@@ -23,6 +24,69 @@ def reference_sweep(env, mr, kind, gc, plan):
     in order. Report differentials patch it in."""
     for pair in sweep_pairs(env, mr, kind, gc, plan):
         yield mr_engine.run_pair(env, pair)
+
+
+def reference_estimate(schedule, runner, growth=1.5, first_limit=None):
+    """`gas_oracle.estimate_intrinsic_gas` without invariance ranges: every
+    probe reaches the runner. Estimator differentials compare against it."""
+    if not growth > 1.0:  # NaN included
+        raise ValueError("growth factor must exceed 1")
+    trials = 0
+
+    def probe(limit):
+        nonlocal trials
+        trials += 1
+        return runner(limit)
+
+    block = schedule.block_gas_limit
+    if first_limit is None:
+        first_limit = default_initial_estimator(runner, schedule)
+
+    # growth phase: strictly increasing limits until the first success
+    limit = max(1, min(int(first_limit), block))
+    while True:
+        out = probe(limit)
+        if out.ok:
+            candidate = out.gas_consumed
+            break
+        if limit >= block:
+            raise NeverSucceeds(out.status)
+        limit = block if limit * growth >= block else int(limit * growth) + 1
+
+    # verification phase: the reported value must itself suffice
+    last_good = limit
+    converged = candidate == limit
+    while not converged:
+        out = probe(candidate)
+        if out.ok:
+            if out.gas_consumed == candidate:
+                converged = True
+            else:
+                last_good = candidate
+                candidate = out.gas_consumed
+        else:
+            # consumption understates the requirement (a reserve demands
+            # headroom): bisect the success boundary in (candidate, last_good]
+            lo, hi = candidate + 1, last_good
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if probe(mid).ok:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            candidate = lo
+            converged = True
+    return IntrinsicGas(value=candidate, trials=trials, converged=converged)
+
+
+def estimate_or_status(estimate, schedule, runner, growth, first_limit):
+    """(value, trials, converged) of an estimate, or the status of the
+    NeverSucceeds it raises."""
+    try:
+        gc = estimate(schedule, runner=runner, growth=growth, first_limit=first_limit)
+    except NeverSucceeds as exc:
+        return exc.status
+    return gc.value, gc.trials, gc.converged
 
 
 def loop_increasing(gc, count, block_gas_limit):

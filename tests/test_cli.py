@@ -436,3 +436,12 @@ def test_mistyped_setup_arguments_exit_two(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 2 and "setup[0]: a call with no function takes no args" in err
+
+
+# `"setup": 0` used to exit 3 with a TypeError.
+@pytest.mark.parametrize("key", ["setup", "mrs", "mr1_actors"])
+def test_scenario_lists_of_another_type_exit_two(tmp_path, capsys, key):
+    path = edited_dao(tmp_path, lambda doc: doc.update({key: 0}))
+    code, out, err = run_cli(capsys, "check", path)
+    assert (code, out) == (2, "")
+    assert f"{key} must be a list" in err

@@ -1,5 +1,8 @@
 """Intrinsic-gas estimation and allocation plans."""
 
+from dataclasses import replace
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,14 +13,31 @@ from mtsc.gas_oracle import (
     allocate_reducing,
     default_initial_estimator,
     estimate_intrinsic_gas,
+    ranged_runner,
 )
 from mtsc.minisol import parse
+from mtsc.scenario import ALL_ACTOR_KINDS, build_environment, load_scenario
 from mtsc.traces import child_frame_gas
 from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
 
-from support import loop_increasing, loop_reducing, tx_runner
+from conftest import CORPUS_SCENARIOS, scenario_path
+from support import (
+    estimate_or_status,
+    loop_increasing,
+    loop_reducing,
+    reference_estimate,
+    tx_runner,
+)
 
 S = GasSchedule()
+
+
+def counting(runner, calls):
+    """`runner`, appending each limit it is asked for to `calls`."""
+    def run(limit):
+        calls.append(limit)
+        return runner(limit)
+    return run
 
 
 def nop_setup():
@@ -70,10 +90,75 @@ def test_trial_limits_grow_monotonically_until_success(environments):
 def test_estimate_leaves_state_unchanged(unmemoised, target_runs):
     env = unmemoised("simple_dao_withdraw")
     before = env.state.digest()
-    gc = estimate_intrinsic_gas(S, runner=env.runner_for(AgentKind.CAR))
+    probes = []
+    gc = estimate_intrinsic_gas(S, runner=counting(env.runner_for(AgentKind.CAR), probes))
     # the rough estimate's run at the block gas limit, then every probe
-    assert len(target_runs) == 1 + gc.trials
+    # that no earlier run's range answered
+    assert probes[0] == S.block_gas_limit
+    assert len(target_runs) == len(probes) < 1 + gc.trials
     assert env.state.digest() == before
+
+
+# `reference_estimate` runs every probe: the probes the ranges answer.
+@pytest.mark.parametrize("name", CORPUS_SCENARIOS + ["notifier_ping"])
+def test_estimates_match_the_estimator_that_runs_every_probe(environments, name):
+    env = environments.get(name) or build_environment(
+        load_scenario(scenario_path(name)), S)
+    for kind in ALL_ACTOR_KINDS:
+        runner = replace(env).runner_for(kind)  # one memo for both estimators
+        for growth, first in product((1.01, 1.1, 1.5, 2, 3, 1e9),
+                                     (None, 1, S.base_tx, 30_000, 100_000)):
+            ran, ref_ran = [], []
+            got = estimate_or_status(estimate_intrinsic_gas, S, counting(runner, ran),
+                                     growth, first)
+            want = estimate_or_status(reference_estimate, S, counting(runner, ref_ran),
+                                      growth, first)
+            assert got == want, (kind, growth, first)
+            assert len(ran) <= len(ref_ran), (kind, growth, first)
+
+
+# C's self-call recurses until a child runs dry; at 25 000 the top frame
+# itself runs dry after its child succeeded, so the run succeeds and
+# consumes its whole limit, and would consume the whole of any limit up
+# to where the child's path changes
+WHOLE_LIMIT_SRC = ("contract C { uint x; fn f0() { lowcall this.g(); } "
+                   "fn g() { x = 1; x = 2; x = 3; lowcall this.g(); } }")
+
+
+def whole_limit_runner():
+    state = WorldState()
+    actor = state.create_eoa(0)
+    c = deploy(state, parse(WHOLE_LIMIT_SRC).contracts[0])
+    return tx_runner(state, Transaction(actor, S.block_gas_limit, c, "f0", (), 0), S)
+
+
+def test_a_success_that_consumed_its_whole_limit_answers_no_probe():
+    calls = []
+    run = ranged_runner(counting(whole_limit_runner(), calls))
+    first = run(25_000)
+    assert (first.ok, first.gas_consumed, first.limits) == (True, 25_000, (21_900, 41_899))
+    again = run(30_000)
+    assert calls == [25_000, 30_000]
+    assert again.ok and again.gas_consumed == 30_000
+
+
+def test_ranges_answer_the_probes_inside_them_only():
+    state = WorldState()
+    actor = state.create_eoa(0)
+    c = deploy(state, parse("contract C { fn f() { require(gasleft() > 50000); } }")
+               .contracts[0])
+    calls = []
+    run = ranged_runner(counting(
+        tx_runner(state, Transaction(actor, S.block_gas_limit, c, "f", (), 0), S), calls))
+    fail = run(30_000)
+    # out of gas below the range, the require holds above it
+    assert (str(fail.status), fail.limits) == ("Failure(RequireFailed)", (21_115, 71_115))
+    for inside in (21_115, 50_000, 71_115):
+        assert run(inside) is fail
+    assert calls == [30_000]
+    assert str(run(21_114).status) == "Failure(OutOfGas)"
+    assert run(71_116).ok
+    assert calls == [30_000, 21_114, 71_116]
 
 
 def test_never_succeeds_reports_reason():

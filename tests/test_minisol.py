@@ -255,6 +255,50 @@ def test_call_forms_reject_clauses_of_other_forms(body, message):
     assert err.value.message == message
 
 
+# A built `Call` may carry a clause its form's grammar lacks; the validator
+# rejects it, since `pretty` would print source that does not re-parse
+# (`dcall t.g() gas 5;` used to validate clean).
+@pytest.mark.parametrize("form,clauses,message", [
+    ("dcall", {"function": "g", "gas": ast.IntLit(value=5)},
+     "only lowcall takes gas, not dcall"),
+    ("send", {"value": ast.IntLit(value=1), "gas": ast.IntLit(value=5)},
+     "only lowcall takes gas, not send"),
+    ("transfer", {"value": ast.IntLit(value=1), "gas": ast.IntLit(value=5)},
+     "only lowcall takes gas, not transfer"),
+    ("send", {"function": "g", "value": ast.IntLit(value=1)}, "send calls no function"),
+    ("transfer", {"function": "g", "value": ast.IntLit(value=1)},
+     "transfer calls no function"),
+    ("dcall", {"value": ast.IntLit(value=1)}, "dcall must name a function"),
+], ids=["dcall-gas", "send-gas", "transfer-gas", "send-function",
+        "transfer-function", "dcall-no-function"])
+def test_validator_rejects_clauses_of_other_forms(form, clauses, message):
+    unit = parse("contract X { fn f(t: addr) { dcall t.g(); } fn g() { } }")
+    stmt = unit.contracts[0].functions[0].body[0]
+    stmt.expr = ast.Call(line=1, col=30, form=form, target=ast.Var(name="t"), **clauses)
+    assert [(e.code, e.message) for e in validate(unit)] == [("bad-call", message)]
+    with pytest.raises(ParseError):
+        parse(pretty(unit))
+
+
+def test_validator_accepts_every_form_as_parsed():
+    source = ("contract X { fn f(t: addr) { lowcall t.g() value 1 gas 2; lowcall t value 1; "
+              "dcall t.g() value 1; require(send t value 1); transfer t value 1; } "
+              "fn g() payable { } }")
+    assert validate(parse(source)) == []
+
+
+def test_end_of_input_inside_a_contract_is_named():
+    with pytest.raises(ParseError) as err:
+        parse("contract X { // open")
+    # the position is the end of the text, past the trailing comment
+    assert (err.value.line, err.value.column) == (1, 21)
+    assert err.value.message == ("expected state variable, fn, or fallback, "
+                                 "found 'end of input'")
+    with pytest.raises(ParseError) as err:
+        parse("contract X { uint x;\n  // open")
+    assert (err.value.line, err.value.column) == (2, 10)
+
+
 def test_call_forms_are_one_node():
     fn = parse("contract X { fn f(t: addr) { lowcall t.g(1) value 2 gas 3; "
                "dcall t.g(1) value 2; require(send t value 2); transfer t value 2; } }"

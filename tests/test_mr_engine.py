@@ -458,8 +458,10 @@ def test_failure_certificate_stops_the_remaining_mr12_sweeps(monkeypatch, target
         ("token_ether_transfer", "CAH"): 3,
     }
     assert sum(runs.values()) == 67
-    # estimator probes included: each distinct input runs once
-    assert len(target_runs) == 153
+    # estimator probes included: each distinct input runs at most once,
+    # and a probe inside the range of a run the estimator made runs not
+    # at all (153 runs when every probe ran)
+    assert len(target_runs) == 117
 
 
 def skip_loop_limits(env, kind, plan):

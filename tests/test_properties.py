@@ -2,6 +2,7 @@
 round-trips over randomly generated syntax trees."""
 
 import copy
+import dataclasses
 import io
 import json
 import tempfile
@@ -20,8 +21,8 @@ from mtsc.minisol.lexer import KEYWORDS, PUNCT
 from mtsc.scenario import ALL_ACTOR_KINDS
 from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
 
-from conftest import CORPUS_SCENARIOS
-from support import reference_sweep
+from conftest import CORPUS, CORPUS_SCENARIOS
+from support import estimate_or_status, reference_estimate, reference_sweep
 
 SETTINGS = dict(deadline=None, max_examples=150)
 
@@ -249,6 +250,13 @@ def test_validation_is_pure_and_stable(contract):
 
 # -- token soup through the command line -----------------------------------------
 
+def _exit_code(argv):
+    """`cli.main`'s exit code and what it wrote to stderr."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
 SOUP_TOKENS = st.one_of(
     st.sampled_from(sorted(KEYWORDS) + PUNCT + ["C", "f", "x", "t", "sender", "_"]),
     # letters and digits outside the ASCII token set
@@ -274,9 +282,89 @@ def test_token_soup_never_crashes_the_command_line(tokens, separator, frame):
             "schema": "scenario-v1", "sources": ["soup.msol"],
             "balances": {"C": 0, "$ACTOR": 10_000},
             "target": {"callee": "C", "function": "f"}}))
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
-            code = cli.main(["check", str(path), "--mr", "MR2.1"])
-    assert code in (0, 1, 2), err.getvalue()
+        code, err = _exit_code(["check", str(path), "--mr", "MR2.1"])
+    assert code in (0, 1, 2), err
+
+
+# -- schedules and scenarios through the command line ---------------------------
+
+SCHEDULE_KEYS = [f.name for f in dataclasses.fields(GasSchedule)]
+
+
+@given(entries=st.dictionaries(st.sampled_from(SCHEDULE_KEYS),
+                               st.sampled_from([0, 1, 10**40, 2**128 - 1, 2**128]),
+                               max_size=3),
+       block_below_base=st.booleans(),
+       name=st.sampled_from(CORPUS_SCENARIOS),
+       command=st.sampled_from(["check", "estimate"]))
+@settings(deadline=None, max_examples=60)
+def test_extreme_schedules_never_crash_the_command_line(entries, block_below_base,
+                                                        name, command):
+    """Any schedule, however extreme, gives a verdict (0 or 1) or an error
+    in the input (2), never an internal error (3)."""
+    if block_below_base:
+        entries["block_gas_limit"] = entries.get("base_tx", GasSchedule.base_tx) - 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "extreme.schedule")
+        path.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+        code, err = _exit_code([command, str(CORPUS / f"{name}.scenario.json"),
+                                "--schedule", str(path)])
+    assert code in (0, 1, 2), err
+
+
+_json_values = st.one_of(
+    st.integers(min_value=-2**130, max_value=2**130),
+    st.sampled_from([0, 1, 2**128 - 1, 2**128, 2**130, -1, True, False, None, 1.5,
+                     "$ACTOR", "owner", "founder", "SimpleDAO", "nobody", "", [], {}]),
+)
+# one mutation of a scenario: a path of keys into its JSON and a new value
+_mutations = st.one_of(
+    st.tuples(st.sampled_from([("target", "args"), ("target", "value"),
+                               ("target", "callee"), ("target", "function"),
+                               ("setup", 0, "args"), ("setup", 0, "value"),
+                               ("setup", 0, "actor"), ("setup", 0, "callee"),
+                               ("balances", "$ACTOR"), ("balances", "owner"),
+                               ("setup",), ("mrs",), ("mr1_actors",), ("target",)]),
+              _json_values),
+    st.tuples(st.sampled_from([("target", "args"), ("setup", 0, "args"), ("mrs",),
+                               ("mr1_actors",)]),
+              st.lists(_json_values, max_size=3)),
+)
+
+
+def _holds(node, key):
+    return (isinstance(node, dict) and key in node
+            or isinstance(node, list) and isinstance(key, int) and key < len(node))
+
+
+def _mutate(raw, path, value):
+    """Set the entry at `path` in `raw` to `value`, where the path leads
+    to a key of an object or an index of a list."""
+    node = raw
+    for key in path[:-1]:
+        if not _holds(node, key):
+            return
+        node = node[key]
+    if isinstance(node, dict) or _holds(node, path[-1]):
+        node[path[-1]] = value
+
+
+@given(name=st.sampled_from(CORPUS_SCENARIOS),
+       mutations=st.lists(_mutations, min_size=1, max_size=3))
+@settings(deadline=None, max_examples=100)
+def test_mutated_scenarios_never_crash_the_command_line(name, mutations):
+    """A corpus scenario with wrong kinds of arguments, unknown or swapped
+    roles and values up to 2**130 gives a verdict (0 or 1) or an error in
+    the input (2), never an internal error (3)."""
+    raw = json.loads((CORPUS / f"{name}.scenario.json").read_text())
+    raw["sources"] = [str(CORPUS / source) for source in raw["sources"]]
+    for path, value in mutations:
+        _mutate(raw, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, f"{name}.scenario.json")
+        path.write_text(json.dumps(raw))
+        code, err = _exit_code(["check", str(path)])
+    assert code in (0, 1, 2), err
 
 
 # -- the rollback journal against independent clones ---------------------------
@@ -614,3 +702,20 @@ def test_every_limit_in_a_range_repeats_the_run(source, entry, value, kind, at, 
         again, digest_again = _observe(env, kind, other)
         assert _repeats(out, limit, again, other), (other, again.status, again.gas_consumed)
         assert digest_again == digest, other
+
+
+# The estimator answers probes from the ranges of the runs it made;
+# `reference_estimate` runs every probe.
+@given(source=range_shape_sources,
+       entry=st.sampled_from(["f0", "f1", None]),
+       value=st.sampled_from([0, 1, 700]),
+       kind=st.sampled_from(ALL_ACTOR_KINDS),
+       growth=st.sampled_from([1.01, 1.1, 1.5, 2.0, 1e9]),
+       first_limit=st.one_of(st.none(), st.integers(min_value=1, max_value=200_000)))
+@settings(deadline=None, max_examples=60)
+def test_range_answered_estimates_match_every_probe_run(source, entry, value, kind,
+                                                        growth, first_limit):
+    runner = _gas_shape_env(source, entry, value).runner_for(kind)
+    got, want = (estimate_or_status(estimate, GEN_SCHEDULE, runner, growth, first_limit)
+                 for estimate in (estimate_intrinsic_gas, reference_estimate))
+    assert got == want

@@ -32,6 +32,8 @@ def test_gas_response_sweep_shows_the_certificate(capsys):
     assert sweep.main([str(scenario_path("dividend_vault_payout")), "EOA",
                        "--points", "4"]) == 0
     out = capsys.readouterr().out
+    # the rough estimate's block-limit run answers the only probe
+    assert "estimate 56409: 1 trials, 0 of them reached the runner" in out
     assert "source range: [56409, 30000000]" in out
 
 
@@ -44,6 +46,10 @@ def test_gas_response_sweep_shows_where_the_mr12_sweep_stops(capsys):
     # fails out of gas at every lower limit
     assert "intrinsic gas for CAR: 57216 " in out
     limit = allocate_reducing(57_216)[0]
+    # the verification probe at 57216 lies in the range of the growth
+    # phase's first success
+    assert ("estimate 57216: 3 trials, 2 of them reached the runner, "
+            "1 answered from a range\n") in out
     assert f"MR1.2 follow-up {limit}: Failure(OutOfGas), range [0, 57215]\n\n" in out
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from mtsc.minisol import parse, validate
 from mtsc.vm import (
+    UINT_MAX,
     CallEntered,
     CallExited,
     ExceptionSwallowed,
@@ -927,3 +928,23 @@ def test_schedule_rejects_bad_values(tmp_path):
     path.write_text("sload three\n")
     with pytest.raises(ScheduleError):
         load_schedule(str(path))
+    path.write_text(f"sload = {2**128}\n")
+    with pytest.raises(ScheduleError):
+        load_schedule(str(path))
+
+
+# A block gas limit above the uint maximum used to let `gasleft()` store
+# more than a uint holds.
+def test_gasleft_fits_a_uint_at_the_highest_block_limit(tmp_path):
+    path = tmp_path / "sched.txt"
+    path.write_text(f"block_gas_limit = {2**128}\n")
+    with pytest.raises(ScheduleError):
+        load_schedule(str(path))
+    path.write_text(f"block_gas_limit = {UINT_MAX}\n")
+    sched = load_schedule(str(path))
+    state = WorldState()
+    actor = state.create_eoa(0)
+    c = deploy(state, parse("contract G { uint y; fn f() { y = gasleft(); } }").contracts[0])
+    out = execute(state, Transaction(actor, UINT_MAX, c, "f", (), 0), sched)
+    assert out.ok
+    assert 0 < state.account(c).storage["y"] <= UINT_MAX
