@@ -75,13 +75,8 @@ def test_underestimating_estimator_needs_multiple_trials():
 def test_trial_limits_grow_monotonically_until_success(environments):
     env = environments["simple_dao_withdraw"]
     seen = []
-    inner = env.runner_for(AgentKind.CAR)
-
-    def recording(limit):
-        seen.append(limit)
-        return inner(limit)
-
-    estimate_intrinsic_gas(S, runner=recording, first_limit=S.base_tx)
+    estimate_intrinsic_gas(S, runner=counting(env.runner_for(AgentKind.CAR), seen),
+                           first_limit=S.base_tx)
     first_ok = next(i for i, lim in enumerate(seen) if lim >= 57_216)
     growth_phase = seen[: first_ok + 1]
     assert all(a < b for a, b in zip(growth_phase, growth_phase[1:]))
