@@ -19,10 +19,9 @@ from pathlib import Path
 from typing import Optional
 
 from .agents import AgentKind
-from .detector import UnknownScenario, Verdict, compute_metrics, emit_report
+from .detector import CATEGORIES, UnknownScenario, Verdict, compute_metrics, emit_report
 from .gas_oracle import NeverSucceeds
 from .gas_oracle import estimate_intrinsic_gas  # noqa: F401  perfbench's traced run wraps it
-from .minisol import ParseError
 from .mr_engine import ALL_MRS, EngineConfig, estimate_kinds, run_all
 from .scenario import ALL_ACTOR_KINDS, ScenarioError, build_environment, load_scenario
 from .vm import GasSchedule, ScheduleError, load_schedule
@@ -41,52 +40,50 @@ class Config:
     jobs: int = 1  # 0 = number of cores
 
 
-def _parse_args(argv):
+def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--schedule", metavar="PATH",
+                        help="gas schedule file (key=value lines)")
+    common.add_argument("--n", type=int, default=EngineConfig.n,
+                        help="subdivisions of the reducing gas sweep (default %(default)s)")
+    common.add_argument("--inc-count", type=int, default=EngineConfig.inc_count,
+                        help="follow-ups per increasing gas sweep (default %(default)s)")
+    common.add_argument("--growth", type=float, default=EngineConfig.growth,
+                        help="estimator growth factor (default %(default)s)")
+    common.add_argument("--car-gas-guard", type=int, default=EngineConfig.car_gas_guard,
+                        help="recursion guard of the CAR agent (default %(default)s)")
+    common.add_argument("--cah-iterations", type=int, default=EngineConfig.cah_iterations,
+                        help="storage writes in the CAH fallback (default %(default)s)")
+    common.add_argument("--mr", metavar="LIST",
+                        help="comma-separated relations to run (restricts scenarios)")
+    common.add_argument("--mr1-actors", metavar="LIST",
+                        help="comma-separated actor kinds for the gas relations")
+    common.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+    common.add_argument("--out", metavar="PATH", help="write the report to a file")
+    common.add_argument("--jobs", type=int, default=Config.jobs,
+                        help="scenario worker processes, 0 for one per core "
+                             "(default %(default)s)")
+
     parser = argparse.ArgumentParser(
         prog="mtsc",
         description="metamorphic testing for smart-contract vulnerabilities")
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, summary, positionals in (
+            ("check", "test one scenario", ("scenario",)),
+            ("bench", "run a labeled scenario directory", ("dir", "labels")),
+            ("estimate", "intrinsic gas per actor kind", ("scenario",))):
+        p = sub.add_parser(command, help=summary, parents=[common])
+        for name in positionals:
+            p.add_argument(name)
+    return parser
 
-    def common(p):
-        p.add_argument("--schedule", metavar="PATH",
-                       help="gas schedule file (key=value lines)")
-        p.add_argument("--n", type=int, default=EngineConfig.n,
-                       help="subdivisions of the reducing gas sweep (default %(default)s)")
-        p.add_argument("--inc-count", type=int, default=EngineConfig.inc_count,
-                       help="follow-ups per increasing gas sweep (default %(default)s)")
-        p.add_argument("--growth", type=float, default=EngineConfig.growth,
-                       help="estimator growth factor (default %(default)s)")
-        p.add_argument("--car-gas-guard", type=int,
-                       default=EngineConfig.car_gas_guard,
-                       help="recursion guard of the CAR agent (default %(default)s)")
-        p.add_argument("--cah-iterations", type=int,
-                       default=EngineConfig.cah_iterations,
-                       help="storage writes in the CAH fallback (default %(default)s)")
-        p.add_argument("--mr", metavar="LIST",
-                       help="comma-separated relations to run (restricts scenarios)")
-        p.add_argument("--mr1-actors", metavar="LIST",
-                       help="comma-separated actor kinds for the gas relations")
-        p.add_argument("--format", dest="fmt", choices=("text", "json"),
-                       default="text")
-        p.add_argument("--out", metavar="PATH", help="write the report to a file")
-        p.add_argument("--jobs", type=int, default=Config.jobs,
-                       help="scenario worker processes, 0 for one per core "
-                            "(default %(default)s)")
 
-    p_check = sub.add_parser("check", help="test one scenario")
-    p_check.add_argument("scenario")
-    common(p_check)
+# built once per process: construction does not depend on the arguments
+PARSER = _build_parser()
 
-    p_bench = sub.add_parser("bench", help="run a labeled scenario directory")
-    p_bench.add_argument("dir")
-    p_bench.add_argument("labels")
-    common(p_bench)
 
-    p_est = sub.add_parser("estimate", help="intrinsic gas per actor kind")
-    p_est.add_argument("scenario")
-    common(p_est)
-
-    return parser.parse_args(argv)
+def _parse_args(argv):
+    return PARSER.parse_args(argv)
 
 
 def _build_config(args) -> Config:
@@ -158,14 +155,19 @@ def cmd_bench(args, config: Config) -> int:
     if not isinstance(labels, dict) or not all(
             isinstance(v, list) for v in labels.values()):
         raise UsageError("labels must map scenario ids to category lists")
+    for sid, categories in labels.items():
+        for category in categories:
+            if category not in CATEGORIES:
+                raise UsageError(f"unknown category {category!r} in the labels of {sid!r}")
 
     for path in paths:
         sid = Path(path).name[: -len(".scenario.json")]
         if sid not in labels:
             raise UsageError(f"no label for scenario {sid!r}")
 
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(paths) > 1:
+    # a fork pool starts all its workers at once: never more than there is work for
+    jobs = min(args.jobs or os.cpu_count() or 1, len(paths))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             verdicts = list(pool.map(_worker, [(p, config) for p in paths]))
     else:
@@ -217,8 +219,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return cmd_bench(args, config)
         return cmd_estimate(args, config)
-    except (UsageError, ScenarioError, ScheduleError, UnknownScenario,
-            ParseError, OSError) as exc:
+    except (UsageError, ScenarioError, ScheduleError, UnknownScenario, OSError) as exc:
         print(f"mtsc: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 means "vulnerable"; a crash must not say so

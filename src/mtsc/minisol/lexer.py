@@ -20,6 +20,10 @@ class ParseError(Exception):
         self.column = column
         self.message = message
 
+    def __reduce__(self):
+        # the default rebuilds from `args`, the one formatted string
+        return ParseError, (self.line, self.column, self.message)
+
 
 KEYWORDS = {
     "contract", "fn", "fallback", "payable",

@@ -44,7 +44,7 @@ from .agents import (
     agent_interact,
     make_agent,
 )
-from .minisol import ast, parse, validate
+from .minisol import ParseError, ast, parse, validate
 from .vm import UINT_MAX, GasSchedule, Outcome, Transaction, WorldState, deploy, execute
 
 SCHEMA_V1 = "scenario-v1"
@@ -232,7 +232,10 @@ def _load_contracts(scenario: Scenario):
             text = src_path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ScenarioError(f"cannot read source {src_path}: {exc}") from exc
-        unit = parse(text, str(src_path))
+        try:
+            unit = parse(text, str(src_path))
+        except ParseError as exc:
+            raise ScenarioError(f"{src_path}: {exc}") from exc
         errors = validate(unit)
         if errors:
             listing = "; ".join(str(e) for e in errors)
@@ -330,7 +333,7 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
         state.fund(env.actor_accounts[kind], stake)
 
     for entry in scenario.setup:
-        templated = entry.actor == ACTOR or ACTOR in entry.args
+        templated = ACTOR in (entry.actor, entry.callee, *entry.args)
         kinds = ALL_ACTOR_KINDS if templated else (None,)
         for kind in kinds:
             actor_addr = env.actor_accounts[kind] if kind is not None else None

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, formats, determinism."""
 
+import argparse
 import hashlib
 import json
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from mtsc import cli
-from mtsc.cli import main
+from mtsc.cli import Config, main
 from mtsc.mr_engine import EngineConfig
 from mtsc.minisol.parser import MAX_NESTING
 from mtsc.scenario import load_scenario
@@ -104,6 +105,35 @@ def test_bench_missing_label_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bench", str(CORPUS), str(labels))
     assert code == 2
     assert "no label" in err
+
+
+def test_bench_misspelled_category_exits_two(tmp_path, capsys):
+    # used to score the corpus as FDR 25.00% and exit 0
+    labels = json.loads((CORPUS / "labels.json").read_text())
+    labels["token_ether_transfer"] = ["Reentrency"]
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(labels))
+    code, out, err = run_cli(capsys, "bench", str(CORPUS), str(path))
+    assert (code, out) == (2, "")
+    assert err == ("mtsc: error: unknown category 'Reentrency' "
+                   "in the labels of 'token_ether_transfer'\n")
+
+
+def test_bench_parse_error_is_the_same_at_any_job_count(tmp_path, capsys):
+    # with a pool, the unpicklable ParseError used to break it (exit 3)
+    doc = json.loads(scenario_path("counter_baseline").read_text())
+    doc["sources"] = [str(CORPUS / src) for src in doc["sources"]]
+    (tmp_path / "counter_baseline.scenario.json").write_text(json.dumps(doc))
+    bad = tmp_path / "bad.msol"
+    bad.write_text("contract Bad { fn f( { } }\n")
+    doc["sources"] = ["bad.msol"]
+    (tmp_path / "bad.scenario.json").write_text(json.dumps(doc))
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"bad": [], "counter_baseline": []}))
+    serial = run_cli(capsys, "bench", str(tmp_path), str(labels), "--jobs", "1")
+    parallel = run_cli(capsys, "bench", str(tmp_path), str(labels), "--jobs", "2")
+    assert serial == parallel == (
+        2, "", f"mtsc: error: {bad}: 1:22: expected parameter name, found '{{'\n")
 
 
 def test_bench_corrupt_labels_exit_two(tmp_path, capsys):
@@ -328,6 +358,44 @@ def test_engine_options_default_to_the_engine_config():
     assert config.engine == EngineConfig()
 
 
+def test_check_help_shows_the_engine_config_defaults(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, value in [("--n N", EngineConfig.n),
+                        ("--inc-count INC_COUNT", EngineConfig.inc_count),
+                        ("--growth GROWTH", EngineConfig.growth),
+                        ("--car-gas-guard CAR_GAS_GUARD", EngineConfig.car_gas_guard),
+                        ("--cah-iterations CAH_ITERATIONS", EngineConfig.cah_iterations)]:
+        assert f"{flag} " in text and f"(default {value})" in text, flag
+
+
+def test_main_builds_no_argument_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = str(scenario_path("counter_baseline"))
+    for _ in range(2):
+        assert run_cli(capsys, "check", path, "--mr", "MR2.1")[0] == 0
+    assert built == []
+
+
+def test_consecutive_parses_share_no_options():
+    first = cli._parse_args(["check", "x", "--mr", "MR2.1", "--format", "json"])
+    assert (first.mr, first.fmt) == ("MR2.1", "json")
+    second = cli._parse_args(["check", "x"])
+    assert (second.mr, second.fmt) == (None, "text")
+    cli._parse_args(["bench", "d", "l", "--jobs", "4", "--mr1-actors", "CAR"])
+    third = cli._parse_args(["estimate", "x"])
+    assert (third.jobs, third.mr1_actors, hasattr(third, "dir")) == (Config.jobs, None, False)
+
+
 @pytest.mark.parametrize("argv", [
     ["check", str(scenario_path("simple_dao_withdraw"))],
     ["bench", str(CORPUS), LABELS, "--jobs", "1"],
@@ -352,7 +420,9 @@ def test_bench_is_serial_by_default(monkeypatch, capsys):
     assert code == 0 and "TPR 100.00%" in out
 
 
-def test_jobs_zero_starts_one_worker_per_core(monkeypatch, capsys):
+def inline_pools(monkeypatch):
+    """Replace bench's process pool by one that maps serially; returns the
+    list of `max_workers` each pool was asked for."""
     pools = []
 
     class InlinePool:
@@ -369,9 +439,22 @@ def test_jobs_zero_starts_one_worker_per_core(monkeypatch, capsys):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return pools
+
+
+def test_jobs_zero_starts_one_worker_per_core(monkeypatch, capsys):
+    pools = inline_pools(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert run_cli(capsys, "bench", str(CORPUS), LABELS, "--jobs", "0")[0] == 0
     assert pools == [3]
+
+
+def test_bench_starts_no_more_workers_than_scenarios(monkeypatch, capsys):
+    # a fork pool starts every worker it is given at once
+    serial = run_cli(capsys, "bench", str(CORPUS), LABELS, "--jobs", "1")
+    pools = inline_pools(monkeypatch)
+    assert run_cli(capsys, "bench", str(CORPUS), LABELS, "--jobs", "64") == serial
+    assert pools == [len(CORPUS_SCENARIOS)]
 
 
 def edited_dao(tmp_path, edit):
@@ -436,6 +519,19 @@ def test_mistyped_setup_arguments_exit_two(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 2 and "setup[0]: a call with no function takes no args" in err
+
+
+def test_setup_calls_to_the_actor_run_once_per_kind(tmp_path, capsys):
+    # a setup entry with `$ACTOR` only as its callee used to run once, with
+    # no actor to call, and exit 3; CAE's fallback reverts every call
+    doc = json.loads(scenario_path("counter_baseline").read_text())
+    doc["sources"] = [str(CORPUS / src) for src in doc["sources"]]
+    doc["setup"][0]["callee"] = "$ACTOR"
+    path = tmp_path / "counter.scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "mtsc: error: setup transaction init failed for CAE: Failure(Revert)\n"
 
 
 # `"setup": 0` used to exit 3 with a TypeError.

@@ -1,6 +1,7 @@
 """Parser, validator, and pretty-printer for the contract language."""
 
 import copy
+import pickle
 
 import pytest
 
@@ -43,6 +44,16 @@ def test_parse_error_carries_position():
         parse("contract X { fn f( { }")
     assert err.value.line == 1
     assert err.value.column == 20  # the '{' where a parameter was expected
+
+
+def test_parse_error_survives_pickling():
+    # a worker process hands its errors back pickled
+    with pytest.raises(ParseError) as err:
+        parse("contract X { fn f( { }")
+    rebuilt = pickle.loads(pickle.dumps(err.value))
+    assert type(rebuilt) is ParseError
+    assert (rebuilt.line, rebuilt.column, rebuilt.message, str(rebuilt)) == (
+        1, 20, "expected parameter name, found '{'", "1:20: expected parameter name, found '{'")
 
 
 @pytest.mark.parametrize("source", [
