@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -45,7 +46,8 @@ from .agents import (
     make_agent,
 )
 from .minisol import ParseError, ast, parse, validate
-from .vm import UINT_MAX, GasSchedule, Outcome, Transaction, WorldState, deploy, execute
+from .vm import (UINT_MAX, GasSchedule, Outcome, Transaction, WorldState, deploy, execute,
+                 replay)
 
 SCHEMA_V1 = "scenario-v1"
 ACTOR = "$ACTOR"
@@ -79,29 +81,42 @@ class Scenario:
     mr1_actors: tuple
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ScenarioError(message)
+TEMPLATE_KEYS = frozenset({"actor", "callee", "function", "args", "value"})
+SCENARIO_KEYS = frozenset({"schema", "sources", "balances", "setup", "target", "mrs",
+                           "mr1_actors"})
 
 
-def _parse_template(obj: dict, where: str, need_actor: bool) -> TxTemplate:
-    allowed = {"actor", "callee", "function", "args", "value"}
-    _require(isinstance(obj, dict), f"{where} must be an object")
-    unknown = set(obj) - allowed
-    _require(not unknown, f"{where} has unknown keys {sorted(unknown)}")
-    if need_actor:
-        _require(isinstance(obj.get("actor"), str), f"{where} needs an actor role")
-    _require(isinstance(obj.get("callee"), str), f"{where} needs a callee role")
+def _entry(index: Optional[int]) -> str:
+    """How messages name a transaction: the setup entry at `index`, or the
+    target when `index` is None."""
+    return "target" if index is None else f"setup[{index}]"
+
+
+def _parse_template(obj, path: Path, index: Optional[int]) -> TxTemplate:
+    """The setup entry at `index` of the scenario at `path`, or its target
+    when `index` is None. Messages are built only for a failed check."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{path}: {_entry(index)} must be an object")
+    if not obj.keys() <= TEMPLATE_KEYS:
+        raise ScenarioError(f"{path}: {_entry(index)} has unknown keys "
+                            f"{sorted(set(obj) - TEMPLATE_KEYS)}")
+    if index is not None and not isinstance(obj.get("actor"), str):
+        raise ScenarioError(f"{path}: {_entry(index)} needs an actor role")
+    if not isinstance(obj.get("callee"), str):
+        raise ScenarioError(f"{path}: {_entry(index)} needs a callee role")
     function = obj.get("function")
-    _require(function is None or isinstance(function, str),
-             f"{where}: function must be a name or null")
+    if not (function is None or isinstance(function, str)):
+        raise ScenarioError(f"{path}: {_entry(index)}: function must be a name or null")
     args = obj.get("args", [])
-    _require(isinstance(args, list), f"{where}: args must be a list")
+    if not isinstance(args, list):
+        raise ScenarioError(f"{path}: {_entry(index)}: args must be a list")
     for a in args:
-        _require(isinstance(a, (int, bool, str)), f"{where}: bad argument {a!r}")
+        if not isinstance(a, (int, bool, str)):
+            raise ScenarioError(f"{path}: {_entry(index)}: bad argument {a!r}")
     value = obj.get("value", 0)
-    _require(type(value) is int and 0 <= value <= UINT_MAX,
-             f"{where}: value must be an integer in [0, 2**128 - 1]")
+    if not (type(value) is int and 0 <= value <= UINT_MAX):
+        raise ScenarioError(f"{path}: {_entry(index)}: value must be an integer "
+                            "in [0, 2**128 - 1]")
     return TxTemplate(actor=obj.get("actor", ACTOR), callee=obj["callee"],
                       function=function, args=tuple(args), value=value)
 
@@ -115,32 +130,34 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
 
-    _require(isinstance(raw, dict), f"{path}: scenario must be a JSON object")
-    allowed = {"schema", "sources", "balances", "setup", "target", "mrs", "mr1_actors"}
-    unknown = set(raw) - allowed
-    _require(not unknown, f"{path}: unknown keys {sorted(unknown)}")
-    _require(raw.get("schema") == SCHEMA_V1,
-             f"{path}: schema must be {SCHEMA_V1!r}")
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path}: scenario must be a JSON object")
+    if not raw.keys() <= SCENARIO_KEYS:
+        raise ScenarioError(f"{path}: unknown keys {sorted(set(raw) - SCENARIO_KEYS)}")
+    if raw.get("schema") != SCHEMA_V1:
+        raise ScenarioError(f"{path}: schema must be {SCHEMA_V1!r}")
     sources = raw.get("sources")
-    _require(isinstance(sources, list) and sources
-             and all(isinstance(s, str) for s in sources),
-             f"{path}: sources must be a non-empty list of paths")
+    if not (isinstance(sources, list) and sources
+            and all(isinstance(s, str) for s in sources)):
+        raise ScenarioError(f"{path}: sources must be a non-empty list of paths")
     balances = raw.get("balances")
-    _require(isinstance(balances, dict), f"{path}: balances must be an object")
+    if not isinstance(balances, dict):
+        raise ScenarioError(f"{path}: balances must be an object")
+    # JSON object keys are strings, so every role is one
     for role, amount in balances.items():
-        _require(isinstance(role, str), f"{path}: balance roles must be strings")
-        _require(type(amount) is int and 0 <= amount <= UINT_MAX,
-                 f"{path}: balance of {role!r} must be an integer in [0, 2**128 - 1]")
+        if not (type(amount) is int and 0 <= amount <= UINT_MAX):
+            raise ScenarioError(f"{path}: balance of {role!r} must be an integer "
+                                "in [0, 2**128 - 1]")
     for key in ("setup", "mrs", "mr1_actors"):
-        _require(isinstance(raw.get(key, []), list), f"{path}: {key} must be a list")
-    setup = [
-        _parse_template(entry, f"{path}: setup[{i}]", need_actor=True)
-        for i, entry in enumerate(raw.get("setup", []))
-    ]
-    target = _parse_template(raw.get("target"), f"{path}: target", need_actor=False)
+        if not isinstance(raw.get(key, []), list):
+            raise ScenarioError(f"{path}: {key} must be a list")
+    setup = [_parse_template(entry, path, i)
+             for i, entry in enumerate(raw.get("setup", []))]
+    target = _parse_template(raw.get("target"), path, None)
     mrs = tuple(raw.get("mrs", ALL_MRS))
     for mr in mrs:
-        _require(mr in ALL_MRS, f"{path}: unknown relation {mr!r}")
+        if mr not in ALL_MRS:
+            raise ScenarioError(f"{path}: unknown relation {mr!r}")
     kinds = []
     for name in raw.get("mr1_actors", [k.value for k in DEFAULT_MR1_ACTORS]):
         try:
@@ -248,18 +265,21 @@ def _load_contracts(scenario: Scenario):
     return contracts
 
 
-def _check_args(where: str, entry: TxTemplate, code, roles: dict):
-    """Raise ScenarioError unless the entry's arguments fit the parameters
-    of the function it calls on a contract with `code`: a uint is a
-    non-bool int in [0, UINT_MAX], a bool a bool, an addr a role."""
+def _check_args(entry: TxTemplate, fn: Optional[ast.FunctionDef], roles: dict,
+                index: Optional[int] = None):
+    """Raise ScenarioError unless the arguments of the setup entry at
+    `index` (the target when None) fit the parameters of `fn`, the
+    function it calls, when that is known: a uint is a non-bool int in
+    [0, UINT_MAX], a bool a bool, an addr a role."""
     if entry.function is None:
-        _require(not entry.args, f"{where}: a call with no function takes no args")
-    fn = code.function(entry.function) if code is not None and entry.function else None
+        if entry.args:
+            raise ScenarioError(f"{_entry(index)}: a call with no function takes no args")
+        return
     if fn is None:
         return
     if len(entry.args) != len(fn.params):
-        raise ScenarioError(f"{where}: {entry.function} takes {len(fn.params)} args, "
-                            f"got {len(entry.args)}")
+        raise ScenarioError(f"{_entry(index)}: {entry.function} takes {len(fn.params)} "
+                            f"args, got {len(entry.args)}")
     for param, arg in zip(fn.params, entry.args):
         if param.kind == ast.Kind.UINT:
             fits = type(arg) is int and 0 <= arg <= UINT_MAX
@@ -268,8 +288,21 @@ def _check_args(where: str, entry: TxTemplate, code, roles: dict):
         else:
             fits = arg == ACTOR or arg in roles
         if not fits:
-            raise ScenarioError(f"{where}: argument {param.name} of {entry.function} "
-                                f"must be {param.kind.value}, got {arg!r}")
+            raise ScenarioError(f"{_entry(index)}: argument {param.name} of "
+                                f"{entry.function} must be {param.kind.value}, "
+                                f"got {arg!r}")
+
+
+def _setup_runs(setup):
+    """(entry, actor kind) of every setup transaction, in replay order: an
+    entry that mentions $ACTOR runs once per actor kind, any other once,
+    with kind None."""
+    for entry in setup:
+        if ACTOR in (entry.actor, entry.callee, *entry.args):
+            for kind in ALL_ACTOR_KINDS:
+                yield entry, kind
+        else:
+            yield entry, None
 
 
 def build_environment(scenario: Scenario, schedule: GasSchedule,
@@ -295,19 +328,25 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
             continue
         roles[role] = state.create_eoa(amount)
 
+    def function_of(callee: Optional[str], name: Optional[str]):
+        code = state.account(callee).code if callee is not None else None
+        return code.function(name) if code is not None and name else None
+
     target = scenario.target
     if target.callee not in roles:
         raise ScenarioError(f"target callee {target.callee!r} is not a known role")
     target_addr = roles[target.callee]
-    code = state.account(target_addr).code
-    if target.function is not None:
-        if code is None or code.function(target.function) is None:
-            raise ScenarioError(
-                f"target function {target.function!r} not found on {target.callee}")
-    _check_args("target", target, code, roles)
+    target_fn = function_of(target_addr, target.function)
+    if target.function is not None and target_fn is None:
+        raise ScenarioError(
+            f"target function {target.function!r} not found on {target.callee}")
+    _check_args(target, target_fn, roles)
+    functions = {}  # (callee role, function) -> its FunctionDef, if known
     for i, entry in enumerate(scenario.setup):
-        callee = roles.get(entry.callee)
-        _check_args(f"setup[{i}]", entry, callee and state.account(callee).code, roles)
+        key = entry.callee, entry.function
+        if key not in functions:
+            functions[key] = function_of(roles.get(entry.callee), entry.function)
+        _check_args(entry, functions[key], roles, i)
 
     env = Environment(state=state, schedule=schedule, scenario=scenario,
                       roles=roles, actor_accounts={AgentKind.EOA: eoa_actor},
@@ -332,21 +371,22 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
     for kind in ALL_ACTOR_KINDS:
         state.fund(env.actor_accounts[kind], stake)
 
-    for entry in scenario.setup:
-        templated = ACTOR in (entry.actor, entry.callee, *entry.args)
-        kinds = ALL_ACTOR_KINDS if templated else (None,)
-        for kind in kinds:
-            actor_addr = env.actor_accounts[kind] if kind is not None else None
-            sender = actor_addr if entry.actor == ACTOR else env.resolve(entry.actor, "")
-            args = tuple(env.resolve(a, actor_addr) for a in entry.args)
-            tx = Transaction(sender, schedule.block_gas_limit,
-                             env.resolve(entry.callee, actor_addr),
-                             entry.function, args, entry.value)
-            out = execute(state, tx, schedule)
-            if not out.ok:
-                who = kind.value if kind is not None else entry.actor
-                raise ScenarioError(
-                    f"setup transaction {entry.function or 'transfer'} failed "
-                    f"for {who}: {out.status}")
+    def transaction(entry: TxTemplate, kind: Optional[AgentKind]) -> Transaction:
+        actor_addr = env.actor_accounts[kind] if kind is not None else None
+        sender = actor_addr if entry.actor == ACTOR else env.resolve(entry.actor, "")
+        args = tuple([env.resolve(a, actor_addr) for a in entry.args])
+        return Transaction(sender, schedule.block_gas_limit,
+                           env.resolve(entry.callee, actor_addr),
+                           entry.function, args, entry.value)
+
+    # built one at a time, as the replay reaches them
+    failed = replay(state, (transaction(entry, kind)
+                            for entry, kind in _setup_runs(scenario.setup)), schedule)
+    if failed is not None:
+        index, status = failed
+        entry, kind = next(islice(_setup_runs(scenario.setup), index, None))
+        who = kind.value if kind is not None else entry.actor
+        raise ScenarioError(f"setup transaction {entry.function or 'transfer'} failed "
+                            f"for {who}: {status}")
 
     return env

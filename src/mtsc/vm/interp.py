@@ -2,9 +2,10 @@
 
 Gas model
 ---------
-Every charge is recorded as an OpExecuted trace event; when a charge
-exceeds the frame's remaining gas the shortfall is recorded as a partial
-charge, the frame drops to zero, and the frame fails OutOfGas. A frame's
+Every charge is recorded as an OpExecuted trace event, except in runs
+that record no op events, as `replay`'s do; when a charge exceeds the
+frame's remaining gas the shortfall is recorded as a partial charge,
+the frame drops to zero, and the frame fails OutOfGas. A frame's
 consumption is therefore its budget minus what is left when it exits,
 and a frame that runs out consumes its whole budget.
 
@@ -45,6 +46,11 @@ harness use the same journal, so world-state rollback is one mechanism.
 Top level: a Failure outcome leaves the world state untouched, the actor
 balance delta is zero, and OutOfGas consumes the full gas limit. Fees
 accrue on the fee ledger, never on balances.
+
+`execute` runs one transaction and returns its `Outcome`. `replay` runs
+a sequence, as scenario setup does, through the same transaction core
+(`_Run.transact`); it records no op events, builds no outcomes, and
+reports only the first transaction that fails.
 
 Invariance ranges
 -----------------
@@ -122,8 +128,8 @@ MAX_CALL_DEPTH = 128  # frames 0..127; entering deeper fails DepthExceeded
 GAS_CUTS = {">": (1,), "<=": (1,), ">=": (0,), "<": (0,), "==": (0, 1), "!=": (0, 1)}
 MIRROR = {">": "<", "<": ">", ">=": "<=", "<=": ">=", "==": "==", "!=": "!="}
 
-# Python frames the interpreter may stack, which `execute` adds to the
-# recursion limit for the length of a run. Per MiniSol call frame: per
+# Python frames the interpreter may stack, which `execute` and `replay`
+# add to the recursion limit while they run. Per MiniSol call frame: per
 # nesting level the parser allows, which is a block (exec_stmt,
 # exec_block), a binary operator (eval, eval_binary), a `!` or a primary
 # expression (eval), at most two frames, and a fixed tail for the
@@ -165,12 +171,17 @@ class _Frame:
 
 
 class _Run:
+    """One transaction's run. With `ops` false it records no OpExecuted
+    events, only the call, exit and swallow events."""
+
     def __init__(self, state: WorldState, schedule: GasSchedule, limit: int,
-                 reports: Optional[str]):
+                 reports: Optional[str], ops: bool = True):
         self.state = state
         self.sched = schedule
+        self.ops = ops
         self.trace: list = []
         self.limit = limit                   # the transaction's gas limit G
+        self.lo = 0                          # lowest limit on this path
         self.hi = schedule.block_gas_limit   # highest limit on this path
         self.turn = 0                        # highest lower bound that turns it
         self.reports = reports
@@ -180,10 +191,12 @@ class _Run:
 
     def charge(self, frame: _Frame, op: str, cost: int):
         if cost > frame.gas:
-            self.trace.append(OpExecuted(op, frame.gas, frame.depth))
+            if self.ops:
+                self.trace.append(OpExecuted(op, frame.gas, frame.depth))
             self.run_dry(frame, cost - frame.gas)
         frame.gas -= cost
-        self.trace.append(OpExecuted(op, cost, frame.depth))
+        if self.ops:
+            self.trace.append(OpExecuted(op, cost, frame.depth))
 
     def run_dry(self, frame: _Frame, short: int):
         """The frame is `short` gas short of a charge or reserve: it fails
@@ -394,7 +407,9 @@ class _Run:
         elif explicit_gas is not None:
             if explicit_gas > caller.gas:
                 # the caller must produce the reserved gas in full
-                self.trace.append(OpExecuted("call_reserve", caller.gas, caller.depth))
+                if self.ops:
+                    self.trace.append(OpExecuted("call_reserve", caller.gas,
+                                                 caller.depth))
                 self.run_dry(caller, explicit_gas - caller.gas)
             # the reserve is headroom the caller needs beyond what it consumes
             caller.peak = max(caller.peak, caller.consumed + explicit_gas)
@@ -492,67 +507,94 @@ class _Run:
             return ok, consumed, reason, max(consumed, frame.peak), False
         return ok, consumed, reason, frame.peak, elastic
 
+    # -- transaction ---------------------------------------------------------
+
+    def transact(self, tx: Transaction):
+        """Run `tx` on the state, which keeps its effects and fees; returns
+        (status, gas consumed, actor balance delta) and leaves the run's
+        invariance range in `lo` and `hi`."""
+        state, schedule = self.state, self.sched
+        if tx.actor not in state.accounts or tx.callee not in state.accounts:
+            raise ValueError("transaction actor and callee must exist")
+        if not 0 <= tx.gas_limit <= schedule.block_gas_limit:
+            raise ValueError("gas limit must be within [0, block_gas_limit]")
+
+        actor_before = state.account(tx.actor).balance
+        if tx.value > actor_before:
+            return failure(FailReason.BALANCE_INSUFFICIENT), 0, 0
+
+        if tx.gas_limit < schedule.base_tx:
+            if self.ops:
+                self.trace.append(OpExecuted("base_tx", tx.gas_limit, 0))
+            state.fee_ledger += tx.gas_limit
+            self.hi = schedule.base_tx - 1
+            return failure(FailReason.OUT_OF_GAS), tx.gas_limit, 0
+        if self.ops:
+            self.trace.append(OpExecuted("base_tx", schedule.base_tx, 0))
+        budget = tx.gas_limit - schedule.base_tx
+
+        actor, callee = state.account(tx.actor), state.account(tx.callee)
+        checkpoint = state.checkpoint()
+        if tx.value:
+            state.transfer(actor, callee, tx.value)
+
+        ok, consumed, reason, need, _ = self.dispatch(callee, tx.function, list(tx.args),
+                                                      tx.value, tx.actor, budget,
+                                                      depth=0, elastic=True)
+        if ok:
+            gas_total = schedule.base_tx + consumed
+            delta = actor.balance - actor_before
+            status = STATUS_SUCCESS
+            if self.reported is not None and not self.reported[0]:
+                status = failure(self.reported[1])
+        else:
+            state.revert(checkpoint)
+            if reason == FailReason.OUT_OF_GAS:
+                gas_total = tx.gas_limit  # a failed allocation is consumed in full
+            else:
+                gas_total = schedule.base_tx + consumed
+            delta = 0
+            status = failure(reason)
+        state.commit()
+        state.fee_ledger += gas_total
+        self.lo = max(self.turn, schedule.base_tx + need)
+        if status.reason == FailReason.OUT_OF_GAS and gas_total == tx.gas_limit \
+                and schedule.gasleft and schedule.call_base:
+            self.lo = self.turn  # out of gas below the path too, until a bound turns it
+        return status, gas_total, delta
+
 
 def execute(state: WorldState, tx: Transaction, schedule: GasSchedule,
             reports: Optional[str] = None) -> Outcome:
     """Run one transaction to completion; never raises for execution
     failures. With `reports`, a successful transaction reports the status
     of its top frame's first call into that address."""
+    run = _Run(state, schedule, tx.gas_limit, reports)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + RECURSION_BUDGET)
     try:
-        return _execute(state, tx, schedule, reports)
+        status, gas_total, delta = run.transact(tx)
     finally:
         sys.setrecursionlimit(limit)
+    return Outcome(status, gas_total, delta, tuple(run.trace), (run.lo, run.hi))
 
 
-def _execute(state: WorldState, tx: Transaction, schedule: GasSchedule,
-             reports: Optional[str]) -> Outcome:
-    if tx.actor not in state.accounts or tx.callee not in state.accounts:
-        raise ValueError("transaction actor and callee must exist")
-    if not 0 <= tx.gas_limit <= schedule.block_gas_limit:
-        raise ValueError("gas limit must be within [0, block_gas_limit]")
+def replay(state: WorldState, txs, schedule: GasSchedule) -> Optional[tuple]:
+    """Run transactions in order, as setup does, until one fails; return
+    (its index, its Status), or None when every one succeeds.
 
-    run = _Run(state, schedule, tx.gas_limit, reports)
-    actor_before = state.account(tx.actor).balance
-    if tx.value > actor_before:
-        return Outcome(failure(FailReason.BALANCE_INSUFFICIENT), 0, 0, (),
-                       (0, schedule.block_gas_limit))
-
-    if tx.gas_limit < schedule.base_tx:
-        run.trace.append(OpExecuted("base_tx", tx.gas_limit, 0))
-        state.fee_ledger += tx.gas_limit
-        return Outcome(failure(FailReason.OUT_OF_GAS), tx.gas_limit, 0,
-                       tuple(run.trace), (0, schedule.base_tx - 1))
-    run.trace.append(OpExecuted("base_tx", schedule.base_tx, 0))
-    budget = tx.gas_limit - schedule.base_tx
-
-    actor, callee = state.account(tx.actor), state.account(tx.callee)
-    checkpoint = state.checkpoint()
-    if tx.value:
-        state.transfer(actor, callee, tx.value)
-
-    ok, consumed, reason, need, _ = run.dispatch(callee, tx.function, list(tx.args),
-                                                 tx.value, tx.actor, budget, depth=0,
-                                                 elastic=True)
-    if ok:
-        gas_total = schedule.base_tx + consumed
-        delta = actor.balance - actor_before
-        status = STATUS_SUCCESS
-        if run.reported is not None and not run.reported[0]:
-            status = failure(run.reported[1])
-    else:
-        state.revert(checkpoint)
-        if reason == FailReason.OUT_OF_GAS:
-            gas_total = tx.gas_limit  # a failed allocation is consumed in full
-        else:
-            gas_total = schedule.base_tx + consumed
-        delta = 0
-        status = failure(reason)
-    state.commit()
-    state.fee_ledger += gas_total
-    lo = max(run.turn, schedule.base_tx + need)
-    if status.reason == FailReason.OUT_OF_GAS and gas_total == tx.gas_limit \
-            and schedule.gasleft and schedule.call_base:
-        lo = run.turn  # out of gas below the path too, until a bound turns it
-    return Outcome(status, gas_total, delta, tuple(run.trace), (lo, run.hi))
+    The world state ends as the same `execute` calls would leave it, fee
+    ledger and address counter included; the runs record no op events
+    and build no outcomes, as nothing reads them. `txs` may be any
+    iterable: it is consumed one transaction at a time, and not past the
+    first that fails."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + RECURSION_BUDGET)
+    try:
+        for i, tx in enumerate(txs):
+            status = _Run(state, schedule, tx.gas_limit, None, ops=False).transact(tx)[0]
+            if not status.ok:
+                return i, status
+        return None
+    finally:
+        sys.setrecursionlimit(limit)

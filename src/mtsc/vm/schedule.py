@@ -3,6 +3,13 @@
 Defaults follow mainnet-like magnitudes. A schedule can be loaded from a
 flat `key=value` text file; unknown keys are rejected, missing keys keep
 their defaults. Every entry lies in [0, 2**128 - 1], the uint range.
+
+A schedule also bounds the work of every run. MiniSol has no loops, so
+only gas limits how many call frames a run makes. Every call costs its
+caller `call_base`, and the stipend a value transfer grants comes out of
+the surcharge the caller pays, so no call mints gas. A run's frames are
+then at most 1 + block_gas_limit // call_base, which a schedule may not
+set above MAX_FRAMES.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from ..minisol.ast import UINT_MAX
+
+MAX_FRAMES = 2**16  # the most frames one run may make besides its top frame
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,15 @@ class GasSchedule:
                                  "in [0, 2**128 - 1]")
         if self.sstore_set <= self.sstore_reset:
             raise ValueError("sstore_set must exceed sstore_reset")
+        if self.call_base == 0:
+            raise ValueError("call_base must be positive: free calls leave a run's "
+                             "call frames unbounded")
+        if self.stipend > self.value_transfer_surcharge:
+            raise ValueError("stipend must not exceed value_transfer_surcharge: the "
+                             "excess would mint gas on every value transfer")
+        if self.block_gas_limit // self.call_base > MAX_FRAMES:
+            raise ValueError(f"block_gas_limit // call_base, the most calls one run "
+                             f"can make, must not exceed {MAX_FRAMES}")
 
 
 class ScheduleError(Exception):

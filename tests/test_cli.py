@@ -3,6 +3,8 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -14,7 +16,7 @@ from mtsc.minisol.parser import MAX_NESTING
 from mtsc.scenario import load_scenario
 from mtsc.vm import UINT_MAX
 
-from conftest import CORPUS, CORPUS_SCENARIOS, FIXTURES, scenario_path
+from conftest import CORPUS, CORPUS_SCENARIOS, FIXTURES, ROOT, scenario_path
 
 LABELS = str(CORPUS / "labels.json")
 
@@ -541,3 +543,93 @@ def test_scenario_lists_of_another_type_exit_two(tmp_path, capsys, key):
     code, out, err = run_cli(capsys, "check", path)
     assert (code, out) == (2, "")
     assert f"{key} must be a list" in err
+
+
+def test_a_later_setup_entry_failing_for_one_kind_names_it(tmp_path, capsys):
+    # the replay reports the index of the failing transaction; the message
+    # maps it back to the entry and the actor kind it ran for
+    doc = json.loads(scenario_path("counter_baseline").read_text())
+    doc["sources"] = [str(CORPUS / src) for src in doc["sources"]]
+    doc["setup"] += [
+        {"actor": "$ACTOR", "callee": "Counter", "function": "add", "args": [2]},
+        {"actor": "owner", "callee": "$ACTOR", "function": "ping"},
+        {"actor": "$ACTOR", "callee": "Counter", "function": "add", "args": [0]},
+    ]
+    path = tmp_path / "counter.scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "mtsc: error: setup transaction ping failed for CAE: Failure(Revert)\n"
+
+
+# Two self-calls per frame make a call tree, and two `send`s per fallback
+# a tree of fallbacks. Free calls made the first run 2**128 frames, and a
+# stipend above the surcharge it comes out of minted gas for the second;
+# neither run ended. A schedule that allows either no longer loads.
+FORKS = """
+contract Fork {
+    fn f() {
+        lowcall this.f();
+        lowcall this.f();
+    }
+}
+
+contract Echo {
+    fallback payable {
+        send this value 1;
+        send this value 1;
+    }
+}
+"""
+FORK_TARGETS = {
+    "fork": {"callee": "Fork", "function": "f"},
+    "echo": {"callee": "Echo", "function": None, "value": 1},
+}
+UNBOUNDED_SCHEDULES = {
+    "free-calls": ("call_base = 0\ndispatch = 0\n",
+                   "call_base must be positive: free calls leave a run's call "
+                   "frames unbounded"),
+    "minting-stipend": ("value_transfer_surcharge = 0\n",
+                        "stipend must not exceed value_transfer_surcharge: the excess "
+                        "would mint gas on every value transfer"),
+    "huge-block": ("block_gas_limit = 3000000000\n",
+                   "block_gas_limit // call_base, the most calls one run can make, "
+                   "must not exceed 65536"),
+}
+
+
+def fork_scenario(tmp_path, name):
+    (tmp_path / "forks.msol").write_text(FORKS)
+    path = tmp_path / f"{name}.scenario.json"
+    path.write_text(json.dumps({
+        "schema": "scenario-v1", "sources": ["forks.msol"],
+        "balances": {"Fork": 0, "Echo": 10, "$ACTOR": 1_000_000},
+        "target": FORK_TARGETS[name], "mrs": ["MR2.1"]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("schedule", sorted(UNBOUNDED_SCHEDULES))
+@pytest.mark.parametrize("name", sorted(FORK_TARGETS))
+def test_schedules_that_leave_runs_unbounded_exit_two(tmp_path, capsys, name, schedule):
+    text, message = UNBOUNDED_SCHEDULES[schedule]
+    schedule_path = tmp_path / "unbounded.schedule"
+    schedule_path.write_text(text)
+    code, out, err = run_cli(capsys, "check", fork_scenario(tmp_path, name),
+                             "--schedule", str(schedule_path))
+    assert (code, out) == (2, "")
+    assert err == f"mtsc: error: {schedule_path}: {message}\n"
+
+
+@pytest.mark.parametrize("name", sorted(FORK_TARGETS))
+def test_forking_calls_get_a_verdict_at_the_default_schedule(tmp_path, capsys, name):
+    code, out, _ = run_cli(capsys, "check", fork_scenario(tmp_path, name))
+    assert code == 0 and f"{name}: ok" in out
+
+
+# `python -m mtsc` used to fail with "No module named mtsc.__main__"
+def test_the_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "mtsc", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: mtsc ")

@@ -432,7 +432,7 @@ def count_corpus_pairs(monkeypatch, config=EngineConfig(), names=CORPUS_SCENARIO
     return runs, verdicts
 
 
-def test_certificate_cuts_every_gas_rigid_corpus_sweep(monkeypatch):
+def test_invariance_ranges_cut_every_gas_rigid_corpus_sweep(monkeypatch):
     runs, _ = count_corpus_pairs(monkeypatch)
     # a sweep runs more than one pair only where the outcome changes along it
     full = {key for key, count in runs.items()
@@ -446,7 +446,7 @@ def test_certificate_cuts_every_gas_rigid_corpus_sweep(monkeypatch):
     assert all(runs[(name, MR1_1, kind)] == 1 for name, kind in cut)
 
 
-def test_failure_certificate_stops_the_remaining_mr12_sweeps(monkeypatch, target_runs):
+def test_out_of_gas_ranges_stop_the_remaining_mr12_sweeps(monkeypatch, target_runs):
     runs, _ = count_corpus_pairs(monkeypatch)
     # each of these sweeps plans about 1000 follow-ups; a heavy fallback
     # that starves lower down turns the run once, to a Revert where the

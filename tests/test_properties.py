@@ -19,7 +19,8 @@ from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
 from mtsc.minisol import ast, parse, pretty, validate
 from mtsc.minisol.lexer import KEYWORDS, PUNCT
 from mtsc.scenario import ALL_ACTOR_KINDS
-from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
+from mtsc.vm import (CallEntered, FailReason, GasSchedule, Transaction, WorldState, deploy,
+                     execute)
 
 from conftest import CORPUS, CORPUS_SCENARIOS
 from support import estimate_or_status, reference_estimate, reference_sweep
@@ -719,3 +720,46 @@ def test_range_answered_estimates_match_every_probe_run(source, entry, value, ki
     got, want = (estimate_or_status(estimate, GEN_SCHEDULE, runner, growth, first_limit)
                  for estimate in (estimate_intrinsic_gas, reference_estimate))
     assert got == want
+
+
+# -- bounded work per run --------------------------------------------------------
+
+# Calls a generated body makes into its own contract: more than one per
+# body makes a call tree, and value-moving ones feed the fallback stipends.
+SELF_CALLS = ["lowcall this.f();", "lowcall this.f() gas 3000;", "lowcall this.f() value 1;",
+              "dcall this.f();", "send this value 1;", "transfer this value 1;",
+              "lowcall this value 1;", "lowcall this;"]
+
+
+@st.composite
+def bounded_schedules(draw):
+    """Schedules that load, with at most 3000 calls per run."""
+    call_base = draw(st.integers(min_value=1, max_value=2_000))
+    surcharge = draw(st.sampled_from([0, 1, 2_300, 9_000]))
+    return GasSchedule(
+        base_tx=draw(st.sampled_from([0, 21_000])),
+        dispatch=draw(st.sampled_from([0, 100])),
+        call_base=call_base,
+        value_transfer_surcharge=surcharge,
+        stipend=draw(st.integers(min_value=0, max_value=surcharge)),
+        block_gas_limit=draw(st.integers(min_value=0, max_value=3_000 * call_base)))
+
+
+@given(schedule=bounded_schedules(),
+       body=st.lists(st.sampled_from(SELF_CALLS), min_size=1, max_size=3),
+       fallback=st.lists(st.sampled_from(SELF_CALLS), max_size=3),
+       function=st.sampled_from(["f", None]))
+@settings(deadline=None, max_examples=60)
+def test_a_run_makes_at_most_one_call_per_call_base_of_the_block(schedule, body,
+                                                                 fallback, function):
+    """No call is free and no stipend mints gas, so a run's calls, and with
+    them its work, are bounded by what the block limit buys."""
+    unit = parse(f"contract Fork {{ fn f() payable {{ {' '.join(body)} }} "
+                 f"fallback payable {{ {' '.join(fallback)} }} }}")
+    state = WorldState()
+    actor = state.create_eoa(10)
+    fork = deploy(state, unit.contracts[0], 10**6)
+    out = execute(state, Transaction(actor, schedule.block_gas_limit, fork, function,
+                                     (), 1), schedule)
+    calls = sum(type(ev) is CallEntered for ev in out.trace)
+    assert calls <= 1 + schedule.block_gas_limit // schedule.call_base

@@ -17,7 +17,7 @@ def load_script(name):
     return module
 
 
-def test_gas_response_sweep_shows_the_certificate(capsys):
+def test_gas_response_sweep_shows_the_invariance_ranges(capsys):
     sweep = load_script("gas_response_sweep")
 
     assert sweep.main([str(scenario_path("simple_dao_withdraw")), "CAR",

@@ -6,6 +6,7 @@ then required to agree with the listing.
 """
 
 import operator
+import re
 
 import pytest
 
@@ -27,6 +28,8 @@ from mtsc.vm import (
     failure,
     load_schedule,
 )
+
+from mtsc.vm.schedule import MAX_FRAMES
 
 from conftest import CORPUS
 
@@ -933,6 +936,33 @@ def test_schedule_rejects_bad_values(tmp_path):
         load_schedule(str(path))
 
 
+# Free calls, or a stipend larger than the surcharge that pays for it,
+# let a run make unboundedly many frames; so does a block limit that buys
+# more than MAX_FRAMES calls.
+@pytest.mark.parametrize("entries,keys", [
+    ({"call_base": 0}, "call_base must be positive"),
+    ({"stipend": 9_001}, "stipend must not exceed value_transfer_surcharge"),
+    ({"value_transfer_surcharge": 0}, "stipend must not exceed value_transfer_surcharge"),
+    ({"block_gas_limit": 700 * (MAX_FRAMES + 1)},
+     f"block_gas_limit // call_base, the most calls one run can make, must not "
+     f"exceed {MAX_FRAMES}"),
+    ({"call_base": 1, "block_gas_limit": MAX_FRAMES + 1},
+     "block_gas_limit // call_base"),
+], ids=["free-calls", "stipend-above-surcharge", "no-surcharge", "block-too-large",
+        "cheap-calls"])
+def test_schedules_that_leave_runs_unbounded_are_rejected(entries, keys):
+    with pytest.raises(ValueError, match=re.escape(keys)):
+        GasSchedule(**entries)
+
+
+def test_schedules_at_the_frame_bound_load():
+    assert GasSchedule().block_gas_limit // GasSchedule().call_base == 42_857
+    GasSchedule(block_gas_limit=700 * (MAX_FRAMES + 1) - 1)
+    GasSchedule(call_base=1, block_gas_limit=MAX_FRAMES, stipend=0,
+                value_transfer_surcharge=0)
+    GasSchedule(stipend=9_000)
+
+
 # A block gas limit above the uint maximum used to let `gasleft()` store
 # more than a uint holds.
 def test_gasleft_fits_a_uint_at_the_highest_block_limit(tmp_path):
@@ -940,7 +970,8 @@ def test_gasleft_fits_a_uint_at_the_highest_block_limit(tmp_path):
     path.write_text(f"block_gas_limit = {2**128}\n")
     with pytest.raises(ScheduleError):
         load_schedule(str(path))
-    path.write_text(f"block_gas_limit = {UINT_MAX}\n")
+    # a block limit this high needs calls costly enough to bound a run's frames
+    path.write_text(f"block_gas_limit = {UINT_MAX}\ncall_base = {2**112}\n")
     sched = load_schedule(str(path))
     state = WorldState()
     actor = state.create_eoa(0)
