@@ -18,7 +18,7 @@ nodes that have no surface syntax in the language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -134,12 +134,13 @@ def make_agent(state: WorldState, spec: AgentSpec, name: Optional[str] = None) -
 
 
 def agent_interact(state: WorldState, agent: str, spec: AgentSpec, driver: str,
-                   gas_limit: int, schedule: GasSchedule) -> Outcome:
+                   gas_limit: int, schedule: GasSchedule, *, ops: bool = True) -> Outcome:
     """Run driver -> agent.AgentCall and report the interaction as the
     agent experienced it: balance delta of the agent account, status of
     the agent's call into the target (the wrapper's own low-level call
-    would otherwise swallow every target failure)."""
+    would otherwise swallow every target failure). `ops` is `execute`'s."""
     before = state.balance_of(agent)
     raw = execute(state, Transaction(driver, gas_limit, agent, AGENT_CALL, (), 0),
-                  schedule, reports=spec.target)
-    return replace(raw, balance_delta=state.balance_of(agent) - before)
+                  schedule, reports=spec.target, ops=ops)
+    return Outcome(raw.status, raw.gas_consumed, state.balance_of(agent) - before,
+                   raw.trace, raw.limits)

@@ -24,6 +24,7 @@ from .agents import AgentKind
 from .minisol import ast
 from .mr_engine import MR1_1, MR1_2, MR2_1, MR2_2, MR2_3, EngineResult, ViolationRecord
 from .traces import failed_value_dispatches
+from .vm import TAIL
 
 REENTRANCY = "Reentrancy"
 GASLESS_SEND = "GaslessSend"
@@ -147,9 +148,6 @@ def compute_metrics(verdicts, labels: dict) -> MetricsReport:
 # Reports
 # --------------------------------------------------------------------------
 
-_TRACE_EXCERPT = 12
-
-
 def _outcome_obj(actor_input, outcome):
     return {
         "actor_kind": actor_input.kind.value,
@@ -161,7 +159,7 @@ def _outcome_obj(actor_input, outcome):
 
 
 def _violation_obj(v: ViolationRecord):
-    excerpt = [repr(ev) for ev in v.pair.follow_outcome.trace[-_TRACE_EXCERPT:]]
+    excerpt = [repr(ev) for ev in v.pair.follow_outcome.trace[-TAIL:]]
     return {
         "mr": v.mr_id,
         "observed": v.observed,

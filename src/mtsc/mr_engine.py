@@ -139,7 +139,9 @@ def estimate_kinds(env: Environment, kinds, growth: float) -> list:
             gc = estimate_intrinsic_gas(env.schedule, runner=env.runner_for(kind),
                                         growth=growth)
         except NeverSucceeds as exc:
-            gc = exc
+            # its traceback holds this frame, whose `rows` would hold it:
+            # a cycle that keeps `env` alive until the cyclic collector runs
+            gc = exc.with_traceback(None)
         rows.append((kind, gc))
     return rows
 

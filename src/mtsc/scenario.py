@@ -211,13 +211,15 @@ class Environment:
         return Transaction(actor, gas_limit, self.roles[t.callee], t.function,
                            args, t.value)
 
-    def run_target(self, state: WorldState, kind: AgentKind, gas_limit: int) -> Outcome:
-        """Run the target input on `state`, which keeps the run's effects."""
+    def run_target(self, state: WorldState, kind: AgentKind, gas_limit: int, *,
+                   ops: bool = False) -> Outcome:
+        """Run the target input on `state`, which keeps the run's effects.
+        The run is lean unless `ops` asks for every op event (see `execute`)."""
         if kind == AgentKind.EOA:
-            return execute(state, self.target_tx(kind, gas_limit), self.schedule)
+            return execute(state, self.target_tx(kind, gas_limit), self.schedule, ops=ops)
         return agent_interact(state, self.actor_accounts[kind],
                               self.agent_specs[kind], self.driver,
-                              gas_limit, self.schedule)
+                              gas_limit, self.schedule, ops=ops)
 
     def run(self, kind: AgentKind, gas_limit: int, keep: bool = True) -> Outcome:
         """The input's outcome in the context, which the run restores. Runs

@@ -36,13 +36,17 @@ def failed_value_dispatches(trace, callee: str):
 def child_frame_gas(trace, forms=LOW_LEVEL_FORMS) -> int:
     """Gas consumed inside outermost call frames of the given forms."""
     total = 0
-    stack = []  # per open frame: True if it is an outermost counted frame
+    open_calls = 0  # frames open in the counted frame, itself included
     for ev in trace:
-        if isinstance(ev, CallEntered):
-            inside = any(stack)
-            stack.append(ev.call_form in forms and not inside)
-        elif isinstance(ev, CallExited):
-            if stack.pop():
+        kind = type(ev)
+        if kind is CallEntered:
+            if open_calls:
+                open_calls += 1
+            elif ev.call_form in forms:
+                open_calls = 1
+        elif kind is CallExited and open_calls:
+            open_calls -= 1
+            if not open_calls:
                 total += ev.gas_used
     return total
 

@@ -2,10 +2,9 @@
 
 Gas model
 ---------
-Every charge is recorded as an OpExecuted trace event, except in runs
-that record no op events, as `replay`'s do; when a charge exceeds the
-frame's remaining gas the shortfall is recorded as a partial charge,
-the frame drops to zero, and the frame fails OutOfGas. A frame's
+Every charge is an OpExecuted event of the run's trace; when a charge
+exceeds the frame's remaining gas the shortfall is recorded as a partial
+charge, the frame drops to zero, and the frame fails OutOfGas. A frame's
 consumption is therefore its budget minus what is left when it exits,
 and a frame that runs out consumes its whole budget.
 
@@ -47,9 +46,20 @@ Top level: a Failure outcome leaves the world state untouched, the actor
 balance delta is zero, and OutOfGas consumes the full gas limit. Fees
 accrue on the fee ledger, never on balances.
 
+Traces
+------
+A run records every call, exit and swallow event. A *lean* run,
+`execute(..., ops=False)` as the pipeline's target runs are, keeps op
+events only among the last `TAIL` events of its trace: as plain
+`(op, cost, depth)` tuples in a bounded deque that also takes every
+call event, turned into OpExecuted events when the run ends. Its trace
+is the full trace with the op events outside that tail dropped, so the
+call-event readers and the report's excerpt (the last `TAIL` events)
+see what a full run gives them.
+
 `execute` runs one transaction and returns its `Outcome`. `replay` runs
 a sequence, as scenario setup does, through the same transaction core
-(`_Run.transact`); it records no op events, builds no outcomes, and
+(`_Run.transact`); it keeps no op events, builds no outcomes, and
 reports only the first transaction that fails.
 
 Invariance ranges
@@ -100,6 +110,7 @@ out of gas, which is the status reported, but its own writes roll back.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -121,6 +132,7 @@ from .types import (
 )
 
 MAX_CALL_DEPTH = 128  # frames 0..127; entering deeper fails DepthExceeded
+TAIL = 12  # trailing events of a lean run's trace that keep their op events
 
 # Offsets from a literal c of the cuts of `gasleft() OP c`: gas below a cut
 # and gas at or above it give different results. `c OP gasleft()` has
@@ -171,15 +183,16 @@ class _Frame:
 
 
 class _Run:
-    """One transaction's run. With `ops` false it records no OpExecuted
-    events, only the call, exit and swallow events."""
+    """One transaction's run. `trace` takes every call, exit and swallow
+    event; `tail` takes every event, op events as plain tuples, and holds
+    the last `keep` of them (all for None, none for 0)."""
 
     def __init__(self, state: WorldState, schedule: GasSchedule, limit: int,
-                 reports: Optional[str], ops: bool = True):
+                 reports: Optional[str], keep: Optional[int] = None):
         self.state = state
         self.sched = schedule
-        self.ops = ops
         self.trace: list = []
+        self.tail = deque(maxlen=keep)
         self.limit = limit                   # the transaction's gas limit G
         self.lo = 0                          # lowest limit on this path
         self.hi = schedule.block_gas_limit   # highest limit on this path
@@ -187,16 +200,27 @@ class _Run:
         self.reports = reports
         self.reported = None                 # (ok, reason) of that call
 
+    def record(self, event):
+        self.trace.append(event)
+        self.tail.append(event)
+
+    def events(self) -> tuple:
+        """The trace: the call events with the tail spliced in after those
+        it does not hold, its ops as OpExecuted events."""
+        tail, trace = self.tail, self.trace
+        held = sum(type(ev) is not tuple for ev in tail)
+        events = trace[:len(trace) - held]
+        events.extend(OpExecuted._make(ev) if type(ev) is tuple else ev for ev in tail)
+        return tuple(events)
+
     # -- gas ---------------------------------------------------------------
 
     def charge(self, frame: _Frame, op: str, cost: int):
         if cost > frame.gas:
-            if self.ops:
-                self.trace.append(OpExecuted(op, frame.gas, frame.depth))
+            self.tail.append((op, frame.gas, frame.depth))
             self.run_dry(frame, cost - frame.gas)
         frame.gas -= cost
-        if self.ops:
-            self.trace.append(OpExecuted(op, cost, frame.depth))
+        self.tail.append((op, cost, frame.depth))
 
     def run_dry(self, frame: _Frame, short: int):
         """The frame is `short` gas short of a charge or reserve: it fails
@@ -407,9 +431,7 @@ class _Run:
         elif explicit_gas is not None:
             if explicit_gas > caller.gas:
                 # the caller must produce the reserved gas in full
-                if self.ops:
-                    self.trace.append(OpExecuted("call_reserve", caller.gas,
-                                                 caller.depth))
+                self.tail.append(("call_reserve", caller.gas, caller.depth))
                 self.run_dry(caller, explicit_gas - caller.gas)
             # the reserve is headroom the caller needs beyond what it consumes
             caller.peak = max(caller.peak, caller.consumed + explicit_gas)
@@ -431,11 +453,11 @@ class _Run:
             reason = None
         if reason is not None:  # stillborn: nothing is dispatched
             caller.gas += fwd  # and the reserve returns
-            self.trace.append(CallEntered(form, target, function, value, 0, caller.depth))
+            self.record(CallEntered(form, target, function, value, 0, caller.depth))
             ok, consumed, stipend_used = False, 0, 0
         else:
-            self.trace.append(CallEntered(form, target, function, value,
-                                          fwd + grant, caller.depth))
+            self.record(CallEntered(form, target, function, value, fwd + grant,
+                                    caller.depth))
             checkpoint = self.state.checkpoint()
             if value:
                 self.state.transfer(caller.account, target_acct, value)
@@ -454,13 +476,13 @@ class _Run:
             caller.gas += fwd - max(0, consumed - grant)
             if not ok:
                 self.state.revert(checkpoint)
-        self.trace.append(CallExited(ok, consumed, reason, stipend_used, caller.depth))
+        self.record(CallExited(ok, consumed, reason, stipend_used, caller.depth))
         if caller.depth == 0 and target == self.reports and self.reported is None:
             self.reported = ok, reason
         if ok:
             return True
         if form in ast.SWALLOWING:
-            self.trace.append(ExceptionSwallowed(reason, caller.depth))
+            self.record(ExceptionSwallowed(reason, caller.depth))
             return False
         raise _FrameFail(reason)
 
@@ -524,13 +546,11 @@ class _Run:
             return failure(FailReason.BALANCE_INSUFFICIENT), 0, 0
 
         if tx.gas_limit < schedule.base_tx:
-            if self.ops:
-                self.trace.append(OpExecuted("base_tx", tx.gas_limit, 0))
+            self.tail.append(("base_tx", tx.gas_limit, 0))
             state.fee_ledger += tx.gas_limit
             self.hi = schedule.base_tx - 1
             return failure(FailReason.OUT_OF_GAS), tx.gas_limit, 0
-        if self.ops:
-            self.trace.append(OpExecuted("base_tx", schedule.base_tx, 0))
+        self.tail.append(("base_tx", schedule.base_tx, 0))
         budget = tx.gas_limit - schedule.base_tx
 
         actor, callee = state.account(tx.actor), state.account(tx.callee)
@@ -565,18 +585,19 @@ class _Run:
 
 
 def execute(state: WorldState, tx: Transaction, schedule: GasSchedule,
-            reports: Optional[str] = None) -> Outcome:
+            reports: Optional[str] = None, *, ops: bool = True) -> Outcome:
     """Run one transaction to completion; never raises for execution
     failures. With `reports`, a successful transaction reports the status
-    of its top frame's first call into that address."""
-    run = _Run(state, schedule, tx.gas_limit, reports)
+    of its top frame's first call into that address. With `ops` false the
+    run is lean: its trace keeps op events only among its last `TAIL`."""
+    run = _Run(state, schedule, tx.gas_limit, reports, None if ops else TAIL)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + RECURSION_BUDGET)
     try:
         status, gas_total, delta = run.transact(tx)
     finally:
         sys.setrecursionlimit(limit)
-    return Outcome(status, gas_total, delta, tuple(run.trace), (run.lo, run.hi))
+    return Outcome(status, gas_total, delta, run.events(), (run.lo, run.hi))
 
 
 def replay(state: WorldState, txs, schedule: GasSchedule) -> Optional[tuple]:
@@ -584,7 +605,7 @@ def replay(state: WorldState, txs, schedule: GasSchedule) -> Optional[tuple]:
     (its index, its Status), or None when every one succeeds.
 
     The world state ends as the same `execute` calls would leave it, fee
-    ledger and address counter included; the runs record no op events
+    ledger and address counter included; the runs keep no op events
     and build no outcomes, as nothing reads them. `txs` may be any
     iterable: it is consumed one transaction at a time, and not past the
     first that fails."""
@@ -592,7 +613,7 @@ def replay(state: WorldState, txs, schedule: GasSchedule) -> Optional[tuple]:
     sys.setrecursionlimit(limit + RECURSION_BUDGET)
     try:
         for i, tx in enumerate(txs):
-            status = _Run(state, schedule, tx.gas_limit, None, ops=False).transact(tx)[0]
+            status = _Run(state, schedule, tx.gas_limit, None, 0).transact(tx)[0]
             if not status.ok:
                 return i, status
         return None

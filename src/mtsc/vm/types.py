@@ -59,9 +59,9 @@ class Transaction:
 # Trace events. CallEntered/CallExited nest like brackets; depth is the
 # frame in which the event was recorded (the caller's frame for call
 # events, the swallowing frame for ExceptionSwallowed). Events are named
-# tuples, one allocated per charged op: immutable, hashable, with a
-# dataclass-style repr, and equal to a plain tuple of their fields (each
-# event kind has its own field count, so two kinds never compare equal).
+# tuples: immutable, hashable, with a dataclass-style repr, and equal to
+# a plain tuple of their fields (each event kind has its own field count,
+# so two kinds never compare equal).
 # --------------------------------------------------------------------------
 
 
@@ -108,6 +108,11 @@ class Outcome:
     its whole limit may consume the whole of another limit in the range
     (see the interpreter's "Invariance ranges" notes). The default, an
     empty range, decides no limit. Not part of a report.
+
+    trace holds the run's events in order. A lean run's trace (the
+    pipeline's target runs) keeps op events only among its last `TAIL`
+    events, which a report's excerpt shows; every call, exit and swallow
+    event is there (see the interpreter's "Traces" notes).
     """
 
     status: Status

@@ -1,13 +1,14 @@
 """Test-only helpers: the uncut reference sweep, the estimator that runs
 every probe, the plans as loops, whole-plan pair construction, trace
-queries and a runner for a bare transaction."""
+queries and their references, and a runner for a bare transaction."""
 
 from dataclasses import replace
 
 from mtsc import mr_engine
 from mtsc.gas_oracle import IntrinsicGas, NeverSucceeds, default_initial_estimator
 from mtsc.mr_engine import MR1_1, MR1_2, ActorInput, TestPair, mr2_pairs
-from mtsc.vm import CallEntered, OpExecuted
+from mtsc.traces import LOW_LEVEL_FORMS
+from mtsc.vm import TAIL, CallEntered, CallExited, OpExecuted
 from mtsc.vm import execute as vm_execute
 
 
@@ -133,7 +134,39 @@ def calls_into(trace, callee: str, function: str):
 
 
 def trace_has_gasleft(trace) -> bool:
+    """Whether the run read `gasleft()`. A lean run keeps only its last
+    op events, so this needs the full trace of an `ops=True` run."""
     return any(isinstance(ev, OpExecuted) and ev.op == "gasleft" for ev in trace)
+
+
+def reference_child_frame_gas(trace, forms=LOW_LEVEL_FORMS) -> int:
+    """`traces.child_frame_gas` as a stack of open frames, each asking
+    whether any frame below it is counted."""
+    total = 0
+    stack = []  # per open frame: True if it is an outermost counted frame
+    for ev in trace:
+        if isinstance(ev, CallEntered):
+            inside = any(stack)
+            stack.append(ev.call_form in forms and not inside)
+        elif isinstance(ev, CallExited):
+            if stack.pop():
+                total += ev.gas_used
+    return total
+
+
+def lean_trace(trace) -> tuple:
+    """A full trace as a lean run keeps it: op events only among the last
+    `TAIL` events."""
+    cut = len(trace) - TAIL
+    return tuple(ev for i, ev in enumerate(trace)
+                 if i >= cut or type(ev) is not OpExecuted)
+
+
+def assert_lean_matches_full(lean, full):
+    """A lean run's outcome is the full run's with the lean trace."""
+    assert (lean.status, lean.gas_consumed, lean.balance_delta, lean.limits) \
+        == (full.status, full.gas_consumed, full.balance_delta, full.limits)
+    assert lean.trace == lean_trace(full.trace)
 
 
 def tx_runner(state, tx, schedule):

@@ -218,7 +218,7 @@ def test_criterion_4_gas_limit_independence(environments, unmemoised):
                     gc = estimate_intrinsic_gas(S, runner=env.runner_for(kind))
                 except NeverSucceeds:
                     continue
-                base = env.run_target(env.state.clone(), kind, gc.value)
+                base = env.run_target(env.state.clone(), kind, gc.value, ops=True)
                 if not base.ok or trace_has_gasleft(base.trace) \
                         or trace_has_swallow(base.trace):
                     continue

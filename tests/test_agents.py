@@ -123,7 +123,7 @@ def test_cao_matches_eoa_for_every_corpus_scenario(environments):
 
 def test_car_extracts_more_than_the_requested_amount(environments):
     env = environments["simple_dao_withdraw"]
-    out = env.run_target(env.state.clone(), AgentKind.CAR, S.block_gas_limit)
+    out = env.run_target(env.state.clone(), AgentKind.CAR, S.block_gas_limit, ops=True)
     assert out.ok
     assert out.balance_delta > 1_000_000
     assert out.balance_delta == 63 * 1_000_000  # depth-capped recursion

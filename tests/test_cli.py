@@ -201,7 +201,8 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("jobs", [["--jobs", "1"], []], ids=["serial", "default-jobs"])
+@pytest.mark.parametrize("jobs", [["--jobs", "1"], [], ["--jobs", "0"]],
+                         ids=["serial", "default-jobs", "one-per-core"])
 def test_bench_report_matches_the_golden_bytes(tmp_path, capsys, jobs):
     report = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "bench", str(CORPUS), LABELS, *jobs,

@@ -23,7 +23,8 @@ from mtsc.vm import (CallEntered, FailReason, GasSchedule, Transaction, WorldSta
                      execute)
 
 from conftest import CORPUS, CORPUS_SCENARIOS
-from support import estimate_or_status, reference_estimate, reference_sweep
+from support import (assert_lean_matches_full, estimate_or_status, reference_estimate,
+                     reference_sweep)
 
 SETTINGS = dict(deadline=None, max_examples=150)
 
@@ -535,7 +536,7 @@ gas_shape_sources = st.builds(
 # lower still the child starves and the run takes the free branch
 @example(source=_gas_shape(["if (lowcall this.f1()) { x = 1; y = 1; } else { }",
                             "n[msg.sender] += 1;", ""]), entry="f0", value=0)
-def test_certified_runs_repeat_above_and_fail_below(source, entry, value):
+def test_block_reaching_ranges_repeat_above_and_hold_below(source, entry, value):
     assert validate(parse(source)) == []
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "gen.msol").write_text(source)
@@ -617,7 +618,7 @@ def _gas_shape_env(source, entry, value):
 @example(source=_gas_shape(["if (lowcall this.f1()) { x = 1; } else { }",
                             "y = 1; lowcall this.f2();", "n[msg.sender] = 1; x = 2;"]),
          entry="f0", value=0)
-def test_certified_failures_fail_at_every_lower_limit(source, entry, value):
+def test_failures_ranged_down_to_zero_fail_at_every_lower_limit(source, entry, value):
     env = _gas_shape_env(source, entry, value)
     block = env.schedule.block_gas_limit
     for kind in ALL_ACTOR_KINDS:
@@ -703,6 +704,22 @@ def test_every_limit_in_a_range_repeats_the_run(source, entry, value, kind, at, 
         again, digest_again = _observe(env, kind, other)
         assert _repeats(out, limit, again, other), (other, again.status, again.gas_consumed)
         assert digest_again == digest, other
+
+
+@given(source=range_shape_sources,
+       entry=st.sampled_from(["f0", "f1", None]),
+       value=st.sampled_from([0, 1, 700]),
+       kind=st.sampled_from(ALL_ACTOR_KINDS),
+       at=st.floats(min_value=0.0, max_value=1.2))
+@settings(deadline=None, max_examples=60)
+def test_lean_runs_match_full_runs_on_generated_contracts(source, entry, value, kind, at):
+    env = _gas_shape_env(source, entry, value)
+    block = env.schedule.block_gas_limit
+    limit = min(block, int(at * env.run_target(env.state.clone(), kind, block).gas_consumed))
+    for limit in {limit, block}:
+        lean, full = (env.run_target(env.state.clone(), kind, limit, ops=ops)
+                      for ops in (False, True))
+        assert_lean_matches_full(lean, full)
 
 
 # The estimator answers probes from the ranges of the runs it made;
