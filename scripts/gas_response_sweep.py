@@ -42,6 +42,7 @@ from mtsc.gas_oracle import (  # noqa: E402
     allocate_reducing,
     estimate_intrinsic_gas,
 )
+from mtsc.relations import MR1_2  # noqa: E402
 from mtsc.scenario import build_environment, load_scenario  # noqa: E402
 from mtsc.traces import trace_has_swallow  # noqa: E402
 from mtsc.vm import GasSchedule  # noqa: E402
@@ -78,7 +79,7 @@ def main(argv=None) -> int:
           f"the runner, {gc.trials - probes} answered from a range")
     lo, hi = env.run(kind, gc.value).limits
     print(f"source range: [{lo}, {hi}]")
-    for done in mr_engine.sweep(env, mr_engine.MR1_2, kind, gc.value,
+    for done in mr_engine.sweep(env, MR1_2, kind, gc.value,
                                 allocate_reducing(gc.value)):
         out = done.follow_outcome
         lo, hi = out.limits

@@ -1,10 +1,10 @@
 """Command-line frontend: `mtsc check | bench | estimate`.
 
-Exit codes: 0 clean, 1 vulnerabilities found (check), 2 usage or
-configuration errors (including unparsable or invalid contracts), 3 an
-internal error, reported as one `mtsc: internal error: ...` line. Runs
-are fully deterministic; repeated invocations produce byte-identical
-reports.
+Exit codes: 0 no relation violated, 1 at least one relation violated
+(check), 2 usage or configuration errors (including unparsable or invalid
+contracts), 3 an internal error, reported as one `mtsc: internal error:
+...` line. Runs are fully deterministic; repeated invocations produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from pathlib import Path
 from typing import Optional
 
 from .agents import AgentKind
-from .detector import CATEGORIES, UnknownScenario, Verdict, compute_metrics, emit_report
+from .detector import UnknownScenario, Verdict, compute_metrics, emit_report
 from .gas_oracle import NeverSucceeds
 from .gas_oracle import estimate_intrinsic_gas  # noqa: F401  perfbench's traced run wraps it
-from .mr_engine import ALL_MRS, EngineConfig, estimate_kinds, run_all
+from .mr_engine import EngineConfig, estimate_kinds, run_all
+from .relations import CATEGORIES, RELATIONS
 from .scenario import ALL_ACTOR_KINDS, ScenarioError, build_environment, load_scenario
 from .vm import GasSchedule, ScheduleError, load_schedule
 
@@ -99,7 +100,7 @@ def _build_config(args) -> Config:
     if args.mr:
         mr_filter = tuple(m.strip() for m in args.mr.split(","))
         for m in mr_filter:
-            if m not in ALL_MRS:
+            if m not in RELATIONS:
                 raise UsageError(f"unknown relation {m!r}")
     actors = None
     if args.mr1_actors:
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
     except (UsageError, ScenarioError, ScheduleError, UnknownScenario, OSError) as exc:
         print(f"mtsc: error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # exit 1 means "vulnerable"; a crash must not say so
+    except Exception as exc:  # exit 1 means "a relation was violated"; a crash must not say so
         print(f"mtsc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

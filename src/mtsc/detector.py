@@ -1,18 +1,5 @@
-"""Mapping of relation violations to vulnerability categories, benchmark
-metrics, and report rendering.
-
-Classification:
-
-* Reentrancy - a balance-delta violation under the recursive agent
-  (MR2.2), or gas consumption varying with the allocation while the
-  recursive agent interacts (MR1.1 with a CAR follow-up).
-* GaslessSend - an MR2.1 balance mismatch whose failed value transfer
-  into the agent went through the stipend-limited send/transfer path.
-* ExceptionDisorder - a swallowed exceptional outcome: MR2.3 (reverting
-  fallback did not fail the interaction), MR1.2 (success below the
-  intrinsic gas requirement), or an MR2.1 mismatch via an unchecked
-  low-level call.
-"""
+"""Mapping of relation violations to vulnerability categories (by the rows
+of `relations.RELATIONS`), benchmark metrics, and report rendering."""
 
 from __future__ import annotations
 
@@ -20,16 +7,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .agents import AgentKind
-from .minisol import ast
-from .mr_engine import MR1_1, MR1_2, MR2_1, MR2_2, MR2_3, EngineResult, ViolationRecord
-from .traces import failed_value_dispatches
+from .mr_engine import EngineResult, ViolationRecord
+from .relations import CATEGORIES, RELATIONS
 from .vm import TAIL
-
-REENTRANCY = "Reentrancy"
-GASLESS_SEND = "GaslessSend"
-EXCEPTION_DISORDER = "ExceptionDisorder"
-CATEGORIES = (REENTRANCY, GASLESS_SEND, EXCEPTION_DISORDER)
 
 REPORT_SCHEMA = "report-v1"
 
@@ -58,20 +38,7 @@ def classify(violations) -> tuple:
     """Derive vulnerability categories from violation records."""
     found = set()
     for v in violations:
-        if v.mr_id == MR2_2:
-            found.add(REENTRANCY)
-        elif v.mr_id == MR1_1 and v.pair.follow_up.kind == AgentKind.CAR:
-            found.add(REENTRANCY)
-        elif v.mr_id in (MR2_3, MR1_2):
-            found.add(EXCEPTION_DISORDER)
-        elif v.mr_id == MR2_1:
-            failed = failed_value_dispatches(v.pair.follow_outcome.trace,
-                                             v.pair.follow_up.address)
-            forms = {enter.call_form for enter, _ in failed}
-            if forms.intersection(ast.STIPEND_ONLY):
-                found.add(GASLESS_SEND)
-            if "lowcall" in forms:
-                found.add(EXCEPTION_DISORDER)
+        found |= RELATIONS[v.mr_id].categories(v)
     return tuple(sorted(found))
 
 

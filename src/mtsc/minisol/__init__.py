@@ -4,7 +4,6 @@ extension."""
 
 from .lexer import ParseError
 from .parser import parse
-from .pretty import pretty
 from .validate import SemanticError, validate
 
-__all__ = ["parse", "pretty", "validate", "ParseError", "SemanticError"]
+__all__ = ["parse", "validate", "ParseError", "SemanticError"]

@@ -46,12 +46,12 @@ from .agents import (
     make_agent,
 )
 from .minisol import ParseError, ast, parse, validate
+from .relations import RELATIONS
 from .vm import (UINT_MAX, GasSchedule, Outcome, Transaction, WorldState, deploy, execute,
                  replay)
 
 SCHEMA_V1 = "scenario-v1"
 ACTOR = "$ACTOR"
-ALL_MRS = ("MR1.1", "MR1.2", "MR2.1", "MR2.2", "MR2.3")
 DEFAULT_MR1_ACTORS = (AgentKind.EOA, AgentKind.CAH, AgentKind.CAR)
 ALL_ACTOR_KINDS = (AgentKind.EOA,) + AGENT_KINDS
 
@@ -154,9 +154,9 @@ def load_scenario(path) -> Scenario:
     setup = [_parse_template(entry, path, i)
              for i, entry in enumerate(raw.get("setup", []))]
     target = _parse_template(raw.get("target"), path, None)
-    mrs = tuple(raw.get("mrs", ALL_MRS))
+    mrs = tuple(raw.get("mrs", RELATIONS))
     for mr in mrs:
-        if mr not in ALL_MRS:
+        if not (isinstance(mr, str) and mr in RELATIONS):  # a list cannot be looked up
             raise ScenarioError(f"{path}: unknown relation {mr!r}")
     kinds = []
     for name in raw.get("mr1_actors", [k.value for k in DEFAULT_MR1_ACTORS]):

@@ -27,8 +27,6 @@ no snapshot is open nothing can rewind past a finished transaction, so
 
 from __future__ import annotations
 
-import copy
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -62,8 +60,9 @@ class Account:
         return self.storage.get(key, default)
 
     def __deepcopy__(self, memo):
-        # storage holds immutables and code never mutates after deploy,
-        # so a clone copies accounts flat
+        # flat: storage holds immutables and code never mutates after deploy.
+        # The program copies no accounts; perfbench/layers.py patches this
+        # method to count copies, so it stays.
         return Account(self.address, self.balance, self.kind, self.code,
                        dict(self.storage))
 
@@ -178,23 +177,6 @@ class WorldState:
                 del self._snapshots[i:]
                 return
         raise UnknownSnapshot(f"snapshot {snapshot_id} not on the journal")
-
-    def clone(self) -> "WorldState":
-        """Independent copy with an empty journal; used to isolate test runs."""
-        return WorldState(accounts=copy.deepcopy(self.accounts),
-                          fee_ledger=self.fee_ledger, next_address=self.next_address)
-
-    def digest(self) -> str:
-        """Canonical content hash covering accounts, fees, and the counter."""
-        h = hashlib.sha256()
-        h.update(f"fees={self.fee_ledger};next={self.next_address};".encode())
-        for addr in sorted(self.accounts):
-            acct = self.accounts[addr]
-            code_name = acct.code.name if acct.code else ""
-            h.update(f"{addr}|{acct.balance}|{acct.kind.value}|{code_name}|".encode())
-            for key in sorted(acct.storage, key=repr):
-                h.update(f"{key!r}={acct.storage[key]!r};".encode())
-        return h.hexdigest()
 
 
 def deploy(state: WorldState, code: ast.ContractDef, initial_balance: int = 0) -> str:

@@ -12,6 +12,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from mtsc.vm import GasSchedule  # noqa: E402
 
+from support import digest  # noqa: E402
+
 CORPUS_SCENARIOS = sorted(p.name[: -len(".scenario.json")]
                           for p in CORPUS.glob("*.scenario.json"))
 
@@ -44,7 +46,7 @@ def environments(schedule, context_digests):
     envs = {}
     for name in CORPUS_SCENARIOS:
         env = envs[name] = build_environment(load_scenario(scenario_path(name)), schedule)
-        context_digests[name] = env.state.digest()
+        context_digests[name] = digest(env.state)
     return envs
 
 
@@ -65,7 +67,7 @@ def target_runs(monkeypatch):
     run_target = Environment.run_target
 
     def counted(self, state, kind, gas_limit):
-        runs.append((self, kind, gas_limit, state.digest()))
+        runs.append((self, kind, gas_limit, digest(state)))
         return run_target(self, state, kind, gas_limit)
 
     monkeypatch.setattr(Environment, "run_target", counted)

@@ -1,4 +1,4 @@
-"""Pretty-printer for MiniSol ASTs.
+"""Pretty-printer for MiniSol ASTs, for the round-trip tests.
 
 Emits canonical source that re-parses to an equal AST (positions are not
 compared). Parenthesizes every compound sub-expression, which keeps the
@@ -10,7 +10,7 @@ the clauses it carries, which are the ones its form's syntax allows.
 
 from __future__ import annotations
 
-from . import ast
+from mtsc.minisol import ast
 
 
 def _operand(e) -> str:

@@ -1,23 +1,30 @@
 """Test-only helpers: the uncut reference sweep, the estimator that runs
 every probe, the plans as loops, whole-plan pair construction, trace
-queries and their references, and a runner for a bare transaction."""
+queries and their references, a runner for a bare transaction, and the
+copy and content hash of a world state."""
 
+import copy
+import hashlib
 from dataclasses import replace
 
 from mtsc import mr_engine
 from mtsc.gas_oracle import IntrinsicGas, NeverSucceeds, default_initial_estimator
-from mtsc.mr_engine import MR1_1, MR1_2, ActorInput, TestPair, mr2_pairs
+from mtsc.agents import AgentKind
+from mtsc.mr_engine import ActorInput, TestPair
+from mtsc.relations import MR1_1, MR1_2, RELATIONS
 from mtsc.traces import LOW_LEVEL_FORMS
-from mtsc.vm import TAIL, CallEntered, CallExited, OpExecuted
+from mtsc.vm import TAIL, CallEntered, CallExited, OpExecuted, WorldState
 from mtsc.vm import execute as vm_execute
 
 
 def sweep_pairs(env, mr, kind, gc, plan):
-    """Lazily yield one MR1.x sweep: source at gc, follow-ups along the plan."""
-    addr = env.actor_accounts[kind]
-    source = ActorInput(kind, addr, gc)
+    """Lazily yield the pairs of one sweep: source at gc, follow-ups of the
+    relation's follow-up kind, or else of `kind`, along the plan."""
+    source = ActorInput(kind, env.actor_accounts[kind], gc)
+    follow_kind = RELATIONS[mr].follow_kind or kind
+    addr = env.actor_accounts[follow_kind]
     for g in plan:
-        yield TestPair(mr, source, ActorInput(kind, addr, g))
+        yield TestPair(mr, source, ActorInput(follow_kind, addr, g))
 
 
 def reference_sweep(env, mr, kind, gc, plan):
@@ -110,6 +117,14 @@ def loop_reducing(gc, n):
     return tuple(limits)
 
 
+def mr2_pairs(env, mrs) -> list:
+    """One pair per selected MR2.x relation: the EOA against the relation's
+    agent kind, both at the block gas limit."""
+    g = env.schedule.block_gas_limit
+    return [pair for r in RELATIONS.values() if r.follow_kind is not None and r.mr_id in mrs
+            for pair in sweep_pairs(env, r.mr_id, AgentKind.EOA, g, range(g, g + 1))]
+
+
 def build_pairs(env, estimates: dict, plans: dict, mrs, mr1_actors) -> list:
     """Every pair of the selected relations, with each sweep built in full.
 
@@ -180,3 +195,22 @@ def tx_runner(state, tx, schedule):
             state.restore(sid)
     return run
 
+
+def clone(state):
+    """Independent copy of a world state with an empty journal."""
+    return WorldState(accounts=copy.deepcopy(state.accounts),
+                      fee_ledger=state.fee_ledger, next_address=state.next_address)
+
+
+def digest(state) -> str:
+    """Canonical content hash of a world state: accounts, fees, and the
+    address counter."""
+    h = hashlib.sha256()
+    h.update(f"fees={state.fee_ledger};next={state.next_address};".encode())
+    for addr in sorted(state.accounts):
+        acct = state.accounts[addr]
+        code_name = acct.code.name if acct.code else ""
+        h.update(f"{addr}|{acct.balance}|{acct.kind.value}|{code_name}|".encode())
+        for key in sorted(acct.storage, key=repr):
+            h.update(f"{key!r}={acct.storage[key]!r};".encode())
+    return h.hexdigest()

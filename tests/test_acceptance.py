@@ -34,13 +34,14 @@ from mtsc.detector import (
     verdict_for,
 )
 from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
-from mtsc.mr_engine import MR1_1, MR1_2, MR2_1, MR2_2, MR2_3, EngineConfig, run_all
+from mtsc.mr_engine import EngineConfig, run_all
+from mtsc.relations import MR1_1, MR1_2, MR2_1, MR2_2, MR2_3
 from mtsc.scenario import ALL_ACTOR_KINDS, build_environment, load_scenario
 from mtsc.traces import failed_value_dispatches, trace_has_swallow
 from mtsc.vm import FailReason, GasSchedule, Transaction, execute
 
 from conftest import CORPUS, CORPUS_SCENARIOS, FIXTURES
-from support import calls_into, trace_has_gasleft
+from support import calls_into, clone, digest, trace_has_gasleft
 
 S = GasSchedule()
 LABELS = {
@@ -190,14 +191,14 @@ def test_criterion_3_gas_laws_randomized(environments):
                                  "AgentCall", (), 0)
 
             state = env.state
-            digest = state.digest()
+            before_digest = digest(state)
             fees = state.fee_ledger
             sid = state.snapshot()
             first = execute(state, tx, sched)
             state.restore(sid)
-            assert state.digest() == digest           # byte-equal round trip
+            assert digest(state) == before_digest           # byte-equal round trip
             assert state.fee_ledger == fees
-            second = execute(state.clone(), tx, sched)
+            second = execute(clone(state), tx, sched)
             assert first == second                    # full-outcome determinism
             assert first.gas_consumed <= limit
             if first.status.reason == FailReason.OUT_OF_GAS:
@@ -218,7 +219,7 @@ def test_criterion_4_gas_limit_independence(environments, unmemoised):
                     gc = estimate_intrinsic_gas(S, runner=env.runner_for(kind))
                 except NeverSucceeds:
                     continue
-                base = env.run_target(env.state.clone(), kind, gc.value, ops=True)
+                base = env.run_target(clone(env.state), kind, gc.value, ops=True)
                 if not base.ok or trace_has_gasleft(base.trace) \
                         or trace_has_swallow(base.trace):
                     continue
@@ -226,7 +227,7 @@ def test_criterion_4_gas_limit_independence(environments, unmemoised):
                 signature = (base.ok, base.gas_consumed, base.balance_delta)
                 for i in range(1, 11):
                     limit = gc.value + span * i // 10
-                    out = env.run_target(env.state.clone(), kind, limit)
+                    out = env.run_target(clone(env.state), kind, limit)
                     assert (out.ok, out.gas_consumed, out.balance_delta) \
                         == signature, (name, kind, limit)
                 checked += 1
@@ -243,8 +244,8 @@ def test_criterion_5_estimator_soundness(environments, unmemoised):
                     gc = estimate_intrinsic_gas(S, runner=env.runner_for(kind))
                 except NeverSucceeds:
                     continue
-                at_value = env.run_target(env.state.clone(), kind, gc.value)
-                below = env.run_target(env.state.clone(), kind, gc.value - 1)
+                at_value = env.run_target(clone(env.state), kind, gc.value)
+                below = env.run_target(clone(env.state), kind, gc.value - 1)
                 assert at_value.ok, (name, kind)
                 assert not below.ok, (name, kind)
                 assert below.status.reason == FailReason.OUT_OF_GAS, (name, kind)
@@ -255,9 +256,9 @@ def test_criterion_5_estimator_soundness(environments, unmemoised):
 def test_criterion_6_cao_equals_eoa(environments):
     with criterion(6, "empty-fallback agent matches the EOA on (status, delta)"):
         for name, env in environments.items():
-            eoa = env.run_target(env.state.clone(), AgentKind.EOA,
+            eoa = env.run_target(clone(env.state), AgentKind.EOA,
                                  S.block_gas_limit)
-            cao = env.run_target(env.state.clone(), AgentKind.CAO,
+            cao = env.run_target(clone(env.state), AgentKind.CAO,
                                  S.block_gas_limit)
             assert eoa.ok == cao.ok, name
             assert eoa.balance_delta == cao.balance_delta, name

@@ -17,6 +17,7 @@ from mtsc.traces import paired_calls
 from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
 
 from conftest import scenario_path
+from support import clone
 
 S = GasSchedule()
 PAYLOAD = CallPayload(function="withdraw", args=(1_000,), value=0)
@@ -115,15 +116,15 @@ def test_cah_fallback_cost_exceeds_the_stipend():
 
 def test_cao_matches_eoa_for_every_corpus_scenario(environments):
     for name, env in environments.items():
-        eoa = env.run_target(env.state.clone(), AgentKind.EOA, S.block_gas_limit)
-        cao = env.run_target(env.state.clone(), AgentKind.CAO, S.block_gas_limit)
+        eoa = env.run_target(clone(env.state), AgentKind.EOA, S.block_gas_limit)
+        cao = env.run_target(clone(env.state), AgentKind.CAO, S.block_gas_limit)
         assert eoa.ok == cao.ok, name
         assert eoa.balance_delta == cao.balance_delta, name
 
 
 def test_car_extracts_more_than_the_requested_amount(environments):
     env = environments["simple_dao_withdraw"]
-    out = env.run_target(env.state.clone(), AgentKind.CAR, S.block_gas_limit, ops=True)
+    out = env.run_target(clone(env.state), AgentKind.CAR, S.block_gas_limit, ops=True)
     assert out.ok
     assert out.balance_delta > 1_000_000
     assert out.balance_delta == 63 * 1_000_000  # depth-capped recursion
@@ -138,7 +139,7 @@ def test_car_extracts_more_than_the_requested_amount(environments):
 
 def test_car_recursion_always_terminates(environments):
     env = environments["simple_dao_withdraw"]
-    out = env.run_target(env.state.clone(), AgentKind.CAR, S.block_gas_limit)
+    out = env.run_target(clone(env.state), AgentKind.CAR, S.block_gas_limit)
     max_depth = max(ev.depth for ev in out.trace)
     assert max_depth < 128
 
@@ -147,7 +148,7 @@ def test_heavy_agent_starves_the_stipend_limited_send(environments):
     # the transaction succeeds, yet the agent received nothing and the
     # vault's ledger was debited anyway
     env = environments["simple_dao_withdraw_b"]
-    state = env.state.clone()
+    state = clone(env.state)
     dao = env.roles["SimpleDAO"]
     agent = env.actor_accounts[AgentKind.CAH]
     deposited = state.account(dao).storage[("balances", agent)]
@@ -159,7 +160,7 @@ def test_heavy_agent_starves_the_stipend_limited_send(environments):
 
 def test_cae_fails_transfer_based_payout(environments):
     env = environments["dividend_vault_payout"]
-    out = env.run_target(env.state.clone(), AgentKind.CAE, S.block_gas_limit)
+    out = env.run_target(clone(env.state), AgentKind.CAE, S.block_gas_limit)
     assert not out.ok
     assert out.status.reason == FailReason.REVERT
     assert out.balance_delta == 0
@@ -182,7 +183,7 @@ def test_interaction_status_read_from_target_call():
 
 def test_agent_balance_delta_not_the_drivers():
     env = build_environment(load_scenario(scenario_path("simple_dao_withdraw")), S)
-    state = env.state.clone()
+    state = clone(env.state)
     driver_before = state.balance_of(env.driver)
     out = env.run_target(state, AgentKind.CAO, S.block_gas_limit)
     assert out.ok

@@ -275,6 +275,34 @@ def test_repeated_actor_kinds_are_swept_once(tmp_path, capsys):
     assert out.count("MR1.1 violated") == 1
 
 
+@pytest.mark.parametrize("mr,notes", [
+    ("MR1.2", ""),
+    ("MR1.1", "  note MR1.1/CAR: 2*83519 exceeds the block gas limit 90000\n"),
+])
+def test_an_empty_increasing_plan_is_noted_only_when_mr11_runs(tmp_path, capsys, mr, notes):
+    sched = tmp_path / "sched.txt"
+    sched.write_text("block_gas_limit = 90000\n")
+    code, out, err = run_cli(capsys, "check", str(scenario_path("counter_baseline")),
+                             "--mr", mr, "--mr1-actors", "CAR", "--schedule", str(sched))
+    assert (code, err) == (0, "")
+    assert out == "counter_baseline: ok [-]\n" + notes
+
+
+def test_exit_one_means_a_violation_even_without_a_category(tmp_path, capsys):
+    # more gas takes the guarded write: an MR1.1 gas mismatch under the
+    # EOA, which maps to no vulnerability category
+    (tmp_path / "g.msol").write_text(
+        "contract G { uint x; fn f() { if (gasleft() > 100000) { x = 1; } } }\n")
+    path = tmp_path / "g.scenario.json"
+    path.write_text(json.dumps({"schema": "scenario-v1", "sources": ["g.msol"],
+                                "balances": {"G": 0, "$ACTOR": 10_000},
+                                "target": {"callee": "G", "function": "f"},
+                                "mrs": ["MR1.1"], "mr1_actors": ["EOA"]}))
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert out.startswith("g: ok [-]\n  MR1.1 violated (gas mismatch): EOA@")
+
+
 def test_deeply_nested_contract_exits_two(tmp_path, capsys):
     nested = "(" * 600 + "1" + ")" * 600
     (tmp_path / "deep.msol").write_text(

@@ -6,10 +6,6 @@ import pytest
 
 from mtsc.agents import AgentKind
 from mtsc.detector import (
-    CATEGORIES,
-    EXCEPTION_DISORDER,
-    GASLESS_SEND,
-    REENTRANCY,
     Counts,
     UnknownScenario,
     Verdict,
@@ -20,15 +16,17 @@ from mtsc.detector import (
     percent,
     tpr,
 )
-from mtsc.mr_engine import (
+from mtsc.mr_engine import ActorInput, TestPair, ViolationRecord
+from mtsc.relations import (
+    CATEGORIES,
+    EXCEPTION_DISORDER,
+    GASLESS_SEND,
     MR1_1,
     MR1_2,
     MR2_1,
     MR2_2,
     MR2_3,
-    ActorInput,
-    TestPair,
-    ViolationRecord,
+    REENTRANCY,
 )
 from mtsc.vm import CallEntered, CallExited, FailReason, Outcome, STATUS_SUCCESS
 

@@ -22,6 +22,8 @@ from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, ex
 
 from conftest import CORPUS_SCENARIOS, scenario_path
 from support import (
+    clone,
+    digest,
     estimate_or_status,
     loop_increasing,
     loop_reducing,
@@ -49,13 +51,13 @@ def nop_setup():
 
 def test_estimate_nop_matches_direct_run():
     state, tx = nop_setup()
-    direct = execute(state.clone(), tx, S)
-    before = state.digest()
+    direct = execute(clone(state), tx, S)
+    before = digest(state)
     gc = estimate_intrinsic_gas(S, runner=tx_runner(state, tx, S))
     assert gc.value == direct.gas_consumed == 21_100
     assert gc.trials == 1
     assert gc.converged
-    assert state.digest() == before
+    assert digest(state) == before
 
 
 def test_estimate_without_internal_calls_is_exact():
@@ -84,14 +86,14 @@ def test_trial_limits_grow_monotonically_until_success(environments):
 
 def test_estimate_leaves_state_unchanged(unmemoised, target_runs):
     env = unmemoised("simple_dao_withdraw")
-    before = env.state.digest()
+    before = digest(env.state)
     probes = []
     gc = estimate_intrinsic_gas(S, runner=counting(env.runner_for(AgentKind.CAR), probes))
     # the rough estimate's run at the block gas limit, then every probe
     # that no earlier run's range answered
     assert probes[0] == S.block_gas_limit
     assert len(target_runs) == len(probes) < 1 + gc.trials
-    assert env.state.digest() == before
+    assert digest(env.state) == before
 
 
 # `reference_estimate` runs every probe: the probes the ranges answer.
@@ -191,8 +193,8 @@ def test_gas_reserve_forces_bisection(environments):
     gc = estimate_intrinsic_gas(S, runner=env.runner_for(AgentKind.EOA))
     assert gc.value == 36_216 + 2_300
     assert gc.converged
-    at_value = env.run_target(env.state.clone(), AgentKind.EOA, gc.value)
-    below = env.run_target(env.state.clone(), AgentKind.EOA, gc.value - 1)
+    at_value = env.run_target(clone(env.state), AgentKind.EOA, gc.value)
+    below = env.run_target(clone(env.state), AgentKind.EOA, gc.value - 1)
     assert at_value.ok
     assert below.status.reason == FailReason.OUT_OF_GAS
 

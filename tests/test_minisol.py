@@ -5,11 +5,12 @@ import pickle
 
 import pytest
 
-from mtsc.minisol import ParseError, parse, pretty, validate
+from mtsc.minisol import ParseError, parse, validate
 from mtsc.minisol import ast
 from mtsc.minisol.parser import MAX_NESTING
 
 from conftest import CORPUS
+from pretty import pretty
 
 SIMPLE_DAO = (CORPUS / "simple_dao.msol").read_text()
 

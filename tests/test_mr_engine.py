@@ -15,12 +15,6 @@ from mtsc.gas_oracle import (
     allocate_reducing,
 )
 from mtsc.mr_engine import (
-    ALL_MRS,
-    MR1_1,
-    MR1_2,
-    MR2_1,
-    MR2_2,
-    MR2_3,
     ActorInput,
     Diagnostic,
     EngineConfig,
@@ -30,6 +24,7 @@ from mtsc.mr_engine import (
     run_all,
     run_pair,
 )
+from mtsc.relations import MR1_1, MR1_2, MR2_1, MR2_2, MR2_3, RELATIONS
 from mtsc.scenario import ALL_ACTOR_KINDS, build_environment, load_scenario
 from mtsc.traces import trace_has_swallow
 from mtsc.vm import (
@@ -42,8 +37,8 @@ from mtsc.vm import (
     failure,
 )
 
-from conftest import CORPUS_SCENARIOS, FIXTURES, scenario_path
-from support import build_pairs, reference_sweep
+from conftest import CORPUS_SCENARIOS, FIXTURES, ROOT, scenario_path
+from support import build_pairs, clone, digest, reference_sweep
 
 S = GasSchedule()
 
@@ -82,7 +77,7 @@ def test_build_pairs_increasing_shape(environments):
 
 def test_build_pairs_mr2_one_pair_each(environments):
     env = environments["counter_baseline"]
-    pairs = build_pairs(env, {}, {}, mrs=ALL_MRS, mr1_actors=())
+    pairs = build_pairs(env, {}, {}, mrs=tuple(RELATIONS), mr1_actors=())
     assert [p.mr_id for p in pairs] == [MR2_1, MR2_2, MR2_3]
     for p in pairs:
         assert p.source.kind == AgentKind.EOA
@@ -143,7 +138,7 @@ def test_identical_inputs_give_identical_outcomes(unmemoised, target_runs,
 
 def test_run_pair_restores_the_shared_context(unmemoised, target_runs, context_digests):
     env = unmemoised("simple_dao_withdraw")
-    before = env.state.digest()
+    before = digest(env.state)
     assert before == context_digests["simple_dao_withdraw"]
     eoa = ActorInput(AgentKind.EOA, env.actor_accounts[AgentKind.EOA], 40_000)
     car = ActorInput(AgentKind.CAR, env.actor_accounts[AgentKind.CAR],
@@ -151,7 +146,7 @@ def test_run_pair_restores_the_shared_context(unmemoised, target_runs, context_d
     run_pair(env, TestPair(MR2_2, eoa, car))
     assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000),
                                       (AgentKind.CAR, S.block_gas_limit)]
-    assert env.state.digest() == before
+    assert digest(env.state) == before
 
 
 def test_follow_up_sees_pristine_context(unmemoised, target_runs, context_digests):
@@ -161,7 +156,7 @@ def test_follow_up_sees_pristine_context(unmemoised, target_runs, context_digest
     # the source run withdraws from the actor's position, yet the
     # follow-up starts from the context as set up
     done = run_pair(env, TestPair(MR1_1, source, follow))
-    assert env.state.digest() == built
+    assert digest(env.state) == built
     assert starting_digests(target_runs) == [built] * 2
     assert done.source_outcome.ok and done.follow_outcome.ok
     assert done.source_outcome.balance_delta == done.follow_outcome.balance_delta
@@ -207,7 +202,7 @@ def test_each_source_input_runs_once_per_environment(monkeypatch, target_runs, n
     assert inputs <= set(runs)
 
     def fresh(actor):
-        return env.run_target(env.state.clone(), actor.kind, actor.gas_limit)
+        return env.run_target(clone(env.state), actor.kind, actor.gas_limit)
 
     for pair in pairs:
         assert pair.source_outcome == fresh(pair.source)
@@ -271,6 +266,14 @@ def test_mr23_ignores_stillborn_dispatches():
     )
     assert check(pair_of(MR2_3, outcome(), outcome(trace=stillborn),
                          follow_addr=agent, kind=AgentKind.CAE)) is None
+
+
+def test_readme_lists_the_relations_of_the_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## The five relations\n", 1)[1].split("\n## ", 1)[0]
+    table = [line for line in section.splitlines() if line.startswith("|")]
+    # below the header row and the separator row, one row per relation
+    assert tuple(row.split("|")[1].strip() for row in table[2:]) == tuple(RELATIONS)
 
 
 # -- full pipeline --------------------------------------------------------------
@@ -364,7 +367,7 @@ def test_engine_config_rejects_unusable_fields(field, value):
 
 def test_context_digest_is_stable_across_runs():
     scenario = load_scenario(scenario_path("simple_dao_withdraw"))
-    first, second = (build_environment(scenario, S).state.digest() for _ in range(2))
+    first, second = (digest(build_environment(scenario, S).state) for _ in range(2))
     assert first == second
     a = run_scenario("simple_dao_withdraw")
     b = run_scenario("simple_dao_withdraw")

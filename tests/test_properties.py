@@ -16,15 +16,16 @@ from mtsc import cli, mr_engine, scenario
 from mtsc.agents import TARGET_SLOT, VALUE_SLOT, AgentKind
 from mtsc.detector import emit_report, verdict_for
 from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
-from mtsc.minisol import ast, parse, pretty, validate
+from mtsc.minisol import ast, parse, validate
 from mtsc.minisol.lexer import KEYWORDS, PUNCT
 from mtsc.scenario import ALL_ACTOR_KINDS
 from mtsc.vm import (CallEntered, FailReason, GasSchedule, Transaction, WorldState, deploy,
                      execute)
 
 from conftest import CORPUS, CORPUS_SCENARIOS
-from support import (assert_lean_matches_full, estimate_or_status, reference_estimate,
-                     reference_sweep)
+from pretty import pretty
+from support import (assert_lean_matches_full, clone, digest, estimate_or_status,
+                     reference_estimate, reference_sweep)
 
 SETTINGS = dict(deadline=None, max_examples=150)
 
@@ -41,7 +42,7 @@ SETTINGS = dict(deadline=None, max_examples=150)
 def test_consumption_never_exceeds_the_limit(environments, name, kind, fraction):
     env = environments[name]
     gas_limit = int(fraction * env.schedule.block_gas_limit)
-    out = env.run_target(env.state.clone(), kind, gas_limit)
+    out = env.run_target(clone(env.state), kind, gas_limit)
     assert out.gas_consumed <= gas_limit
 
 
@@ -53,7 +54,7 @@ def test_consumption_never_exceeds_the_limit(environments, name, kind, fraction)
 @settings(**SETTINGS)
 def test_out_of_gas_consumes_the_full_allocation(environments, name, kind, gas_limit):
     env = environments[name]
-    out = env.run_target(env.state.clone(), kind, gas_limit)
+    out = env.run_target(clone(env.state), kind, gas_limit)
     raw_failed_oog = (not out.ok and out.status.reason == FailReason.OUT_OF_GAS
                       and out.gas_consumed != gas_limit)
     if raw_failed_oog:
@@ -75,8 +76,8 @@ def test_out_of_gas_consumes_the_full_allocation(environments, name, kind, gas_l
 @settings(**SETTINGS)
 def test_execution_is_deterministic(environments, name, kind, gas_limit):
     env = environments[name]
-    first = env.run_target(env.state.clone(), kind, gas_limit)
-    second = env.run_target(env.state.clone(), kind, gas_limit)
+    first = env.run_target(clone(env.state), kind, gas_limit)
+    second = env.run_target(clone(env.state), kind, gas_limit)
     assert first == second
 
 
@@ -89,13 +90,13 @@ def test_execution_is_deterministic(environments, name, kind, gas_limit):
 def test_snapshot_execute_restore_round_trips(environments, name, kind, gas_limit):
     env = environments[name]
     state = env.state
-    digest = state.digest()
+    before_digest = digest(state)
     sid = state.snapshot()
     try:
         env.run_target(state, kind, gas_limit)
     finally:
         state.restore(sid)
-    assert state.digest() == digest
+    assert digest(state) == before_digest
 
 
 @given(
@@ -107,9 +108,9 @@ def test_snapshot_execute_restore_round_trips(environments, name, kind, gas_limi
 def test_balances_are_conserved_and_failures_roll_back(environments, name, kind,
                                                        gas_limit):
     env = environments[name]
-    state = env.state.clone()
+    state = clone(env.state)
     total_before = sum(a.balance for a in state.accounts.values())
-    digest_before = state.digest()
+    digest_before = digest(state)
     fees_before = state.fee_ledger
     out = env.run_target(state, kind, gas_limit)
     # fees accrue on the ledger, never on balances
@@ -120,7 +121,7 @@ def test_balances_are_conserved_and_failures_roll_back(environments, name, kind,
         # agent-level failures may leave agent-internal bookkeeping behind;
         # the envelope-level rollback guarantee binds EOA transactions
         if kind == AgentKind.EOA:
-            assert state.digest() == digest_before
+            assert digest(state) == digest_before
 
 
 # -- random syntax trees ---------------------------------------------------------
@@ -416,16 +417,16 @@ def test_journaled_runs_match_clone_runs(contract, gas):
     for tx in txs:  # give the context storage that later runs overwrite
         _attempt(state, tx)
 
-    clone = state.clone()
-    expected = [_attempt(clone, tx) for tx in txs]
-    digest = state.digest()
+    copied = clone(state)
+    expected = [_attempt(copied, tx) for tx in txs]
+    before_digest = digest(state)
     sid = state.snapshot()
     try:
         assert [_attempt(state, tx) for tx in txs] == expected
-        assert state.digest() == clone.digest()
+        assert digest(state) == digest(copied)
     finally:
         state.restore(sid)
-    assert state.digest() == digest
+    assert digest(state) == before_digest
 
 
 # -- invariance ranges against the full sweep, on generated contracts ---------
@@ -450,8 +451,8 @@ def _report_or_error(path, config):
        value=st.sampled_from([0, 0, 1, 700]),
        n=st.integers(min_value=1, max_value=40))
 @settings(deadline=None, max_examples=40)
-def test_certificate_matches_the_full_sweep_on_generated_contracts(contract, entry,
-                                                                   value, n):
+def test_invariance_ranges_match_the_full_sweep_on_generated_contracts(contract, entry,
+                                                                        value, n):
     functions = [fn.name for fn in contract.functions]
     target = {"callee": "Gen", "function": (functions + [None])[
         min(entry, len(functions))], "value": value}
@@ -555,7 +556,7 @@ def test_block_reaching_ranges_repeat_above_and_hold_below(source, entry, value)
             continue
 
         def run(limit):
-            return env.run_target(env.state.clone(), kind, limit)
+            return env.run_target(clone(env.state), kind, limit)
 
         source_out = run(gc)
         # a range that reaches the block gas limit decides every MR1.1 limit
@@ -623,7 +624,7 @@ def test_failures_ranged_down_to_zero_fail_at_every_lower_limit(source, entry, v
     block = env.schedule.block_gas_limit
     for kind in ALL_ACTOR_KINDS:
         def run(limit):
-            return env.run_target(env.state.clone(), kind, limit)
+            return env.run_target(clone(env.state), kind, limit)
 
         # a grid below the ample run's consumption, fine near the top
         top = run(block).gas_consumed
@@ -665,14 +666,14 @@ def _observe(env, kind, limit):
     """The outcome of a run on a clone of the context, and the digest of
     the state it leaves: fees, and an agent wrapper's own bookkeeping
     slots, aside."""
-    state = env.state.clone()
+    state = clone(env.state)
     out = env.run_target(state, kind, limit)
     state.fee_ledger = env.state.fee_ledger
     if kind != AgentKind.EOA:
         storage = state.account(env.actor_accounts[kind]).storage
         for slot in (TARGET_SLOT, VALUE_SLOT):
             storage.pop(slot, None)
-    return out, state.digest()
+    return out, digest(state)
 
 
 @given(source=range_shape_sources,
@@ -696,7 +697,7 @@ def _observe(env, kind, limit):
 def test_every_limit_in_a_range_repeats_the_run(source, entry, value, kind, at, inside):
     env = _gas_shape_env(source, entry, value)
     block = env.schedule.block_gas_limit
-    limit = min(block, int(at * env.run_target(env.state.clone(), kind, block).gas_consumed))
+    limit = min(block, int(at * env.run_target(clone(env.state), kind, block).gas_consumed))
     out, digest = _observe(env, kind, limit)
     lo, hi = out.limits
     assert lo <= limit <= hi
@@ -715,9 +716,9 @@ def test_every_limit_in_a_range_repeats_the_run(source, entry, value, kind, at, 
 def test_lean_runs_match_full_runs_on_generated_contracts(source, entry, value, kind, at):
     env = _gas_shape_env(source, entry, value)
     block = env.schedule.block_gas_limit
-    limit = min(block, int(at * env.run_target(env.state.clone(), kind, block).gas_consumed))
+    limit = min(block, int(at * env.run_target(clone(env.state), kind, block).gas_consumed))
     for limit in {limit, block}:
-        lean, full = (env.run_target(env.state.clone(), kind, limit, ops=ops)
+        lean, full = (env.run_target(clone(env.state), kind, limit, ops=ops)
                       for ops in (False, True))
         assert_lean_matches_full(lean, full)
 

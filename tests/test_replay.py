@@ -20,6 +20,7 @@ from mtsc.scenario import build_environment, load_scenario
 from mtsc.vm import FailReason, Transaction, execute, failure, replay
 
 from conftest import CORPUS, CORPUS_SCENARIOS, scenario_path
+from support import clone, digest
 
 
 def replay_by_execute(state, txs, schedule):
@@ -37,7 +38,7 @@ def setup_of(path, schedule):
     seen = {}
 
     def capture(state, txs, sched):
-        seen["state"], seen["txs"] = state.clone(), list(txs)
+        seen["state"], seen["txs"] = clone(state), list(txs)
         return replay(state, seen["txs"], sched)
 
     with mock.patch.object(scenario, "replay", capture):
@@ -46,10 +47,10 @@ def setup_of(path, schedule):
 
 
 def assert_replay_matches_execute(state, txs, schedule):
-    by_replay, by_execute = state.clone(), state.clone()
+    by_replay, by_execute = clone(state), clone(state)
     got = replay(by_replay, iter(txs), schedule)
     assert got == replay_by_execute(by_execute, txs, schedule)
-    assert by_replay.digest() == by_execute.digest()
+    assert digest(by_replay) == digest(by_execute)
     return got
 
 

@@ -98,6 +98,11 @@ LOAD_ERRORS = [
     ("target-value", _set("target", "value", 2**128),
      "{path}: target: value must be an integer in [0, 2**128 - 1]"),
     ("relation", _set("mrs", ["MR1.1", "MR3"]), "{path}: unknown relation 'MR3'"),
+    # entries a table keyed by relation id cannot hash, and null
+    ("relation-list", _set("mrs", [["MR1.1"]]), "{path}: unknown relation ['MR1.1']"),
+    ("relation-object", _set("mrs", [{"MR1.1": 1}]),
+     "{path}: unknown relation {{'MR1.1': 1}}"),
+    ("relation-null", _set("mrs", [None]), "{path}: unknown relation None"),
     ("actor-kind", _set("mr1_actors", ["EOA", "XYZ"]), "{path}: unknown actor kind 'XYZ'"),
 ]
 

@@ -16,7 +16,7 @@ from mtsc.vm import (TAIL, CallEntered, CallExited, ExceptionSwallowed, FailReas
                      GasSchedule, OpExecuted)
 
 from conftest import CORPUS_SCENARIOS
-from support import assert_lean_matches_full, reference_child_frame_gas
+from support import assert_lean_matches_full, clone, reference_child_frame_gas
 
 S = GasSchedule()
 # below and at the base fee, around the corpus estimates, and up to the block
@@ -25,7 +25,7 @@ LIMITS = (0, 20_999, 21_000, 25_000, 30_000, 40_000, 60_000, 100_000, 250_000,
 
 
 def lean_and_full(env, kind, limit):
-    return tuple(env.run_target(env.state.clone(), kind, limit, ops=ops)
+    return tuple(env.run_target(clone(env.state), kind, limit, ops=ops)
                  for ops in (False, True))
 
 

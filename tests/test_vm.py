@@ -32,6 +32,7 @@ from mtsc.vm import (
 from mtsc.vm.schedule import MAX_FRAMES
 
 from conftest import CORPUS
+from support import clone, digest
 
 S = GasSchedule()
 AMPLE = S.block_gas_limit
@@ -151,25 +152,25 @@ def test_top_level_revert_consumes_partially():
 
 def test_require_failure_rolls_back():
     state, actor, dao = fresh_dao()
-    digest = state.digest()
+    before_digest = digest(state)
     out = run(state, actor, dao, "withdraw", (1,))  # nothing deposited
     assert out.status.reason == FailReason.REQUIRE_FAILED
     assert out.balance_delta == 0
     fee = out.gas_consumed
     assert state.fee_ledger == fee
     state.fee_ledger = 0
-    assert state.digest() == digest
+    assert digest(state) == before_digest
 
 
 def test_failure_leaves_state_byte_equal():
     state, actor, dao = fresh_dao()
     assert run(state, actor, dao, "deposit", (actor,), 1_000).ok
-    before = state.digest()
+    before = digest(state)
     fees = state.fee_ledger
     out = run(state, actor, dao, "withdraw", (1_000,), gas=30_000)
     assert not out.ok
     state.fee_ledger = fees
-    assert state.digest() == before
+    assert digest(state) == before
 
 
 # -- arithmetic ------------------------------------------------------------
@@ -395,12 +396,12 @@ def test_unused_stipend_is_not_refunded():
 
 def test_snapshot_restore_round_trip():
     state, actor, dao = fresh_dao()
-    digest = state.digest()
+    before_digest = digest(state)
     sid = state.snapshot()
     assert run(state, actor, dao, "deposit", (actor,), 777).ok
-    assert state.digest() != digest
+    assert digest(state) != before_digest
     state.restore(sid)
-    assert state.digest() == digest
+    assert digest(state) == before_digest
 
 
 def test_restore_consumes_the_snapshot():
@@ -468,26 +469,26 @@ def journal_world():
 
 def expected_digest(before, out, addr, storage):
     """Digest of `before` plus only the fee and the given top-frame writes."""
-    ref = before.clone()
+    ref = clone(before)
     ref.fee_ledger += out.gas_consumed
     ref.account(addr).storage.update(storage)
-    return ref.digest()
+    return digest(ref)
 
 
 def test_swallowed_child_writes_to_absent_keys_are_deleted():
     state, actor, inner, _, outer = journal_world()
-    before = state.clone()
+    before = clone(state)
     out = run(state, actor, outer, "direct", (inner,))
     assert out.ok
     assert sum(isinstance(ev, ExceptionSwallowed) for ev in out.trace) == 1
     # the child's fresh keys are gone, not reset to their defaults
     assert state.account(inner).storage == {}
-    assert state.digest() == expected_digest(before, out, outer, {"ok": False})
+    assert digest(state) == expected_digest(before, out, outer, {"ok": False})
 
 
 def test_failing_dcall_unwinds_two_frames():
     state, actor, inner, middle, outer = journal_world()
-    before = state.clone()
+    before = clone(state)
     out = run(state, actor, outer, "twice", (middle, inner))
     assert out.ok
     exits = [ev for ev in out.trace if isinstance(ev, CallExited)]
@@ -496,7 +497,7 @@ def test_failing_dcall_unwinds_two_frames():
     assert state.account(middle).storage == {}
     assert state.account(middle).balance == 50
     assert state.account(inner).balance == 0
-    assert state.digest() == expected_digest(before, out, outer, {"ok": False})
+    assert digest(state) == expected_digest(before, out, outer, {"ok": False})
 
 
 def test_caller_reference_sees_the_reverted_balance():
@@ -514,18 +515,18 @@ def test_caller_reference_sees_the_reverted_balance():
 
 def test_nested_snapshots_restore_their_own_points():
     state, actor, dao = fresh_dao()
-    start = state.digest()
+    start = digest(state)
     outer = state.snapshot()
     assert run(state, actor, dao, "deposit", (actor,), 10).ok
-    middle = state.digest()
+    middle = digest(state)
     inner = state.snapshot()
     assert run(state, actor, dao, "deposit", (dao,), 20).ok
     state.restore(inner)
-    assert state.digest() == middle
+    assert digest(state) == middle
     again = state.snapshot()
     assert run(state, actor, dao, "withdraw", (5,)).ok
     state.restore(outer)  # also consumes the snapshot taken after it
-    assert state.digest() == start
+    assert digest(state) == start
     with pytest.raises(UnknownSnapshot):
         state.restore(again)
 
@@ -534,13 +535,13 @@ def test_create_after_restore_reuses_the_addresses():
     unit = parse("contract Empty { }")
     state = WorldState()
     state.create_eoa(5)
-    start = state.digest()
+    start = digest(state)
     sid = state.snapshot()
     eoa = state.create_eoa(7)
     contract = deploy(state, unit.contracts[0], 3)
     state.restore(sid)
     assert not state.has_account(eoa) and not state.has_account(contract)
-    assert state.digest() == start
+    assert digest(state) == start
     assert state.create_eoa(7) == eoa
     assert deploy(state, unit.contracts[0], 3) == contract
 
@@ -562,8 +563,8 @@ def test_journal_is_dropped_without_an_open_snapshot():
 def test_execution_is_deterministic():
     state, actor, dao = fresh_dao()
     assert run(state, actor, dao, "deposit", (actor,), 10_000).ok
-    a = run(state.clone(), actor, dao, "withdraw", (10_000,))
-    b = run(state.clone(), actor, dao, "withdraw", (10_000,))
+    a = run(clone(state), actor, dao, "withdraw", (10_000,))
+    b = run(clone(state), actor, dao, "withdraw", (10_000,))
     assert a == b
     assert a.trace == b.trace
 
@@ -571,10 +572,10 @@ def test_execution_is_deterministic():
 def test_gas_limit_independence_without_gasleft_or_swallows():
     state, actor, dao = fresh_dao()
     assert run(state, actor, dao, "deposit", (actor,), 10_000).ok
-    base = run(state.clone(), actor, dao, "withdraw", (10_000,), gas=40_000)
+    base = run(clone(state), actor, dao, "withdraw", (10_000,), gas=40_000)
     assert base.ok
     for gas in (41_000, 100_000, AMPLE):
-        again = run(state.clone(), actor, dao, "withdraw", (10_000,), gas=gas)
+        again = run(clone(state), actor, dao, "withdraw", (10_000,), gas=gas)
         assert (again.ok, again.gas_consumed, again.balance_delta) == \
                (base.ok, base.gas_consumed, base.balance_delta)
 
@@ -620,7 +621,7 @@ def gas_probes():
 
 def probe(gas_probes, fn, *args, gas=AMPLE):
     state, actor, _, caller = gas_probes
-    return run(state.clone(), actor, caller, fn, args, gas=gas)
+    return run(clone(state), actor, caller, fn, args, gas=gas)
 
 
 def bound_by_a_read(gas_probes, fn, *args):
@@ -706,7 +707,7 @@ def test_swallowed_child_needing_reserve_headroom_is_an_event(gas_probes):
     state, actor, reader, caller = gas_probes
 
     def relay(gas):
-        return run(state.clone(), actor, caller, "via_relay", (reader, actor), gas=gas)
+        return run(clone(state), actor, caller, "via_relay", (reader, actor), gas=gas)
 
     ample = relay(AMPLE)
     assert ample.ok and ample.limits == (ample.gas_consumed, AMPLE)
@@ -749,7 +750,7 @@ def below_probes():
     probe = deploy(state, unit.contract("Probe"))
 
     def probe_run(fn, gas=AMPLE):
-        return run(state.clone(), actor, probe, fn, gas=gas)
+        return run(clone(state), actor, probe, fn, gas=gas)
     return probe_run
 
 
@@ -789,7 +790,7 @@ def test_a_read_that_sees_the_literal_keeps_the_comparisons_range(op, side):
     g = deploy(state, unit.contracts[0])
 
     def outcome_at(gas):
-        out = run(state.clone(), actor, g, "f", gas=gas)
+        out = run(clone(state), actor, g, "f", gas=gas)
         return out, (out.status, out.gas_consumed, out.balance_delta)
 
     # the limit at which the read sees the literal
