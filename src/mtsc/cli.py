@@ -161,10 +161,13 @@ def cmd_bench(args, config: Config) -> int:
             if category not in CATEGORIES:
                 raise UsageError(f"unknown category {category!r} in the labels of {sid!r}")
 
-    for path in paths:
-        sid = Path(path).name[: -len(".scenario.json")]
+    sids = [Path(path).name[: -len(".scenario.json")] for path in paths]
+    for sid in sids:
         if sid not in labels:
             raise UsageError(f"no label for scenario {sid!r}")
+    for sid in labels:
+        if sid not in sids:
+            raise UsageError(f"no scenario for label {sid!r}")
 
     # a fork pool starts all its workers at once: never more than there is work for
     jobs = min(args.jobs or os.cpu_count() or 1, len(paths))

@@ -10,7 +10,7 @@ are lexed as three tokens and assembled by the parser.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -53,8 +53,7 @@ TOKEN = re.compile("|".join([
 ]))
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     type: str  # keyword text, punct text, "IDENT", "INT", or "EOF"
     text: str
     line: int

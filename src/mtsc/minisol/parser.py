@@ -19,8 +19,6 @@ deep, two operators above the first literal.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from . import ast
 from .lexer import ParseError, Token, tokenize
 
@@ -53,8 +51,9 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # `advance` stops at the closing EOF token, so `pos` always indexes one
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -63,7 +62,7 @@ class _Parser:
         return tok
 
     def check(self, ttype: str) -> bool:
-        return self.peek().type == ttype
+        return self.tokens[self.pos].type == ttype
 
     def accept(self, ttype: str) -> Token | None:
         if self.check(ttype):
@@ -83,16 +82,14 @@ class _Parser:
         if level > MAX_NESTING:
             raise ParseError(tok.line, tok.col,
                              f"nesting deeper than {MAX_NESTING} levels")
-        self.reach = max(self.reach, level)
+        if level > self.reach:
+            self.reach = level
 
-    @contextmanager
-    def nested(self):
-        self.deepen(self.depth + 1, self.peek())
+    def enter(self):
+        """Go one level deeper, at the next token. The caller comes back up
+        with `self.depth -= 1`; a ParseError ends the parse, so it need not."""
         self.depth += 1
-        try:
-            yield
-        finally:
-            self.depth -= 1
+        self.deepen(self.depth, self.tokens[self.pos])
 
     # -- declarations ------------------------------------------------------
 
@@ -177,9 +174,10 @@ class _Parser:
     def parse_block(self) -> list:
         self.expect("{")
         stmts = []
-        with self.nested():
-            while not self.accept("}"):
-                stmts.append(self.parse_stmt())
+        self.enter()
+        while not self.accept("}"):
+            stmts.append(self.parse_stmt())
+        self.depth -= 1
         return stmts
 
     def parse_stmt(self):
@@ -263,22 +261,26 @@ class _Parser:
         ops, chained = BINARY_LEVELS[level]
         outer, self.reach = self.reach, self.depth
         left = self.parse_binary(level + 1)
-        while self.peek().type in ops:
+        while self.tokens[self.pos].type in ops:
             op = self.advance()
             self.deepen(self.reach + 1, op)
-            with self.nested():
-                right = self.parse_binary(level + 1)
+            self.enter()
+            right = self.parse_binary(level + 1)
+            self.depth -= 1
             left = ast.Binary(line=op.line, col=op.col, op=op.type, left=left, right=right)
             if not chained:
                 break
-        self.reach = max(outer, self.reach)
+        if outer > self.reach:
+            self.reach = outer
         return left
 
     def parse_unary(self):
         if self.check("!"):
-            with self.nested():
-                op = self.advance()
-                return ast.Not(line=op.line, col=op.col, operand=self.parse_unary())
+            self.enter()
+            op = self.advance()
+            node = ast.Not(line=op.line, col=op.col, operand=self.parse_unary())
+            self.depth -= 1
+            return node
         return self.parse_primary()
 
     def parse_call_args(self) -> list:
@@ -292,8 +294,10 @@ class _Parser:
         return args
 
     def parse_primary(self):
-        with self.nested():
-            return self.parse_primary_unguarded()
+        self.enter()
+        node = self.parse_primary_unguarded()
+        self.depth -= 1
+        return node
 
     def parse_primary_unguarded(self):
         tok = self.peek()

@@ -2,11 +2,12 @@
 
 Gas model
 ---------
-Every charge is an OpExecuted event of the run's trace; when a charge
-exceeds the frame's remaining gas the shortfall is recorded as a partial
-charge, the frame drops to zero, and the frame fails OutOfGas. A frame's
-consumption is therefore its budget minus what is left when it exits,
-and a frame that runs out consumes its whole budget.
+Every charge records an op event, which a full run's trace keeps as an
+OpExecuted event (lean runs and `replay` keep fewer; see Traces). When a
+charge exceeds the frame's remaining gas the shortfall is recorded as a
+partial charge, the frame drops to zero, and the frame fails OutOfGas. A
+frame's consumption is therefore its budget minus what is left when it
+exits, and a frame that runs out consumes its whole budget.
 
 Call boundaries
 ---------------
@@ -111,7 +112,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..minisol import ast
@@ -142,12 +143,12 @@ MIRROR = {">": "<", "<": ">", ">=": "<=", "<=": ">=", "==": "==", "!=": "!="}
 
 # Python frames the interpreter may stack, which `execute` and `replay`
 # add to the recursion limit while they run. Per MiniSol call frame: per
-# nesting level the parser allows, which is a block (exec_stmt,
-# exec_block), a binary operator (eval, eval_binary), a `!` or a primary
-# expression (eval), at most two frames, and a fixed tail for the
-# statement and the call itself. At the limit the deepest shapes (a chain
-# of `&&` or nested blocks around a self-call) take 127 frames per call,
-# well inside the 12 per level and 32 for the tail allowed here.
+# nesting level the parser allows, which is a block (exec_stmt), a binary
+# operator (eval, eval_binary), a `!` or a primary expression (eval), at
+# most two frames, and a fixed tail for the statement and the call itself.
+# At the limit the deepest shape, a chain of `&&` around a self-call, takes
+# 126 frames per call (nested blocks take 67), well inside the 12 per
+# level and 32 for the tail allowed here.
 RECURSION_BUDGET = MAX_CALL_DEPTH * (12 * MAX_NESTING + 32)
 
 # call failures that never dispatched the callee
@@ -173,13 +174,9 @@ class _Frame:
     depth: int
     gas: int
     budget: int
-    env: dict = field(default_factory=dict)
-    elastic: bool = False  # gas moves one for one with the gas limit
+    env: dict
+    elastic: bool          # gas moves one for one with the gas limit
     peak: int = 0          # need beyond consumption: reserves, children
-
-    @property
-    def consumed(self) -> int:
-        return self.budget - self.gas
 
 
 class _Run:
@@ -199,10 +196,6 @@ class _Run:
         self.turn = 0                        # highest lower bound that turns it
         self.reports = reports
         self.reported = None                 # (ok, reason) of that call
-
-    def record(self, event):
-        self.trace.append(event)
-        self.tail.append(event)
 
     def events(self) -> tuple:
         """The trace: the call events with the tail spliced in after those
@@ -227,7 +220,7 @@ class _Run:
         with no gas left, and a limit higher by `short` would pay."""
         if frame.elastic:
             self.hi = min(self.hi, self.limit + short - 1)
-            frame.peak = max(frame.peak, frame.consumed)
+            frame.peak = max(frame.peak, frame.budget - frame.gas)
             frame.elastic = False
         frame.gas = 0
         raise _FrameFail(FailReason.OUT_OF_GAS)
@@ -251,30 +244,34 @@ class _Run:
     # -- expressions ---------------------------------------------------------
 
     def eval(self, frame: _Frame, e):
+        # node types in the order the corpus evaluates them most
         t = type(e)
-        if t is ast.IntLit:
-            return e.value
-        if t is ast.BoolLit:
-            return e.value
-        if t is ast.AddrLit:
-            return e.value
         if t is ast.Var:
-            if e.name in frame.env:
-                return frame.env[e.name]
-            sv = frame.contract.state_var(e.name)
+            name = e.name
+            if name in frame.env:
+                return frame.env[name]
+            sv = frame.contract.state_var(name)
             self.charge(frame, "sload", self.sched.sload)
-            return frame.account.storage_read(e.name, default_for(sv.kind))
-        if t is ast.MapIndex:
-            key = self.eval(frame, e.key)
-            self.charge(frame, "sload", self.sched.sload)
-            return frame.account.storage_read((e.name, key), 0)
+            return frame.account.storage.get(name, default_for(sv.kind))
+        if t is ast.Call:
+            target = self.eval(frame, e.target)
+            args = [self.eval(frame, a) for a in e.args]
+            value = self.eval(frame, e.value) if e.value is not None else 0
+            gas = self.eval(frame, e.gas) if e.gas is not None else None
+            return self.call(frame, e.form, target, e.function, args, value, gas)
+        if t is ast.MsgSender:
+            return frame.msg_sender
+        if t is ast.IntLit or t is ast.AddrLit or t is ast.BoolLit:
+            return e.value
         if t is ast.Binary:
             return self.eval_binary(frame, e)
         if t is ast.Not:
             self.charge(frame, "logic", self.sched.logic)
             return not self.eval(frame, e.operand)
-        if t is ast.MsgSender:
-            return frame.msg_sender
+        if t is ast.MapIndex:
+            key = self.eval(frame, e.key)
+            self.charge(frame, "sload", self.sched.sload)
+            return frame.account.storage.get((e.name, key), 0)
         if t is ast.MsgValue:
             return frame.msg_value
         if t is ast.This:
@@ -285,12 +282,6 @@ class _Run:
             target = self.eval(frame, e.target)
             self.charge(frame, "balance_of", self.sched.balance_of)
             return self.state.balance_of(target)
-        if t is ast.Call:
-            target = self.eval(frame, e.target)
-            args = [self.eval(frame, a) for a in e.args]
-            value = self.eval(frame, e.value) if e.value is not None else 0
-            gas = self.eval(frame, e.gas) if e.gas is not None else None
-            return self.call(frame, e.form, target, e.function, args, value, gas)
         raise TypeError(f"unknown expression {e!r}")
 
     def eval_binary(self, frame: _Frame, e: ast.Binary):
@@ -345,32 +336,27 @@ class _Run:
 
     # -- statements ----------------------------------------------------------
 
-    def exec_block(self, frame: _Frame, stmts):
-        for s in stmts:
-            self.exec_stmt(frame, s)
-
     def exec_stmt(self, frame: _Frame, s):
+        # statement types in the order the corpus runs them most
         t = type(s)
+        if t is ast.Assign:
+            self.exec_assign(frame, s)
+            return
+        if t is ast.ExprStmt:
+            self.eval(frame, s.expr)
+            return
+        if t is ast.If:
+            for stmt in s.then if self.eval(frame, s.condition) else s.otherwise:
+                self.exec_stmt(frame, stmt)
+            return
         if t is ast.Require:
             self.charge(frame, "require", self.sched.require)
             if not self.eval(frame, s.condition):
                 raise _FrameFail(FailReason.REQUIRE_FAILED)
             return
-        if t is ast.Revert:
-            self.charge(frame, "revert", self.sched.revert)
-            raise _FrameFail(FailReason.REVERT)
-        if t is ast.If:
-            if self.eval(frame, s.condition):
-                self.exec_block(frame, s.then)
-            else:
-                self.exec_block(frame, s.otherwise)
-            return
         if t is ast.Let:
             self.charge(frame, "local", self.sched.arith)
             frame.env[s.name] = self.eval(frame, s.value)
-            return
-        if t is ast.Assign:
-            self.exec_assign(frame, s)
             return
         if t is ast.Return:
             if s.value is not None:
@@ -380,34 +366,33 @@ class _Run:
             # events are cost-only placeholders; arguments are not evaluated
             self.charge(frame, "emit", self.sched.emit)
             return
-        if t is ast.ExprStmt:
-            self.eval(frame, s.expr)
-            return
+        if t is ast.Revert:
+            self.charge(frame, "revert", self.sched.revert)
+            raise _FrameFail(FailReason.REVERT)
         raise TypeError(f"unknown statement {s!r}")
 
     def exec_assign(self, frame: _Frame, s: ast.Assign):
         target = s.target
-        if isinstance(target, ast.Var) and (target.name in frame.env):
+        if type(target) is ast.MapIndex:
+            key = (target.name, self.eval(frame, target.key))
+            default = 0
+        elif target.name in frame.env:
             self.charge(frame, "local", self.sched.arith)
             value = self.eval(frame, s.value)
             if s.op != "=":
                 value = self.arith(s.op[0], frame.env[target.name], value)
             frame.env[target.name] = value
             return
-        if isinstance(target, ast.MapIndex):
-            key = (target.name, self.eval(frame, target.key))
-            default = 0
         else:
-            sv = frame.contract.state_var(target.name)
             key = target.name
-            default = default_for(sv.kind)
+            default = default_for(frame.contract.state_var(key).kind)
         value = self.eval(frame, s.value)
         acct = frame.account
+        old = acct.storage.get(key, default)
         if s.op != "=":
             self.charge(frame, "sload", self.sched.sload)
             self.charge(frame, "arith", self.sched.arith)
-            value = self.arith(s.op[0], acct.storage_read(key, default), value)
-        old = acct.storage_read(key, default)
+            value = self.arith(s.op[0], old, value)
         if is_zero(old) and not is_zero(value):
             self.charge(frame, "sstore_set", self.sched.sstore_set)
         else:
@@ -423,7 +408,9 @@ class _Run:
         self.charge(caller, "call_base", sched.call_base)
         if value > 0:
             self.charge(caller, "value_surcharge", sched.value_transfer_surcharge)
-        grant = sched.stipend if value > 0 else 0
+            grant = sched.stipend
+        else:
+            grant = 0
 
         elastic = False
         if form in ast.STIPEND_ONLY:
@@ -434,7 +421,9 @@ class _Run:
                 self.tail.append(("call_reserve", caller.gas, caller.depth))
                 self.run_dry(caller, explicit_gas - caller.gas)
             # the reserve is headroom the caller needs beyond what it consumes
-            caller.peak = max(caller.peak, caller.consumed + explicit_gas)
+            peak = caller.budget - caller.gas + explicit_gas
+            if peak > caller.peak:
+                caller.peak = peak
             caller.gas -= explicit_gas
             fwd = explicit_gas
         else:
@@ -442,8 +431,10 @@ class _Run:
             caller.gas = 0
             elastic = caller.elastic
 
+        depth = caller.depth
+        trace, tail = self.trace, self.tail
         target_acct = self.state.accounts.get(target)
-        if caller.depth + 1 >= MAX_CALL_DEPTH:
+        if depth + 1 >= MAX_CALL_DEPTH:
             reason = FailReason.DEPTH_EXCEEDED
         elif target_acct is None:
             reason = FailReason.REVERT
@@ -453,36 +444,50 @@ class _Run:
             reason = None
         if reason is not None:  # stillborn: nothing is dispatched
             caller.gas += fwd  # and the reserve returns
-            self.record(CallEntered(form, target, function, value, 0, caller.depth))
+            event = CallEntered(form, target, function, value, 0, depth)
+            trace.append(event)
+            tail.append(event)
             ok, consumed, stipend_used = False, 0, 0
         else:
-            self.record(CallEntered(form, target, function, value, fwd + grant,
-                                    caller.depth))
+            event = CallEntered(form, target, function, value, fwd + grant, depth)
+            trace.append(event)
+            tail.append(event)
             checkpoint = self.state.checkpoint()
             if value:
                 self.state.transfer(caller.account, target_acct, value)
             ok, consumed, reason, need, dry = self.dispatch(
                 target_acct, function, args, value, caller.self_addr, fwd + grant,
-                caller.depth + 1, elastic)
+                depth + 1, elastic)
             if elastic:
                 # the caller repeats this call when it can forward need - grant
-                caller.peak = max(caller.peak, caller.budget - fwd + max(need - grant, 0))
-                if ok and need > grant and form in ast.SWALLOWING:
+                short = need - grant if need > grant else 0
+                if caller.budget - fwd + short > caller.peak:
+                    caller.peak = caller.budget - fwd + short
+                if ok and short and form in ast.SWALLOWING:
                     # lower down this child fails, and the caller goes on with false
-                    self.turn = max(self.turn, self.limit - fwd - grant + need)
+                    if self.limit - fwd + short > self.turn:
+                        self.turn = self.limit - fwd + short
                 if dry:  # the child hands no gas back at any limit on this path
                     caller.elastic = False
-            stipend_used = min(grant, consumed)
-            caller.gas += fwd - max(0, consumed - grant)
+            if consumed > grant:
+                stipend_used = grant
+                caller.gas += fwd - consumed + grant
+            else:
+                stipend_used = consumed
+                caller.gas += fwd
             if not ok:
                 self.state.revert(checkpoint)
-        self.record(CallExited(ok, consumed, reason, stipend_used, caller.depth))
-        if caller.depth == 0 and target == self.reports and self.reported is None:
+        event = CallExited(ok, consumed, reason, stipend_used, depth)
+        trace.append(event)
+        tail.append(event)
+        if depth == 0 and target == self.reports and self.reported is None:
             self.reported = ok, reason
         if ok:
             return True
         if form in ast.SWALLOWING:
-            self.record(ExceptionSwallowed(reason, caller.depth))
+            event = ExceptionSwallowed(reason, depth)
+            trace.append(event)
+            tail.append(event)
             return False
         raise _FrameFail(reason)
 
@@ -511,22 +516,20 @@ class _Run:
         if value > 0 and not payable:
             return False, 0, FailReason.REVERT, 0, False
 
-        frame = _Frame(account=acct, self_addr=acct.address, msg_sender=sender,
-                       msg_value=value, contract=contract, depth=depth,
-                       gas=budget, budget=budget,
-                       env={p.name: a for p, a in zip(params, args)},
-                       elastic=elastic)
+        frame = _Frame(acct, acct.address, sender, value, contract, depth, budget, budget,
+                       {p.name: a for p, a in zip(params, args)}, elastic)
         ok, reason = True, None
         try:
             self.charge(frame, "dispatch", self.sched.dispatch)
-            self.exec_block(frame, body)
+            for s in body:
+                self.exec_stmt(frame, s)
         except _ReturnSignal:
             pass
         except _FrameFail as fail:
             ok, reason = False, fail.reason
         consumed = budget - frame.gas
         if frame.elastic:
-            return ok, consumed, reason, max(consumed, frame.peak), False
+            return ok, consumed, reason, consumed if consumed > frame.peak else frame.peak, False
         return ok, consumed, reason, frame.peak, elastic
 
     # -- transaction ---------------------------------------------------------
@@ -536,12 +539,13 @@ class _Run:
         (status, gas consumed, actor balance delta) and leaves the run's
         invariance range in `lo` and `hi`."""
         state, schedule = self.state, self.sched
-        if tx.actor not in state.accounts or tx.callee not in state.accounts:
+        actor, callee = state.accounts.get(tx.actor), state.accounts.get(tx.callee)
+        if actor is None or callee is None:
             raise ValueError("transaction actor and callee must exist")
         if not 0 <= tx.gas_limit <= schedule.block_gas_limit:
             raise ValueError("gas limit must be within [0, block_gas_limit]")
 
-        actor_before = state.account(tx.actor).balance
+        actor_before = actor.balance
         if tx.value > actor_before:
             return failure(FailReason.BALANCE_INSUFFICIENT), 0, 0
 
@@ -553,14 +557,12 @@ class _Run:
         self.tail.append(("base_tx", schedule.base_tx, 0))
         budget = tx.gas_limit - schedule.base_tx
 
-        actor, callee = state.account(tx.actor), state.account(tx.callee)
         checkpoint = state.checkpoint()
         if tx.value:
             state.transfer(actor, callee, tx.value)
 
         ok, consumed, reason, need, _ = self.dispatch(callee, tx.function, list(tx.args),
-                                                      tx.value, tx.actor, budget,
-                                                      depth=0, elastic=True)
+                                                      tx.value, tx.actor, budget, 0, True)
         if ok:
             gas_total = schedule.base_tx + consumed
             delta = actor.balance - actor_before
@@ -577,7 +579,8 @@ class _Run:
             status = failure(reason)
         state.commit()
         state.fee_ledger += gas_total
-        self.lo = max(self.turn, schedule.base_tx + need)
+        lo = schedule.base_tx + need
+        self.lo = lo if lo > self.turn else self.turn
         if status.reason == FailReason.OUT_OF_GAS and gas_total == tx.gas_limit \
                 and schedule.gasleft and schedule.call_base:
             self.lo = self.turn  # out of gas below the path too, until a bound turns it

@@ -56,9 +56,6 @@ class Account:
     # scalar vars keyed by name, map entries keyed by (name, addr)
     storage: dict = field(default_factory=dict)
 
-    def storage_read(self, key, default):
-        return self.storage.get(key, default)
-
     def __deepcopy__(self, memo):
         # flat: storage holds immutables and code never mutates after deploy.
         # The program copies no accounts; perfbench/layers.py patches this

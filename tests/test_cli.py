@@ -109,6 +109,18 @@ def test_bench_missing_label_exits_two(tmp_path, capsys):
     assert "no label" in err
 
 
+def test_bench_label_without_a_scenario_exits_two(tmp_path, capsys):
+    # used to score the corpus as TPR 100.00% although a labelled positive
+    # never ran, and exit 0
+    labels = json.loads((CORPUS / "labels.json").read_text())
+    labels["ghost"] = ["Reentrancy"]
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(labels))
+    code, out, err = run_cli(capsys, "bench", str(CORPUS), str(path))
+    assert (code, out) == (2, "")
+    assert err == "mtsc: error: no scenario for label 'ghost'\n"
+
+
 def test_bench_misspelled_category_exits_two(tmp_path, capsys):
     # used to score the corpus as FDR 25.00% and exit 0
     labels = json.loads((CORPUS / "labels.json").read_text())

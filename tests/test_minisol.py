@@ -7,6 +7,7 @@ import pytest
 
 from mtsc.minisol import ParseError, parse, validate
 from mtsc.minisol import ast
+from mtsc.minisol.lexer import tokenize
 from mtsc.minisol.parser import MAX_NESTING
 
 from conftest import CORPUS
@@ -57,18 +58,46 @@ def test_parse_error_survives_pickling():
         1, 20, "expected parameter name, found '{'", "1:20: expected parameter name, found '{'")
 
 
-@pytest.mark.parametrize("source", [
-    "",
-    "contract X {",
-    "contract X { uint }",
-    "contract X { fn f() { require(); } }",
-    "contract X { fn f() { let = 3; } }",
-    "contract X { fn f() { 1 + ; } }",
-    "contract X { fn f() { msg.gas; } }",
-])
+MALFORMED = {
+    "": "1:1: expected at least one contract",
+    "contract X {": "1:13: expected state variable, fn, or fallback, found 'end of input'",
+    "contract X { uint }": "1:19: expected state variable name, found '}'",
+    "contract X { fn f() { require(); } }": "1:31: expected expression, found ')'",
+    "contract X { fn f() { let = 3; } }": "1:27: expected local name, found '='",
+    "contract X { fn f() { 1 + ; } }": "1:27: expected expression, found ';'",
+    "contract X { fn f() { msg.gas; } }": "1:27: expected 'sender' or 'value', found 'gas'",
+}
+
+
+@pytest.mark.parametrize("source", list(MALFORMED))
 def test_parse_rejects_malformed(source):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse(source)
+    assert str(err.value) == MALFORMED[source]
+
+
+# line -> the column of each token on it, EOF included; AST equality
+# ignores positions, so only this sees a column the lexer gets wrong
+SIMPLE_DAO_COLUMNS = {
+    5: [1, 10, 20], 6: [5, 9, 17], 8: [5, 8, 15, 16, 18, 20, 24, 26, 34],
+    9: [9, 17, 18, 20, 22, 24, 27, 28, 33], 10: [5],
+    12: [5, 8, 16, 17, 23, 25, 29, 31],
+    13: [9, 16, 17, 25, 26, 29, 30, 36, 38, 41, 47, 48],
+    14: [9, 17, 20, 21, 28, 34, 40], 15: [9, 17, 18, 21, 22, 28, 30, 33, 39], 16: [5],
+    18: [5, 8, 18, 19, 25, 27, 31, 33],
+    19: [9, 16, 17, 25, 26, 29, 30, 36, 38, 41, 47, 48],
+    20: [9, 17, 18, 21, 22, 28, 30, 33, 39], 21: [9, 17, 20, 21, 28, 34, 41, 45, 49],
+    22: [5], 24: [5, 8, 18, 19, 25, 27, 31, 33],
+    25: [9, 16, 17, 25, 26, 29, 30, 36, 38, 41, 47, 48], 26: [9, 14, 17, 18, 25, 31, 37],
+    27: [9, 17, 18, 21, 22, 28, 30, 33, 39], 28: [5], 29: [1], 30: [1],
+}
+
+
+def test_token_positions_of_a_corpus_source():
+    tokens = tokenize(SIMPLE_DAO)
+    assert [(tok.line, tok.col) for tok in tokens] == [
+        (line, col) for line, cols in SIMPLE_DAO_COLUMNS.items() for col in cols]
+    assert tokens[-1].type == "EOF"
 
 
 @pytest.mark.parametrize("source", [

@@ -1,0 +1,161 @@
+"""The interpreter's whole observable behaviour, pinned.
+
+An optimisation of the VM must leave every run as it was: status, gas,
+balance delta, the full trace, the invariance range and the state the run
+leaves behind. One digest over the corpus's runs pins all of it, and one
+small contract that uses every expression and statement type reaches the
+branches the corpus never evaluates.
+"""
+
+import hashlib
+import typing
+from dataclasses import fields, is_dataclass
+
+from mtsc.minisol import ast, parse, validate
+from mtsc.mr_engine import EngineConfig, run_all
+from mtsc.scenario import ALL_ACTOR_KINDS, build_environment, load_scenario
+from mtsc.vm import (
+    CallEntered,
+    CallExited,
+    ExceptionSwallowed,
+    FailReason,
+    GasSchedule,
+    OpExecuted,
+    Transaction,
+    WorldState,
+    deploy,
+    execute,
+    failure,
+)
+
+from conftest import CORPUS_SCENARIOS, scenario_path
+from support import clone, digest
+
+S = GasSchedule()
+
+# sha256 over the runs `test_vm_behaviour_is_pinned` makes
+VM_DIGEST = "ad45cbf04c73791c197edf850afdd25f8807a10f81f0f98d55b473603bdcbf8a"
+
+
+def pin(h, outcome, state):
+    h.update(repr((outcome.status, outcome.gas_consumed, outcome.balance_delta,
+                   outcome.trace, outcome.limits)).encode())
+    h.update(digest(state).encode())
+
+
+def test_vm_behaviour_is_pinned(monkeypatch, target_runs):
+    """Full runs of every input a serial corpus pass runs, each on a copy of
+    the state it started from; every actor kind at limits 0, `base_tx` and
+    the block gas limit; and every context setup replay builds."""
+    for name in CORPUS_SCENARIOS:
+        run_all(load_scenario(scenario_path(name)), S, EngineConfig())
+    monkeypatch.undo()  # unwrap `run_target` for the full runs below
+    runs = list(target_runs)
+    assert len(runs) == 117
+    h = hashlib.sha256()
+    for env, kind, limit, before in runs:
+        state = clone(env.state)
+        assert digest(state) == before
+        pin(h, env.run_target(state, kind, limit, ops=True), state)
+    for name in CORPUS_SCENARIOS:
+        env = build_environment(load_scenario(scenario_path(name)), S)
+        h.update(digest(env.state).encode())
+        for kind in ALL_ACTOR_KINDS:
+            for limit in (0, S.base_tx, S.block_gas_limit):
+                state = clone(env.state)
+                pin(h, env.run_target(state, kind, limit, ops=True), state)
+    assert h.hexdigest() == VM_DIGEST
+
+
+# -- every node type ----------------------------------------------------------
+
+EVERY_NODE = """
+contract All {
+    uint n;
+    bool flag;
+    addr who;
+    map m;
+
+    fn f(k: uint) payable {
+        let a = k + 2;
+        if (!flag) {
+            flag = true;
+        } else {
+            revert();
+        }
+        who = msg.sender;
+        m[this] += msg.value * a;
+        n = m[this] + balance(this);
+        require(gasleft() > 1000 && k >= 1);
+        lowcall this.fail();
+        emit Done(a);
+        return a;
+    }
+
+    fn fail() {
+        revert();
+    }
+}
+"""
+
+# the trace's op names that charge another schedule entry's cost
+PRICED_AS = {"local": "arith"}
+
+
+def node_types(node) -> set:
+    """The types of `node` and of every node below it."""
+    if isinstance(node, list):
+        return set().union(*map(node_types, node))
+    if not is_dataclass(node):
+        return set()
+    return {type(node)}.union(*(node_types(getattr(node, f.name)) for f in fields(node)))
+
+
+def ops_and_gas(outcome):
+    ops = [ev.op for ev in outcome.trace if type(ev) is OpExecuted]
+    return ops, sum(getattr(S, PRICED_AS.get(op, op)) for op in ops)
+
+
+def test_every_node_type_runs():
+    unit = parse(EVERY_NODE)
+    contract = unit.contracts[0]
+    # `balance(this)` reads the contract's own address as an AddrLit, which
+    # only generated code contains; deploy assigns the second address
+    assign_n = contract.function("f").body[4]
+    assign_n.value.right.target = ast.AddrLit(value="0x0002")
+    assert node_types(unit) >= set(typing.get_args(ast.Expr)) | set(typing.get_args(ast.Stmt))
+    assert validate(unit) == []
+
+    state = WorldState()
+    actor = state.create_eoa(1_000)
+    addr = deploy(state, contract, 500)
+    assert addr == "0x0002"
+
+    out = execute(state, Transaction(actor, 200_000, addr, "f", (3,), 10), S)
+    assert out.status.ok
+    assert out.balance_delta == -10
+    assert state.account(addr).storage == {
+        "flag": True, "who": actor, ("m", addr): 50, "n": 50 + 510}
+    ops, gas = ops_and_gas(out)
+    assert ops == [
+        "base_tx", "dispatch",
+        "local", "arith",                      # let a = k + 2
+        "logic", "sload", "sstore_set",        # if (!flag) { flag = true; }
+        "sstore_set",                          # who = msg.sender
+        "arith", "sload", "arith", "sstore_set",          # m[this] += ...
+        "arith", "sload", "balance_of", "sstore_set",     # n = ...
+        "require", "logic", "compare", "gasleft", "compare",
+        "call_base", "dispatch", "revert",     # lowcall this.fail()
+        "emit",
+    ]
+    assert out.gas_consumed == gas == 102_934
+    calls = [ev for ev in out.trace if type(ev) is not OpExecuted]
+    assert [type(ev) for ev in calls] == [CallEntered, CallExited, ExceptionSwallowed]
+    assert calls[1].reason == calls[2].reason == FailReason.REVERT
+
+    # the flag is set now, so the `else` branch reverts the transaction
+    out = execute(state, Transaction(actor, 200_000, addr, "f", (3,), 0), S)
+    assert out.status == failure(FailReason.REVERT)
+    ops, gas = ops_and_gas(out)
+    assert ops == ["base_tx", "dispatch", "local", "arith", "logic", "sload", "revert"]
+    assert out.gas_consumed == gas == 21_309
