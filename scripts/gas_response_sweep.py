@@ -10,14 +10,15 @@ requirement. These curves are exactly the signals the gas-allocation
 relations test for.
 
 Every run reports its invariance range, the gas limits that give the
-same outcome. The estimator answers a probe inside the range of a run it
-made without running it, and the script prints how many of its trials
-reached the runner. It then prints the range of the source run at the
-intrinsic gas, and the follow-ups the engine's MR1.2 sweep (default
-subdivisions) runs: `mr_engine.sweep` slices past the plan limits inside
-the range of the one before, and the sweep stops at its first violation,
-a follow-up that succeeds. Each row of the response table also shows its
-run's range.
+same outcome. The environment answers an estimator probe inside the
+range of a run it made without running it, and the script prints how
+many of the trials the VM ran. It then prints the range of the source
+run at the intrinsic gas, and the follow-ups of the engine's MR1.2 sweep
+(default subdivisions) in a context that keeps no estimator run, so each
+is its own run: `mr_engine.sweep` slices past the plan limits inside the
+range of the one before, and the sweep stops at its first violation, a
+follow-up that succeeds. Each row of the response table is its limit's
+own run and also shows its range.
 
 Usage:
     python3 scripts/gas_response_sweep.py corpus/simple_dao_withdraw.scenario.json CAR
@@ -30,6 +31,7 @@ quietly with exit status 1.
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,14 +62,15 @@ def main(argv=None) -> int:
     schedule = GasSchedule()
     env = build_environment(load_scenario(args.scenario), schedule)
     kind = AgentKind(args.kind)
-    runner, ran = env.runner_for(kind), []
+    run_target, ran = env.run_target, []
 
-    def counted(limit):
+    def counted(state, kind, limit):
         ran.append(limit)
-        return runner(limit)
+        return run_target(state, kind, limit)
 
+    env.run_target = counted  # counts the runs that reach the VM
     try:
-        gc = estimate_intrinsic_gas(schedule, runner=counted)
+        gc = estimate_intrinsic_gas(schedule, runner=env.runner_for(kind))
     except NeverSucceeds as exc:
         print(f"no allocation makes this interaction succeed: {exc.status}")
         return 1
@@ -77,9 +80,10 @@ def main(argv=None) -> int:
     probes = len(ran) - 1
     print(f"estimate {gc.value}: {gc.trials} trials, {probes} of them reached "
           f"the runner, {gc.trials - probes} answered from a range")
-    lo, hi = env.run(kind, gc.value).limits
+    fresh = replace(env)  # the same context, no run kept
+    lo, hi = fresh.run(kind, gc.value).limits
     print(f"source range: [{lo}, {hi}]")
-    for done in mr_engine.sweep(env, MR1_2, kind, gc.value,
+    for done in mr_engine.sweep(fresh, MR1_2, kind, gc.value,
                                 allocate_reducing(gc.value)):
         out = done.follow_outcome
         lo, hi = out.limits
@@ -95,7 +99,7 @@ def main(argv=None) -> int:
     print(f"{'gas limit':>12}  {'status':<22} {'consumed':>10} {'delta':>12}  "
           f"{'range':<22}  notes")
     for limit in range(lo, hi + 1, step):
-        out = env.run(kind, limit, keep=False)
+        out = env.run(kind, limit, own=True)
         notes = []
         if trace_has_swallow(out.trace):
             notes.append("swallowed exception")

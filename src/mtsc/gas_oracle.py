@@ -12,12 +12,10 @@ target input), so the caller's state never changes.
 
 Every run reports its invariance range (`Outcome.limits`): the gas
 limits at which it gives the same status and consumption. The estimator
-answers a probe inside the range of a run it already made, the rough
-estimate's block-limit run included, without running it (`ranged_runner`):
-a failure's range always, and a success's unless the success consumed
-its whole limit, whose consumption can change inside its range. Answered
-probes still count as trials, so every estimate and trial count is the
-one a run of every probe gives.
+asks its runner for every probe and counts each as a trial; the
+pipeline's runner, `Environment.run`, answers a probe inside the range
+of a run it already made without running it, so every estimate and
+trial count is the one a run of every probe gives.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ class NeverSucceeds(Exception):
 @dataclass(frozen=True)
 class IntrinsicGas:
     value: int        # smallest verified-sufficient gas limit
-    trials: int       # probes made, a probe answered from a memo or a range included
+    trials: int       # probes made, a probe answered from a range included
     converged: bool   # True on every return; estimate-v1 prints it
 
 
@@ -59,25 +57,6 @@ def default_initial_estimator(runner: Runner, schedule: GasSchedule) -> int:
     return max(schedule.base_tx, out.gas_consumed - child_frame_gas(out.trace))
 
 
-def ranged_runner(runner: Runner) -> Runner:
-    """`runner`, answering a limit inside the invariance range of a run it
-    made with that run's outcome instead of running it. A failure answers
-    its whole range; a success answers it unless it consumed its whole
-    limit. Status and consumption hold at the answered limit; the trace and
-    the range are the run's own."""
-    kept = []  # (lo, hi, outcome) of the runs that answer their range
-
-    def run(limit: int) -> Outcome:
-        for lo, hi, out in kept:
-            if lo <= limit <= hi:
-                return out
-        out = runner(limit)
-        if not out.ok or out.gas_consumed != limit:
-            kept.append((*out.limits, out))
-        return out
-    return run
-
-
 def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
                            growth: float = 1.5,
                            first_limit: Optional[int] = None) -> IntrinsicGas:
@@ -88,9 +67,8 @@ def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
     transaction fails at the block gas limit. The result satisfies:
     executing at `value` succeeds, verified by a probe. Every result is
     flagged converged, whether the final probe consumed exactly its limit
-    or the success boundary was bisected. A probe inside the invariance
-    range of an earlier run is answered by `ranged_runner` and counts as
-    a trial: `runner` sees only the probes it must run.
+    or the success boundary was bisected. Every probe is a trial, whether
+    `runner` runs it or answers it from a kept range.
     """
     if not growth > 1.0:  # NaN included
         raise ValueError("growth factor must exceed 1")
@@ -99,12 +77,11 @@ def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
     def probe(limit: int) -> Outcome:
         nonlocal trials
         trials += 1
-        return run(limit)
+        return runner(limit)
 
-    run = ranged_runner(runner)
     block = schedule.block_gas_limit
     if first_limit is None:
-        first_limit = default_initial_estimator(run, schedule)
+        first_limit = default_initial_estimator(runner, schedule)
 
     # growth phase: strictly increasing limits until the first success
     limit = max(1, min(int(first_limit), block))

@@ -7,10 +7,13 @@ actor kind, from the kind's re-estimated intrinsic gas, since an agent
 wrapper adds its own overhead; an account-switching relation (MR2.x)
 runs one sweep of one pair, both at the block gas limit.
 
-Every input runs through `Environment.run`, at most once per
-environment, so an MR2.x pair and an MR1.x source reuse the estimator's
-outcomes. An MR1.x source at a limit the estimator answered from a range
-runs only then.
+Every input goes through `Environment.run`, which runs it at most once
+per environment and answers it without running when it lies inside the
+invariance range of a run already made: an MR1.x source or follow-up
+inside a range of the estimator's runs, or an MR2.x pair the estimator
+ran. An answered outcome decides the relation as the input's own run
+would; a pair that violates it with an answered follow-up takes that
+follow-up's own run, so a report shows only inputs' own runs.
 
 `sweep` slices an MR1.x plan, a `range` of follow-up limits, past the
 invariance range (`Outcome.limits`) of each follow-up it runs: that
@@ -80,8 +83,10 @@ class EngineConfig:
             raise ValueError("n and inc_count must be at least 1")
         if not self.growth > 1.0:  # NaN included
             raise ValueError("growth must exceed 1")
-        if self.cah_iterations < 1:
-            raise ValueError("cah_iterations must be at least 1")
+        # a CAH agent's fallback is built, one write per iteration, before
+        # any run; the default block pays for 1500 writes
+        if not 1 <= self.cah_iterations <= 2**16:
+            raise ValueError("cah_iterations must be at least 1 and at most 2**16")
 
 
 @dataclass
@@ -109,15 +114,15 @@ def estimate_kinds(env: Environment, kinds, growth: float) -> list:
 
 
 def run_pair(env: Environment, pair: TestPair) -> TestPair:
-    """Both outcomes of a pair, each run in the environment's context.
+    """Both outcomes of a pair from `Environment.run`, in its context.
 
-    A follow-up's outcome is not kept: a sweep's limits are distinct and
-    lie on one side of its source's, MR2.x follow-up kinds are distinct,
-    and a block-gas-limit run repeats the estimator's kept first probe.
+    Either may be answered from a kept range, as another run's outcome
+    with the same status and, for a success, consumption and balance
+    delta: the relation holds or fails as with the input's own run.
     """
     source, follow = pair.source, pair.follow_up
     return replace(pair, source_outcome=env.run(source.kind, source.gas_limit),
-                   follow_outcome=env.run(follow.kind, follow.gas_limit, keep=False))
+                   follow_outcome=env.run(follow.kind, follow.gas_limit))
 
 
 def check(pair: TestPair) -> Optional[ViolationRecord]:
@@ -185,9 +190,12 @@ def run_all(scenario: Scenario, schedule: GasSchedule,
                                                 range(g_ample, g_ample + 1)))
         for pairs in sweeps[relation.mr_id]:
             for done in pairs:
-                violation = check(done)
-                if violation is not None:
-                    violations.append(violation)
+                if check(done) is not None:
+                    # the report shows the follow-up's own run, trace
+                    # included; a violation's source succeeded, and a range
+                    # answers a success's status, consumption and delta
+                    own = env.run(done.follow_up.kind, done.follow_up.gas_limit, own=True)
+                    violations.append(check(replace(done, follow_outcome=own)))
                     break
 
     return EngineResult(scenario_id=scenario.scenario_id, violations=violations,

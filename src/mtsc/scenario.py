@@ -7,9 +7,9 @@ the interacting account: the plain EOA in source runs, the agent contract
 in follow-up runs. Setup entries mentioning `$ACTOR` are instantiated
 once per account kind; all instantiations land in one shared world state,
 the common context of every run. `Environment.run` executes one (actor
-kind, gas limit) input in that context, restores it, and keeps the
-outcome, so the estimator's probes and both sides of every test pair
-run each distinct input at most once per environment.
+kind, gas limit) input in that context, restores it, and keeps the run
+with its invariance range, which answers every later input inside it:
+estimator probes and both sides of every test pair alike.
 
 Schema (JSON object, unknown keys rejected):
 
@@ -192,8 +192,8 @@ class Environment:
     actor_accounts: dict          # AgentKind -> address
     agent_specs: dict             # AgentKind -> AgentSpec (agents only)
     driver: str
-    # (AgentKind, gas limit) -> Outcome of that input run in the context
-    _outcomes: dict = field(default_factory=dict, init=False, repr=False)
+    # AgentKind -> [(lo, hi, gas limit, Outcome)] of every run in the context
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def resolve(self, token, actor_addr: str):
         if isinstance(token, bool) or isinstance(token, int):
@@ -221,20 +221,30 @@ class Environment:
                               self.agent_specs[kind], self.driver,
                               gas_limit, self.schedule, ops=ops)
 
-    def run(self, kind: AgentKind, gas_limit: int, keep: bool = True) -> Outcome:
-        """The input's outcome in the context, which the run restores. Runs
-        are deterministic, so a kept outcome answers every later run of the
-        input; `keep=False` is for inputs no later run repeats."""
-        key = (kind, gas_limit)
-        outcome = self._outcomes.get(key)
-        if outcome is None:
-            sid = self.state.snapshot()
-            try:
-                outcome = self.run_target(self.state, kind, gas_limit)
-            finally:
-                self.state.restore(sid)
-            if keep:
-                self._outcomes[key] = outcome
+    def run(self, kind: AgentKind, gas_limit: int, own: bool = False) -> Outcome:
+        """The input's outcome in the context, which the run restores.
+
+        Runs are deterministic, and every limit in a run's invariance range
+        gives its status and, for a success, its balance delta and, unless
+        it consumed its whole limit, its consumption. So each run is kept
+        with the limits it answers: its range, or its own limit alone for
+        a success that consumed the whole of it. An input inside a kept
+        range takes that run's outcome, trace and range included, without
+        running; `own=True` asks for the input's own run instead, made now
+        unless it is kept, for what a report shows."""
+        kept = self._kept.setdefault(kind, [])
+        for lo, hi, limit, outcome in kept:
+            if (limit == gas_limit) if own else (lo <= gas_limit <= hi):
+                return outcome
+        sid = self.state.snapshot()
+        try:
+            outcome = self.run_target(self.state, kind, gas_limit)
+        finally:
+            self.state.restore(sid)
+        if outcome.ok and outcome.gas_consumed == gas_limit:
+            kept.append((gas_limit, gas_limit, gas_limit, outcome))
+        else:
+            kept.append((*outcome.limits, gas_limit, outcome))
         return outcome
 
     def runner_for(self, kind: AgentKind):

@@ -52,8 +52,9 @@ def environments(schedule, context_digests):
 
 @pytest.fixture
 def unmemoised(environments):
-    """name -> that scenario's shared context behind an empty outcome memo,
-    so every input a test runs through `Environment.run` reaches the VM."""
+    """name -> that scenario's shared context behind an empty memo, so an
+    input a test runs through `Environment.run` reaches the VM unless a run
+    the test made answers it."""
     return lambda name: replace(environments[name])
 
 

@@ -1,17 +1,23 @@
-"""Test-only helpers: the uncut reference sweep, the estimator that runs
-every probe, the plans as loops, whole-plan pair construction, trace
-queries and their references, a runner for a bare transaction, and the
-copy and content hash of a world state."""
+"""Test-only helpers: the uncut references (the sweep of every plan
+limit, and the pipeline whose ranges answer only estimator probes), an
+in-process command line, the plans as loops, whole-plan pair
+construction, trace queries and their references, a runner for a bare
+transaction, and the copy and content hash of a world state."""
 
 import copy
 import hashlib
+import io
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from dataclasses import replace
+from functools import partial
+from unittest import mock
 
-from mtsc import mr_engine
-from mtsc.gas_oracle import IntrinsicGas, NeverSucceeds, default_initial_estimator
+from mtsc import cli, mr_engine
+from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
 from mtsc.agents import AgentKind
 from mtsc.mr_engine import ActorInput, TestPair
 from mtsc.relations import MR1_1, MR1_2, RELATIONS
+from mtsc.scenario import Environment
 from mtsc.traces import LOW_LEVEL_FORMS
 from mtsc.vm import TAIL, CallEntered, CallExited, OpExecuted, WorldState
 from mtsc.vm import execute as vm_execute
@@ -34,64 +40,67 @@ def reference_sweep(env, mr, kind, gc, plan):
         yield mr_engine.run_pair(env, pair)
 
 
-def reference_estimate(schedule, runner, growth=1.5, first_limit=None):
-    """`gas_oracle.estimate_intrinsic_gas` without invariance ranges: every
-    probe reaches the runner. Estimator differentials compare against it."""
-    if not growth > 1.0:  # NaN included
-        raise ValueError("growth factor must exceed 1")
-    trials = 0
-
-    def probe(limit):
-        nonlocal trials
-        trials += 1
-        return runner(limit)
-
-    block = schedule.block_gas_limit
-    if first_limit is None:
-        first_limit = default_initial_estimator(runner, schedule)
-
-    # growth phase: strictly increasing limits until the first success
-    limit = max(1, min(int(first_limit), block))
-    while True:
-        out = probe(limit)
-        if out.ok:
-            candidate = out.gas_consumed
-            break
-        if limit >= block:
-            raise NeverSucceeds(out.status)
-        limit = block if limit * growth >= block else int(limit * growth) + 1
-
-    # verification phase: the reported value must itself suffice
-    last_good = limit
-    converged = candidate == limit
-    while not converged:
-        out = probe(candidate)
-        if out.ok:
-            if out.gas_consumed == candidate:
-                converged = True
-            else:
-                last_good = candidate
-                candidate = out.gas_consumed
-        else:
-            # consumption understates the requirement (a reserve demands
-            # headroom): bisect the success boundary in (candidate, last_good]
-            lo, hi = candidate + 1, last_good
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if probe(mid).ok:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            candidate = lo
-            converged = True
-    return IntrinsicGas(value=candidate, trials=trials, converged=converged)
+def reference_run(env, kind, gas_limit, own=False):
+    """`Environment.run` with a memo of exact inputs in place of its
+    ranges: every distinct input reaches the VM, once, and every outcome
+    is the input's own run."""
+    outcomes = vars(env).setdefault("reference_outcomes", {})
+    key = kind, gas_limit
+    if key not in outcomes:
+        sid = env.state.snapshot()
+        try:
+            outcomes[key] = env.run_target(env.state, kind, gas_limit)
+        finally:
+            env.state.restore(sid)
+    return outcomes[key]
 
 
-def estimate_or_status(estimate, schedule, runner, growth, first_limit):
+def estimator_ranges(runner):
+    """`runner`, answering a limit inside the invariance range of a run it
+    made with that run's outcome instead of running it: a failure's whole
+    range, and a success's unless it consumed its whole limit."""
+    kept = []  # (lo, hi, outcome) of the runs that answer their range
+
+    def run(limit):
+        for lo, hi, out in kept:
+            if lo <= limit <= hi:
+                return out
+        out = runner(limit)
+        if not out.ok or out.gas_consumed != limit:
+            kept.append((*out.limits, out))
+        return out
+    return run
+
+
+@contextmanager
+def uncut():
+    """The pipeline with ranges that answer estimator probes only: each
+    estimate answers its probes from the ranges of the runs it made and
+    forgets them when it returns, and `Environment.run` answers an input
+    only from its own earlier run (`reference_run`). Every source and
+    follow-up outcome is then the input's own run; reports and estimates
+    must not change."""
+    def runner_for(env, kind):
+        return estimator_ranges(partial(reference_run, env, kind))
+
+    with mock.patch.object(Environment, "run", reference_run), \
+            mock.patch.object(Environment, "runner_for", runner_for):
+        yield
+
+
+def cli_outputs(*argv):
+    """(exit code, stdout, stderr) of `mtsc` run with `argv` in this process."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def estimate_or_status(schedule, runner, growth, first_limit):
     """(value, trials, converged) of an estimate, or the status of the
     NeverSucceeds it raises."""
     try:
-        gc = estimate(schedule, runner=runner, growth=growth, first_limit=first_limit)
+        gc = estimate_intrinsic_gas(schedule, runner=runner, growth=growth,
+                                    first_limit=first_limit)
     except NeverSucceeds as exc:
         return exc.status
     return gc.value, gc.trials, gc.converged

@@ -63,6 +63,22 @@ def test_check_rejects_bad_flags(capsys):
     assert run_cli(capsys, "check", path, "--car-gas-guard", "100")[0] == 2
 
 
+@pytest.mark.parametrize("iterations", [str(2**16 + 1), "1000000", str(10**8)])
+def test_cah_iterations_above_the_bound_exit_two(capsys, iterations):
+    # each iteration adds a storage write to the CAH fallback, built before
+    # any run: 1000000 took 8 s and 600 MB, and 10**8 exhausted memory
+    code, out, err = run_cli(capsys, "check", str(scenario_path("counter_baseline")),
+                             "--cah-iterations", iterations)
+    assert (code, out) == (2, "")
+    assert err == "mtsc: error: cah_iterations must be at least 1 and at most 2**16\n"
+
+
+def test_cah_iterations_at_the_bound_get_a_verdict(capsys):
+    code, _, err = run_cli(capsys, "estimate", str(scenario_path("counter_baseline")),
+                           "--cah-iterations", str(2**16))
+    assert (code, err) == (0, "")
+
+
 def test_growth_beyond_floats_gets_a_verdict(capsys):
     # these used to exit 3: a growth step converted inf (or an overflowing
     # product) or NaN to an int

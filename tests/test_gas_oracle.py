@@ -1,6 +1,8 @@
 """Intrinsic-gas estimation and allocation plans."""
 
+import json
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import pytest
@@ -13,7 +15,6 @@ from mtsc.gas_oracle import (
     allocate_reducing,
     default_initial_estimator,
     estimate_intrinsic_gas,
-    ranged_runner,
 )
 from mtsc.minisol import parse
 from mtsc.scenario import ALL_ACTOR_KINDS, build_environment, load_scenario
@@ -27,7 +28,7 @@ from support import (
     estimate_or_status,
     loop_increasing,
     loop_reducing,
-    reference_estimate,
+    reference_run,
     tx_runner,
 )
 
@@ -89,29 +90,29 @@ def test_estimate_leaves_state_unchanged(unmemoised, target_runs):
     before = digest(env.state)
     probes = []
     gc = estimate_intrinsic_gas(S, runner=counting(env.runner_for(AgentKind.CAR), probes))
-    # the rough estimate's run at the block gas limit, then every probe
-    # that no earlier run's range answered
+    # the rough estimate's run at the block gas limit, then every probe;
+    # the VM runs those that no earlier run's range answered
     assert probes[0] == S.block_gas_limit
-    assert len(target_runs) == len(probes) < 1 + gc.trials
+    assert len(target_runs) < len(probes) == 1 + gc.trials
     assert digest(env.state) == before
 
 
-# `reference_estimate` runs every probe: the probes the ranges answer.
+# `reference_run` runs every distinct probe: the probes the ranges answer.
 @pytest.mark.parametrize("name", CORPUS_SCENARIOS + ["notifier_ping"])
-def test_estimates_match_the_estimator_that_runs_every_probe(environments, name):
+def test_estimates_match_the_estimator_that_runs_every_probe(environments, target_runs,
+                                                             name):
     env = environments.get(name) or build_environment(
         load_scenario(scenario_path(name)), S)
     for kind in ALL_ACTOR_KINDS:
-        runner = replace(env).runner_for(kind)  # one memo for both estimators
+        # one memo of each kind for every case
+        ranged, exact = replace(env), replace(env)
         for growth, first in product((1.01, 1.1, 1.5, 2, 3, 1e9),
                                      (None, 1, S.base_tx, 30_000, 100_000)):
-            ran, ref_ran = [], []
-            got = estimate_or_status(estimate_intrinsic_gas, S, counting(runner, ran),
-                                     growth, first)
-            want = estimate_or_status(reference_estimate, S, counting(runner, ref_ran),
-                                      growth, first)
+            got = estimate_or_status(S, ranged.runner_for(kind), growth, first)
+            want = estimate_or_status(S, partial(reference_run, exact, kind), growth, first)
             assert got == want, (kind, growth, first)
-            assert len(ran) <= len(ref_ran), (kind, growth, first)
+        ran = [run for run in target_runs if run[0] is ranged]
+        assert len(ran) < sum(run[0] is exact for run in target_runs), kind
 
 
 # C's self-call recurses until a child runs dry; at 25 000 the top frame
@@ -122,40 +123,49 @@ WHOLE_LIMIT_SRC = ("contract C { uint x; fn f0() { lowcall this.g(); } "
                    "fn g() { x = 1; x = 2; x = 3; lowcall this.g(); } }")
 
 
-def whole_limit_runner():
-    state = WorldState()
-    actor = state.create_eoa(0)
-    c = deploy(state, parse(WHOLE_LIMIT_SRC).contracts[0])
-    return tx_runner(state, Transaction(actor, S.block_gas_limit, c, "f0", (), 0), S)
+def eoa_env(tmp_path, source, function):
+    """The environment of a scenario whose target calls `function` of the
+    contract C in `source`."""
+    (tmp_path / "c.msol").write_text(source)
+    path = tmp_path / "c.scenario.json"
+    path.write_text(json.dumps({"schema": "scenario-v1", "sources": ["c.msol"],
+                                "balances": {}, "target": {"callee": "C",
+                                                           "function": function}}))
+    return build_environment(load_scenario(path), S)
 
 
-def test_a_success_that_consumed_its_whole_limit_answers_no_probe():
-    calls = []
-    run = ranged_runner(counting(whole_limit_runner(), calls))
-    first = run(25_000)
+def vm_limits(target_runs):
+    return [limit for _, _, limit, _ in target_runs]
+
+
+def test_a_success_that_consumed_its_whole_limit_answers_no_probe(tmp_path, target_runs):
+    env = eoa_env(tmp_path, WHOLE_LIMIT_SRC, "f0")
+    first = env.run(AgentKind.EOA, 25_000)
     assert (first.ok, first.gas_consumed, first.limits) == (True, 25_000, (21_900, 41_899))
-    again = run(30_000)
-    assert calls == [25_000, 30_000]
+    again = env.run(AgentKind.EOA, 30_000)
+    assert vm_limits(target_runs) == [25_000, 30_000]
     assert again.ok and again.gas_consumed == 30_000
+    # it answers its own limit only
+    assert env.run(AgentKind.EOA, 25_000) is first
+    assert vm_limits(target_runs) == [25_000, 30_000]
 
 
-def test_ranges_answer_the_probes_inside_them_only():
-    state = WorldState()
-    actor = state.create_eoa(0)
-    c = deploy(state, parse("contract C { fn f() { require(gasleft() > 50000); } }")
-               .contracts[0])
-    calls = []
-    run = ranged_runner(counting(
-        tx_runner(state, Transaction(actor, S.block_gas_limit, c, "f", (), 0), S), calls))
-    fail = run(30_000)
+def test_ranges_answer_the_probes_inside_them_only(tmp_path, target_runs):
+    env = eoa_env(tmp_path, "contract C { fn f() { require(gasleft() > 50000); } }", "f")
+    fail = env.run(AgentKind.EOA, 30_000)
     # out of gas below the range, the require holds above it
     assert (str(fail.status), fail.limits) == ("Failure(RequireFailed)", (21_115, 71_115))
     for inside in (21_115, 50_000, 71_115):
-        assert run(inside) is fail
-    assert calls == [30_000]
-    assert str(run(21_114).status) == "Failure(OutOfGas)"
-    assert run(71_116).ok
-    assert calls == [30_000, 21_114, 71_116]
+        assert env.run(AgentKind.EOA, inside) is fail
+    assert vm_limits(target_runs) == [30_000]
+    assert str(env.run(AgentKind.EOA, 21_114).status) == "Failure(OutOfGas)"
+    assert env.run(AgentKind.EOA, 71_116).ok
+    assert vm_limits(target_runs) == [30_000, 21_114, 71_116]
+    # the input's own run, made once when asked for
+    own = env.run(AgentKind.EOA, 50_000, own=True)
+    assert own is not fail and own.status == fail.status
+    assert env.run(AgentKind.EOA, 50_000, own=True) is own
+    assert vm_limits(target_runs) == [30_000, 21_114, 71_116, 50_000]
 
 
 def test_never_succeeds_reports_reason():

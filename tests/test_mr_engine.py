@@ -1,6 +1,7 @@
 """Test-pair construction, shared-context execution, and relation checks."""
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
@@ -38,7 +39,7 @@ from mtsc.vm import (
 )
 
 from conftest import CORPUS_SCENARIOS, FIXTURES, ROOT, scenario_path
-from support import build_pairs, clone, digest, reference_sweep
+from support import build_pairs, cli_outputs, clone, digest, reference_sweep, uncut
 
 S = GasSchedule()
 
@@ -109,9 +110,10 @@ def test_build_pairs_skips_kinds_without_estimates(environments):
 
 
 def distinct_limits(env, kind=AgentKind.EOA):
-    """Two inputs of one actor a unit of gas apart: distinct to the memo of
-    `Environment.run`, so a pair runs both, with equal status, consumption
-    and balance delta on simple_dao_withdraw."""
+    """Two inputs of one actor a unit of gas apart, with equal status,
+    consumption and balance delta on simple_dao_withdraw: the source's
+    range holds the follow-up, so a pair runs the source only, where an
+    environment without ranges runs both."""
     addr = env.actor_accounts[kind]
     return ActorInput(kind, addr, 40_000), ActorInput(kind, addr, 40_001)
 
@@ -124,42 +126,69 @@ def starting_digests(target_runs):
     return [digest for *_, digest in target_runs]
 
 
+def same_verdict(out, own):
+    """Whether `out` answers an input as its own run `own` does: the same
+    status and, for a success, the same consumption and balance delta."""
+    return out.status == own.status and (
+        not own.ok or (out.gas_consumed, out.balance_delta)
+        == (own.gas_consumed, own.balance_delta))
+
+
 def test_identical_inputs_give_identical_outcomes(unmemoised, target_runs,
                                                   context_digests):
+    built = context_digests["simple_dao_withdraw"]
     env = unmemoised("simple_dao_withdraw")
     source, follow = distinct_limits(env)
     done = run_pair(env, TestPair(MR1_1, source, follow))
+    # the source's range answers the follow-up
+    assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000)]
+    assert done.follow_outcome is done.source_outcome
+    target_runs.clear()
+    with uncut():
+        ref = run_pair(unmemoised("simple_dao_withdraw"), TestPair(MR1_1, source, follow))
     assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000), (AgentKind.EOA, 40_001)]
-    assert starting_digests(target_runs) == [context_digests["simple_dao_withdraw"]] * 2
-    s, f = done.source_outcome, done.follow_outcome
+    assert starting_digests(target_runs) == [built] * 2
+    s, f = ref.source_outcome, ref.follow_outcome
     assert (s.status, s.gas_consumed, s.balance_delta) \
         == (f.status, f.gas_consumed, f.balance_delta)
+    assert same_verdict(done.follow_outcome, f)
 
 
 def test_run_pair_restores_the_shared_context(unmemoised, target_runs, context_digests):
-    env = unmemoised("simple_dao_withdraw")
-    before = digest(env.state)
-    assert before == context_digests["simple_dao_withdraw"]
-    eoa = ActorInput(AgentKind.EOA, env.actor_accounts[AgentKind.EOA], 40_000)
-    car = ActorInput(AgentKind.CAR, env.actor_accounts[AgentKind.CAR],
-                     S.block_gas_limit)
-    run_pair(env, TestPair(MR2_2, eoa, car))
-    assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000),
-                                      (AgentKind.CAR, S.block_gas_limit)]
-    assert digest(env.state) == before
+    built = context_digests["simple_dao_withdraw"]
+    for reference in (False, True):
+        env = unmemoised("simple_dao_withdraw")
+        assert digest(env.state) == built
+        eoa = ActorInput(AgentKind.EOA, env.actor_accounts[AgentKind.EOA], 40_000)
+        car = ActorInput(AgentKind.CAR, env.actor_accounts[AgentKind.CAR],
+                         S.block_gas_limit)
+        with uncut() if reference else nullcontext():
+            run_pair(env, TestPair(MR2_2, eoa, car))
+        # two actor kinds: no range of one answers the other
+        assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000),
+                                          (AgentKind.CAR, S.block_gas_limit)]
+        assert digest(env.state) == built
+        target_runs.clear()
 
 
 def test_follow_up_sees_pristine_context(unmemoised, target_runs, context_digests):
-    env = unmemoised("simple_dao_withdraw")
     built = context_digests["simple_dao_withdraw"]
+    env = unmemoised("simple_dao_withdraw")
     source, follow = distinct_limits(env)
-    # the source run withdraws from the actor's position, yet the
-    # follow-up starts from the context as set up
     done = run_pair(env, TestPair(MR1_1, source, follow))
     assert digest(env.state) == built
+    assert starting_digests(target_runs) == [built]
+    # without ranges the follow-up runs too: the source run withdraws from
+    # the actor's position, yet the follow-up starts from the context as
+    # set up
+    target_runs.clear()
+    with uncut():
+        ref = run_pair(unmemoised("simple_dao_withdraw"), TestPair(MR1_1, source, follow))
+    assert digest(env.state) == built
     assert starting_digests(target_runs) == [built] * 2
-    assert done.source_outcome.ok and done.follow_outcome.ok
-    assert done.source_outcome.balance_delta == done.follow_outcome.balance_delta
+    for pair in (done, ref):
+        assert pair.source_outcome.ok and pair.follow_outcome.ok
+        assert pair.source_outcome.balance_delta == pair.follow_outcome.balance_delta
 
 
 def test_run_pair_keeps_the_source_outcome_only(unmemoised, target_runs):
@@ -167,16 +196,42 @@ def test_run_pair_keeps_the_source_outcome_only(unmemoised, target_runs):
     source, follow = distinct_limits(env)
     first = run_pair(env, TestPair(MR1_1, source, follow))
     again = run_pair(env, TestPair(MR1_1, source, follow))
-    # the second pair reads its source from the memo and reruns the follow-up
-    assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000), (AgentKind.EOA, 40_001),
-                                      (AgentKind.EOA, 40_001)]
-    assert again.source_outcome is first.source_outcome
-    assert again.follow_outcome == first.follow_outcome
+    # the source's kept run answers both sides of both pairs
+    assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000)]
+    assert again.source_outcome is first.source_outcome is again.follow_outcome
+    # the follow-up's own run is made once, when asked for, and then kept
+    own = env.run(AgentKind.EOA, 40_001, own=True)
+    assert env.run(AgentKind.EOA, 40_001, own=True) is own
+    assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000), (AgentKind.EOA, 40_001)]
+    assert same_verdict(first.follow_outcome, own)
+    target_runs.clear()
+    with uncut():
+        ref_env = unmemoised("simple_dao_withdraw")
+        ref = [run_pair(ref_env, TestPair(MR1_1, source, follow)) for _ in range(2)]
+    # without ranges each input runs once, its outcome kept for its own input
+    assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000), (AgentKind.EOA, 40_001)]
+    assert ref[1].source_outcome is ref[0].source_outcome
+    assert ref[1].follow_outcome is ref[0].follow_outcome == own
+
+
+# target runs per serial pass of each corpus scenario: without ranges
+# other than the estimator's own, and with the environment's
+CORPUS_RUNS = {
+    "approve_notify_checked": (7, 5),
+    "counter_baseline": (17, 11),
+    "crowd_pay_guarded": (14, 9),
+    "dividend_vault_payout": (12, 8),
+    "simple_dao_withdraw": (17, 11),
+    "simple_dao_withdraw_a": (17, 9),
+    "simple_dao_withdraw_b": (14, 8),
+    "token_ether_transfer": (19, 13),
+}
 
 
 @pytest.mark.parametrize("name", CORPUS_SCENARIOS)
 def test_each_source_input_runs_once_per_environment(monkeypatch, target_runs, name):
-    # every input reaches the VM once per environment: estimator probes,
+    # every input reaches the VM at most once per environment, and not at
+    # all inside the range of a run already made: estimator probes,
     # sources and follow-ups alike
     envs, pairs = [], []
     build_environment = mr_engine.build_environment
@@ -192,21 +247,30 @@ def test_each_source_input_runs_once_per_environment(monkeypatch, target_runs, n
 
     monkeypatch.setattr(mr_engine, "build_environment", captured_build_environment)
     monkeypatch.setattr(mr_engine, "run_pair", tracked_run_pair)
-    run_all(load_scenario(scenario_path(name)), S)
+    scenario = load_scenario(scenario_path(name))
+    with uncut():
+        ref = emit_report([verdict_for(run_all(scenario, S))], fmt="json")
+    ref_runs = len(target_runs)
+    target_runs.clear()
+    del envs[:], pairs[:]
+    result = run_all(scenario, S)
 
     (env,) = envs
     assert pairs
+    assert (ref_runs, len(target_runs)) == CORPUS_RUNS[name]
+    assert emit_report([verdict_for(result)], fmt="json") == ref
     runs = Counter(vm_inputs(target_runs))
     assert [key for key, count in runs.items() if count > 1] == []
-    inputs = {(a.kind, a.gas_limit) for p in pairs for a in (p.source, p.follow_up)}
-    assert inputs <= set(runs)
 
     def fresh(actor):
         return env.run_target(clone(env.state), actor.kind, actor.gas_limit)
 
     for pair in pairs:
-        assert pair.source_outcome == fresh(pair.source)
-        assert pair.follow_outcome == fresh(pair.follow_up)
+        assert same_verdict(pair.source_outcome, fresh(pair.source))
+        assert same_verdict(pair.follow_outcome, fresh(pair.follow_up))
+    # a violation shows its follow-up's own run
+    for violation in result.violations:
+        assert violation.pair.follow_outcome == fresh(violation.pair.follow_up)
 
 
 # -- relation checks ---------------------------------------------------------
@@ -358,11 +422,14 @@ def test_mr12_violation_trace_shows_a_swallowed_exception():
 @pytest.mark.parametrize("field,value", [
     ("n", 0), ("inc_count", 0), ("inc_count", -3), ("growth", 1.0),
     ("growth", float("nan")), ("cah_iterations", 0),
+    # a CAH fallback of 10**8 writes used to be built in full, exhausting memory
+    ("cah_iterations", 2**16 + 1), ("cah_iterations", 10**8),
 ])
 def test_engine_config_rejects_unusable_fields(field, value):
     with pytest.raises(ValueError, match="must"):
         EngineConfig(**{field: value})
     EngineConfig(**{field: 2})  # a usable value of each field passes
+    assert EngineConfig(cah_iterations=2**16).cah_iterations == 2**16
 
 
 def test_context_digest_is_stable_across_runs():
@@ -420,6 +487,25 @@ def test_certificate_matches_the_full_sweep(monkeypatch, name, config):
     assert report_bytes(name, schedule, engine) == cut
 
 
+DIFFERENTIAL_FLAGS = {
+    "default": (),
+    "coarse": ("--n", "37", "--inc-count", "2", "--mr1-actors", "EOA,CAO,CAH,CAR,CAE"),
+    "slow-growth": ("--growth", "1.01"),
+}
+
+
+# Under `uncut` only an estimator probe is answered from a range, and every
+# source and follow-up outcome is its input's own run.
+@pytest.mark.parametrize("flags", sorted(DIFFERENTIAL_FLAGS))
+@pytest.mark.parametrize("name", CORPUS_SCENARIOS + ["notifier_ping"])
+def test_range_answers_match_the_uncut_pipeline(name, flags):
+    argvs = [(command, str(scenario_path(name)), "--format", "json",
+              *DIFFERENTIAL_FLAGS[flags]) for command in ("check", "estimate")]
+    cut = [cli_outputs(*argv) for argv in argvs]
+    with uncut():
+        assert [cli_outputs(*argv) for argv in argvs] == cut
+
+
 def count_corpus_pairs(monkeypatch, config=EngineConfig(), names=CORPUS_SCENARIOS):
     """run_pair calls of one corpus pass per (scenario, relation, kind)."""
     runs = Counter()
@@ -462,8 +548,15 @@ def test_out_of_gas_ranges_stop_the_remaining_mr12_sweeps(monkeypatch, target_ru
     }
     assert sum(runs.values()) == 67
     # estimator probes included: each distinct input runs at most once,
-    # and a probe inside the range of a run the estimator made runs not
-    # at all (153 runs when every probe ran)
+    # and an input inside the range of a run already made runs not at
+    # all (153 runs when every input ran, 117 when the ranges answered
+    # estimator probes only)
+    assert len(target_runs) == 74
+    cut = dict(runs)  # a second count wraps the counting `run_pair` and adds to it
+    target_runs.clear()
+    with uncut():
+        ref_runs, _ = count_corpus_pairs(monkeypatch)
+    assert ref_runs == cut
     assert len(target_runs) == 117
 
 
@@ -474,7 +567,7 @@ def skip_loop_limits(env, kind, plan):
     for g in plan:
         if g not in decided:
             limits.append(g)
-            lo, hi = env.run(kind, g, keep=False).limits
+            lo, hi = env.run(kind, g).limits
             decided = range(lo, hi + 1)
     return limits
 

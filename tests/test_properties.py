@@ -7,6 +7,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -24,8 +25,8 @@ from mtsc.vm import (CallEntered, FailReason, GasSchedule, Transaction, WorldSta
 
 from conftest import CORPUS, CORPUS_SCENARIOS
 from pretty import pretty
-from support import (assert_lean_matches_full, clone, digest, estimate_or_status,
-                     reference_estimate, reference_sweep)
+from support import (assert_lean_matches_full, cli_outputs, clone, digest,
+                     estimate_or_status, reference_run, reference_sweep, uncut)
 
 SETTINGS = dict(deadline=None, max_examples=150)
 
@@ -723,8 +724,8 @@ def test_lean_runs_match_full_runs_on_generated_contracts(source, entry, value, 
         assert_lean_matches_full(lean, full)
 
 
-# The estimator answers probes from the ranges of the runs it made;
-# `reference_estimate` runs every probe.
+# The environment answers probes from the ranges of the runs it made;
+# `reference_run` runs every distinct probe.
 @given(source=range_shape_sources,
        entry=st.sampled_from(["f0", "f1", None]),
        value=st.sampled_from([0, 1, 700]),
@@ -734,10 +735,43 @@ def test_lean_runs_match_full_runs_on_generated_contracts(source, entry, value, 
 @settings(deadline=None, max_examples=60)
 def test_range_answered_estimates_match_every_probe_run(source, entry, value, kind,
                                                         growth, first_limit):
-    runner = _gas_shape_env(source, entry, value).runner_for(kind)
-    got, want = (estimate_or_status(estimate, GEN_SCHEDULE, runner, growth, first_limit)
-                 for estimate in (estimate_intrinsic_gas, reference_estimate))
+    env = _gas_shape_env(source, entry, value)
+    got, want = (estimate_or_status(GEN_SCHEDULE, runner, growth, first_limit)
+                 for runner in (env.runner_for(kind), partial(reference_run, env, kind)))
     assert got == want
+
+
+# Under `uncut` only an estimator probe is answered from a range, and every
+# source and follow-up outcome is its input's own run.
+@given(source=range_shape_sources,
+       entry=st.sampled_from(["f0", "f1", None]),
+       value=st.sampled_from([0, 1, 700]),
+       n=st.integers(min_value=1, max_value=40),
+       growth=st.sampled_from(["1.01", "1.5", "3"]))
+@settings(deadline=None, max_examples=40)
+# the block-limit run of CAH answers its MR1.1 follow-up at 2*gc, which
+# violates the relation; the report must show the follow-up's own run,
+# whose calls forward less gas
+@example(source=_gas_shape(["lowcall msg.sender value 1;", "", ""]), entry="f0",
+         value=0, n=1, growth="1.01")
+def test_range_answered_reports_match_the_uncut_pipeline(source, entry, value, n, growth):
+    assert validate(parse(source)) == []
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "gen.msol").write_text(source)
+        (Path(tmp) / "gen.schedule").write_text(
+            f"block_gas_limit={GEN_SCHEDULE.block_gas_limit}\n")
+        path = Path(tmp) / "gen.scenario.json"
+        path.write_text(json.dumps({
+            "schema": "scenario-v1", "sources": ["gen.msol"],
+            "balances": {"Gen": 5_000, "$ACTOR": 10_000},
+            "target": {"callee": "Gen", "function": entry, "value": value}}))
+        argvs = [(command, str(path), "--schedule", str(Path(tmp) / "gen.schedule"),
+                  "--format", "json", "--n", str(n), "--inc-count", "3",
+                  "--growth", growth, "--mr1-actors", "EOA,CAO,CAH,CAR,CAE")
+                 for command in ("check", "estimate")]
+        cut = [cli_outputs(*argv) for argv in argvs]
+        with uncut():
+            assert [cli_outputs(*argv) for argv in argvs] == cut
 
 
 # -- bounded work per run --------------------------------------------------------
