@@ -22,6 +22,7 @@ from .agents import AgentKind
 from .detector import UnknownScenario, Verdict, compute_metrics, emit_report
 from .gas_oracle import NeverSucceeds
 from .gas_oracle import estimate_intrinsic_gas  # noqa: F401  perfbench's traced run wraps it
+from .inputs import read_json
 from .mr_engine import EngineConfig, estimate_kinds, run_all
 from .relations import CATEGORIES, RELATIONS
 from .scenario import ALL_ACTOR_KINDS, ScenarioError, build_environment, load_scenario
@@ -90,10 +91,7 @@ def _parse_args(argv):
 def _build_config(args) -> Config:
     if args.jobs < 0:
         raise UsageError("--jobs must be non-negative")
-    try:
-        schedule = load_schedule(args.schedule) if args.schedule else GasSchedule()
-    except (ScheduleError, OSError) as exc:
-        raise UsageError(str(exc))
+    schedule = load_schedule(args.schedule) if args.schedule else GasSchedule()
     if args.car_gas_guard <= schedule.stipend:
         raise UsageError("--car-gas-guard must exceed the transfer stipend")
     mr_filter = None
@@ -149,10 +147,7 @@ def cmd_bench(args, config: Config) -> int:
     if not directory.is_dir():
         raise UsageError(f"{directory} is not a directory")
     paths = sorted(str(p) for p in directory.glob("*.scenario.json"))
-    try:
-        labels = json.loads(Path(args.labels).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot load labels: {exc}")
+    labels = read_json(args.labels, UsageError)
     if not isinstance(labels, dict) or not all(
             isinstance(v, list) for v in labels.values()):
         raise UsageError("labels must map scenario ids to category lists")
@@ -178,11 +173,8 @@ def cmd_bench(args, config: Config) -> int:
         verdicts = [_run_one(p, config) for p in paths]
     verdicts.sort(key=lambda v: v.scenario_id)
 
-    if not verdicts:
-        metrics = compute_metrics([], {})
-    else:
-        metrics = compute_metrics(verdicts, labels)
-    _emit(emit_report(verdicts, metrics, fmt=config.fmt), config.out)
+    _emit(emit_report(verdicts, compute_metrics(verdicts, labels), fmt=config.fmt),
+          config.out)
     return 0
 
 

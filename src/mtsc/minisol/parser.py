@@ -219,13 +219,7 @@ class _Parser:
         if tok.type == "emit":
             self.advance()
             name = self.expect("IDENT", "event name").text
-            self.expect("(")
-            args = []
-            if not self.check(")"):
-                args.append(self.parse_expr())
-                while self.accept(","):
-                    args.append(self.parse_expr())
-            self.expect(")")
+            args = self.parse_call_args()
             self.expect(";")
             return ast.Emit(line=tok.line, col=tok.col, name=name, args=args)
 

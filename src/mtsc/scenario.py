@@ -30,7 +30,6 @@ holds, lie in [0, UINT_MAX].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -45,6 +44,7 @@ from .agents import (
     agent_interact,
     make_agent,
 )
+from .inputs import read_json, read_text
 from .minisol import ParseError, ast, parse, validate
 from .relations import RELATIONS
 from .vm import (UINT_MAX, GasSchedule, Outcome, Transaction, WorldState, deploy, execute,
@@ -123,13 +123,7 @@ def _parse_template(obj, path: Path, index: Optional[int]) -> TxTemplate:
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
-
+    raw = read_json(path, ScenarioError)
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: scenario must be a JSON object")
     if not raw.keys() <= SCENARIO_KEYS:
@@ -257,10 +251,7 @@ def _load_contracts(scenario: Scenario):
     seen = set()
     for rel in scenario.sources:
         src_path = scenario.base_dir / rel
-        try:
-            text = src_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ScenarioError(f"cannot read source {src_path}: {exc}") from exc
+        text = read_text(src_path, ScenarioError, "source ")
         try:
             unit = parse(text, str(src_path))
         except ParseError as exc:

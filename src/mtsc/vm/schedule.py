@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from ..inputs import read_text
 from ..minisol.ast import UINT_MAX
 
 MAX_FRAMES = 2**16  # the most frames one run may make besides its top frame
@@ -69,21 +70,21 @@ def load_schedule(path: str) -> GasSchedule:
     """Parse a key=value schedule file. Blank lines and #-comments skipped."""
     known = {f.name for f in fields(GasSchedule)}
     overrides: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ScheduleError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ScheduleError(f"{path}:{lineno}: unknown schedule key {key!r}")
-            try:
-                overrides[key] = int(value.strip().replace("_", ""))
-            except ValueError:
-                raise ScheduleError(f"{path}:{lineno}: {key} needs an integer value")
+    # not splitlines(): it also breaks at \x0c, \x85, \u2028 and more, renumbering lines
+    for lineno, raw in enumerate(read_text(path, ScheduleError).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ScheduleError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise ScheduleError(f"{path}:{lineno}: unknown schedule key {key!r}")
+        try:
+            overrides[key] = int(value.strip().replace("_", ""))
+        except ValueError:
+            raise ScheduleError(f"{path}:{lineno}: {key} needs an integer value")
     try:
         return GasSchedule(**overrides)
     except ValueError as exc:

@@ -2,8 +2,10 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -171,7 +173,37 @@ def test_bench_corrupt_labels_exit_two(tmp_path, capsys):
     labels.write_text("{not json")
     code, _, err = run_cli(capsys, "bench", str(CORPUS), str(labels))
     assert code == 2
-    assert "labels" in err
+    assert err == (f"mtsc: error: {labels}: invalid JSON: Expecting property name "
+                   "enclosed in double quotes: line 1 column 2 (char 1)\n")
+
+
+# A labels file is read as a scenario is, and its errors name the file. A
+# byte that is not UTF-8, nesting deeper than the interpreter recurses and
+# an integer longer than Python converts used to exit 3.
+UNREADABLE_LABELS = [
+    ("missing", None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("not-utf8", b'{"counter_baseline": ["Reentrancy\xff"]}',
+     "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 33: "
+     "invalid start byte"),
+    ("nested", b"[" * 200_000,
+     "{path}: invalid JSON: maximum recursion depth exceeded while decoding a "
+     "JSON array from a unicode string"),
+    ("long-integer", b'{"counter_baseline": ' + b"1" * 5000 + b"}",
+     "{path}: invalid JSON: Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
+     "increase the limit"),
+]
+
+
+@pytest.mark.parametrize("data,message", [row[1:] for row in UNREADABLE_LABELS],
+                         ids=[row[0] for row in UNREADABLE_LABELS])
+def test_unreadable_labels_exit_two(tmp_path, capsys, data, message):
+    labels = tmp_path / "labels.json"
+    if data is not None:
+        labels.write_bytes(data)
+    code, out, err = run_cli(capsys, "bench", str(CORPUS), str(labels))
+    assert (code, out) == (2, "")
+    assert err == f"mtsc: error: {message.format(path=labels)}\n"
 
 
 def test_estimate_lists_actor_kinds(capsys):
@@ -278,6 +310,31 @@ def test_bad_schedule_exits_two(tmp_path, capsys):
                            "--schedule", str(sched))
     assert code == 2
     assert "mystery_key" in err
+
+
+# A schedule is read as a scenario is, and its errors name the file. A byte
+# that is not UTF-8 used to exit 3.
+UNREADABLE_SCHEDULES = [
+    ("missing", None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("directory", "dir", "cannot read {path}: [Errno 21] Is a directory: '{path}'"),
+    ("not-utf8", b"base_tx = 21000\nsload = 2\xff00\n",
+     "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 25: "
+     "invalid start byte"),
+]
+
+
+@pytest.mark.parametrize("data,message", [row[1:] for row in UNREADABLE_SCHEDULES],
+                         ids=[row[0] for row in UNREADABLE_SCHEDULES])
+def test_unreadable_schedules_exit_two(tmp_path, capsys, data, message):
+    sched = tmp_path / "sched.txt"
+    if data == "dir":
+        sched.mkdir()
+    elif data is not None:
+        sched.write_bytes(data)
+    code, out, err = run_cli(capsys, "check", str(scenario_path("counter_baseline")),
+                             "--schedule", str(sched))
+    assert (code, out) == (2, "")
+    assert err == f"mtsc: error: {message.format(path=sched)}\n"
 
 
 def test_repeated_actor_kinds_are_swept_once(tmp_path, capsys):
@@ -690,3 +747,19 @@ def test_the_package_runs_as_a_module():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: mtsc ")
+
+
+# file access in `src/mtsc`: the text and JSON readers, and the writers
+FILE_ACCESS = re.compile(r"\bopen\(|\.read_(text|bytes)\(|\.write_(text|bytes)\(|json\.load")
+
+
+def test_only_the_reader_module_reads_files():
+    # every input file is read, and a failed read reported, in mtsc.inputs;
+    # the one other file access writes the report that --out names
+    src = ROOT / "src" / "mtsc"
+    found = [(path.relative_to(src).as_posix(), line.strip())
+             for path in sorted(src.rglob("*.py")) if path.name != "inputs.py"
+             for line in path.read_text(encoding="utf-8").split("\n")
+             if FILE_ACCESS.search(line)]
+    assert found == [("cli.py", 'Path(out).write_text(text, encoding="utf-8")')]
+    assert "Path(out).write_text(" in inspect.getsource(cli._emit)

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import io
 import json
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
@@ -815,3 +816,60 @@ def test_a_run_makes_at_most_one_call_per_call_base_of_the_block(schedule, body,
                                      (), 1), schedule)
     calls = sum(type(ev) is CallEntered for ev in out.trace)
     assert calls <= 1 + schedule.block_gas_limit // schedule.call_base
+
+
+# -- damaged input files ------------------------------------------------------
+
+
+# The four kinds of input file of `mtsc bench` over a copy of the corpus.
+# The schedule, which the corpus has none of, sets every key to its default.
+INPUT_FILES = {
+    "scenario": sorted(p.name for p in CORPUS.glob("*.scenario.json")),
+    "source": sorted(p.name for p in CORPUS.glob("*.msol")),
+    "schedule": ["gas.schedule"],
+    "labels": ["labels.json"],
+}
+SCHEDULE_TEXT = "".join(f"{f.name} = {f.default}\n" for f in dataclasses.fields(GasSchedule))
+
+
+@st.composite
+def mutated(draw, data: bytes):
+    """`data` with a few bits flipped, a tail cut off or bytes inserted."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        edit = draw(st.sampled_from(["flip", "truncate", "insert"]))
+        if edit == "flip" and at < len(data):
+            data[at] ^= 1 << draw(st.integers(min_value=0, max_value=7))
+        elif edit == "truncate":
+            del data[at:]
+        else:
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+    return bytes(data)
+
+
+@st.composite
+def damaged_inputs(draw):
+    """(file name, bytes): arbitrary or mutated bytes for one input file."""
+    name = draw(st.sampled_from(INPUT_FILES[draw(st.sampled_from(sorted(INPUT_FILES)))]))
+    original = SCHEDULE_TEXT.encode() if name == "gas.schedule" else (CORPUS / name).read_bytes()
+    return name, draw(st.one_of(st.binary(max_size=200), mutated(original)))
+
+
+@given(damaged=damaged_inputs())
+@settings(deadline=None, max_examples=150)
+# a source byte that is not UTF-8 used to exit 3
+@example(damaged=("counter.msol", b"contract Counter \xff {}"))
+def test_any_bytes_in_an_input_file_exit_zero_one_or_two(damaged):
+    """Whatever one input file holds, `mtsc` reports a verdict or one error
+    line, never an internal error or a traceback (exit 3)."""
+    name, data = damaged
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "corpus"
+        shutil.copytree(CORPUS, tree)
+        (tree / "gas.schedule").write_text(SCHEDULE_TEXT)
+        (tree / name).write_bytes(data)
+        code, _, err = cli_outputs("bench", str(tree), str(tree / "labels.json"),
+                                   "--schedule", str(tree / "gas.schedule"), "--jobs", "1")
+    assert code in (0, 1, 2), err
+    assert "internal error" not in err and "Traceback" not in err

@@ -15,6 +15,7 @@ from mtsc.scenario import ScenarioError, build_environment, load_scenario
 from mtsc.vm import GasSchedule
 
 from conftest import CORPUS
+from support import cli_outputs
 
 COUNTER = str(CORPUS / "counter.msol")
 
@@ -218,3 +219,62 @@ def test_file_errors_have_their_exact_text(tmp_path):
     with pytest.raises(ScenarioError) as info:
         load_scenario(path)
     assert str(info.value) == f"{path}: scenario must be a JSON object"
+
+
+# Each of these used to end in a traceback (exit 3): a byte that is not
+# UTF-8 (UnicodeDecodeError), JSON nested deeper than the interpreter
+# recurses (RecursionError), and an integer longer than Python converts
+# from a string (ValueError).
+UNREADABLE_SCENARIOS = [
+    ("not-utf8", b'{"schema": "scenario-v1\xff"}',
+     "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 23: "
+     "invalid start byte"),
+    ("nested", b"[" * 200_000 + b"]" * 200_000,
+     "{path}: invalid JSON: maximum recursion depth exceeded while decoding a "
+     "JSON array from a unicode string"),
+    ("long-integer", b'{"balances": {"owner": ' + b"1" * 5000 + b"}}",
+     "{path}: invalid JSON: Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
+     "increase the limit"),
+]
+
+
+@pytest.mark.parametrize("data,message", [row[1:] for row in UNREADABLE_SCENARIOS],
+                         ids=[row[0] for row in UNREADABLE_SCENARIOS])
+def test_unreadable_scenarios_exit_two(tmp_path, data, message):
+    path = tmp_path / "damaged.scenario.json"
+    path.write_bytes(data)
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(path)
+    assert str(info.value) == message.format(path=path)
+    assert cli_outputs("check", str(path)) == (2, "", f"mtsc: error: {info.value}\n")
+
+
+# (id, source entry, message after "cannot read source {dir}/"): a byte
+# that is not UTF-8 in the source, and a path open() refuses, used to end
+# in a traceback (exit 3)
+UNREADABLE_SOURCES = [
+    ("not-utf8", "latin1.msol",
+     "latin1.msol: 'utf-8' codec can't decode byte 0xe9 in position 12: "
+     "invalid continuation byte"),
+    ("nul", "a\x00b.msol", "a\x00b.msol: embedded null byte"),
+    ("lone-surrogate", "\ud800.msol",
+     "\ud800.msol: 'utf-8' codec can't encode character '\\ud800' in position "
+     "{at}: surrogates not allowed"),
+]
+
+
+@pytest.mark.parametrize("source,message", [row[1:] for row in UNREADABLE_SOURCES],
+                         ids=[row[0] for row in UNREADABLE_SOURCES])
+def test_unreadable_sources_exit_two(tmp_path, source, message):
+    (tmp_path / "latin1.msol").write_bytes("contract Café {}\n".encode("latin-1"))
+    path = _write(tmp_path, _edited(_set("sources", [source])))
+    scenario = load_scenario(path)
+    with pytest.raises(ScenarioError) as info:
+        build_environment(scenario, GasSchedule())
+    # the surrogate's position in the whole path, as the encoder reports it
+    at = len(str(tmp_path)) + 1
+    assert str(info.value) == f"cannot read source {tmp_path}/" + message.format(at=at)
+    # captured in a StringIO, which holds a lone surrogate; the interpreter's
+    # stderr prints it backslash-escaped
+    assert cli_outputs("check", str(path)) == (2, "", f"mtsc: error: {info.value}\n")

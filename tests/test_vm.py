@@ -921,6 +921,16 @@ def test_schedule_rejects_unknown_keys(tmp_path):
         load_schedule(str(path))
 
 
+def test_schedule_lines_end_at_newlines_only(tmp_path):
+    # str.splitlines() would also end a line at the form feed, so the
+    # unknown key would be reported at line 3
+    path = tmp_path / "sched.txt"
+    path.write_text("base_tx=1\x0c\nfoo=2\n")
+    with pytest.raises(ScheduleError) as info:
+        load_schedule(str(path))
+    assert str(info.value) == f"{path}:2: unknown schedule key 'foo'"
+
+
 def test_schedule_rejects_bad_values(tmp_path):
     path = tmp_path / "sched.txt"
     path.write_text("sstore_set = 10\nsstore_reset = 20\n")
