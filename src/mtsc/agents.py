@@ -43,6 +43,17 @@ class AgentKind(str, Enum):
 AGENT_KINDS = (AgentKind.CAO, AgentKind.CAH, AgentKind.CAR, AgentKind.CAE)
 
 
+def actor_kinds(names) -> tuple:
+    """The kinds `names` name; ValueError names the first that names none."""
+    kinds = []
+    for name in names:
+        try:
+            kinds.append(AgentKind(name))
+        except ValueError:
+            raise ValueError(f"unknown actor kind {name!r}") from None
+    return tuple(kinds)
+
+
 @dataclass(frozen=True)
 class CallPayload:
     function: Optional[str]

@@ -14,32 +14,21 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .agents import AgentKind
-from .detector import UnknownScenario, Verdict, compute_metrics, emit_report
+from .detector import (UnknownScenario, Verdict, check_labels, compute_metrics, emit_report,
+                       verdict_for)
 from .gas_oracle import NeverSucceeds
 from .gas_oracle import estimate_intrinsic_gas  # noqa: F401  perfbench's traced run wraps it
 from .inputs import read_json
 from .mr_engine import EngineConfig, estimate_kinds, run_all
-from .relations import CATEGORIES, RELATIONS
 from .scenario import ALL_ACTOR_KINDS, ScenarioError, build_environment, load_scenario
 from .vm import GasSchedule, ScheduleError, load_schedule
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Config:
-    schedule: GasSchedule
-    engine: EngineConfig
-    fmt: str = "text"
-    out: Optional[str] = None
-    jobs: int = 1  # 0 = number of cores
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated actor kinds for the gas relations")
     common.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     common.add_argument("--out", metavar="PATH", help="write the report to a file")
-    common.add_argument("--jobs", type=int, default=Config.jobs,
+    common.add_argument("--jobs", type=int, default=1,
                         help="scenario worker processes, 0 for one per core "
                              "(default %(default)s)")
 
@@ -84,37 +73,27 @@ def _build_parser() -> argparse.ArgumentParser:
 PARSER = _build_parser()
 
 
-def _parse_args(argv):
-    return PARSER.parse_args(argv)
+def _names(flag: Optional[str]) -> Optional[tuple]:
+    """A list flag's comma-separated names; None, no filter, when it is empty."""
+    return tuple(name.strip() for name in flag.split(",")) if flag else None
 
 
-def _build_config(args) -> Config:
+def _build_config(args) -> tuple:
+    """The gas schedule and engine configuration the options select."""
     if args.jobs < 0:
         raise UsageError("--jobs must be non-negative")
     schedule = load_schedule(args.schedule) if args.schedule else GasSchedule()
     if args.car_gas_guard <= schedule.stipend:
         raise UsageError("--car-gas-guard must exceed the transfer stipend")
-    mr_filter = None
-    if args.mr:
-        mr_filter = tuple(m.strip() for m in args.mr.split(","))
-        for m in mr_filter:
-            if m not in RELATIONS:
-                raise UsageError(f"unknown relation {m!r}")
-    actors = None
-    if args.mr1_actors:
-        try:
-            actors = tuple(AgentKind(a.strip()) for a in args.mr1_actors.split(","))
-        except ValueError as exc:
-            raise UsageError(str(exc))
     try:
         engine = EngineConfig(n=args.n, inc_count=args.inc_count, growth=args.growth,
                               car_gas_guard=args.car_gas_guard,
                               cah_iterations=args.cah_iterations,
-                              mr_filter=mr_filter, mr1_actors_override=actors)
+                              mr_filter=_names(args.mr),
+                              mr1_actors_override=_names(args.mr1_actors))
     except ValueError as exc:
         raise UsageError(str(exc))
-    return Config(schedule=schedule, engine=engine, fmt=args.fmt, out=args.out,
-                  jobs=args.jobs)
+    return schedule, engine
 
 
 def _emit(text: str, out: Optional[str]):
@@ -124,73 +103,53 @@ def _emit(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def _run_one(path: str, config: Config) -> Verdict:
-    from .detector import verdict_for  # local import keeps workers lean
-
-    scenario = load_scenario(path)
-    return verdict_for(run_all(scenario, config.schedule, config.engine))
+def _run_one(path: str, schedule: GasSchedule, engine: EngineConfig) -> Verdict:
+    return verdict_for(run_all(load_scenario(path), schedule, engine))
 
 
 def _worker(payload):
-    path, config = payload
-    return _run_one(path, config)
+    return _run_one(*payload)
 
 
-def cmd_check(args, config: Config) -> int:
-    verdict = _run_one(args.scenario, config)
-    _emit(emit_report([verdict], fmt=config.fmt), config.out)
+def cmd_check(args, schedule: GasSchedule, engine: EngineConfig) -> int:
+    verdict = _run_one(args.scenario, schedule, engine)
+    _emit(emit_report([verdict], fmt=args.fmt), args.out)
     return 1 if verdict.has_violations else 0
 
 
-def cmd_bench(args, config: Config) -> int:
+def cmd_bench(args, schedule: GasSchedule, engine: EngineConfig) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
         raise UsageError(f"{directory} is not a directory")
     paths = sorted(str(p) for p in directory.glob("*.scenario.json"))
     labels = read_json(args.labels, UsageError)
-    if not isinstance(labels, dict) or not all(
-            isinstance(v, list) for v in labels.values()):
-        raise UsageError("labels must map scenario ids to category lists")
-    for sid, categories in labels.items():
-        for category in categories:
-            if category not in CATEGORIES:
-                raise UsageError(f"unknown category {category!r} in the labels of {sid!r}")
-
-    sids = [Path(path).name[: -len(".scenario.json")] for path in paths]
-    for sid in sids:
-        if sid not in labels:
-            raise UsageError(f"no label for scenario {sid!r}")
-    for sid in labels:
-        if sid not in sids:
-            raise UsageError(f"no scenario for label {sid!r}")
+    check_labels(labels, [Path(path).name[: -len(".scenario.json")] for path in paths])
 
     # a fork pool starts all its workers at once: never more than there is work for
     jobs = min(args.jobs or os.cpu_count() or 1, len(paths))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(_worker, [(p, config) for p in paths]))
+            verdicts = list(pool.map(_worker, [(p, schedule, engine) for p in paths]))
     else:
-        verdicts = [_run_one(p, config) for p in paths]
+        verdicts = [_run_one(p, schedule, engine) for p in paths]
     verdicts.sort(key=lambda v: v.scenario_id)
 
-    _emit(emit_report(verdicts, compute_metrics(verdicts, labels), fmt=config.fmt),
-          config.out)
+    _emit(emit_report(verdicts, compute_metrics(verdicts, labels), fmt=args.fmt), args.out)
     return 0
 
 
-def cmd_estimate(args, config: Config) -> int:
+def cmd_estimate(args, schedule: GasSchedule, engine: EngineConfig) -> int:
     scenario = load_scenario(args.scenario)
-    env = build_environment(scenario, config.schedule,
-                            car_gas_guard=config.engine.car_gas_guard,
-                            cah_iterations=config.engine.cah_iterations)
+    env = build_environment(scenario, schedule, car_gas_guard=engine.car_gas_guard,
+                            cah_iterations=engine.cah_iterations)
     rows = []
-    for kind, gc in estimate_kinds(env, ALL_ACTOR_KINDS, config.engine.growth):
+    for kind, gc in estimate_kinds(env, ALL_ACTOR_KINDS, engine.growth):
         if isinstance(gc, NeverSucceeds):
             rows.append((kind.value, {"error": f"never succeeds: {gc.status}"}))
         else:
             rows.append((kind.value, {"value": gc.value, "trials": gc.trials,
                                       "converged": gc.converged}))
-    if config.fmt == "json":
+    if args.fmt == "json":
         text = json.dumps({"schema": "estimate-v1", "scenario": scenario.scenario_id,
                            "estimates": dict(rows)}, indent=2) + "\n"
     else:
@@ -202,25 +161,24 @@ def cmd_estimate(args, config: Config) -> int:
                 lines.append(f"  {kind:<4} value={info['value']} "
                              f"trials={info['trials']} converged={info['converged']}")
         text = "\n".join(lines) + "\n"
-    _emit(text, config.out)
+    _emit(text, args.out)
     return 0
 
 
+COMMANDS = {"check": cmd_check, "bench": cmd_bench, "estimate": cmd_estimate}
+
+
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        config = _build_config(args)
-        if args.command == "check":
-            return cmd_check(args, config)
-        if args.command == "bench":
-            return cmd_bench(args, config)
-        return cmd_estimate(args, config)
+        return COMMANDS[args.command](args, *_build_config(args))
     except (UsageError, ScenarioError, ScheduleError, UnknownScenario, OSError) as exc:
-        print(f"mtsc: error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"mtsc: error: {exc}"
     except Exception as exc:  # exit 1 means "a relation was violated"; a crash must not say so
-        print(f"mtsc: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code, line = 3, f"mtsc: internal error: {type(exc).__name__}: {exc}"
+    # escape what a terminal cannot show (a control character, a lone surrogate)
+    print("".join(c if c.isprintable() else ascii(c)[1:-1] for c in line), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

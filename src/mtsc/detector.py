@@ -84,12 +84,30 @@ class MetricsReport:
     fdr_degenerate: bool = False   # no positives flagged at all
 
 
+def check_labels(labels, scenario_ids) -> None:
+    """Reject labels that cannot score exactly the scenarios `scenario_ids`:
+    not a map of category lists, an unknown category, a scenario without a
+    label, or a label without a scenario."""
+    if not isinstance(labels, dict) or not all(
+            isinstance(v, list) for v in labels.values()):
+        raise UnknownScenario("labels must map scenario ids to category lists")
+    for sid, categories in labels.items():
+        for category in categories:
+            if category not in CATEGORIES:
+                raise UnknownScenario(f"unknown category {category!r} in the labels of {sid!r}")
+    for sid in scenario_ids:
+        if sid not in labels:
+            raise UnknownScenario(f"no label for scenario {sid!r}")
+    scored = set(scenario_ids)
+    for sid in labels:
+        if sid not in scored:
+            raise UnknownScenario(f"no scenario for label {sid!r}")
+
+
 def compute_metrics(verdicts, labels: dict) -> MetricsReport:
     """Score verdicts against ground-truth labels, per category and total."""
+    check_labels(labels, [verdict.scenario_id for verdict in verdicts])
     per: dict[str, Counts] = {}
-    for verdict in verdicts:
-        if verdict.scenario_id not in labels:
-            raise UnknownScenario(f"no label for scenario {verdict.scenario_id!r}")
     for cat in CATEGORIES:
         tp = fp = fn = 0
         for verdict in verdicts:

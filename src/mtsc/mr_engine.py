@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .agents import DEFAULT_CAR_GAS_GUARD, AgentKind
+from .agents import DEFAULT_CAR_GAS_GUARD, AgentKind, actor_kinds
 from .gas_oracle import NeverSucceeds, estimate_intrinsic_gas
-from .relations import RELATIONS
+from .relations import RELATIONS, relation_ids
 from .scenario import Environment, Scenario, build_environment
-from .vm import GasSchedule, Outcome
+from .vm import UINT_MAX, GasSchedule, Outcome
 
 ALL_MRS = tuple(RELATIONS)  # perfbench's traced run reads it
 
@@ -79,6 +79,10 @@ class EngineConfig:
     mr1_actors_override: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.mr_filter is not None:
+            object.__setattr__(self, "mr_filter", relation_ids(self.mr_filter))
+        if self.mr1_actors_override is not None:
+            object.__setattr__(self, "mr1_actors_override", actor_kinds(self.mr1_actors_override))
         if self.n < 1 or self.inc_count < 1:
             raise ValueError("n and inc_count must be at least 1")
         if not self.growth > 1.0:  # NaN included
@@ -87,6 +91,9 @@ class EngineConfig:
         # any run; the default block pays for 1500 writes
         if not 1 <= self.cah_iterations <= 2**16:
             raise ValueError("cah_iterations must be at least 1 and at most 2**16")
+        # `gasleft()` never exceeds a guard the VM cannot hold: CAR would never re-enter
+        if self.car_gas_guard > UINT_MAX:
+            raise ValueError("car_gas_guard must be at most 2**128 - 1")
 
 
 @dataclass
@@ -175,6 +182,11 @@ def run_all(scenario: Scenario, schedule: GasSchedule,
                 diagnostics.append(Diagnostic(
                     f"MR1.x/{kind.value}",
                     f"estimate unavailable, source run never succeeds: {gc.status}"))
+                continue
+            if gc.value == 0:  # a run that costs nothing: no gas limit to vary
+                diagnostics.extend(Diagnostic(f"{relation.mr_id}/{kind.value}",
+                                              "intrinsic gas is 0, no gas limit to vary")
+                                   for relation in gas_relations)
                 continue
             for relation in gas_relations:
                 plan = relation.plan(gc.value, config, g_ample)

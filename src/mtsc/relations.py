@@ -1,9 +1,9 @@
 """The five metamorphic relations, one row each, in the order of README's
 relation table: how the follow-up is built, when a pair violates the
 relation, and which vulnerability categories a violation reveals.
-`scenario` and the CLI validate relation ids against `RELATIONS`,
-`mr_engine` runs the selected rows in table order, and `detector`
-classifies violations by their rows.
+`relation_ids` checks every list of relation ids (scenario files and
+`EngineConfig`), `mr_engine` runs the selected rows in table order, and
+`detector` classifies violations by their rows.
 """
 
 from __future__ import annotations
@@ -89,3 +89,12 @@ RELATIONS = {relation.mr_id: relation for relation in (
     Relation(MR2_3, follow_kind=AgentKind.CAE, plan=None,
              violated=_dispatch_survived, categories=lambda v: {EXCEPTION_DISORDER}),
 )}
+
+
+def relation_ids(names) -> tuple:
+    """`names` as a tuple; ValueError names the first that is no relation id."""
+    names = tuple(names)
+    for name in names:
+        if not (isinstance(name, str) and name in RELATIONS):  # a list cannot be looked up
+            raise ValueError(f"unknown relation {name!r}")
+    return names

@@ -41,12 +41,13 @@ from .agents import (
     AgentKind,
     AgentSpec,
     CallPayload,
+    actor_kinds,
     agent_interact,
     make_agent,
 )
 from .inputs import read_json, read_text
 from .minisol import ParseError, ast, parse, validate
-from .relations import RELATIONS
+from .relations import RELATIONS, relation_ids
 from .vm import (UINT_MAX, GasSchedule, Outcome, Transaction, WorldState, deploy, execute,
                  replay)
 
@@ -148,16 +149,11 @@ def load_scenario(path) -> Scenario:
     setup = [_parse_template(entry, path, i)
              for i, entry in enumerate(raw.get("setup", []))]
     target = _parse_template(raw.get("target"), path, None)
-    mrs = tuple(raw.get("mrs", RELATIONS))
-    for mr in mrs:
-        if not (isinstance(mr, str) and mr in RELATIONS):  # a list cannot be looked up
-            raise ScenarioError(f"{path}: unknown relation {mr!r}")
-    kinds = []
-    for name in raw.get("mr1_actors", [k.value for k in DEFAULT_MR1_ACTORS]):
-        try:
-            kinds.append(AgentKind(name))
-        except ValueError:
-            raise ScenarioError(f"{path}: unknown actor kind {name!r}")
+    try:
+        mrs = relation_ids(raw.get("mrs", RELATIONS))
+        kinds = actor_kinds(raw.get("mr1_actors", DEFAULT_MR1_ACTORS))
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}")
 
     stem = path.name
     for suffix in (".scenario.json", ".json"):
@@ -166,7 +162,7 @@ def load_scenario(path) -> Scenario:
             break
     return Scenario(scenario_id=stem, base_dir=path.parent, sources=tuple(sources),
                     balances=dict(balances), setup=tuple(setup), target=target,
-                    mrs=mrs, mr1_actors=tuple(kinds))
+                    mrs=mrs, mr1_actors=kinds)
 
 
 # --------------------------------------------------------------------------

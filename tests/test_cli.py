@@ -1,8 +1,10 @@
 """End-to-end command-line behaviour: exit codes, formats, determinism."""
 
 import argparse
+import ast
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -12,7 +14,7 @@ import sys
 import pytest
 
 from mtsc import cli
-from mtsc.cli import Config, main
+from mtsc.cli import main
 from mtsc.mr_engine import EngineConfig
 from mtsc.minisol.parser import MAX_NESTING
 from mtsc.scenario import load_scenario
@@ -63,6 +65,28 @@ def test_check_rejects_bad_flags(capsys):
     assert run_cli(capsys, "check", path, "--mr", "MR9.9")[0] == 2
     assert run_cli(capsys, "check", path, "--mr1-actors", "XYZ")[0] == 2
     assert run_cli(capsys, "check", path, "--car-gas-guard", "100")[0] == 2
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--mr1-actors", "EOA,CAX"], "unknown actor kind 'CAX'"),
+    (["--mr1-actors", "EOA, eoa"], "unknown actor kind 'eoa'"),
+    (["--mr", "MR1.1,MR3"], "unknown relation 'MR3'"),
+    (["--mr", "MR1.1,"], "unknown relation ''"),
+], ids=["actor-kind", "actor-kind-case", "relation", "relation-empty"])
+def test_unknown_list_names_exit_two_with_the_scenario_message(capsys, flags, message):
+    # the actor kind used to read "'CAX' is not a valid AgentKind"
+    code, out, err = run_cli(capsys, "check", str(scenario_path("counter_baseline")), *flags)
+    assert (code, out, err) == (2, "", f"mtsc: error: {message}\n")
+
+
+# A guard above what `gasleft()` can hold kept CAR from ever re-entering,
+# and a vulnerable contract got a clean verdict (exit 0).
+@pytest.mark.parametrize("guard", [str(2**128), str(10**40)])
+def test_car_gas_guard_above_uint_max_exits_two(capsys, guard):
+    code, out, err = run_cli(capsys, "check", str(scenario_path("simple_dao_withdraw")),
+                             "--car-gas-guard", guard)
+    assert (code, out) == (2, "")
+    assert err == "mtsc: error: car_gas_guard must be at most 2**128 - 1\n"
 
 
 @pytest.mark.parametrize("iterations", [str(2**16 + 1), "1000000", str(10**8)])
@@ -373,6 +397,29 @@ def test_an_empty_increasing_plan_is_noted_only_when_mr11_runs(tmp_path, capsys,
     assert out == "counter_baseline: ok [-]\n" + notes
 
 
+# A target run that costs no gas leaves no limit to vary; it used to exit 3
+# with "intrinsic gas must be at least 1" (or "gc and n must be at least 1").
+@pytest.mark.parametrize("flags,notes", [
+    ([], "  note MR1.1/EOA: intrinsic gas is 0, no gas limit to vary\n"
+         "  note MR1.2/EOA: intrinsic gas is 0, no gas limit to vary\n"),
+    (["--mr", "MR1.2"], "  note MR1.2/EOA: intrinsic gas is 0, no gas limit to vary\n"),
+], ids=["both", "reducing"])
+def test_a_zero_intrinsic_gas_is_noted_instead_of_swept(tmp_path, capsys, flags, notes):
+    (tmp_path / "e.msol").write_text("contract Empty { fn poke() { } }\n")
+    path = tmp_path / "e.scenario.json"
+    path.write_text(json.dumps({"schema": "scenario-v1", "sources": ["e.msol"],
+                                "balances": {"Empty": 0, "$ACTOR": 10_000},
+                                "target": {"callee": "Empty", "function": "poke"},
+                                "mrs": ["MR1.1", "MR1.2"], "mr1_actors": ["EOA"]}))
+    sched = tmp_path / "zero.schedule"
+    sched.write_text("base_tx = 0\ndispatch = 0\n")
+    code, out, err = run_cli(capsys, "check", str(path), "--schedule", str(sched), *flags)
+    assert (code, err) == (0, "")
+    assert out == "e: ok [-]\n" + notes
+    code, out, _ = run_cli(capsys, "estimate", str(path), "--schedule", str(sched))
+    assert code == 0 and "  EOA  value=0 trials=2 converged=True\n" in out
+
+
 def test_exit_one_means_a_violation_even_without_a_category(tmp_path, capsys):
     # more gas takes the guarded write: an MR1.1 gas mismatch under the
     # EOA, which maps to no vulnerability category
@@ -470,8 +517,8 @@ def test_literals_outside_the_token_set_exit_two(tmp_path, capsys, literal, mess
 
 
 def test_engine_options_default_to_the_engine_config():
-    config = cli._build_config(cli._parse_args(["check", "x.scenario.json"]))
-    assert config.engine == EngineConfig()
+    _, engine = cli._build_config(cli.PARSER.parse_args(["check", "x.scenario.json"]))
+    assert engine == EngineConfig()
 
 
 def test_check_help_shows_the_engine_config_defaults(capsys):
@@ -503,13 +550,13 @@ def test_main_builds_no_argument_parser(monkeypatch, capsys):
 
 
 def test_consecutive_parses_share_no_options():
-    first = cli._parse_args(["check", "x", "--mr", "MR2.1", "--format", "json"])
+    first = cli.PARSER.parse_args(["check", "x", "--mr", "MR2.1", "--format", "json"])
     assert (first.mr, first.fmt) == ("MR2.1", "json")
-    second = cli._parse_args(["check", "x"])
+    second = cli.PARSER.parse_args(["check", "x"])
     assert (second.mr, second.fmt) == (None, "text")
-    cli._parse_args(["bench", "d", "l", "--jobs", "4", "--mr1-actors", "CAR"])
-    third = cli._parse_args(["estimate", "x"])
-    assert (third.jobs, third.mr1_actors, hasattr(third, "dir")) == (Config.jobs, None, False)
+    cli.PARSER.parse_args(["bench", "d", "l", "--jobs", "4", "--mr1-actors", "CAR"])
+    third = cli.PARSER.parse_args(["estimate", "x"])
+    assert (third.jobs, third.mr1_actors, hasattr(third, "dir")) == (1, None, False)
 
 
 @pytest.mark.parametrize("argv", [
@@ -763,3 +810,67 @@ def test_only_the_reader_module_reads_files():
              if FILE_ACCESS.search(line)]
     assert found == [("cli.py", 'Path(out).write_text(text, encoding="utf-8")')]
     assert "Path(out).write_text(" in inspect.getsource(cli._emit)
+
+
+# A NUL used to reach stderr as a raw byte, and a lone surrogate raised
+# UnicodeEncodeError inside main's `except` clause on a strict stream.
+@pytest.mark.parametrize("source,message", [
+    ("a\x00b.msol", "cannot read source {dir}/a\\x00b.msol: embedded null byte"),
+    ("\ud800.msol", "cannot read source {dir}/\\ud800.msol: 'utf-8' codec can't encode "
+                    "character '\\ud800' in position {at}: surrogates not allowed"),
+], ids=["nul", "lone-surrogate"])
+def test_error_lines_escape_what_a_terminal_cannot_show(tmp_path, monkeypatch, source,
+                                                        message):
+    path = edited_dao(tmp_path, lambda doc: doc.update(sources=[source]))
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["check", path]) == 2
+    stderr.flush()
+    line = message.format(dir=tmp_path, at=len(str(tmp_path)) + 1)
+    assert stderr.buffer.getvalue() == f"mtsc: error: {line}\n".encode()
+
+
+def test_internal_error_lines_escape_what_a_terminal_cannot_show(monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("bell\x07 tab\t surrogate\udfff caf\u00e9 x\u00b2")
+
+    monkeypatch.setattr(cli, "run_all", crash)
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["check", str(scenario_path("counter_baseline"))]) == 3
+    stderr.flush()
+    assert stderr.buffer.getvalue() == ("mtsc: internal error: RuntimeError: "
+                                        "bell\\x07 tab\\t surrogate\\udfff "
+                                        "caf\u00e9 x\u00b2\n").encode()
+
+
+def _checks_in(path):
+    """(membership tests against RELATIONS, calls of AgentKind, modules
+    imported) in the source file at `path`."""
+    membership, kind_calls, imported = 0, 0, set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Compare):
+            membership += sum(isinstance(op, (ast.In, ast.NotIn))
+                              and getattr(right, "id", None) == "RELATIONS"
+                              for op, right in zip(node.ops, node.comparators))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            kind_calls += getattr(func, "id", getattr(func, "attr", None)) == "AgentKind"
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    return membership, kind_calls, imported
+
+
+def test_each_selection_list_is_checked_in_one_module():
+    # relation ids are checked in relations.py and actor kinds in agents.py;
+    # scenario files, EngineConfig and so the command line go through them
+    src = ROOT / "src" / "mtsc"
+    checks = {path.relative_to(src).as_posix(): _checks_in(path)
+              for path in sorted(src.rglob("*.py"))}
+    assert [name for name, (membership, _, _) in checks.items() if membership] == [
+        "relations.py"]
+    assert [name for name, (_, kind_calls, _) in checks.items() if kind_calls] == [
+        "agents.py"]
+    assert not checks["cli.py"][2] & {"relations", "agents", "mtsc.relations", "mtsc.agents"}

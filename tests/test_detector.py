@@ -169,6 +169,21 @@ def test_unknown_scenario_rejected():
         compute_metrics([Verdict("mystery", (), ())], {})
 
 
+# `mtsc bench` rejected these labels; `compute_metrics` used to score them:
+# FDR 100.00%, TPR 100.00% with a positive that never ran, and a substring
+# match of the category in a string.
+@pytest.mark.parametrize("labels,message", [
+    ({"a": ["Reentrency"]}, "unknown category 'Reentrency' in the labels of 'a'"),
+    ({"a": [REENTRANCY], "ghost": [REENTRANCY]}, "no scenario for label 'ghost'"),
+    ({"a": REENTRANCY}, "labels must map scenario ids to category lists"),
+    ({}, "no label for scenario 'a'"),
+], ids=["misspelled-category", "label-without-scenario", "not-a-list", "missing-label"])
+def test_compute_metrics_rejects_labels_bench_rejects(labels, message):
+    with pytest.raises(UnknownScenario) as info:
+        compute_metrics([Verdict("a", (), (REENTRANCY,))], labels)
+    assert str(info.value) == message
+
+
 # -- reports ------------------------------------------------------------------
 
 

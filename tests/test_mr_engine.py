@@ -35,6 +35,7 @@ from mtsc.vm import (
     GasSchedule,
     Outcome,
     STATUS_SUCCESS,
+    UINT_MAX,
     failure,
 )
 
@@ -424,12 +425,38 @@ def test_mr12_violation_trace_shows_a_swallowed_exception():
     ("growth", float("nan")), ("cah_iterations", 0),
     # a CAH fallback of 10**8 writes used to be built in full, exhausting memory
     ("cah_iterations", 2**16 + 1), ("cah_iterations", 10**8),
+    # a guard above what `gasleft()` can hold kept CAR from ever re-entering
+    ("car_gas_guard", 2**128), ("car_gas_guard", 10**40),
 ])
 def test_engine_config_rejects_unusable_fields(field, value):
     with pytest.raises(ValueError, match="must"):
         EngineConfig(**{field: value})
     EngineConfig(**{field: 2})  # a usable value of each field passes
     assert EngineConfig(cah_iterations=2**16).cah_iterations == 2**16
+    assert EngineConfig(car_gas_guard=UINT_MAX).car_gas_guard == UINT_MAX
+
+
+# A relation id that names no relation used to select nothing, so a
+# vulnerable scenario got a clean verdict; an unknown actor kind made
+# `run_all` raise KeyError. Both now fail with the scenario file's message.
+@pytest.mark.parametrize("field,names,message", [
+    ("mr_filter", ("MR2.9",), "unknown relation 'MR2.9'"),
+    ("mr_filter", ("MR2.2", "mr1.1"), "unknown relation 'mr1.1'"),
+    ("mr1_actors_override", ("CAX",), "unknown actor kind 'CAX'"),
+    ("mr1_actors_override", ("EOA", "eoa"), "unknown actor kind 'eoa'"),
+], ids=["relation", "relation-case", "actor-kind", "actor-kind-case"])
+def test_engine_config_rejects_unknown_names(field, names, message):
+    with pytest.raises(ValueError) as info:
+        EngineConfig(**{field: names})
+    assert str(info.value) == message
+
+
+def test_engine_config_keeps_the_checked_lists():
+    config = EngineConfig(mr_filter=["MR2.2"], mr1_actors_override=["CAR", "EOA"])
+    assert config.mr_filter == ("MR2.2",)
+    assert config.mr1_actors_override == (AgentKind.CAR, AgentKind.EOA)
+    result = run_all(load_scenario(scenario_path("simple_dao_withdraw")), S, config)
+    assert {v.mr_id for v in result.violations} == {MR2_2}
 
 
 def test_context_digest_is_stable_across_runs():

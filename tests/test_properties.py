@@ -20,7 +20,8 @@ from mtsc.detector import emit_report, verdict_for
 from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
 from mtsc.minisol import ast, parse, validate
 from mtsc.minisol.lexer import KEYWORDS, PUNCT
-from mtsc.scenario import ALL_ACTOR_KINDS
+from mtsc.relations import RELATIONS
+from mtsc.scenario import ALL_ACTOR_KINDS, ScenarioError, load_scenario
 from mtsc.vm import (CallEntered, FailReason, GasSchedule, Transaction, WorldState, deploy,
                      execute)
 
@@ -873,3 +874,54 @@ def test_any_bytes_in_an_input_file_exit_zero_one_or_two(damaged):
                                    "--schedule", str(tree / "gas.schedule"), "--jobs", "1")
     assert code in (0, 1, 2), err
     assert "internal error" not in err and "Traceback" not in err
+
+
+# -- selection lists -----------------------------------------------------------
+
+KIND_NAMES = tuple(kind.value for kind in ALL_ACTOR_KINDS)
+LIST_NAMES = st.sampled_from(tuple(RELATIONS) + KIND_NAMES + ("", "mr1.1", "MR3", "eoa"))
+
+
+def _first_unknown(names, known, what):
+    return next((f"unknown {what} {name!r}" for name in names if name not in known), None)
+
+
+def _rejection(check, error):
+    try:
+        check()
+    except error as exc:
+        return str(exc)
+    return None
+
+
+@given(mrs=st.lists(LIST_NAMES, max_size=4), actors=st.lists(LIST_NAMES, max_size=4))
+@settings(deadline=None, max_examples=200)
+def test_scenarios_the_engine_and_the_flags_check_lists_alike(mrs, actors):
+    """A relation or actor-kind list is accepted, or rejected with one
+    message, alike in a scenario file, in EngineConfig and in the flags."""
+    expected = (_first_unknown(mrs, RELATIONS, "relation")
+                or _first_unknown(actors, KIND_NAMES, "actor kind"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lists.scenario.json"
+        path.write_text(json.dumps({"schema": "scenario-v1", "sources": ["x.msol"],
+                                    "balances": {}, "target": {"callee": "X"},
+                                    "mrs": mrs, "mr1_actors": actors}))
+        assert _rejection(lambda: load_scenario(path), ScenarioError) == (
+            expected and f"{path}: {expected}")
+        assert _rejection(lambda: mr_engine.EngineConfig(
+            mr_filter=mrs, mr1_actors_override=actors), ValueError) == expected
+
+        # an empty flag means no filter: the lists [] and [""] pass no flag
+        mrs, actors = (names if ",".join(names) else [] for names in (mrs, actors))
+        expected = (_first_unknown(mrs, RELATIONS, "relation")
+                    or _first_unknown(actors, KIND_NAMES, "actor kind"))
+        missing = Path(tmp) / "missing.scenario.json"
+        argv = ["check", str(missing)]
+        for flag, names in (("--mr", mrs), ("--mr1-actors", actors)):
+            argv += [flag, ",".join(names)] if names else []
+        code, out, err = cli_outputs(*argv)
+    assert (code, out) == (2, "")
+    if expected:
+        assert err == f"mtsc: error: {expected}\n"
+    else:  # the options passed, and the scenario was read next
+        assert err.startswith(f"mtsc: error: cannot read {missing}: ")
