@@ -12,8 +12,9 @@ kinds differ only in their fallback function:
 * CAR - fallback that re-issues the stored payload (value 0) while
   enough gas remains, probing for reentrancy
 
-Agent contracts are built directly as ASTs; addresses appear as literal
-nodes that have no surface syntax in the language.
+Agent contracts are built directly as ASTs; the target's address appears
+as a literal node that has no surface syntax in the language, and a
+payload argument naming the agent itself is `this`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ AGENT_KINDS = (AgentKind.CAO, AgentKind.CAH, AgentKind.CAR, AgentKind.CAE)
 
 def actor_kinds(names) -> tuple:
     """The kinds `names` name; ValueError names the first that names none."""
+    if isinstance(names, str):
+        raise ValueError(f"actor kinds must be a list, not the string {names!r}")
     kinds = []
     for name in names:
         try:
@@ -66,9 +69,9 @@ class AgentSpec:
     kind: AgentKind
     target: str
     payload: CallPayload
+    stipend: int  # of the schedule the agent runs under
     car_gas_guard: int = DEFAULT_CAR_GAS_GUARD
     cah_iterations: int = 1
-    stipend: int = GasSchedule().stipend  # of the schedule the agent runs under
 
     def __post_init__(self):
         if self.kind == AgentKind.EOA:
@@ -80,6 +83,8 @@ class AgentSpec:
 
 
 def _lit(value) -> ast.Node:
+    if isinstance(value, ast.Node):
+        return value
     if isinstance(value, bool):
         return ast.BoolLit(value=value)
     if isinstance(value, int):
@@ -136,22 +141,18 @@ def build_agent_contract(spec: AgentSpec, name: str) -> ast.ContractDef:
     )
 
 
-def make_agent(state: WorldState, spec: AgentSpec, name: Optional[str] = None) -> str:
+def make_agent(state: WorldState, spec: AgentSpec) -> str:
     """Deploy the agent contract for a spec; the target must exist."""
     if not state.has_account(spec.target):
         raise ValueError(f"agent target {spec.target} is not deployed")
-    contract = build_agent_contract(spec, name or f"Agent{spec.kind.value}")
-    return deploy(state, contract)
+    return deploy(state, build_agent_contract(spec, f"Agent{spec.kind.value}"))
 
 
-def agent_interact(state: WorldState, agent: str, spec: AgentSpec, driver: str,
+def agent_interact(state: WorldState, agent: str, target: str, driver: str,
                    gas_limit: int, schedule: GasSchedule, *, ops: bool = True) -> Outcome:
     """Run driver -> agent.AgentCall and report the interaction as the
     agent experienced it: balance delta of the agent account, status of
-    the agent's call into the target (the wrapper's own low-level call
+    the agent's call into `target` (the wrapper's own low-level call
     would otherwise swallow every target failure). `ops` is `execute`'s."""
-    before = state.balance_of(agent)
-    raw = execute(state, Transaction(driver, gas_limit, agent, AGENT_CALL, (), 0),
-                  schedule, reports=spec.target, ops=ops)
-    return Outcome(raw.status, raw.gas_consumed, state.balance_of(agent) - before,
-                   raw.trace, raw.limits)
+    return execute(state, Transaction(driver, gas_limit, agent, AGENT_CALL, (), 0),
+                   schedule, reports=target, ops=ops)

@@ -19,12 +19,11 @@ from typing import Optional
 
 from .detector import (UnknownScenario, Verdict, check_labels, compute_metrics, emit_report,
                        verdict_for)
-from .gas_oracle import NeverSucceeds
 from .gas_oracle import estimate_intrinsic_gas  # noqa: F401  perfbench's traced run wraps it
 from .inputs import read_json
 from .mr_engine import EngineConfig, estimate_kinds, run_all
 from .scenario import ALL_ACTOR_KINDS, ScenarioError, build_environment, load_scenario
-from .vm import GasSchedule, ScheduleError, load_schedule
+from .vm import GasSchedule, ScheduleError, Status, load_schedule
 
 
 class UsageError(Exception):
@@ -144,8 +143,8 @@ def cmd_estimate(args, schedule: GasSchedule, engine: EngineConfig) -> int:
                             cah_iterations=engine.cah_iterations)
     rows = []
     for kind, gc in estimate_kinds(env, ALL_ACTOR_KINDS, engine.growth):
-        if isinstance(gc, NeverSucceeds):
-            rows.append((kind.value, {"error": f"never succeeds: {gc.status}"}))
+        if isinstance(gc, Status):
+            rows.append((kind.value, {"error": f"never succeeds: {gc}"}))
         else:
             rows.append((kind.value, {"value": gc.value, "trials": gc.trials,
                                       "converged": gc.converged}))

@@ -120,8 +120,7 @@ def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
     return IntrinsicGas(value=candidate, trials=trials, converged=converged)
 
 
-def allocate_increasing(gc: int, count: int = 5,
-                        block_gas_limit: int = GasSchedule().block_gas_limit) -> range:
+def allocate_increasing(gc: int, count: int, block_gas_limit: int) -> range:
     """Follow-up limits {2*gc, 3*gc, ...}, at most `count` of them, capped at
     the block limit; empty when 2*gc exceeds it."""
     if gc < 1:

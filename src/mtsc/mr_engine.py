@@ -31,7 +31,7 @@ from .agents import DEFAULT_CAR_GAS_GUARD, AgentKind, actor_kinds
 from .gas_oracle import NeverSucceeds, estimate_intrinsic_gas
 from .relations import RELATIONS, relation_ids
 from .scenario import Environment, Scenario, build_environment
-from .vm import UINT_MAX, GasSchedule, Outcome
+from .vm import UINT_MAX, GasSchedule, Outcome, Status
 
 ALL_MRS = tuple(RELATIONS)  # perfbench's traced run reads it
 
@@ -106,16 +106,14 @@ class EngineResult:
 def estimate_kinds(env: Environment, kinds, growth: float) -> list:
     """(kind, estimate) for each distinct kind in order of first mention,
     where the estimate is the IntrinsicGas of the kind's source run, or the
-    NeverSucceeds raised when that run fails even at the block gas limit."""
+    failing Status of that run when it fails even at the block gas limit."""
     rows = []
     for kind in dict.fromkeys(kinds):
         try:
             gc = estimate_intrinsic_gas(env.schedule, runner=env.runner_for(kind),
                                         growth=growth)
         except NeverSucceeds as exc:
-            # its traceback holds this frame, whose `rows` would hold it:
-            # a cycle that keeps `env` alive until the cyclic collector runs
-            gc = exc.with_traceback(None)
+            gc = exc.status
         rows.append((kind, gc))
     return rows
 
@@ -178,10 +176,10 @@ def run_all(scenario: Scenario, schedule: GasSchedule,
     if gas_relations:
         mr1_actors = config.mr1_actors_override or scenario.mr1_actors
         for kind, gc in estimate_kinds(env, mr1_actors, config.growth):
-            if isinstance(gc, NeverSucceeds):
+            if isinstance(gc, Status):
                 diagnostics.append(Diagnostic(
                     f"MR1.x/{kind.value}",
-                    f"estimate unavailable, source run never succeeds: {gc.status}"))
+                    f"estimate unavailable, source run never succeeds: {gc}"))
                 continue
             if gc.value == 0:  # a run that costs nothing: no gas limit to vary
                 diagnostics.extend(Diagnostic(f"{relation.mr_id}/{kind.value}",

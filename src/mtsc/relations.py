@@ -93,6 +93,8 @@ RELATIONS = {relation.mr_id: relation for relation in (
 
 def relation_ids(names) -> tuple:
     """`names` as a tuple; ValueError names the first that is no relation id."""
+    if isinstance(names, str):
+        raise ValueError(f"relation ids must be a list, not the string {names!r}")
     names = tuple(names)
     for name in names:
         if not (isinstance(name, str) and name in RELATIONS):  # a list cannot be looked up

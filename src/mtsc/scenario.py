@@ -22,10 +22,11 @@ Schema (JSON object, unknown keys rejected):
     mr1_actors  subset of EOA CAO CAH CAR CAE                 default EOA,CAH,CAR
 
 Role strings in `actor`, `callee`, and `args` resolve to addresses:
-contract names to their deployment, other balance keys to EOAs. The
-arguments of the target and of every setup entry must fit the called
-function's parameters. Balances and values, like every amount the VM
-holds, lie in [0, UINT_MAX].
+contract names to their deployment, other balance keys to EOAs. A
+target's `actor` is ignored, as $ACTOR sends the target. The arguments
+of the target and of every setup entry must fit the called function's
+parameters. Balances and values, like every amount the VM holds, lie in
+[0, UINT_MAX].
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class ScenarioError(Exception):
 
 @dataclass(frozen=True)
 class TxTemplate:
-    actor: str               # role or $ACTOR; ignored for the target
+    actor: str               # role, or $ACTOR (always, for the target)
     callee: str
     function: Optional[str]  # None = plain value transfer
     args: tuple = ()
@@ -118,7 +119,7 @@ def _parse_template(obj, path: Path, index: Optional[int]) -> TxTemplate:
     if not (type(value) is int and 0 <= value <= UINT_MAX):
         raise ScenarioError(f"{path}: {_entry(index)}: value must be an integer "
                             "in [0, 2**128 - 1]")
-    return TxTemplate(actor=obj.get("actor", ACTOR), callee=obj["callee"],
+    return TxTemplate(actor=ACTOR if index is None else obj["actor"], callee=obj["callee"],
                       function=function, args=tuple(args), value=value)
 
 
@@ -180,7 +181,6 @@ class Environment:
     scenario: Scenario
     roles: dict
     actor_accounts: dict          # AgentKind -> address
-    agent_specs: dict             # AgentKind -> AgentSpec (agents only)
     driver: str
     # AgentKind -> [(lo, hi, gas limit, Outcome)] of every run in the context
     _kept: dict = field(default_factory=dict, init=False, repr=False)
@@ -194,21 +194,21 @@ class Environment:
             return self.roles[token]
         raise ScenarioError(f"unresolvable role {token!r}")
 
-    def target_tx(self, kind: AgentKind, gas_limit: int) -> Transaction:
-        actor = self.actor_accounts[kind]
-        t = self.scenario.target
-        args = tuple(self.resolve(a, actor) for a in t.args)
-        return Transaction(actor, gas_limit, self.roles[t.callee], t.function,
-                           args, t.value)
+    def transaction(self, entry: TxTemplate, actor, gas_limit: int) -> Transaction:
+        """`entry` at `gas_limit`, with `$ACTOR` standing for `actor`."""
+        return Transaction(self.resolve(entry.actor, actor), gas_limit,
+                           self.resolve(entry.callee, actor), entry.function,
+                           tuple([self.resolve(a, actor) for a in entry.args]), entry.value)
 
     def run_target(self, state: WorldState, kind: AgentKind, gas_limit: int, *,
                    ops: bool = False) -> Outcome:
         """Run the target input on `state`, which keeps the run's effects.
         The run is lean unless `ops` asks for every op event (see `execute`)."""
+        actor, target = self.actor_accounts[kind], self.scenario.target
         if kind == AgentKind.EOA:
-            return execute(state, self.target_tx(kind, gas_limit), self.schedule, ops=ops)
-        return agent_interact(state, self.actor_accounts[kind],
-                              self.agent_specs[kind], self.driver,
+            return execute(state, self.transaction(target, actor, gas_limit), self.schedule,
+                           ops=ops)
+        return agent_interact(state, actor, self.roles[target.callee], self.driver,
                               gas_limit, self.schedule, ops=ops)
 
     def run(self, kind: AgentKind, gas_limit: int, own: bool = False) -> Outcome:
@@ -348,38 +348,23 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
         _check_args(entry, functions[key], roles, i)
 
     env = Environment(state=state, schedule=schedule, scenario=scenario,
-                      roles=roles, actor_accounts={AgentKind.EOA: eoa_actor},
-                      agent_specs={}, driver=driver)
+                      roles=roles, actor_accounts={AgentKind.EOA: eoa_actor}, driver=driver)
 
+    # every agent makes the target call, naming itself `this` where it is $ACTOR
+    payload = CallPayload(target.function,
+                          tuple(env.resolve(a, ast.This()) for a in target.args), target.value)
     for kind in AGENT_KINDS:
-        predicted = f"0x{state.next_address:04x}"
-        payload = CallPayload(
-            function=target.function,
-            args=tuple(env.resolve(a, predicted) for a in target.args),
-            value=target.value,
-        )
-        spec = AgentSpec(kind=kind, target=target_addr, payload=payload,
-                         car_gas_guard=car_gas_guard, cah_iterations=cah_iterations,
-                         stipend=schedule.stipend)
-        addr = make_agent(state, spec, name=f"Agent{kind.value}")
-        assert addr == predicted
-        env.actor_accounts[kind] = addr
-        env.agent_specs[kind] = spec
+        env.actor_accounts[kind] = make_agent(state, AgentSpec(
+            kind=kind, target=target_addr, payload=payload, stipend=schedule.stipend,
+            car_gas_guard=car_gas_guard, cah_iterations=cah_iterations))
 
     stake = scenario.balances.get(ACTOR, 0)
     for kind in ALL_ACTOR_KINDS:
         state.fund(env.actor_accounts[kind], stake)
 
-    def transaction(entry: TxTemplate, kind: Optional[AgentKind]) -> Transaction:
-        actor_addr = env.actor_accounts[kind] if kind is not None else None
-        sender = actor_addr if entry.actor == ACTOR else env.resolve(entry.actor, "")
-        args = tuple([env.resolve(a, actor_addr) for a in entry.args])
-        return Transaction(sender, schedule.block_gas_limit,
-                           env.resolve(entry.callee, actor_addr),
-                           entry.function, args, entry.value)
-
     # built one at a time, as the replay reaches them
-    failed = replay(state, (transaction(entry, kind)
+    failed = replay(state, (env.transaction(entry, env.actor_accounts.get(kind),
+                                            schedule.block_gas_limit)
                             for entry, kind in _setup_runs(scenario.setup)), schedule)
     if failed is not None:
         index, status = failed

@@ -101,11 +101,12 @@ of gas, and every frame above it is left dry. A dry frame cannot read
 failure reaches the reported status. Under a schedule that makes either
 free, the range keeps to the path.
 
-With `execute(..., reports=address)` the run reports the status of the
-top frame's first call into that address, as an agent wrapper
-experiences its target, and the range describes that status. Below the
-path the top frame itself may then run short before its call; it fails
-out of gas, which is the status reported, but its own writes roll back.
+With `execute(..., reports=address)` the run reports what an agent
+wrapper, the transaction's callee, experiences: the status of the top
+frame's first call into that address, which the range describes, and
+the callee's balance delta. Below the path the top frame itself may
+then run short before its call; it fails out of gas, which is the
+status reported, but its own writes roll back.
 """
 
 from __future__ import annotations
@@ -536,8 +537,9 @@ class _Run:
 
     def transact(self, tx: Transaction):
         """Run `tx` on the state, which keeps its effects and fees; returns
-        (status, gas consumed, actor balance delta) and leaves the run's
-        invariance range in `lo` and `hi`."""
+        (status, gas consumed, balance delta of the actor, or of the callee
+        when the run `reports`) and leaves the run's invariance range in
+        `lo` and `hi`."""
         state, schedule = self.state, self.sched
         actor, callee = state.accounts.get(tx.actor), state.accounts.get(tx.callee)
         if actor is None or callee is None:
@@ -545,9 +547,10 @@ class _Run:
         if not 0 <= tx.gas_limit <= schedule.block_gas_limit:
             raise ValueError("gas limit must be within [0, block_gas_limit]")
 
-        actor_before = actor.balance
-        if tx.value > actor_before:
+        if tx.value > actor.balance:
             return failure(FailReason.BALANCE_INSUFFICIENT), 0, 0
+        holder = callee if self.reports is not None else actor  # whose delta the run reports
+        before = holder.balance
 
         if tx.gas_limit < schedule.base_tx:
             self.tail.append(("base_tx", tx.gas_limit, 0))
@@ -565,7 +568,7 @@ class _Run:
                                                       tx.value, tx.actor, budget, 0, True)
         if ok:
             gas_total = schedule.base_tx + consumed
-            delta = actor.balance - actor_before
+            delta = holder.balance - before
             status = STATUS_SUCCESS
             if self.reported is not None and not self.reported[0]:
                 status = failure(self.reported[1])
@@ -591,7 +594,8 @@ def execute(state: WorldState, tx: Transaction, schedule: GasSchedule,
             reports: Optional[str] = None, *, ops: bool = True) -> Outcome:
     """Run one transaction to completion; never raises for execution
     failures. With `reports`, a successful transaction reports the status
-    of its top frame's first call into that address. With `ops` false the
+    of its top frame's first call into that address, and the balance delta
+    is the callee's, as an agent wrapper sees the run. With `ops` false the
     run is lean: its trace keeps op events only among its last `TAIL`."""
     run = _Run(state, schedule, tx.gas_limit, reports, None if ops else TAIL)
     limit = sys.getrecursionlimit()

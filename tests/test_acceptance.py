@@ -185,7 +185,7 @@ def test_criterion_3_gas_laws_randomized(environments):
                 sched.block_gas_limit,
             ])
             if kind == AgentKind.EOA:
-                tx = env.target_tx(kind, limit)
+                tx = env.transaction(env.scenario.target, env.actor_accounts[kind], limit)
             else:
                 tx = Transaction(env.driver, limit, env.actor_accounts[kind],
                                  "AgentCall", (), 0)

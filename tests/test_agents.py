@@ -1,9 +1,12 @@
 """Agent contract synthesis and the agent-wrapped interaction view."""
 
+from dataclasses import fields
+
 import pytest
 
 from mtsc.agents import (
     AGENT_CALL,
+    AGENT_KINDS,
     AgentKind,
     AgentSpec,
     CallPayload,
@@ -24,7 +27,7 @@ PAYLOAD = CallPayload(function="withdraw", args=(1_000,), value=0)
 
 
 def spec_for(kind, target="0x0002", **kw):
-    return AgentSpec(kind=kind, target=target, payload=PAYLOAD, **kw)
+    return AgentSpec(kind=kind, target=target, payload=PAYLOAD, stipend=S.stipend, **kw)
 
 
 @pytest.mark.parametrize("kind", [AgentKind.CAO, AgentKind.CAH,
@@ -79,13 +82,11 @@ def test_agent_call_stores_target_then_calls():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        AgentSpec(kind=AgentKind.EOA, target="0x0001", payload=PAYLOAD)
+        spec_for(AgentKind.EOA, target="0x0001")
     with pytest.raises(ValueError):
-        AgentSpec(kind=AgentKind.CAR, target="0x0001", payload=PAYLOAD,
-                  car_gas_guard=2_300)
+        spec_for(AgentKind.CAR, target="0x0001", car_gas_guard=2_300)
     with pytest.raises(ValueError):
-        AgentSpec(kind=AgentKind.CAH, target="0x0001", payload=PAYLOAD,
-                  cah_iterations=0)
+        spec_for(AgentKind.CAH, target="0x0001", cah_iterations=0)
     # the guard is checked against the stipend of the schedule in use
     AgentSpec(kind=AgentKind.CAR, target="0x0001", payload=PAYLOAD,
               car_gas_guard=2_000, stipend=1_000)
@@ -173,12 +174,37 @@ def test_interaction_status_read_from_target_call():
     state = WorldState()
     driver = state.create_eoa(0)
     c = deploy(state, parse(src).contracts[0])
-    spec = AgentSpec(kind=AgentKind.CAO, target=c,
-                     payload=CallPayload(function="f"))
-    agent = make_agent(state, spec)
-    out = agent_interact(state, agent, spec, driver, S.block_gas_limit, S)
+    agent = make_agent(state, AgentSpec(kind=AgentKind.CAO, target=c,
+                                        payload=CallPayload(function="f"), stipend=S.stipend))
+    out = agent_interact(state, agent, c, driver, S.block_gas_limit, S)
     assert not out.ok
     assert out.status.reason == FailReason.REVERT
+
+
+def nodes(value):
+    """Every AST node in `value`, itself included."""
+    if isinstance(value, ast.Node):
+        yield value
+        for f in fields(value):
+            yield from nodes(getattr(value, f.name))
+    elif isinstance(value, list):
+        for item in value:
+            yield from nodes(item)
+
+
+# The payload used to hold the agent's own address as a literal, predicted
+# from the address counter before the agent was deployed.
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+def test_an_agent_names_itself_this_in_its_target_call(kind):
+    env = build_environment(load_scenario(scenario_path("token_ether_transfer")), S)
+    agent = env.actor_accounts[kind]
+    code = env.state.account(agent).code
+    call = code.function(AGENT_CALL).body[-1].expr
+    assert call.function == "eT" and isinstance(call.args[0], ast.This)  # ($ACTOR, ...)
+    everything = list(nodes(code))
+    assert sum(type(n) is ast.This for n in everything) == (2 if kind == AgentKind.CAR else 1)
+    assert [n.value for n in everything if type(n) is ast.AddrLit] == [
+        env.roles["TokenEther"]]
 
 
 def test_agent_balance_delta_not_the_drivers():

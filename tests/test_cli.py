@@ -630,6 +630,21 @@ def edited_dao(tmp_path, edit):
     return str(path)
 
 
+# A target's `actor` is ignored: the role named, or a name that is no role,
+# changes nothing, as $ACTOR sends the target.
+@pytest.mark.parametrize("actor", ["owner", "SimpleDAO"])
+def test_a_target_actor_changes_no_report_byte(tmp_path, capsys, actor):
+    reports = []
+    for name, edit in (("plain", lambda doc: None),
+                       ("actor", lambda doc: doc["target"].update(actor=actor))):
+        (tmp_path / name).mkdir()
+        path = edited_dao(tmp_path / name, edit)
+        reports.append([run_cli(capsys, "check", path, "--format", fmt)
+                        for fmt in ("text", "json")])
+    assert reports[0] == reports[1]
+    assert reports[0][0][0] == 1  # simple_dao_withdraw is vulnerable
+
+
 def dao_with_target_args(tmp_path, args):
     return edited_dao(tmp_path, lambda doc: doc["target"].update(args=args))
 
@@ -810,6 +825,29 @@ def test_only_the_reader_module_reads_files():
              if FILE_ACCESS.search(line)]
     assert found == [("cli.py", 'Path(out).write_text(text, encoding="utf-8")')]
     assert "Path(out).write_text(" in inspect.getsource(cli._emit)
+
+
+def _is_default_schedule(node) -> bool:
+    """`GasSchedule()` or `<module>.GasSchedule()`: the default schedule."""
+    func = getattr(node, "func", None)
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return (isinstance(node, ast.Call) and name == "GasSchedule"
+            and not node.args and not node.keywords)
+
+
+def test_addresses_and_the_default_schedule_have_one_home_each():
+    # the world state alone formats an account address, so no caller
+    # predicts one; the command line alone builds the default schedule, so
+    # no stipend or block limit is read from a schedule other than the run's.
+    # The AST walk skips the package docstring's example.
+    src = ROOT / "src" / "mtsc"
+    formats, defaults = [], []
+    for path in sorted(src.rglob("*.py")):
+        name, text = path.relative_to(src).as_posix(), path.read_text(encoding="utf-8")
+        formats += [name for line in text.split("\n") if ":04x" in line]
+        defaults += [name for node in ast.walk(ast.parse(text)) if _is_default_schedule(node)]
+    assert formats == ["vm/state.py"]
+    assert defaults == ["cli.py"]
 
 
 # A NUL used to reach stderr as a raw byte, and a lone surrogate raised

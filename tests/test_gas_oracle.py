@@ -251,11 +251,11 @@ def test_increasing_plan_formula():
 
 
 def test_increasing_plan_minimal_gc():
-    assert tuple(allocate_increasing(1)) == (2, 3, 4, 5, 6)
+    assert tuple(allocate_increasing(1, 5, S.block_gas_limit)) == (2, 3, 4, 5, 6)
 
 
 def test_increasing_plan_empty_above_the_block_limit():
-    assert tuple(allocate_increasing(20_000_000, block_gas_limit=30_000_000)) == ()
+    assert tuple(allocate_increasing(20_000_000, 5, block_gas_limit=30_000_000)) == ()
 
 
 def test_increasing_plan_truncates_at_block_limit():
@@ -296,7 +296,7 @@ def test_range_plans_match_the_loop_formulas(gc, count, block, n):
 
 def test_plan_argument_validation():
     with pytest.raises(ValueError):
-        allocate_increasing(0)
+        allocate_increasing(0, 5, S.block_gas_limit)
     with pytest.raises(ValueError):
         allocate_reducing(5, n=0)
     state, tx = nop_setup()

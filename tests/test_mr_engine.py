@@ -11,7 +11,6 @@ from mtsc.agents import AgentKind
 from mtsc.detector import emit_report, verdict_for
 from mtsc.gas_oracle import (
     IntrinsicGas,
-    NeverSucceeds,
     allocate_increasing,
     allocate_reducing,
 )
@@ -36,6 +35,7 @@ from mtsc.vm import (
     Outcome,
     STATUS_SUCCESS,
     UINT_MAX,
+    Status,
     failure,
 )
 
@@ -67,7 +67,7 @@ def pair_of(mr, source, follow, follow_addr="0xaaaa", source_gas=50_000,
 def test_build_pairs_increasing_shape(environments):
     env = environments["counter_baseline"]
     estimates = {AgentKind.EOA: IntrinsicGas(50_000, 1, True)}
-    plans = {AgentKind.EOA: (allocate_increasing(50_000, count=2),
+    plans = {AgentKind.EOA: (allocate_increasing(50_000, 2, S.block_gas_limit),
                              allocate_reducing(50_000, n=2))}
     pairs = build_pairs(env, estimates, plans, mrs=(MR1_1,),
                         mr1_actors=(AgentKind.EOA,))
@@ -92,7 +92,7 @@ def test_build_pairs_mr2_one_pair_each(environments):
 def test_build_pairs_smallest_reducing_plan(environments):
     env = environments["counter_baseline"]
     estimates = {AgentKind.EOA: IntrinsicGas(1, 1, True)}
-    plans = {AgentKind.EOA: (allocate_increasing(1),
+    plans = {AgentKind.EOA: (allocate_increasing(1, 5, S.block_gas_limit),
                              allocate_reducing(1, n=1))}
     pairs = build_pairs(env, estimates, plans, mrs=(MR1_2,),
                         mr1_actors=(AgentKind.EOA,))
@@ -439,12 +439,19 @@ def test_engine_config_rejects_unusable_fields(field, value):
 # A relation id that names no relation used to select nothing, so a
 # vulnerable scenario got a clean verdict; an unknown actor kind made
 # `run_all` raise KeyError. Both now fail with the scenario file's message.
+# A bare string was read one character at a time: "MR1.1" failed on 'M',
+# and "" selected no relation.
 @pytest.mark.parametrize("field,names,message", [
     ("mr_filter", ("MR2.9",), "unknown relation 'MR2.9'"),
     ("mr_filter", ("MR2.2", "mr1.1"), "unknown relation 'mr1.1'"),
     ("mr1_actors_override", ("CAX",), "unknown actor kind 'CAX'"),
     ("mr1_actors_override", ("EOA", "eoa"), "unknown actor kind 'eoa'"),
-], ids=["relation", "relation-case", "actor-kind", "actor-kind-case"])
+    ("mr_filter", "MR1.1", "relation ids must be a list, not the string 'MR1.1'"),
+    ("mr_filter", "", "relation ids must be a list, not the string ''"),
+    ("mr1_actors_override", "CAR", "actor kinds must be a list, not the string 'CAR'"),
+    ("mr1_actors_override", "", "actor kinds must be a list, not the string ''"),
+], ids=["relation", "relation-case", "actor-kind", "actor-kind-case", "relation-string",
+        "relation-empty-string", "actor-kind-string", "actor-kind-empty-string"])
 def test_engine_config_rejects_unknown_names(field, names, message):
     with pytest.raises(ValueError) as info:
         EngineConfig(**{field: names})
@@ -605,7 +612,7 @@ def skip_loop_limits(env, kind, plan):
 def test_sweep_runs_the_first_plan_limit_outside_each_range(unmemoised, name, n):
     env = unmemoised(name)
     for kind, gc in estimate_kinds(env, ALL_ACTOR_KINDS, EngineConfig.growth):
-        if isinstance(gc, NeverSucceeds):
+        if isinstance(gc, Status):
             continue
         for mr, plan in ((MR1_1, allocate_increasing(gc.value, 5, S.block_gas_limit)),
                          (MR1_2, allocate_reducing(gc.value, n))):

@@ -391,6 +391,43 @@ def test_unused_stipend_is_not_refunded():
     assert state.account(sink).balance == 3
 
 
+# -- the wrapper's view: execute(..., reports=target) -------------------------
+
+WRAPPED = """
+contract Bank {
+    fn pay() { lowcall msg.sender value 5; }
+    fn refuse() { revert(); }
+}
+contract Wrapper {
+    fn go(t: addr) { lowcall t.pay(); }
+    fn attempt(t: addr) { lowcall t.refuse(); }
+    fallback payable { }
+}
+"""
+
+
+def test_a_reported_run_gives_the_callee_balance_delta_and_the_target_status():
+    unit = parse(WRAPPED)
+    assert validate(unit) == []
+    state = WorldState()
+    driver = state.create_eoa(0)
+    bank = deploy(state, unit.contracts[0], 100)
+    wrapper = deploy(state, unit.contracts[1])
+
+    def wrapped(fn, reports):
+        return execute(state, Transaction(driver, AMPLE, wrapper, fn, (bank,), 0), S,
+                       reports=reports)
+
+    out = wrapped("go", bank)
+    assert out.ok and out.balance_delta == 5        # the wrapper's; the driver's is 0
+    assert state.balance_of(wrapper) == 5 and state.balance_of(driver) == 0
+    # the wrapper swallows the bank's revert: unreported, the run succeeds
+    assert wrapped("attempt", None).ok
+    out = wrapped("attempt", bank)
+    assert out.status == failure(FailReason.REVERT)
+    assert out.balance_delta == 0
+
+
 # -- snapshots ------------------------------------------------------------
 
 
