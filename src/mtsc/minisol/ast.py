@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 UINT_MAX = 2**128 - 1  # values and balances are unsigned 128-bit
+ZERO_ADDR = ""         # the address default; no account has it
 
 CALL_FORMS = ("lowcall", "dcall", "send", "transfer")
 SWALLOWING = ("lowcall", "send")     # a failed call yields false
@@ -235,17 +237,22 @@ class ContractDef(Node):
     functions: list = field(default_factory=list)
     fallback: Optional[FallbackDef] = None
 
-    def function(self, name: str) -> Optional[FunctionDef]:
-        for fn in self.functions:
-            if fn.name == name:
-                return fn
-        return None
+    # Lookup tables, built at the first lookup: declarations do not change
+    # after parsing or agent synthesis. The first declaration of a name wins.
 
-    def state_var(self, name: str) -> Optional[StateVar]:
-        for sv in self.state_vars:
-            if sv.name == name:
-                return sv
-        return None
+    @cached_property
+    def functions_by_name(self) -> dict:
+        return {fn.name: fn for fn in reversed(self.functions)}
+
+    @cached_property
+    def defaults(self) -> dict:
+        """Scalar state variable name -> its value before the first write."""
+        value = {Kind.UINT: 0, Kind.BOOL: False, Kind.ADDR: ZERO_ADDR}
+        return {sv.name: value[sv.kind] for sv in reversed(self.state_vars)
+                if sv.kind in value}
+
+    def function(self, name: str) -> Optional[FunctionDef]:
+        return self.functions_by_name.get(name)
 
 
 @dataclass

@@ -60,6 +60,9 @@ class Token(NamedTuple):
     col: int
 
 
+new = tuple.__new__  # builds a token without its Python-level __new__
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     line, col = 1, 1
@@ -74,7 +77,7 @@ def tokenize(source: str) -> list[Token]:
         else:
             if kind not in ("space", "comment"):
                 ttype = text if kind == "PUNCT" or text in KEYWORDS else kind
-                tokens.append(Token(ttype, text, line, col))
+                tokens.append(new(Token, (ttype, text, line, col)))
             col += len(text)
     tokens.append(Token("EOF", "", line, col))
     return tokens

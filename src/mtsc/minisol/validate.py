@@ -10,7 +10,8 @@ Checks the name and type rules the interpreter relies on:
   swallowing form (`lowcall`, `send`) yields bool, one in the other forms
   (`dcall`, `transfer`) yields nothing and may only appear as an
   expression statement
-* local names are unique within a function and never shadow params or
+* a `let` is visible to the rest of its block and to the blocks inside
+  it; local names are unique within a function and never shadow params or
   state variables (keeps the runtime environment flat)
 
 Validation is pure: it returns a list of errors and touches nothing.
@@ -44,7 +45,8 @@ class _ContractChecker:
         self.contract = contract
         self.errors = errors
         self.state_kinds = {sv.name: sv.kind for sv in contract.state_vars}
-        self.env: dict[str, Kind] = {}
+        self.env: dict[str, Kind] = {}   # the names in scope
+        self.names: set = set()           # every name the function declares
 
     def error(self, node, code: str, message: str):
         self.errors.append(SemanticError(node.line, node.col, code, message))
@@ -79,13 +81,16 @@ class _ContractChecker:
                            f"parameter {p.name!r} shadows a state variable")
             seen.add(p.name)
             self.env[p.name] = p.kind
+        self.names = seen
         self.check_block(body)
 
     # -- statements ----------------------------------------------------------
 
     def check_block(self, stmts):
+        outer, self.env = self.env, dict(self.env)
         for stmt in stmts:
             self.check_stmt(stmt)
+        self.env = outer
 
     def check_stmt(self, stmt):
         if isinstance(stmt, ast.Require):
@@ -98,9 +103,10 @@ class _ContractChecker:
             self.check_block(stmt.otherwise)
         elif isinstance(stmt, ast.Let):
             kind = self.infer(stmt.value)
-            if stmt.name in self.env or stmt.name in self.state_kinds:
+            if stmt.name in self.names or stmt.name in self.state_kinds:
                 self.error(stmt, "duplicate-local",
                            f"name {stmt.name!r} is already in use")
+            self.names.add(stmt.name)
             if kind == NONE:
                 self.error(stmt, "no-result",
                            "dcall/transfer produce no value to bind")

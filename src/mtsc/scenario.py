@@ -32,9 +32,8 @@ parameters. Balances and values, like every amount the VM holds, lie in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .agents import (
     AGENT_KINDS,
@@ -62,8 +61,7 @@ class ScenarioError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TxTemplate:
+class TxTemplate(NamedTuple):
     actor: str               # role, or $ACTOR (always, for the target)
     callee: str
     function: Optional[str]  # None = plain value transfer
@@ -119,8 +117,8 @@ def _parse_template(obj, path: Path, index: Optional[int]) -> TxTemplate:
     if not (type(value) is int and 0 <= value <= UINT_MAX):
         raise ScenarioError(f"{path}: {_entry(index)}: value must be an integer "
                             "in [0, 2**128 - 1]")
-    return TxTemplate(actor=ACTOR if index is None else obj["actor"], callee=obj["callee"],
-                      function=function, args=tuple(args), value=value)
+    return TxTemplate(ACTOR if index is None else obj["actor"], obj["callee"], function,
+                      tuple(args), value)
 
 
 def load_scenario(path) -> Scenario:
@@ -186,19 +184,22 @@ class Environment:
     _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def resolve(self, token, actor_addr: str):
-        if isinstance(token, bool) or isinstance(token, int):
-            return token
+        # roles are strings other than $ACTOR, so the tests cannot overlap
+        addr = self.roles.get(token)
+        if addr is not None:
+            return addr
         if token == ACTOR:
             return actor_addr
-        if token in self.roles:
-            return self.roles[token]
+        if isinstance(token, int):  # a bool is an int
+            return token
         raise ScenarioError(f"unresolvable role {token!r}")
 
     def transaction(self, entry: TxTemplate, actor, gas_limit: int) -> Transaction:
         """`entry` at `gas_limit`, with `$ACTOR` standing for `actor`."""
-        return Transaction(self.resolve(entry.actor, actor), gas_limit,
-                           self.resolve(entry.callee, actor), entry.function,
-                           tuple([self.resolve(a, actor) for a in entry.args]), entry.value)
+        resolve = self.resolve
+        return tuple.__new__(Transaction, (
+            resolve(entry.actor, actor), gas_limit, resolve(entry.callee, actor),
+            entry.function, tuple([resolve(a, actor) for a in entry.args]), entry.value))
 
     def run_target(self, state: WorldState, kind: AgentKind, gas_limit: int, *,
                    ops: bool = False) -> Outcome:
@@ -292,18 +293,6 @@ def _check_args(entry: TxTemplate, fn: Optional[ast.FunctionDef], roles: dict,
                                 f"got {arg!r}")
 
 
-def _setup_runs(setup):
-    """(entry, actor kind) of every setup transaction, in replay order: an
-    entry that mentions $ACTOR runs once per actor kind, any other once,
-    with kind None."""
-    for entry in setup:
-        if ACTOR in (entry.actor, entry.callee, *entry.args):
-            for kind in ALL_ACTOR_KINDS:
-                yield entry, kind
-        else:
-            yield entry, None
-
-
 def build_environment(scenario: Scenario, schedule: GasSchedule,
                       car_gas_guard: int = DEFAULT_CAR_GAS_GUARD,
                       cah_iterations: int = 1) -> Environment:
@@ -340,12 +329,6 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
         raise ScenarioError(
             f"target function {target.function!r} not found on {target.callee}")
     _check_args(target, target_fn, roles)
-    functions = {}  # (callee role, function) -> its FunctionDef, if known
-    for i, entry in enumerate(scenario.setup):
-        key = entry.callee, entry.function
-        if key not in functions:
-            functions[key] = function_of(roles.get(entry.callee), entry.function)
-        _check_args(entry, functions[key], roles, i)
 
     env = Environment(state=state, schedule=schedule, scenario=scenario,
                       roles=roles, actor_accounts={AgentKind.EOA: eoa_actor}, driver=driver)
@@ -362,15 +345,37 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
     for kind in ALL_ACTOR_KINDS:
         state.fund(env.actor_accounts[kind], stake)
 
-    # built one at a time, as the replay reaches them
-    failed = replay(state, (env.transaction(entry, env.actor_accounts.get(kind),
-                                            schedule.block_gas_limit)
-                            for entry, kind in _setup_runs(scenario.setup)), schedule)
+    # One pass checks every setup entry and resolves it into its
+    # transactions: one per actor kind if it mentions $ACTOR, else one. A
+    # role that resolves to nothing is raised once the entries before it
+    # replay, as it would be were the transactions built as replay reaches them.
+    txs, runs = [], []  # the transactions, and (entry, actor kind) of each
+    functions = {}      # (callee role, function) -> its FunctionDef, if known
+    unresolved = None
+    accounts, limit = env.actor_accounts, schedule.block_gas_limit
+    for i, entry in enumerate(scenario.setup):
+        key = entry.callee, entry.function
+        if key not in functions:
+            functions[key] = function_of(roles.get(entry.callee), entry.function)
+        _check_args(entry, functions[key], roles, i)
+        if unresolved is not None:
+            continue
+        templated = ACTOR in (entry.actor, entry.callee, *entry.args)
+        for kind in ALL_ACTOR_KINDS if templated else (None,):
+            try:
+                txs.append(env.transaction(entry, accounts.get(kind), limit))
+            except ScenarioError as exc:
+                unresolved = exc
+                break
+            runs.append((entry, kind))
+    failed = replay(state, txs, schedule)
     if failed is not None:
         index, status = failed
-        entry, kind = next(islice(_setup_runs(scenario.setup), index, None))
+        entry, kind = runs[index]
         who = kind.value if kind is not None else entry.actor
         raise ScenarioError(f"setup transaction {entry.function or 'transfer'} failed "
                             f"for {who}: {status}")
+    if unresolved is not None:
+        raise unresolved
 
     return env

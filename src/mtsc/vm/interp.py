@@ -59,9 +59,14 @@ call-event readers and the report's excerpt (the last `TAIL` events)
 see what a full run gives them.
 
 `execute` runs one transaction and returns its `Outcome`. `replay` runs
-a sequence, as scenario setup does, through the same transaction core
-(`_Run.transact`); it keeps no op events, builds no outcomes, and
-reports only the first transaction that fails.
+a sequence, as scenario setup does, through the same transaction core:
+one run object whose `_Run.transact` starts each transaction afresh. It
+keeps no op events, builds no outcomes, and reports only the first
+transaction that fails. Trace events are built with `tuple.__new__`.
+
+Calls nest up to `MAX_CALL_DEPTH` deep, and each container a waiting frame
+holds brings the cyclic GC's next pass nearer: frames run statements by index,
+not through an iterator, and `eval` has no comprehension (closure cells).
 
 Invariance ranges
 -----------------
@@ -119,7 +124,7 @@ from typing import Optional
 from ..minisol import ast
 from ..minisol.parser import MAX_NESTING
 from .schedule import GasSchedule
-from .state import Account, AccountKind, WorldState, default_for, is_zero
+from .state import Account, WorldState, is_zero
 from .types import (
     UINT_MAX,
     CallEntered,
@@ -155,6 +160,8 @@ RECURSION_BUDGET = MAX_CALL_DEPTH * (12 * MAX_NESTING + 32)
 # call failures that never dispatched the callee
 STILLBORN = (FailReason.DEPTH_EXCEEDED, FailReason.BALANCE_INSUFFICIENT)
 
+new = tuple.__new__  # builds a trace event without its Python-level __new__
+
 
 class _FrameFail(Exception):
     def __init__(self, reason: FailReason):
@@ -181,22 +188,17 @@ class _Frame:
 
 
 class _Run:
-    """One transaction's run. `trace` takes every call, exit and swallow
-    event; `tail` takes every event, op events as plain tuples, and holds
-    the last `keep` of them (all for None, none for 0)."""
+    """Runs transactions on one state, one at a time; `transact` starts
+    each afresh. Of the current one, `trace` takes every call, exit and
+    swallow event; `tail` takes every event, op events as plain tuples,
+    and holds the last `keep` of them (all for None, none for 0)."""
 
-    def __init__(self, state: WorldState, schedule: GasSchedule, limit: int,
+    def __init__(self, state: WorldState, schedule: GasSchedule,
                  reports: Optional[str], keep: Optional[int] = None):
         self.state = state
         self.sched = schedule
-        self.trace: list = []
         self.tail = deque(maxlen=keep)
-        self.limit = limit                   # the transaction's gas limit G
-        self.lo = 0                          # lowest limit on this path
-        self.hi = schedule.block_gas_limit   # highest limit on this path
-        self.turn = 0                        # highest lower bound that turns it
         self.reports = reports
-        self.reported = None                 # (ok, reason) of that call
 
     def events(self) -> tuple:
         """The trace: the call events with the tail spliced in after those
@@ -204,7 +206,7 @@ class _Run:
         tail, trace = self.tail, self.trace
         held = sum(type(ev) is not tuple for ev in tail)
         events = trace[:len(trace) - held]
-        events.extend(OpExecuted._make(ev) if type(ev) is tuple else ev for ev in tail)
+        events.extend(new(OpExecuted, ev) if type(ev) is tuple else ev for ev in tail)
         return tuple(events)
 
     # -- gas ---------------------------------------------------------------
@@ -226,16 +228,18 @@ class _Run:
         frame.gas = 0
         raise _FrameFail(FailReason.OUT_OF_GAS)
 
-    def read_gas(self, frame: _Frame, cuts=()) -> int:
-        """`gasleft()`, feeding a comparison with these cuts if any."""
+    def read_gas(self, frame: _Frame, c: int = 0, offsets=()) -> int:
+        """`gasleft()`, feeding a comparison with the literal `c` whose cuts
+        lie at these offsets from it, if any."""
         self.charge(frame, "gasleft", self.sched.gasleft)
         gas = frame.gas
         if frame.elastic:
             # the comparison keeps its result while the gas stays between
             # the cuts around it; any other use needs this exact gas
-            if not cuts:
+            if not offsets:
                 self.hi = self.turn = self.limit
-            for cut in cuts:
+            for d in offsets:
+                cut = c + d
                 if cut <= gas:
                     self.turn = max(self.turn, self.limit - gas + cut)
                 else:
@@ -251,12 +255,14 @@ class _Run:
             name = e.name
             if name in frame.env:
                 return frame.env[name]
-            sv = frame.contract.state_var(name)
+            default = frame.contract.defaults[name]
             self.charge(frame, "sload", self.sched.sload)
-            return frame.account.storage.get(name, default_for(sv.kind))
+            return frame.account.storage.get(name, default)
         if t is ast.Call:
             target = self.eval(frame, e.target)
-            args = [self.eval(frame, a) for a in e.args]
+            args = [] if e.args else ()  # see Traces on what a frame holds
+            for a in e.args:
+                args.append(self.eval(frame, a))
             value = self.eval(frame, e.value) if e.value is not None else 0
             gas = self.eval(frame, e.gas) if e.gas is not None else None
             return self.call(frame, e.form, target, e.function, args, value, gas)
@@ -302,10 +308,10 @@ class _Run:
         left, right = e.left, e.right
         if type(left) is ast.GasLeft and type(right) is ast.IntLit:
             c = right.value
-            left, right = self.read_gas(frame, [c + d for d in GAS_CUTS[op]]), c
+            left, right = self.read_gas(frame, c, GAS_CUTS[op]), c
         elif type(right) is ast.GasLeft and type(left) is ast.IntLit:
             c = left.value
-            left, right = c, self.read_gas(frame, [c + d for d in GAS_CUTS[MIRROR[op]]])
+            left, right = c, self.read_gas(frame, c, GAS_CUTS[MIRROR[op]])
         else:
             left = self.eval(frame, left)
             right = self.eval(frame, right)
@@ -347,8 +353,9 @@ class _Run:
             self.eval(frame, s.expr)
             return
         if t is ast.If:
-            for stmt in s.then if self.eval(frame, s.condition) else s.otherwise:
-                self.exec_stmt(frame, stmt)
+            block = s.then if self.eval(frame, s.condition) else s.otherwise
+            for i in range(len(block)):
+                self.exec_stmt(frame, block[i])
             return
         if t is ast.Require:
             self.charge(frame, "require", self.sched.require)
@@ -386,7 +393,7 @@ class _Run:
             return
         else:
             key = target.name
-            default = default_for(frame.contract.state_var(key).kind)
+            default = frame.contract.defaults[key]
         value = self.eval(frame, s.value)
         acct = frame.account
         old = acct.storage.get(key, default)
@@ -445,12 +452,12 @@ class _Run:
             reason = None
         if reason is not None:  # stillborn: nothing is dispatched
             caller.gas += fwd  # and the reserve returns
-            event = CallEntered(form, target, function, value, 0, depth)
+            event = new(CallEntered, (form, target, function, value, 0, depth))
             trace.append(event)
             tail.append(event)
             ok, consumed, stipend_used = False, 0, 0
         else:
-            event = CallEntered(form, target, function, value, fwd + grant, depth)
+            event = new(CallEntered, (form, target, function, value, fwd + grant, depth))
             trace.append(event)
             tail.append(event)
             checkpoint = self.state.checkpoint()
@@ -478,7 +485,7 @@ class _Run:
                 caller.gas += fwd
             if not ok:
                 self.state.revert(checkpoint)
-        event = CallExited(ok, consumed, reason, stipend_used, depth)
+        event = new(CallExited, (ok, consumed, reason, stipend_used, depth))
         trace.append(event)
         tail.append(event)
         if depth == 0 and target == self.reports and self.reported is None:
@@ -486,7 +493,7 @@ class _Run:
         if ok:
             return True
         if form in ast.SWALLOWING:
-            event = ExceptionSwallowed(reason, depth)
+            event = new(ExceptionSwallowed, (reason, depth))
             trace.append(event)
             tail.append(event)
             return False
@@ -497,11 +504,10 @@ class _Run:
                  elastic: bool):
         """Run the callee; returns (ok, gas_consumed, fail_reason, need, dry),
         where dry says an elastic callee ran dry."""
-        if acct.kind == AccountKind.EOA:
-            return True, 0, None, 0, False  # no code: receives value, executes nothing
-
         contract = acct.code
-        fn = contract.function(function) if function is not None else None
+        if contract is None:
+            return True, 0, None, 0, False  # an EOA: receives value, executes nothing
+        fn = contract.functions_by_name.get(function) if function is not None else None
         if fn is not None:
             if len(fn.params) != len(args):
                 return False, 0, FailReason.REVERT, 0, False
@@ -512,18 +518,18 @@ class _Run:
             if contract.fallback is None:
                 return False, 0, FailReason.REVERT, 0, False
             payable = contract.fallback.payable
-            params, args = [], []
+            params, args = (), ()
             body = contract.fallback.body
         if value > 0 and not payable:
             return False, 0, FailReason.REVERT, 0, False
 
         frame = _Frame(acct, acct.address, sender, value, contract, depth, budget, budget,
-                       {p.name: a for p, a in zip(params, args)}, elastic)
+                       {p.name: a for p, a in zip(params, args)} if params else {}, elastic)
         ok, reason = True, None
         try:
             self.charge(frame, "dispatch", self.sched.dispatch)
-            for s in body:
-                self.exec_stmt(frame, s)
+            for i in range(len(body)):
+                self.exec_stmt(frame, body[i])
         except _ReturnSignal:
             pass
         except _FrameFail as fail:
@@ -541,6 +547,13 @@ class _Run:
         when the run `reports`) and leaves the run's invariance range in
         `lo` and `hi`."""
         state, schedule = self.state, self.sched
+        self.trace = []
+        self.tail.clear()
+        self.limit = tx.gas_limit            # the transaction's gas limit G
+        self.lo = 0                          # lowest limit on this path
+        self.hi = schedule.block_gas_limit   # highest limit on this path
+        self.turn = 0                        # highest lower bound that turns it
+        self.reported = None                 # (ok, reason) of the reported call
         actor, callee = state.accounts.get(tx.actor), state.accounts.get(tx.callee)
         if actor is None or callee is None:
             raise ValueError("transaction actor and callee must exist")
@@ -584,7 +597,7 @@ class _Run:
         state.fee_ledger += gas_total
         lo = schedule.base_tx + need
         self.lo = lo if lo > self.turn else self.turn
-        if status.reason == FailReason.OUT_OF_GAS and gas_total == tx.gas_limit \
+        if gas_total == tx.gas_limit and status.reason == FailReason.OUT_OF_GAS \
                 and schedule.gasleft and schedule.call_base:
             self.lo = self.turn  # out of gas below the path too, until a bound turns it
         return status, gas_total, delta
@@ -597,7 +610,7 @@ def execute(state: WorldState, tx: Transaction, schedule: GasSchedule,
     of its top frame's first call into that address, and the balance delta
     is the callee's, as an agent wrapper sees the run. With `ops` false the
     run is lean: its trace keeps op events only among its last `TAIL`."""
-    run = _Run(state, schedule, tx.gas_limit, reports, None if ops else TAIL)
+    run = _Run(state, schedule, reports, None if ops else TAIL)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + RECURSION_BUDGET)
     try:
@@ -612,15 +625,16 @@ def replay(state: WorldState, txs, schedule: GasSchedule) -> Optional[tuple]:
     (its index, its Status), or None when every one succeeds.
 
     The world state ends as the same `execute` calls would leave it, fee
-    ledger and address counter included; the runs keep no op events
-    and build no outcomes, as nothing reads them. `txs` may be any
-    iterable: it is consumed one transaction at a time, and not past the
-    first that fails."""
+    ledger and address counter included; one run object runs them all,
+    keeping no op events and building no outcomes, as nothing reads them.
+    `txs` may be any iterable: it is consumed one transaction at a time,
+    and not past the first that fails."""
+    run = _Run(state, schedule, None, 0)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + RECURSION_BUDGET)
     try:
         for i, tx in enumerate(txs):
-            status = _Run(state, schedule, tx.gas_limit, None, 0).transact(tx)[0]
+            status = run.transact(tx)[0]
             if not status.ok:
                 return i, status
         return None

@@ -32,8 +32,7 @@ from enum import Enum
 from typing import Optional
 
 from ..minisol import ast
-
-ZERO_ADDR = ""
+from ..minisol.ast import ZERO_ADDR  # re-exported for the VM
 
 _ABSENT = object()  # journal marker: the key did not exist before the write
 
@@ -62,16 +61,6 @@ class Account:
         # method to count copies, so it stays.
         return Account(self.address, self.balance, self.kind, self.code,
                        dict(self.storage))
-
-
-def default_for(kind: ast.Kind):
-    if kind == ast.Kind.UINT:
-        return 0
-    if kind == ast.Kind.BOOL:
-        return False
-    if kind == ast.Kind.ADDR:
-        return ZERO_ADDR
-    raise ValueError(f"no scalar default for {kind}")
 
 
 def is_zero(value) -> bool:

@@ -39,12 +39,12 @@ def failure(reason: FailReason) -> Status:
     return Status(False, reason)
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     """Top-level message: actor A, gas limit G, callee and payload.
 
     function=None means a plain value transfer (dispatches the callee's
-    fallback when the callee is a contract).
+    fallback when the callee is a contract). A named tuple, like the trace
+    events below: setup replay builds one per transaction.
     """
 
     actor: str
@@ -61,7 +61,8 @@ class Transaction:
 # events, the swallowing frame for ExceptionSwallowed). Events are named
 # tuples: immutable, hashable, with a dataclass-style repr, and equal to
 # a plain tuple of their fields (each event kind has its own field count,
-# so two kinds never compare equal).
+# so two kinds never compare equal). The interpreter builds them with
+# `tuple.__new__(Kind, fields)`, which skips the Python-level `__new__`.
 # --------------------------------------------------------------------------
 
 

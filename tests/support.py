@@ -8,7 +8,6 @@ import copy
 import hashlib
 import io
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
-from dataclasses import replace
 from functools import partial
 from unittest import mock
 
@@ -199,7 +198,7 @@ def tx_runner(state, tx, schedule):
     def run(limit):
         sid = state.snapshot()
         try:
-            return vm_execute(state, replace(tx, gas_limit=limit), schedule)
+            return vm_execute(state, tx._replace(gas_limit=limit), schedule)
         finally:
             state.restore(sid)
     return run

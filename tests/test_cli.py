@@ -500,6 +500,21 @@ def test_operator_chain_at_the_nesting_limit_gets_a_verdict(tmp_path, capsys):
     assert out.startswith("r: ")
 
 
+# These validated, and the run that skipped the block exited 3 with
+# "internal error: AttributeError: 'NoneType' object has no attribute 'kind'".
+@pytest.mark.parametrize("after", ["total = y;", "y = 2;"], ids=["read", "assign"])
+def test_a_let_read_after_its_block_exits_two(tmp_path, capsys, after):
+    (tmp_path / "c.msol").write_text(
+        "contract C { uint total; fn f(x: uint) { if (x > 5) { let y = 1; } " + after + " } }")
+    path = tmp_path / "c.scenario.json"
+    path.write_text(json.dumps({"schema": "scenario-v1", "sources": ["c.msol"],
+                                "balances": {"C": 0, "$ACTOR": 10_000},
+                                "target": {"callee": "C", "function": "f", "args": [1]}}))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("mtsc: error: ") and "[undeclared] name 'y' is not declared" in err
+
+
 # `²` and a 5001-digit literal used to exit 3; `٣` ran as 3 and 2**128 ran
 # although values are 128-bit.
 @pytest.mark.parametrize("literal,message", [

@@ -269,6 +269,35 @@ def test_local_shadowing_rejected():
         "contract X { fn f(p: uint) { let p = 1; } }")
 
 
+# A let bound inside an if block used to stay visible after it, so a read
+# or write there validated and then crashed the interpreter (exit 3) on a
+# run that skipped the block.
+@pytest.mark.parametrize("after", ["total = y;", "y = 2;"], ids=["read", "assign"])
+@pytest.mark.parametrize("block", ["if (x > 5) { let y = 1; }",
+                                   "if (x > 5) { } else { let y = 1; }"],
+                         ids=["then", "else"])
+def test_a_let_is_out_of_scope_after_its_block(block, after):
+    errors = validate(parse(
+        "contract C { uint total; fn f(x: uint) { " + block + " " + after + " } }"))
+    assert [(e.code, e.message) for e in errors] == [
+        ("undeclared", "name 'y' is not declared")]
+
+
+def test_a_let_is_visible_to_its_block_and_the_blocks_inside_it():
+    assert validate(parse(
+        "contract C { uint total; fn f(x: uint) { let y = x; total = y;"
+        " if (x > 5) { let z = y; if (z > 6) { total = z + y; } else { y = z; } total = z; }"
+        " total = y; } }")) == []
+
+
+def test_local_names_stay_unique_across_blocks():
+    # the runtime environment is flat, so sibling blocks may not reuse a name
+    assert _errors("contract C { fn f(x: uint) { if (x > 5) { let y = 1; }"
+                   " else { let y = 2; } } }") == ["duplicate-local"]
+    assert _errors("contract C { fn f(x: uint) { if (x > 5) { let y = 1; }"
+                   " let y = 2; } }") == ["duplicate-local"]
+
+
 def test_compound_assign_needs_uint():
     codes = _errors("contract X { bool flag; fn f() { flag += true; } }")
     assert "type-mismatch" in codes

@@ -254,6 +254,80 @@ def test_validation_is_pure_and_stable(contract):
     assert unit.contracts == before.contracts
 
 
+# -- every validated program runs --------------------------------------------------
+
+# Typed trees over fixed declarations, so that most generated contracts
+# validate: state variables `u` uint, `b` bool, `a` addr and `m` map,
+# parameters `p` uint and `q` addr, and locals from LOCALS, bound by `let`
+# and read anywhere, inside or after the block that binds them.
+LOCALS = ["x", "y"]
+FUNCTIONS = ["f0", "f1"]
+_ADDRS = st.sampled_from([ast.MsgSender(), ast.This(), ast.Var(name="a"), ast.Var(name="q")])
+_UINTS = st.recursive(
+    st.one_of(st.integers(0, 9).map(lambda v: ast.IntLit(value=v)),
+              st.sampled_from(["u", "p"] + LOCALS).map(lambda n: ast.Var(name=n)),
+              st.sampled_from([ast.MsgValue(), ast.GasLeft()]),
+              _ADDRS.map(lambda t: ast.MapIndex(name="m", key=t)),
+              _ADDRS.map(lambda t: ast.BalanceOf(target=t))),
+    lambda c: st.builds(lambda op, left, right: ast.Binary(op=op, left=left, right=right),
+                        st.sampled_from(["+", "-"]), c, c),
+    max_leaves=4)
+_CONDITIONS = st.one_of(
+    st.booleans().map(lambda v: ast.BoolLit(value=v)),
+    st.just(ast.Var(name="b")),
+    st.builds(lambda op, left, right: ast.Binary(op=op, left=left, right=right),
+              st.sampled_from(["<", ">", "=="]), _UINTS, _UINTS),
+    st.builds(lambda t, fn, args, v: ast.Call(form="lowcall", target=t, function=fn,
+                                              args=args, value=v),
+              _ADDRS, st.sampled_from(FUNCTIONS),
+              st.sampled_from([[], [ast.IntLit(value=1), ast.MsgSender()]]),
+              st.one_of(st.none(), _UINTS)))
+_TYPED_STMTS = st.recursive(
+    st.one_of(
+        st.builds(lambda n, e: ast.Let(name=n, value=e), st.sampled_from(LOCALS), _UINTS),
+        st.builds(lambda n, op, e: ast.Assign(target=ast.Var(name=n), op=op, value=e),
+                  st.sampled_from(["u", "p"] + LOCALS), st.sampled_from(["=", "+="]),
+                  _UINTS),
+        _UINTS.map(lambda e: ast.Assign(target=ast.MapIndex(name="m", key=ast.MsgSender()),
+                                          op="+=", value=e)),
+        _CONDITIONS.map(lambda c: ast.Require(condition=c)),
+        _CONDITIONS.map(lambda c: ast.ExprStmt(expr=c))),
+    lambda c: st.builds(lambda cond, then, otherwise: ast.If(condition=cond, then=then,
+                                                             otherwise=otherwise),
+                        _CONDITIONS, st.lists(c, max_size=3), st.lists(c, max_size=2)),
+    max_leaves=8)
+typed_contracts = st.lists(st.lists(_TYPED_STMTS, max_size=4), min_size=1, max_size=2).map(
+    lambda bodies: ast.ContractDef(
+        name="T",
+        state_vars=[ast.StateVar(name=n, kind=k) for n, k in
+                    [("u", ast.Kind.UINT), ("b", ast.Kind.BOOL), ("a", ast.Kind.ADDR),
+                     ("m", ast.Kind.MAP)]],
+        functions=[ast.FunctionDef(name=FUNCTIONS[i], payable=True, body=body,
+                                   params=[ast.Param(name="p", kind=ast.Kind.UINT),
+                                           ast.Param(name="q", kind=ast.Kind.ADDR)])
+                   for i, body in enumerate(bodies)],
+        fallback=ast.FallbackDef(payable=True, body=[])))
+
+# validated, then crashed the interpreter when the block did not run
+UNSCOPED_LET = "contract C { uint total; fn f(x: uint) { if (x > 5) { let y = 1; } total = y; } }"
+
+
+@example(contract=parse(UNSCOPED_LET).contracts[0])
+@given(contract=typed_contracts)
+@settings(deadline=None, max_examples=150)
+def test_every_validated_program_runs_every_function(contract):
+    if validate(ast.SourceUnit(contracts=[contract], source_name="<gen>")):
+        return
+    state, schedule = WorldState(), GasSchedule()
+    actor = state.create_eoa(10**6)
+    callee = deploy(state, contract, 1_000)
+    for fn in contract.functions:
+        args = tuple(actor if p.kind == ast.Kind.ADDR else 1 for p in fn.params)
+        value = 3 if fn.payable else 0
+        execute(state, Transaction(actor, 300_000, callee, fn.name, args, value), schedule)
+    execute(state, Transaction(actor, 300_000, callee, None, (), 2), schedule)
+
+
 # -- token soup through the command line -----------------------------------------
 
 def _exit_code(argv):

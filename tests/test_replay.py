@@ -21,6 +21,7 @@ from mtsc.vm import FailReason, Transaction, execute, failure, replay
 
 from conftest import CORPUS, CORPUS_SCENARIOS, scenario_path
 from support import clone, digest
+from test_records import probe_state
 
 
 def replay_by_execute(state, txs, schedule):
@@ -139,6 +140,17 @@ def test_replay_matches_execute_on_generated_sequences(schedule, name, data):
             callee, function, args,
             data.draw(st.sampled_from([0, 1, 1_000, 10**8, 2**127]))))
     assert_replay_matches_execute(state, txs, schedule)
+
+
+def test_one_run_object_replays_like_one_execute_per_transaction(schedule):
+    # earlier transactions read gasleft(), move value and swallow a failed
+    # child call; none of what their runs leave behind reaches a later one
+    state, actor, probe, sink = probe_state()
+    poke = [Transaction(actor, 200_000, probe, "poke", (sink,), value) for value in (5, 0, 3)]
+    assert assert_replay_matches_execute(state, poke, schedule) is None
+    broke = Transaction(actor, 30_000, probe, "poke", (sink,), 0)  # runs out of gas
+    assert assert_replay_matches_execute(state, poke + [broke] + poke, schedule) == (
+        3, failure(FailReason.OUT_OF_GAS))
 
 
 def test_replay_reads_no_transaction_past_the_first_failure(schedule):

@@ -204,6 +204,28 @@ def test_build_errors_have_their_exact_text(tmp_path, edit, message):
     assert str(info.value) == message.format(dir=tmp_path)
 
 
+# Two broken entries: every argument check runs before replay, and a role
+# that resolves to nothing counts only once the entries before it replay.
+@pytest.mark.parametrize("edits,message", [
+    ([_set("setup", 0, "actor", "nobody"), _set("setup", 2, "args", [])],
+     "setup[2]: add takes 1 args, got 0"),
+    ([_set("setup", 2, "args", [0]), _append_setup({"actor": "nobody", "callee": "owner",
+                                                    "function": None})],
+     "setup transaction add failed for owner: Failure(RequireFailed)"),
+    ([_set("setup", 1, "callee", "nobody"), _append_setup({"actor": "owner",
+                                                          "callee": "Counter",
+                                                          "function": None})],
+     "unresolvable role 'nobody'"),
+], ids=["check-before-role", "replay-before-later-role", "role-before-later-replay"])
+def test_the_first_error_of_two_is_raised(tmp_path, edits, message):
+    doc = copy.deepcopy(BASE)
+    for edit in edits:
+        edit(doc)
+    with pytest.raises(ScenarioError) as info:
+        build_environment(load_scenario(_write(tmp_path, doc)), GasSchedule())
+    assert str(info.value) == message
+
+
 def test_file_errors_have_their_exact_text(tmp_path):
     path = tmp_path / "absent.scenario.json"
     with pytest.raises(ScenarioError) as info:
