@@ -2,19 +2,19 @@
 
 Every agent exposes the same `AgentCall` entry point: it stores the
 target address (and the call value, when one is set) in its own storage
-and then issues a low-level call carrying the configured payload. The
-kinds differ only in their fallback function:
+and then makes the spec's target call as a low-level call. The kinds
+differ only in their fallback function:
 
 * CAO - empty fallback; behaviourally an EOA
 * CAH - heavy fallback: fresh zero-to-nonzero storage writes, so its
   cost exceeds the 2300-gas transfer stipend
 * CAE - fallback that reverts unconditionally
-* CAR - fallback that re-issues the stored payload (value 0) while
+* CAR - fallback that re-issues the target call (value 0) while
   enough gas remains, probing for reentrancy
 
 Agent contracts are built directly as ASTs; the target's address appears
 as a literal node that has no surface syntax in the language, and a
-payload argument naming the agent itself is `this`.
+call argument naming the agent itself is `this`.
 """
 
 from __future__ import annotations
@@ -58,17 +58,12 @@ def actor_kinds(names) -> tuple:
 
 
 @dataclass(frozen=True)
-class CallPayload:
-    function: Optional[str]
-    args: tuple = ()
-    value: int = 0
-
-
-@dataclass(frozen=True)
 class AgentSpec:
     kind: AgentKind
     target: str
-    payload: CallPayload
+    function: Optional[str]  # the target call; None = plain value transfer
+    args: tuple
+    value: int
     stipend: int  # of the schedule the agent runs under
     car_gas_guard: int = DEFAULT_CAR_GAS_GUARD
     cah_iterations: int = 1
@@ -91,28 +86,28 @@ def _lit(value) -> ast.Node:
         return ast.IntLit(value=value)
     if isinstance(value, str):
         return ast.AddrLit(value=value)
-    raise TypeError(f"cannot embed payload argument {value!r}")
+    raise TypeError(f"cannot embed call argument {value!r}")
 
 
-def _payload_call(payload: CallPayload, value_from_storage: bool) -> ast.Call:
+def _target_call(spec: AgentSpec, value_from_storage: bool) -> ast.Call:
     value_expr = None
-    if value_from_storage and payload.value > 0:
+    if value_from_storage and spec.value > 0:
         value_expr = ast.Var(name=VALUE_SLOT)
     return ast.Call(form="lowcall", target=ast.Var(name=TARGET_SLOT),
-                    function=payload.function,
-                    args=[_lit(a) for a in payload.args],
+                    function=spec.function,
+                    args=[_lit(a) for a in spec.args],
                     value=value_expr)
 
 
-def build_agent_contract(spec: AgentSpec, name: str) -> ast.ContractDef:
+def build_agent_contract(spec: AgentSpec) -> ast.ContractDef:
     state_vars = [ast.StateVar(name=TARGET_SLOT, kind=ast.Kind.ADDR)]
     body = [ast.Assign(target=ast.Var(name=TARGET_SLOT), op="=",
                        value=ast.AddrLit(value=spec.target))]
-    if spec.payload.value > 0:
+    if spec.value > 0:
         state_vars.append(ast.StateVar(name=VALUE_SLOT, kind=ast.Kind.UINT))
         body.append(ast.Assign(target=ast.Var(name=VALUE_SLOT), op="=",
-                               value=ast.IntLit(value=spec.payload.value)))
-    body.append(ast.ExprStmt(expr=_payload_call(spec.payload, value_from_storage=True)))
+                               value=ast.IntLit(value=spec.value)))
+    body.append(ast.ExprStmt(expr=_target_call(spec, value_from_storage=True)))
     agent_call = ast.FunctionDef(name=AGENT_CALL, params=[], payable=False, body=body)
 
     if spec.kind == AgentKind.CAO:
@@ -126,7 +121,7 @@ def build_agent_contract(spec: AgentSpec, name: str) -> ast.ContractDef:
     elif spec.kind == AgentKind.CAE:
         fallback_body = [ast.Revert()]
     else:  # CAR: re-enter the stored target while gas allows
-        reentry = _payload_call(spec.payload, value_from_storage=False)
+        reentry = _target_call(spec, value_from_storage=False)
         fallback_body = [ast.If(
             condition=ast.Binary(op=">", left=ast.GasLeft(),
                                  right=ast.IntLit(value=spec.car_gas_guard)),
@@ -134,7 +129,7 @@ def build_agent_contract(spec: AgentSpec, name: str) -> ast.ContractDef:
             otherwise=[])]
 
     return ast.ContractDef(
-        name=name,
+        name=f"Agent{spec.kind.value}",
         state_vars=state_vars,
         functions=[agent_call],
         fallback=ast.FallbackDef(payable=True, body=fallback_body),
@@ -145,7 +140,7 @@ def make_agent(state: WorldState, spec: AgentSpec) -> str:
     """Deploy the agent contract for a spec; the target must exist."""
     if not state.has_account(spec.target):
         raise ValueError(f"agent target {spec.target} is not deployed")
-    return deploy(state, build_agent_contract(spec, f"Agent{spec.kind.value}"))
+    return deploy(state, build_agent_contract(spec))
 
 
 def agent_interact(state: WorldState, agent: str, target: str, driver: str,

@@ -113,7 +113,7 @@ def _worker(payload):
 def cmd_check(args, schedule: GasSchedule, engine: EngineConfig) -> int:
     verdict = _run_one(args.scenario, schedule, engine)
     _emit(emit_report([verdict], fmt=args.fmt), args.out)
-    return 1 if verdict.has_violations else 0
+    return 1 if verdict.violations else 0
 
 
 def cmd_bench(args, schedule: GasSchedule, engine: EngineConfig) -> int:

@@ -29,10 +29,6 @@ class Verdict:
     def vulnerable(self) -> bool:
         return bool(self.categories)
 
-    @property
-    def has_violations(self) -> bool:
-        return bool(self.violations)
-
 
 def classify(violations) -> tuple:
     """Derive vulnerability categories from violation records."""
@@ -182,7 +178,7 @@ def emit_report(verdicts, metrics: Optional[MetricsReport] = None,
                     "vulnerable": v.vulnerable,
                     "categories": list(v.categories),
                     "violations": [_violation_obj(x) for x in v.violations],
-                    "diagnostics": [f"{d.scope}: {d.message}" for d in v.diagnostics],
+                    "diagnostics": list(v.diagnostics),
                 }
                 for v in verdicts
             ],
@@ -207,7 +203,7 @@ def emit_report(verdicts, metrics: Optional[MetricsReport] = None,
                 f"gas={x.pair.source_outcome.gas_consumed}, "
                 f"delta={x.pair.source_outcome.balance_delta})")
         for d in v.diagnostics:
-            lines.append(f"  note {d.scope}: {d.message}")
+            lines.append(f"  note {d}")
     if metrics is not None:
         lines.append("")
         lines.append("category            TP  FP  FN")

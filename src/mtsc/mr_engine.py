@@ -63,12 +63,6 @@ class ViolationRecord:
 
 
 @dataclass(frozen=True)
-class Diagnostic:
-    scope: str
-    message: str
-
-
-@dataclass(frozen=True)
 class EngineConfig:
     n: int = 1000                 # reducing-plan subdivisions
     inc_count: int = 5            # increasing follow-ups per sweep
@@ -100,7 +94,7 @@ class EngineConfig:
 class EngineResult:
     scenario_id: str
     violations: list
-    diagnostics: list
+    diagnostics: list  # "scope: message" per sweep skipped
 
 
 def estimate_kinds(env: Environment, kinds, growth: float) -> list:
@@ -177,21 +171,19 @@ def run_all(scenario: Scenario, schedule: GasSchedule,
         mr1_actors = config.mr1_actors_override or scenario.mr1_actors
         for kind, gc in estimate_kinds(env, mr1_actors, config.growth):
             if isinstance(gc, Status):
-                diagnostics.append(Diagnostic(
-                    f"MR1.x/{kind.value}",
-                    f"estimate unavailable, source run never succeeds: {gc}"))
+                diagnostics.append(f"MR1.x/{kind.value}: "
+                                   f"estimate unavailable, source run never succeeds: {gc}")
                 continue
             if gc.value == 0:  # a run that costs nothing: no gas limit to vary
-                diagnostics.extend(Diagnostic(f"{relation.mr_id}/{kind.value}",
-                                              "intrinsic gas is 0, no gas limit to vary")
+                diagnostics.extend(f"{relation.mr_id}/{kind.value}: "
+                                   "intrinsic gas is 0, no gas limit to vary"
                                    for relation in gas_relations)
                 continue
             for relation in gas_relations:
                 plan = relation.plan(gc.value, config, g_ample)
                 if not plan:  # only an increasing plan, when 2*gc exceeds the block
-                    diagnostics.append(Diagnostic(
-                        f"{relation.mr_id}/{kind.value}",
-                        f"2*{gc.value} exceeds the block gas limit {g_ample}"))
+                    diagnostics.append(f"{relation.mr_id}/{kind.value}: "
+                                       f"2*{gc.value} exceeds the block gas limit {g_ample}")
                 sweeps[relation.mr_id].append(sweep(env, relation.mr_id, kind, gc.value, plan))
 
     for relation in selected:

@@ -40,7 +40,6 @@ from .agents import (
     DEFAULT_CAR_GAS_GUARD,
     AgentKind,
     AgentSpec,
-    CallPayload,
     actor_kinds,
     agent_interact,
     make_agent,
@@ -197,9 +196,12 @@ class Environment:
     def transaction(self, entry: TxTemplate, actor, gas_limit: int) -> Transaction:
         """`entry` at `gas_limit`, with `$ACTOR` standing for `actor`."""
         resolve = self.resolve
+        args = []  # a loop, not a comprehension: no closure cells per transaction
+        for a in entry.args:
+            args.append(resolve(a, actor))
         return tuple.__new__(Transaction, (
             resolve(entry.actor, actor), gas_limit, resolve(entry.callee, actor),
-            entry.function, tuple([resolve(a, actor) for a in entry.args]), entry.value))
+            entry.function, tuple(args), entry.value))
 
     def run_target(self, state: WorldState, kind: AgentKind, gas_limit: int, *,
                    ops: bool = False) -> Outcome:
@@ -334,11 +336,11 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
                       roles=roles, actor_accounts={AgentKind.EOA: eoa_actor}, driver=driver)
 
     # every agent makes the target call, naming itself `this` where it is $ACTOR
-    payload = CallPayload(target.function,
-                          tuple(env.resolve(a, ast.This()) for a in target.args), target.value)
+    args = tuple(env.resolve(a, ast.This()) for a in target.args)
     for kind in AGENT_KINDS:
         env.actor_accounts[kind] = make_agent(state, AgentSpec(
-            kind=kind, target=target_addr, payload=payload, stipend=schedule.stipend,
+            kind=kind, target=target_addr, function=target.function, args=args,
+            value=target.value, stipend=schedule.stipend,
             car_gas_guard=car_gas_guard, cah_iterations=cah_iterations))
 
     stake = scenario.balances.get(ACTOR, 0)

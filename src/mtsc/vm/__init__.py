@@ -2,7 +2,7 @@
 
 from .interp import MAX_CALL_DEPTH, TAIL, execute, replay
 from .schedule import GasSchedule, ScheduleError, load_schedule
-from .state import Account, AccountKind, UnknownSnapshot, WorldState, ZERO_ADDR, deploy
+from .state import Account, UnknownSnapshot, WorldState, ZERO_ADDR, deploy
 from .types import (
     UINT_MAX,
     CallEntered,
@@ -18,7 +18,7 @@ from .types import (
 )
 
 __all__ = [
-    "Account", "AccountKind", "CallEntered", "CallExited", "ExceptionSwallowed",
+    "Account", "CallEntered", "CallExited", "ExceptionSwallowed",
     "FailReason", "GasSchedule", "MAX_CALL_DEPTH", "OpExecuted", "Outcome",
     "STATUS_SUCCESS", "ScheduleError", "Status", "TAIL", "Transaction", "UINT_MAX",
     "UnknownSnapshot", "WorldState", "ZERO_ADDR", "deploy", "execute",

@@ -103,7 +103,8 @@ needing more than its grant (lower down it fails, and its caller goes on
 with false). Below the path some elastic frame runs short and fails out
 of gas, and every frame above it is left dry. A dry frame cannot read
 `gasleft()` or make a call, as both cost gas, so nothing turns, and the
-failure reaches the reported status. Under a schedule that makes either
+failure reaches the reported status. Calls always cost gas (`GasSchedule`
+rejects a zero `call_base`); under a schedule that makes `gasleft()`
 free, the range keeps to the path.
 
 With `execute(..., reports=address)` the run reports what an agent
@@ -598,7 +599,7 @@ class _Run:
         lo = schedule.base_tx + need
         self.lo = lo if lo > self.turn else self.turn
         if gas_total == tx.gas_limit and status.reason == FailReason.OUT_OF_GAS \
-                and schedule.gasleft and schedule.call_base:
+                and schedule.gasleft:
             self.lo = self.turn  # out of gas below the path too, until a bound turns it
         return status, gas_total, delta
 

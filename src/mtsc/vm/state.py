@@ -28,18 +28,12 @@ no snapshot is open nothing can rewind past a finished transaction, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 from ..minisol import ast
 from ..minisol.ast import ZERO_ADDR  # re-exported for the VM
 
 _ABSENT = object()  # journal marker: the key did not exist before the write
-
-
-class AccountKind(str, Enum):
-    EOA = "EOA"
-    CONTRACT = "Contract"
 
 
 class UnknownSnapshot(Exception):
@@ -50,17 +44,16 @@ class UnknownSnapshot(Exception):
 class Account:
     address: str
     balance: int
-    kind: AccountKind
-    code: Optional[ast.ContractDef] = None
+    code: Optional[ast.ContractDef] = None  # None for an EOA
     # scalar vars keyed by name, map entries keyed by (name, addr)
     storage: dict = field(default_factory=dict)
 
     def __deepcopy__(self, memo):
         # flat: storage holds immutables and code never mutates after deploy.
-        # The program copies no accounts; perfbench/layers.py patches this
-        # method to count copies, so it stays.
-        return Account(self.address, self.balance, self.kind, self.code,
-                       dict(self.storage))
+        # The program copies no accounts, but perfbench/layers.py patches
+        # this method to count copies, and tests/support.clone relies on the
+        # flat copy sharing `code`.
+        return Account(self.address, self.balance, self.code, dict(self.storage))
 
 
 def is_zero(value) -> bool:
@@ -89,7 +82,7 @@ class WorldState:
         return addr
 
     def create_eoa(self, balance: int = 0) -> str:
-        return self._create(Account(self._fresh_address(), balance, AccountKind.EOA))
+        return self._create(Account(self._fresh_address(), balance))
 
     def account(self, addr: str) -> Account:
         return self.accounts[addr]
@@ -167,5 +160,4 @@ class WorldState:
 
 def deploy(state: WorldState, code: ast.ContractDef, initial_balance: int = 0) -> str:
     """Create a contract account for validated code at the next address."""
-    return state._create(Account(state._fresh_address(), initial_balance,
-                                 AccountKind.CONTRACT, code=code))
+    return state._create(Account(state._fresh_address(), initial_balance, code))

@@ -217,8 +217,8 @@ def digest(state) -> str:
     h.update(f"fees={state.fee_ledger};next={state.next_address};".encode())
     for addr in sorted(state.accounts):
         acct = state.accounts[addr]
-        code_name = acct.code.name if acct.code else ""
-        h.update(f"{addr}|{acct.balance}|{acct.kind.value}|{code_name}|".encode())
+        kind, code_name = ("EOA", "") if acct.code is None else ("Contract", acct.code.name)
+        h.update(f"{addr}|{acct.balance}|{kind}|{code_name}|".encode())
         for key in sorted(acct.storage, key=repr):
             h.update(f"{key!r}={acct.storage[key]!r};".encode())
     return h.hexdigest()

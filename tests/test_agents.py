@@ -9,7 +9,6 @@ from mtsc.agents import (
     AGENT_KINDS,
     AgentKind,
     AgentSpec,
-    CallPayload,
     agent_interact,
     build_agent_contract,
     make_agent,
@@ -23,17 +22,15 @@ from conftest import scenario_path
 from support import clone
 
 S = GasSchedule()
-PAYLOAD = CallPayload(function="withdraw", args=(1_000,), value=0)
-
-
 def spec_for(kind, target="0x0002", **kw):
-    return AgentSpec(kind=kind, target=target, payload=PAYLOAD, stipend=S.stipend, **kw)
+    return AgentSpec(kind=kind, target=target, function="withdraw", args=(1_000,), value=0,
+                     stipend=S.stipend, **kw)
 
 
 @pytest.mark.parametrize("kind", [AgentKind.CAO, AgentKind.CAH,
                                   AgentKind.CAR, AgentKind.CAE])
 def test_generated_contracts_validate_clean(kind):
-    contract = build_agent_contract(spec_for(kind), "Agent")
+    contract = build_agent_contract(spec_for(kind))
     unit = ast.SourceUnit(contracts=[contract], source_name="<agent>")
     assert validate(unit) == []
     assert contract.function(AGENT_CALL) is not None
@@ -41,17 +38,17 @@ def test_generated_contracts_validate_clean(kind):
 
 
 def test_cae_fallback_is_a_single_revert():
-    contract = build_agent_contract(spec_for(AgentKind.CAE), "Agent")
+    contract = build_agent_contract(spec_for(AgentKind.CAE))
     assert contract.fallback.body == [ast.Revert()]
 
 
 def test_cao_fallback_is_empty():
-    contract = build_agent_contract(spec_for(AgentKind.CAO), "Agent")
+    contract = build_agent_contract(spec_for(AgentKind.CAO))
     assert contract.fallback.body == []
 
 
 def test_cah_fallback_writes_fresh_slots():
-    contract = build_agent_contract(spec_for(AgentKind.CAH, cah_iterations=3), "Agent")
+    contract = build_agent_contract(spec_for(AgentKind.CAH, cah_iterations=3))
     body = contract.fallback.body
     assert len(body) == 3
     targets = {stmt.target.name for stmt in body}
@@ -59,8 +56,7 @@ def test_cah_fallback_writes_fresh_slots():
 
 
 def test_car_fallback_guards_on_remaining_gas():
-    contract = build_agent_contract(spec_for(AgentKind.CAR, car_gas_guard=60_000),
-                                    "Agent")
+    contract = build_agent_contract(spec_for(AgentKind.CAR, car_gas_guard=60_000))
     guard = contract.fallback.body[0]
     assert isinstance(guard, ast.If)
     assert isinstance(guard.condition.left, ast.GasLeft)
@@ -69,11 +65,11 @@ def test_car_fallback_guards_on_remaining_gas():
     reentry = guard.then[0].expr
     assert isinstance(reentry, ast.Call) and reentry.form == "lowcall"
     assert reentry.function == "withdraw"
-    assert reentry.value is None  # re-issued payload carries no value
+    assert reentry.value is None  # the re-issued call carries no value
 
 
 def test_agent_call_stores_target_then_calls():
-    contract = build_agent_contract(spec_for(AgentKind.CAO), "Agent")
+    contract = build_agent_contract(spec_for(AgentKind.CAO))
     body = contract.function(AGENT_CALL).body
     assert isinstance(body[0], ast.Assign) and body[0].target.name == "target_contract"
     assert isinstance(body[-1], ast.ExprStmt)
@@ -88,8 +84,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         spec_for(AgentKind.CAH, target="0x0001", cah_iterations=0)
     # the guard is checked against the stipend of the schedule in use
-    AgentSpec(kind=AgentKind.CAR, target="0x0001", payload=PAYLOAD,
-              car_gas_guard=2_000, stipend=1_000)
+    AgentSpec(kind=AgentKind.CAR, target="0x0001", function="withdraw", args=(1_000,),
+              value=0, car_gas_guard=2_000, stipend=1_000)
 
 
 def test_make_agent_requires_deployed_target():
@@ -174,8 +170,8 @@ def test_interaction_status_read_from_target_call():
     state = WorldState()
     driver = state.create_eoa(0)
     c = deploy(state, parse(src).contracts[0])
-    agent = make_agent(state, AgentSpec(kind=AgentKind.CAO, target=c,
-                                        payload=CallPayload(function="f"), stipend=S.stipend))
+    agent = make_agent(state, AgentSpec(kind=AgentKind.CAO, target=c, function="f",
+                                        args=(), value=0, stipend=S.stipend))
     out = agent_interact(state, agent, c, driver, S.block_gas_limit, S)
     assert not out.ok
     assert out.status.reason == FailReason.REVERT
@@ -192,7 +188,7 @@ def nodes(value):
             yield from nodes(item)
 
 
-# The payload used to hold the agent's own address as a literal, predicted
+# The target call used to hold the agent's own address as a literal, predicted
 # from the address counter before the agent was deployed.
 @pytest.mark.parametrize("kind", AGENT_KINDS)
 def test_an_agent_names_itself_this_in_its_target_call(kind):
