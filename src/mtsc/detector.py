@@ -34,7 +34,7 @@ def classify(violations) -> tuple:
     """Derive vulnerability categories from violation records."""
     found = set()
     for v in violations:
-        found |= RELATIONS[v.mr_id].categories(v)
+        found |= RELATIONS[v.pair.mr_id].categories(v)
     return tuple(sorted(found))
 
 
@@ -142,7 +142,7 @@ def _outcome_obj(actor_input, outcome):
 def _violation_obj(v: ViolationRecord):
     excerpt = [repr(ev) for ev in v.pair.follow_outcome.trace[-TAIL:]]
     return {
-        "mr": v.mr_id,
+        "mr": v.pair.mr_id,
         "observed": v.observed,
         "source": _outcome_obj(v.pair.source, v.pair.source_outcome),
         "follow_up": _outcome_obj(v.pair.follow_up, v.pair.follow_outcome),
@@ -194,7 +194,7 @@ def emit_report(verdicts, metrics: Optional[MetricsReport] = None,
         for x in v.violations:
             extra = f", gas_threshold={x.gas_threshold}" if x.gas_threshold is not None else ""
             lines.append(
-                f"  {x.mr_id} violated ({x.observed}{extra}): "
+                f"  {x.pair.mr_id} violated ({x.observed}{extra}): "
                 f"{x.pair.follow_up.kind.value}@{x.pair.follow_up.gas_limit} -> "
                 f"{x.pair.follow_outcome.status}, "
                 f"gas={x.pair.follow_outcome.gas_consumed}, "

@@ -44,7 +44,6 @@ class NeverSucceeds(Exception):
 class IntrinsicGas:
     value: int        # smallest verified-sufficient gas limit
     trials: int       # probes made, a probe answered from a range included
-    converged: bool   # True on every return; estimate-v1 prints it
 
 
 def default_initial_estimator(runner: Runner, schedule: GasSchedule) -> int:
@@ -65,10 +64,10 @@ def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
     The first probe runs at `first_limit`, by default the rough estimate
     of `default_initial_estimator`. Raises NeverSucceeds if the
     transaction fails at the block gas limit. The result satisfies:
-    executing at `value` succeeds, verified by a probe. Every result is
-    flagged converged, whether the final probe consumed exactly its limit
-    or the success boundary was bisected. Every probe is a trial, whether
-    `runner` runs it or answers it from a kept range.
+    executing at `value` succeeds, verified by a probe: either the final
+    probe consumed exactly its limit, or the success boundary was
+    bisected. Every probe is a trial, whether `runner` runs it or answers
+    it from a kept range.
     """
     if not growth > 1.0:  # NaN included
         raise ValueError("growth factor must exceed 1")
@@ -84,7 +83,7 @@ def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
         first_limit = default_initial_estimator(runner, schedule)
 
     # growth phase: strictly increasing limits until the first success
-    limit = max(1, min(int(first_limit), block))
+    limit = min(max(1, int(first_limit)), block)
     while True:
         out = probe(limit)
         if out.ok:
@@ -96,15 +95,13 @@ def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
 
     # verification phase: the reported value must itself suffice
     last_good = limit
-    converged = candidate == limit
-    while not converged:
+    while candidate != last_good:
         out = probe(candidate)
         if out.ok:
             if out.gas_consumed == candidate:
-                converged = True
-            else:
-                last_good = candidate
-                candidate = out.gas_consumed
+                break
+            last_good = candidate
+            candidate = out.gas_consumed
         else:
             # consumption understates the requirement (a reserve demands
             # headroom): bisect the success boundary in (candidate, last_good]
@@ -116,8 +113,8 @@ def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
                 else:
                     lo = mid + 1
             candidate = lo
-            converged = True
-    return IntrinsicGas(value=candidate, trials=trials, converged=converged)
+            break
+    return IntrinsicGas(value=candidate, trials=trials)
 
 
 def allocate_increasing(gc: int, count: int, block_gas_limit: int) -> range:

@@ -251,9 +251,6 @@ class ContractDef(Node):
         return {sv.name: value[sv.kind] for sv in reversed(self.state_vars)
                 if sv.kind in value}
 
-    def function(self, name: str) -> Optional[FunctionDef]:
-        return self.functions_by_name.get(name)
-
 
 @dataclass
 class SourceUnit(Node):

@@ -56,7 +56,6 @@ class TestPair:
 
 @dataclass(frozen=True)
 class ViolationRecord:
-    mr_id: str
     pair: TestPair
     observed: str
     gas_threshold: Optional[int] = None
@@ -131,7 +130,7 @@ def check(pair: TestPair) -> Optional[ViolationRecord]:
     if observed is None:
         return None
     threshold = pair.follow_up.gas_limit if relation.reports_threshold else None
-    return ViolationRecord(pair.mr_id, pair, observed, gas_threshold=threshold)
+    return ViolationRecord(pair, observed, gas_threshold=threshold)
 
 
 def sweep(env: Environment, mr: str, kind: AgentKind, gc: int, plan: range):

@@ -320,7 +320,7 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
 
     def function_of(callee: Optional[str], name: Optional[str]):
         code = state.account(callee).code if callee is not None else None
-        return code.function(name) if code is not None and name else None
+        return code.functions_by_name.get(name) if code is not None and name else None
 
     target = scenario.target
     if target.callee not in roles:

@@ -176,10 +176,8 @@ class _ReturnSignal(Exception):
 @dataclass(slots=True)
 class _Frame:
     account: Account
-    self_addr: str
     msg_sender: str
     msg_value: int
-    contract: Optional[ast.ContractDef]
     depth: int
     gas: int
     budget: int
@@ -256,7 +254,7 @@ class _Run:
             name = e.name
             if name in frame.env:
                 return frame.env[name]
-            default = frame.contract.defaults[name]
+            default = frame.account.code.defaults[name]
             self.charge(frame, "sload", self.sched.sload)
             return frame.account.storage.get(name, default)
         if t is ast.Call:
@@ -283,7 +281,7 @@ class _Run:
         if t is ast.MsgValue:
             return frame.msg_value
         if t is ast.This:
-            return frame.self_addr
+            return frame.account.address
         if t is ast.GasLeft:
             return self.read_gas(frame)
         if t is ast.BalanceOf:
@@ -394,7 +392,7 @@ class _Run:
             return
         else:
             key = target.name
-            default = frame.contract.defaults[key]
+            default = frame.account.code.defaults[key]
         value = self.eval(frame, s.value)
         acct = frame.account
         old = acct.storage.get(key, default)
@@ -465,7 +463,7 @@ class _Run:
             if value:
                 self.state.transfer(caller.account, target_acct, value)
             ok, consumed, reason, need, dry = self.dispatch(
-                target_acct, function, args, value, caller.self_addr, fwd + grant,
+                target_acct, function, args, value, caller.account.address, fwd + grant,
                 depth + 1, elastic)
             if elastic:
                 # the caller repeats this call when it can forward need - grant
@@ -524,7 +522,7 @@ class _Run:
         if value > 0 and not payable:
             return False, 0, FailReason.REVERT, 0, False
 
-        frame = _Frame(acct, acct.address, sender, value, contract, depth, budget, budget,
+        frame = _Frame(acct, sender, value, depth, budget, budget,
                        {p.name: a for p, a in zip(params, args)} if params else {}, elastic)
         ok, reason = True, None
         try:

@@ -87,9 +87,6 @@ class WorldState:
     def account(self, addr: str) -> Account:
         return self.accounts[addr]
 
-    def has_account(self, addr: str) -> bool:
-        return addr in self.accounts
-
     def fund(self, addr: str, amount: int):
         """Scenario-setup value creation; the one sanctioned balance source."""
         acct = self.accounts[addr]

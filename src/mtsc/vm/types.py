@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from ..minisol.ast import UINT_MAX  # noqa: F401  re-exported for the VM
 
@@ -94,9 +94,6 @@ class ExceptionSwallowed(NamedTuple):
     depth: int
 
 
-TraceEvent = Union[OpExecuted, CallEntered, CallExited, ExceptionSwallowed]
-
-
 @dataclass(frozen=True)
 class Outcome:
     """Result of executing one transaction.
@@ -119,7 +116,7 @@ class Outcome:
     status: Status
     gas_consumed: int
     balance_delta: int
-    trace: tuple = field(default_factory=tuple)
+    trace: tuple = ()
     limits: tuple = (0, -1)
 
     @property

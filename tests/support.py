@@ -95,14 +95,14 @@ def cli_outputs(*argv):
 
 
 def estimate_or_status(schedule, runner, growth, first_limit):
-    """(value, trials, converged) of an estimate, or the status of the
+    """(value, trials) of an estimate, or the status of the
     NeverSucceeds it raises."""
     try:
         gc = estimate_intrinsic_gas(schedule, runner=runner, growth=growth,
                                     first_limit=first_limit)
     except NeverSucceeds as exc:
         return exc.status
-    return gc.value, gc.trials, gc.converged
+    return gc.value, gc.trials
 
 
 def loop_increasing(gc, count, block_gas_limit):

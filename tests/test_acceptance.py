@@ -80,7 +80,7 @@ def bench():
 
 
 def mr_kinds(verdict):
-    return {(v.mr_id, v.pair.follow_up.kind) for v in verdict.violations}
+    return {(v.pair.mr_id, v.pair.follow_up.kind) for v in verdict.violations}
 
 
 def test_criterion_1_corpus_detection(bench):
@@ -96,7 +96,7 @@ def test_criterion_1_corpus_detection(bench):
         wa = verdicts["simple_dao_withdraw_a"]
         assert (MR2_3, AgentKind.CAE) in mr_kinds(wa)
         assert (MR2_1, AgentKind.CAH) in mr_kinds(wa)
-        mr21 = next(v for v in wa.violations if v.mr_id == MR2_1)
+        mr21 = next(v for v in wa.violations if v.pair.mr_id == MR2_1)
         forms = {e.call_form for e, _ in failed_value_dispatches(
             mr21.pair.follow_outcome.trace, mr21.pair.follow_up.address)}
         assert forms == {"lowcall"}
@@ -270,8 +270,8 @@ def test_criterion_7_mechanism_links(bench):
         fixture = run_all(load_scenario(FIXTURES / "notifier_ping.scenario.json"),
                           S, EngineConfig())
         reduced_gas = [v for res in results.values() for v in res.violations
-                       if v.mr_id == MR1_2]
-        reduced_gas += [v for v in fixture.violations if v.mr_id == MR1_2]
+                       if v.pair.mr_id == MR1_2]
+        reduced_gas += [v for v in fixture.violations if v.pair.mr_id == MR1_2]
         assert reduced_gas, "no reduced-gas violation was exercised"
         for v in reduced_gas:
             assert trace_has_swallow(v.pair.follow_outcome.trace)
@@ -282,7 +282,7 @@ def test_criterion_7_mechanism_links(bench):
             env = build_environment(scenario, S)
             target_addr = env.roles[scenario.target.callee]
             for v in res.violations:
-                if v.mr_id != MR2_2:
+                if v.pair.mr_id != MR2_2:
                     continue
                 recursive += 1
                 entries = calls_into(v.pair.follow_outcome.trace, target_addr,

@@ -1,5 +1,6 @@
 """Agent contract synthesis and the agent-wrapped interaction view."""
 
+import json
 from dataclasses import fields
 
 import pytest
@@ -14,7 +15,7 @@ from mtsc.agents import (
     make_agent,
 )
 from mtsc.minisol import ast, parse, validate
-from mtsc.scenario import build_environment, load_scenario
+from mtsc.scenario import ScenarioError, build_environment, load_scenario
 from mtsc.traces import paired_calls
 from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
 
@@ -33,7 +34,7 @@ def test_generated_contracts_validate_clean(kind):
     contract = build_agent_contract(spec_for(kind))
     unit = ast.SourceUnit(contracts=[contract], source_name="<agent>")
     assert validate(unit) == []
-    assert contract.function(AGENT_CALL) is not None
+    assert contract.functions_by_name.get(AGENT_CALL) is not None
     assert contract.fallback is not None and contract.fallback.payable
 
 
@@ -70,7 +71,7 @@ def test_car_fallback_guards_on_remaining_gas():
 
 def test_agent_call_stores_target_then_calls():
     contract = build_agent_contract(spec_for(AgentKind.CAO))
-    body = contract.function(AGENT_CALL).body
+    body = contract.functions_by_name.get(AGENT_CALL).body
     assert isinstance(body[0], ast.Assign) and body[0].target.name == "target_contract"
     assert isinstance(body[-1], ast.ExprStmt)
     assert isinstance(body[-1].expr, ast.Call) and body[-1].expr.form == "lowcall"
@@ -195,12 +196,38 @@ def test_an_agent_names_itself_this_in_its_target_call(kind):
     env = build_environment(load_scenario(scenario_path("token_ether_transfer")), S)
     agent = env.actor_accounts[kind]
     code = env.state.account(agent).code
-    call = code.function(AGENT_CALL).body[-1].expr
+    call = code.functions_by_name.get(AGENT_CALL).body[-1].expr
     assert call.function == "eT" and isinstance(call.args[0], ast.This)  # ($ACTOR, ...)
     everything = list(nodes(code))
     assert sum(type(n) is ast.This for n in everything) == (2 if kind == AgentKind.CAR else 1)
     assert [n.value for n in everything if type(n) is ast.AddrLit] == [
         env.roles["TokenEther"]]
+
+
+def flag_scenario(tmp_path, args):
+    """A scenario whose target takes (addr, bool), called with `args`."""
+    (tmp_path / "flag.msol").write_text(
+        "contract Flag { fn set(who: addr, on: bool) { } }\n")
+    path = tmp_path / "flag.scenario.json"
+    path.write_text(json.dumps({"schema": "scenario-v1", "sources": ["flag.msol"],
+                                "balances": {"owner": 0, "$ACTOR": 0},
+                                "target": {"callee": "Flag", "function": "set",
+                                           "args": args}}))
+    return load_scenario(path)
+
+
+def test_an_agent_embeds_an_addr_role_and_a_bool_in_its_target_call(tmp_path):
+    env = build_environment(flag_scenario(tmp_path, ["owner", True]), S)
+    for kind in AGENT_KINDS:
+        code = env.state.account(env.actor_accounts[kind]).code
+        call = code.functions_by_name.get(AGENT_CALL).body[-1].expr
+        assert call.args == [ast.AddrLit(value=env.roles["owner"]), ast.BoolLit(value=True)]
+
+
+def test_a_bool_target_argument_must_be_a_bool(tmp_path):
+    with pytest.raises(ScenarioError) as err:
+        build_environment(flag_scenario(tmp_path, ["owner", 1]), S)
+    assert str(err.value) == "target: argument on of set must be bool, got 1"
 
 
 def test_agent_balance_delta_not_the_drivers():

@@ -420,6 +420,29 @@ def test_a_zero_intrinsic_gas_is_noted_instead_of_swept(tmp_path, capsys, flags,
     assert code == 0 and "  EOA  value=0 trials=2 converged=True\n" in out
 
 
+# A block gas limit of 0 leaves one limit to probe, 0 itself; the first
+# probe used to be clamped up to 1, which the VM rejects, and exit 3.
+def test_a_zero_block_gas_limit_gets_a_verdict_and_an_estimate(tmp_path, capsys):
+    (tmp_path / "c.msol").write_text("contract C { fn f() { } }\n")
+    path = tmp_path / "c.scenario.json"
+    path.write_text(json.dumps({"schema": "scenario-v1", "sources": ["c.msol"],
+                                "balances": {"$ACTOR": 0},
+                                "target": {"callee": "C", "function": "f"}}))
+    sched = tmp_path / "zero.schedule"
+    sched.write_text("base_tx = 0\ndispatch = 0\nblock_gas_limit = 0\n")
+    code, out, err = run_cli(capsys, "check", str(path), "--schedule", str(sched))
+    assert (code, err) == (0, "")
+    unavailable = "estimate unavailable, source run never succeeds: Failure(OutOfGas)"
+    assert out == ("c: ok [-]\n"
+                   "  note MR1.1/EOA: intrinsic gas is 0, no gas limit to vary\n"
+                   "  note MR1.2/EOA: intrinsic gas is 0, no gas limit to vary\n"
+                   f"  note MR1.x/CAH: {unavailable}\n"
+                   f"  note MR1.x/CAR: {unavailable}\n")
+    code, out, err = run_cli(capsys, "estimate", str(path), "--schedule", str(sched))
+    assert (code, err) == (0, "")
+    assert "  EOA  value=0 trials=1 converged=True\n" in out
+
+
 def test_exit_one_means_a_violation_even_without_a_category(tmp_path, capsys):
     # more gas takes the guarded write: an MR1.1 gas mismatch under the
     # EOA, which maps to no vulnerability category

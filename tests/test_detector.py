@@ -38,7 +38,7 @@ def violation(mr, kind=AgentKind.CAH, trace=(), observed="balance mismatch"):
     pair = TestPair(mr, ActorInput(AgentKind.EOA, "0x0002", 100),
                     ActorInput(kind, AGENT, 100),
                     source_outcome=out, follow_outcome=out)
-    return ViolationRecord(mr, pair, observed)
+    return ViolationRecord(pair, observed)
 
 
 def failed_transfer(form):
@@ -222,8 +222,7 @@ def test_json_report_carries_violation_details():
 
 def test_text_report_includes_threshold():
     pair = violation(MR1_2, kind=AgentKind.EOA, observed="status mismatch").pair
-    v = Verdict("a", (ViolationRecord(MR1_2, pair, "status mismatch",
-                                      gas_threshold=42_000),),
+    v = Verdict("a", (ViolationRecord(pair, "status mismatch", gas_threshold=42_000),),
                 (EXCEPTION_DISORDER,))
     text = emit_report([v], fmt="text")
     assert "gas_threshold=42000" in text

@@ -1,19 +1,28 @@
-"""Every import under `src/mtsc/` is used, exported, or marked with a reason.
+"""Every import under `src/mtsc/` is used, exported, or marked with a reason,
+and every name it defines has a reader.
 
 No linter ships with the project, so this reads each module's syntax tree
 with `ast`. An imported name must be read somewhere in its module, be
 listed in the module's `__all__`, or sit on a line marked
 `# noqa: F401` followed by the reason it stays (a re-export, say).
+
+A module-level function, class or assigned name, and a method that is not
+a dunder, must occur as a whole word somewhere besides its definition: in
+any `.py` file of the program, its tests, its scripts or its benchmark.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mtsc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mtsc"
 MODULES = sorted(SRC.rglob("*.py"))
+READERS = sorted(path for folder in ("src", "tests", "scripts", "perfbench")
+                 for path in (ROOT / folder).rglob("*.py"))
 MARKED = re.compile(r"#\s*noqa:\s*F401\s+\S")  # the marker, then a reason
 
 
@@ -63,3 +72,48 @@ def test_the_check_finds_an_import_left_behind():
             "def f(x):\n"
             "    return os.path.join(x)\n")
     assert unused_imports(text) == [(2, "Enum"), (4, "Optional")]
+
+
+def definitions(text: str) -> list:
+    """The names a module defines at its top level, and the names of the
+    methods of its classes, dunders left out."""
+    names = []
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.append(node.name)
+            names += [item.name for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def unread(defined: list, texts) -> list:
+    """The names in `defined` that occur in `texts` no more often than
+    they are defined: each definition holds one occurrence of its name."""
+    words = Counter(word for text in texts for word in re.findall(r"\w+", text))
+    counts = Counter(defined)
+    return sorted(name for name, n in counts.items() if words[name] <= n)
+
+
+def test_every_definition_has_a_reader():
+    defined = [name for path in MODULES for name in definitions(path.read_text(encoding="utf-8"))]
+    assert unread(defined, (path.read_text(encoding="utf-8") for path in READERS)) == []
+
+
+def test_the_check_finds_a_definition_left_behind():
+    text = ("import os\n"
+            "LIMIT, SPARE = 3, 4\n"
+            "Alias = int\n"
+            "def helper():\n"
+            "    return LIMIT\n"
+            "class Record:\n"
+            "    def __repr__(self):\n"
+            "        return 'Record'\n"
+            "    def unused(self):\n"
+            "        return helper()\n")
+    assert unread(definitions(text), [text]) == ["Alias", "SPARE", "unused"]

@@ -29,9 +29,9 @@ def test_simple_dao_shape():
         "deposit", "withdraw", "withdraw_a", "withdraw_b"]
     assert dao.fallback is None
     assert [sv.kind for sv in dao.state_vars] == [ast.Kind.MAP]
-    deposit = dao.function("deposit")
+    deposit = dao.functions_by_name.get("deposit")
     assert deposit.payable
-    assert not dao.function("withdraw").payable
+    assert not dao.functions_by_name.get("withdraw").payable
 
 
 def test_empty_contract():
@@ -66,6 +66,8 @@ MALFORMED = {
     "contract X { fn f() { let = 3; } }": "1:27: expected local name, found '='",
     "contract X { fn f() { 1 + ; } }": "1:27: expected expression, found ';'",
     "contract X { fn f() { msg.gas; } }": "1:27: expected 'sender' or 'value', found 'gas'",
+    "contract C { fn f(a: map) { } }": "1:22: expected parameter kind, found 'map'",
+    "contract C { fn f() { 1 = 2; } }": "1:25: assignment target must be a name or map index",
 }
 
 
@@ -254,6 +256,12 @@ def test_dcall_has_no_value_result():
     codes = _errors(
         "contract X { fn f(t: addr, v: uint) { require(transfer t value v); } }")
     assert "no-result" in codes
+    errors = validate(parse(
+        "contract X { fn f(t: addr) { require(dcall t.g() == true); } fn g() { } }"))
+    assert [str(e) for e in errors] == [
+        "1:38: [no-result] dcall has no result; use it as a statement",
+        "1:50: [no-result] dcall/transfer cannot be compared",
+    ]
 
 
 def test_condition_types_checked():
@@ -267,6 +275,8 @@ def test_local_shadowing_rejected():
         "contract X { uint a; fn f() { let a = 1; } }")
     assert "duplicate-local" in _errors(
         "contract X { fn f(p: uint) { let p = 1; } }")
+    assert [str(e) for e in validate(parse("contract X { uint a; fn f(a: uint) { } }"))] == [
+        "1:27: [shadows-state] parameter 'a' shadows a state variable"]
 
 
 # A let bound inside an if block used to stay visible after it, so a read
@@ -348,6 +358,16 @@ def test_validator_rejects_clauses_of_other_forms(form, clauses, message):
     assert [(e.code, e.message) for e in validate(unit)] == [("bad-call", message)]
     with pytest.raises(ParseError):
         parse(pretty(unit))
+
+
+# Not a row above: `pretty` prints this call as `lowcall t;`, which re-parses.
+def test_validator_rejects_arguments_of_a_built_plain_transfer():
+    unit = parse("contract X { fn f(t: addr) { dcall t.g(); } fn g() { } }")
+    stmt = unit.contracts[0].functions[0].body[0]
+    stmt.expr = ast.Call(line=1, col=30, form="lowcall", target=ast.Var(name="t"),
+                         args=[ast.IntLit(value=1)])
+    assert [(e.code, e.message) for e in validate(unit)] == [
+        ("bad-call", "a plain-transfer lowcall takes no arguments")]
 
 
 def test_validator_accepts_every_form_as_parsed():

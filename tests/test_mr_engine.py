@@ -65,7 +65,7 @@ def pair_of(mr, source, follow, follow_addr="0xaaaa", source_gas=50_000,
 
 def test_build_pairs_increasing_shape(environments):
     env = environments["counter_baseline"]
-    estimates = {AgentKind.EOA: IntrinsicGas(50_000, 1, True)}
+    estimates = {AgentKind.EOA: IntrinsicGas(50_000, 1)}
     plans = {AgentKind.EOA: (allocate_increasing(50_000, 2, S.block_gas_limit),
                              allocate_reducing(50_000, n=2))}
     pairs = build_pairs(env, estimates, plans, mrs=(MR1_1,),
@@ -90,7 +90,7 @@ def test_build_pairs_mr2_one_pair_each(environments):
 
 def test_build_pairs_smallest_reducing_plan(environments):
     env = environments["counter_baseline"]
-    estimates = {AgentKind.EOA: IntrinsicGas(1, 1, True)}
+    estimates = {AgentKind.EOA: IntrinsicGas(1, 1)}
     plans = {AgentKind.EOA: (allocate_increasing(1, 5, S.block_gas_limit),
                              allocate_reducing(1, n=1))}
     pairs = build_pairs(env, estimates, plans, mrs=(MR1_2,),
@@ -362,7 +362,7 @@ def test_empty_increasing_plan_is_a_diagnostic():
     assert [d for d in result.diagnostics if d.startswith("MR1.1/")] == [
         "MR1.1/EOA: 2*36216 exceeds the block gas limit 60000",
         "MR1.1/CAR: 2*57216 exceeds the block gas limit 60000"]
-    assert not any(v.mr_id == MR1_1 for v in result.violations)
+    assert not any(v.pair.mr_id == MR1_1 for v in result.violations)
 
 
 def test_empty_selection_runs_nothing():
@@ -378,7 +378,7 @@ def test_simple_dao_family_violations():
                      "simple_dao_withdraw_b")
     }
     seen = {
-        name: {(v.mr_id, v.pair.follow_up.kind) for v in res.violations}
+        name: {(v.pair.mr_id, v.pair.follow_up.kind) for v in res.violations}
         for name, res in by_name.items()
     }
     assert seen["simple_dao_withdraw"] == {
@@ -396,14 +396,14 @@ def test_pure_direct_call_baseline_clean_across_all_relations():
 
 def test_sweeps_stop_at_the_first_violation():
     result = run_scenario("simple_dao_withdraw")
-    mr11 = [v for v in result.violations if v.mr_id == MR1_1]
+    mr11 = [v for v in result.violations if v.pair.mr_id == MR1_1]
     assert len(mr11) == 1  # one record despite five planned follow-ups
 
 
 def test_reduced_gas_success_is_flagged_with_threshold():
     result = run_all(load_scenario(FIXTURES / "notifier_ping.scenario.json"),
                      S, EngineConfig())
-    assert [v.mr_id for v in result.violations] == [MR1_2]
+    assert [v.pair.mr_id for v in result.violations] == [MR1_2]
     v = result.violations[0]
     assert v.gas_threshold == v.pair.follow_up.gas_limit
     assert v.gas_threshold < v.pair.source.gas_limit
@@ -462,7 +462,7 @@ def test_engine_config_keeps_the_checked_lists():
     assert config.mr_filter == ("MR2.2",)
     assert config.mr1_actors_override == (AgentKind.CAR, AgentKind.EOA)
     result = run_all(load_scenario(scenario_path("simple_dao_withdraw")), S, config)
-    assert {v.mr_id for v in result.violations} == {MR2_2}
+    assert {v.pair.mr_id for v in result.violations} == {MR2_2}
 
 
 def test_context_digest_is_stable_across_runs():
@@ -487,7 +487,7 @@ def test_detection_survives_a_perturbed_schedule():
     for name, expected in expectations.items():
         scenario = load_scenario(scenario_path(name))
         result = run_all(scenario, sched, EngineConfig())
-        assert {v.mr_id for v in result.violations} == expected, name
+        assert {v.pair.mr_id for v in result.violations} == expected, name
 
 
 # -- invariance ranges against the full sweep ----------------------------------

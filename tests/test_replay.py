@@ -131,7 +131,7 @@ def test_replay_matches_execute_on_generated_sequences(schedule, name, data):
         code = state.accounts[callee].code
         names = [fn.name for fn in code.functions] if code is not None else []
         function = data.draw(st.sampled_from([None, "absent"] + names))
-        fn = code.function(function) if code is not None and function else None
+        fn = code.functions_by_name.get(function) if code is not None and function else None
         args = tuple(data.draw(_argument(p.kind, addrs)) for p in fn.params) if fn else ()
         txs.append(Transaction(
             data.draw(st.sampled_from(addrs)),

@@ -196,6 +196,50 @@ def test_overflow_raises_instead_of_wrapping():
     assert out.status.reason == FailReason.ARITHMETIC
 
 
+# Assignments to a local or a parameter change the frame, not storage; each
+# body copies its result into `r`.
+@pytest.mark.parametrize("body,result", [
+    ("let x = 2; x = n; r = x;", 5),
+    ("let x = 2; x += n; r = x;", 7),
+    ("let x = 9; x -= n; r = x;", 4),
+    ("n = 1; r = n;", 1),
+    ("n += 1; r = n;", 6),
+    ("n -= 1; r = n;", 4),
+    ("let x = 1; x -= n; r = x;", FailReason.ARITHMETIC),
+], ids=["local", "local-add", "local-sub", "param", "param-add", "param-sub",
+        "local-underflow"])
+def test_assignments_to_locals_and_parameters(body, result):
+    unit = parse("contract C { uint r; fn f(n: uint) { " + body + " } }")
+    assert validate(unit) == []
+    state = WorldState()
+    actor = state.create_eoa(0)
+    c = deploy(state, unit.contracts[0])
+    out = run(state, actor, c, "f", (5,))
+    if isinstance(result, FailReason):
+        assert out.status == failure(result)
+        assert state.account(c).storage == {}
+    else:
+        assert out.ok
+        assert state.account(c).storage == {"r": result}
+
+
+@pytest.mark.parametrize("who,gas,message", [
+    ("actor", AMPLE, "transaction actor and callee must exist"),
+    ("callee", AMPLE, "transaction actor and callee must exist"),
+    (None, -1, "gas limit must be within [0, block_gas_limit]"),
+    (None, AMPLE + 1, "gas limit must be within [0, block_gas_limit]"),
+], ids=["unknown-actor", "unknown-callee", "negative-gas", "gas-above-block"])
+def test_a_transaction_the_state_cannot_run_is_a_value_error(who, gas, message):
+    state, actor, dao = fresh_dao()
+    before = digest(state)
+    tx = Transaction("0x9999" if who == "actor" else actor, gas,
+                     "0x9999" if who == "callee" else dao, "deposit", (actor,), 0)
+    with pytest.raises(ValueError) as err:
+        execute(state, tx, S)
+    assert str(err.value) == message
+    assert digest(state) == before
+
+
 def test_value_above_balance_is_rejected():
     state, actor, dao = fresh_dao(actor_balance=10)
     out = run(state, actor, dao, "deposit", (actor,), 11)
@@ -577,7 +621,7 @@ def test_create_after_restore_reuses_the_addresses():
     eoa = state.create_eoa(7)
     contract = deploy(state, unit.contracts[0], 3)
     state.restore(sid)
-    assert not state.has_account(eoa) and not state.has_account(contract)
+    assert eoa not in state.accounts and contract not in state.accounts
     assert digest(state) == start
     assert state.create_eoa(7) == eoa
     assert deploy(state, unit.contracts[0], 3) == contract

@@ -164,7 +164,7 @@ def test_every_node_type_runs():
     contract = unit.contracts[0]
     # `balance(this)` reads the contract's own address as an AddrLit, which
     # only generated code contains; deploy assigns the second address
-    assign_n = contract.function("f").body[4]
+    assign_n = contract.functions_by_name.get("f").body[4]
     assign_n.value.right.target = ast.AddrLit(value="0x0002")
     assert node_types(unit) >= set(typing.get_args(ast.Expr)) | set(typing.get_args(ast.Stmt))
     assert validate(unit) == []
