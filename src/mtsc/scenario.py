@@ -26,7 +26,7 @@ contract names to their deployment, other balance keys to EOAs. A
 target's `actor` is ignored, as $ACTOR sends the target. The arguments
 of the target and of every setup entry must fit the called function's
 parameters. Balances and values, like every amount the VM holds, lie in
-[0, UINT_MAX].
+[0, UINT_MAX], and so does the balances' total, $ACTOR's once per kind.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ SCHEMA_V1 = "scenario-v1"
 ACTOR = "$ACTOR"
 DEFAULT_MR1_ACTORS = (AgentKind.EOA, AgentKind.CAH, AgentKind.CAR)
 ALL_ACTOR_KINDS = (AgentKind.EOA,) + AGENT_KINDS
+UINT, BOOL = ast.Kind.UINT, ast.Kind.BOOL  # an Enum's attribute lookup is slow
 
 
 class ScenarioError(Exception):
@@ -94,30 +95,31 @@ def _entry(index: Optional[int]) -> str:
 def _parse_template(obj, path: Path, index: Optional[int]) -> TxTemplate:
     """The setup entry at `index` of the scenario at `path`, or its target
     when `index` is None. Messages are built only for a failed check."""
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise ScenarioError(f"{path}: {_entry(index)} must be an object")
-    if not obj.keys() <= TEMPLATE_KEYS:
+    if not TEMPLATE_KEYS.issuperset(obj):  # its keys, with no view built
         raise ScenarioError(f"{path}: {_entry(index)} has unknown keys "
                             f"{sorted(set(obj) - TEMPLATE_KEYS)}")
-    if index is not None and not isinstance(obj.get("actor"), str):
+    actor = ACTOR if index is None else obj.get("actor")
+    if type(actor) is not str:
         raise ScenarioError(f"{path}: {_entry(index)} needs an actor role")
-    if not isinstance(obj.get("callee"), str):
+    callee = obj.get("callee")
+    if type(callee) is not str:
         raise ScenarioError(f"{path}: {_entry(index)} needs a callee role")
     function = obj.get("function")
-    if not (function is None or isinstance(function, str)):
+    if not (function is None or type(function) is str):
         raise ScenarioError(f"{path}: {_entry(index)}: function must be a name or null")
     args = obj.get("args", [])
-    if not isinstance(args, list):
+    if type(args) is not list:
         raise ScenarioError(f"{path}: {_entry(index)}: args must be a list")
     for a in args:
-        if not isinstance(a, (int, bool, str)):
+        if not isinstance(a, (int, str)):  # a bool is an int
             raise ScenarioError(f"{path}: {_entry(index)}: bad argument {a!r}")
     value = obj.get("value", 0)
     if not (type(value) is int and 0 <= value <= UINT_MAX):
         raise ScenarioError(f"{path}: {_entry(index)}: value must be an integer "
                             "in [0, 2**128 - 1]")
-    return TxTemplate(ACTOR if index is None else obj["actor"], obj["callee"], function,
-                      tuple(args), value)
+    return tuple.__new__(TxTemplate, (actor, callee, function, tuple(args), value))
 
 
 def load_scenario(path) -> Scenario:
@@ -136,16 +138,20 @@ def load_scenario(path) -> Scenario:
     balances = raw.get("balances")
     if not isinstance(balances, dict):
         raise ScenarioError(f"{path}: balances must be an object")
-    # JSON object keys are strings, so every role is one
+    # every role is a JSON key, so a string; value only moves, so none outgrows the total
+    total = 0
     for role, amount in balances.items():
         if not (type(amount) is int and 0 <= amount <= UINT_MAX):
             raise ScenarioError(f"{path}: balance of {role!r} must be an integer "
                                 "in [0, 2**128 - 1]")
+        total += amount * len(ALL_ACTOR_KINDS) if role == ACTOR else amount
+    if total > UINT_MAX:
+        raise ScenarioError(f"{path}: balances total {total}, more than 2**128 - 1")
     for key in ("setup", "mrs", "mr1_actors"):
         if not isinstance(raw.get(key, []), list):
             raise ScenarioError(f"{path}: {key} must be a list")
-    setup = [_parse_template(entry, path, i)
-             for i, entry in enumerate(raw.get("setup", []))]
+    setup = tuple([_parse_template(entry, path, i)
+                   for i, entry in enumerate(raw.get("setup", ()))])
     target = _parse_template(raw.get("target"), path, None)
     try:
         mrs = relation_ids(raw.get("mrs", RELATIONS))
@@ -159,7 +165,7 @@ def load_scenario(path) -> Scenario:
             stem = stem[: -len(suffix)]
             break
     return Scenario(scenario_id=stem, base_dir=path.parent, sources=tuple(sources),
-                    balances=dict(balances), setup=tuple(setup), target=target,
+                    balances=dict(balances), setup=setup, target=target,
                     mrs=mrs, mr1_actors=kinds)
 
 
@@ -183,10 +189,7 @@ class Environment:
     _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def resolve(self, token, actor_addr: str):
-        # roles are strings other than $ACTOR, so the tests cannot overlap
-        addr = self.roles.get(token)
-        if addr is not None:
-            return addr
+        """A token that names no role: $ACTOR, or a uint or bool argument."""
         if token == ACTOR:
             return actor_addr
         if isinstance(token, int):  # a bool is an int
@@ -195,13 +198,14 @@ class Environment:
 
     def transaction(self, entry: TxTemplate, actor, gas_limit: int) -> Transaction:
         """`entry` at `gas_limit`, with `$ACTOR` standing for `actor`."""
-        resolve = self.resolve
+        roles = self.roles  # no role is $ACTOR, and no address is empty
+        sender, callee, function, tokens, value = entry
         args = []  # a loop, not a comprehension: no closure cells per transaction
-        for a in entry.args:
-            args.append(resolve(a, actor))
+        for a in tokens:
+            args.append(roles.get(a) or self.resolve(a, actor))
         return tuple.__new__(Transaction, (
-            resolve(entry.actor, actor), gas_limit, resolve(entry.callee, actor),
-            entry.function, tuple(args), entry.value))
+            roles.get(sender) or self.resolve(sender, actor), gas_limit,
+            roles.get(callee) or self.resolve(callee, actor), function, tuple(args), value))
 
     def run_target(self, state: WorldState, kind: AgentKind, gas_limit: int, *,
                    ops: bool = False) -> Outcome:
@@ -246,8 +250,7 @@ class Environment:
 
 
 def _load_contracts(scenario: Scenario):
-    contracts = []
-    seen = set()
+    contracts = {}  # name -> ContractDef, in source order
     for rel in scenario.sources:
         src_path = scenario.base_dir / rel
         text = read_text(src_path, ScenarioError, "source ")
@@ -260,11 +263,10 @@ def _load_contracts(scenario: Scenario):
             listing = "; ".join(str(e) for e in errors)
             raise ScenarioError(f"{src_path}: semantic errors: {listing}")
         for contract in unit.contracts:
-            if contract.name in seen:
+            if contract.name in contracts:
                 raise ScenarioError(f"contract {contract.name!r} defined twice")
-            seen.add(contract.name)
-            contracts.append(contract)
-    return contracts
+            contracts[contract.name] = contract
+    return contracts.values()
 
 
 def _check_args(entry: TxTemplate, fn: Optional[ast.FunctionDef], roles: dict,
@@ -273,26 +275,27 @@ def _check_args(entry: TxTemplate, fn: Optional[ast.FunctionDef], roles: dict,
     `index` (the target when None) fit the parameters of `fn`, the
     function it calls, when that is known: a uint is a non-bool int in
     [0, UINT_MAX], a bool a bool, an addr a role."""
-    if entry.function is None:
-        if entry.args:
+    _, _, function, args, _ = entry
+    if fn is None:  # unknown, as for every plain transfer
+        if function is None and args:
             raise ScenarioError(f"{_entry(index)}: a call with no function takes no args")
         return
-    if fn is None:
-        return
-    if len(entry.args) != len(fn.params):
-        raise ScenarioError(f"{_entry(index)}: {entry.function} takes {len(fn.params)} "
-                            f"args, got {len(entry.args)}")
-    for param, arg in zip(fn.params, entry.args):
-        if param.kind == ast.Kind.UINT:
+    params = fn.params
+    if len(args) != len(params):
+        raise ScenarioError(f"{_entry(index)}: {function} takes {len(params)} "
+                            f"args, got {len(args)}")
+    for i in range(len(params)):  # zip would cost more than the checks
+        param, arg = params[i], args[i]
+        kind = param.kind
+        if kind is UINT:
             fits = type(arg) is int and 0 <= arg <= UINT_MAX
-        elif param.kind == ast.Kind.BOOL:
+        elif kind is BOOL:
             fits = type(arg) is bool
         else:
             fits = arg == ACTOR or arg in roles
         if not fits:
             raise ScenarioError(f"{_entry(index)}: argument {param.name} of "
-                                f"{entry.function} must be {param.kind.value}, "
-                                f"got {arg!r}")
+                                f"{function} must be {kind.value}, got {arg!r}")
 
 
 def build_environment(scenario: Scenario, schedule: GasSchedule,
@@ -336,7 +339,7 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
                       roles=roles, actor_accounts={AgentKind.EOA: eoa_actor}, driver=driver)
 
     # every agent makes the target call, naming itself `this` where it is $ACTOR
-    args = tuple(env.resolve(a, ast.This()) for a in target.args)
+    args = env.transaction(target, ast.This(), 0).args
     for kind in AGENT_KINDS:
         env.actor_accounts[kind] = make_agent(state, AgentSpec(
             kind=kind, target=target_addr, function=target.function, args=args,
@@ -351,32 +354,35 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
     # transactions: one per actor kind if it mentions $ACTOR, else one. A
     # role that resolves to nothing is raised once the entries before it
     # replay, as it would be were the transactions built as replay reaches them.
-    txs, runs = [], []  # the transactions, and (entry, actor kind) of each
-    functions = {}      # (callee role, function) -> its FunctionDef, if known
+    txs = []
+    functions = {}  # (callee role, function) -> its FunctionDef, if known
     unresolved = None
-    accounts, limit = env.actor_accounts, schedule.block_gas_limit
+    accounts, limit, transaction = env.actor_accounts, schedule.block_gas_limit, env.transaction
     for i, entry in enumerate(scenario.setup):
-        key = entry.callee, entry.function
-        if key not in functions:
-            functions[key] = function_of(roles.get(entry.callee), entry.function)
-        _check_args(entry, functions[key], roles, i)
+        sender, callee, function, args, _ = entry
+        key = callee, function
+        fn = functions.get(key)
+        if fn is None and key not in functions:
+            fn = functions[key] = function_of(roles.get(callee), function)
+        _check_args(entry, fn, roles, i)
         if unresolved is not None:
             continue
-        templated = ACTOR in (entry.actor, entry.callee, *entry.args)
-        for kind in ALL_ACTOR_KINDS if templated else (None,):
-            try:
-                txs.append(env.transaction(entry, accounts.get(kind), limit))
-            except ScenarioError as exc:
-                unresolved = exc
-                break
-            runs.append((entry, kind))
+        try:
+            if sender == ACTOR or callee == ACTOR or ACTOR in args:
+                for kind in ALL_ACTOR_KINDS:
+                    txs.append(transaction(entry, accounts[kind], limit))
+            else:
+                txs.append(transaction(entry, None, limit))
+        except ScenarioError as exc:
+            unresolved = exc
     failed = replay(state, txs, schedule)
     if failed is not None:
-        index, status = failed
-        entry, kind = runs[index]
-        who = kind.value if kind is not None else entry.actor
-        raise ScenarioError(f"setup transaction {entry.function or 'transfer'} failed "
-                            f"for {who}: {status}")
+        tx, status = txs[failed[0]], failed[1]
+        # an actor kind's account enters a transaction only through $ACTOR
+        who = [k.value for k, a in accounts.items() if a in (tx.actor, tx.callee, *tx.args)]
+        who += [role for role, addr in roles.items() if addr == tx.actor]
+        raise ScenarioError(f"setup transaction {tx.function or 'transfer'} failed "
+                            f"for {who[0]}: {status}")
     if unresolved is not None:
         raise unresolved
 

@@ -125,7 +125,7 @@ from typing import Optional
 from ..minisol import ast
 from ..minisol.parser import MAX_NESTING
 from .schedule import GasSchedule
-from .state import Account, WorldState, is_zero
+from .state import ZEROS, Account, WorldState
 from .types import (
     UINT_MAX,
     CallEntered,
@@ -165,8 +165,7 @@ new = tuple.__new__  # builds a trace event without its Python-level __new__
 
 
 class _FrameFail(Exception):
-    def __init__(self, reason: FailReason):
-        self.reason = reason
+    """A frame failed; `args[0]` is the FailReason."""
 
 
 class _ReturnSignal(Exception):
@@ -387,6 +386,7 @@ class _Run:
             self.charge(frame, "local", self.sched.arith)
             value = self.eval(frame, s.value)
             if s.op != "=":
+                self.charge(frame, "arith", self.sched.arith)
                 value = self.arith(s.op[0], frame.env[target.name], value)
             frame.env[target.name] = value
             return
@@ -400,7 +400,7 @@ class _Run:
             self.charge(frame, "sload", self.sched.sload)
             self.charge(frame, "arith", self.sched.arith)
             value = self.arith(s.op[0], old, value)
-        if is_zero(old) and not is_zero(value):
+        if old in ZEROS and value not in ZEROS:
             self.charge(frame, "sstore_set", self.sched.sstore_set)
         else:
             self.charge(frame, "sstore_reset", self.sched.sstore_reset)
@@ -498,7 +498,7 @@ class _Run:
             return False
         raise _FrameFail(reason)
 
-    def dispatch(self, acct: Account, function: Optional[str], args: list,
+    def dispatch(self, acct: Account, function: Optional[str], args,
                  value: int, sender: str, budget: int, depth: int,
                  elastic: bool):
         """Run the callee; returns (ok, gas_consumed, fail_reason, need, dry),
@@ -506,7 +506,7 @@ class _Run:
         contract = acct.code
         if contract is None:
             return True, 0, None, 0, False  # an EOA: receives value, executes nothing
-        fn = contract.functions_by_name.get(function) if function is not None else None
+        fn = contract.functions_by_name.get(function)  # None for a plain transfer
         if fn is not None:
             if len(fn.params) != len(args):
                 return False, 0, FailReason.REVERT, 0, False
@@ -522,8 +522,11 @@ class _Run:
         if value > 0 and not payable:
             return False, 0, FailReason.REVERT, 0, False
 
-        frame = _Frame(acct, sender, value, depth, budget, budget,
-                       {p.name: a for p, a in zip(params, args)} if params else {}, elastic)
+        env = {}  # neither a comprehension nor zip: both cost more than one binding
+        if params:
+            for i in range(len(params)):
+                env[params[i].name] = args[i]
+        frame = _Frame(acct, sender, value, depth, budget, budget, env, elastic)
         ok, reason = True, None
         try:
             self.charge(frame, "dispatch", self.sched.dispatch)
@@ -532,7 +535,7 @@ class _Run:
         except _ReturnSignal:
             pass
         except _FrameFail as fail:
-            ok, reason = False, fail.reason
+            ok, reason = False, fail.args[0]
         consumed = budget - frame.gas
         if frame.elastic:
             return ok, consumed, reason, consumed if consumed > frame.peak else frame.peak, False
@@ -546,40 +549,41 @@ class _Run:
         when the run `reports`) and leaves the run's invariance range in
         `lo` and `hi`."""
         state, schedule = self.state, self.sched
+        sender, limit, to, function, args, value = tx
+        base = schedule.base_tx
         self.trace = []
         self.tail.clear()
-        self.limit = tx.gas_limit            # the transaction's gas limit G
+        self.limit = limit                   # the transaction's gas limit G
         self.lo = 0                          # lowest limit on this path
         self.hi = schedule.block_gas_limit   # highest limit on this path
         self.turn = 0                        # highest lower bound that turns it
         self.reported = None                 # (ok, reason) of the reported call
-        actor, callee = state.accounts.get(tx.actor), state.accounts.get(tx.callee)
+        actor, callee = state.accounts.get(sender), state.accounts.get(to)
         if actor is None or callee is None:
             raise ValueError("transaction actor and callee must exist")
-        if not 0 <= tx.gas_limit <= schedule.block_gas_limit:
+        if not 0 <= limit <= schedule.block_gas_limit:
             raise ValueError("gas limit must be within [0, block_gas_limit]")
 
-        if tx.value > actor.balance:
+        if value > actor.balance:
             return failure(FailReason.BALANCE_INSUFFICIENT), 0, 0
         holder = callee if self.reports is not None else actor  # whose delta the run reports
         before = holder.balance
 
-        if tx.gas_limit < schedule.base_tx:
-            self.tail.append(("base_tx", tx.gas_limit, 0))
-            state.fee_ledger += tx.gas_limit
-            self.hi = schedule.base_tx - 1
-            return failure(FailReason.OUT_OF_GAS), tx.gas_limit, 0
-        self.tail.append(("base_tx", schedule.base_tx, 0))
-        budget = tx.gas_limit - schedule.base_tx
+        if limit < base:
+            self.tail.append(("base_tx", limit, 0))
+            state.fee_ledger += limit
+            self.hi = base - 1
+            return failure(FailReason.OUT_OF_GAS), limit, 0
+        self.tail.append(("base_tx", base, 0))
 
         checkpoint = state.checkpoint()
-        if tx.value:
-            state.transfer(actor, callee, tx.value)
+        if value:
+            state.transfer(actor, callee, value)
 
-        ok, consumed, reason, need, _ = self.dispatch(callee, tx.function, list(tx.args),
-                                                      tx.value, tx.actor, budget, 0, True)
+        ok, consumed, reason, need, _ = self.dispatch(callee, function, args, value, sender,
+                                                      limit - base, 0, True)
         if ok:
-            gas_total = schedule.base_tx + consumed
+            gas_total = base + consumed
             delta = holder.balance - before
             status = STATUS_SUCCESS
             if self.reported is not None and not self.reported[0]:
@@ -587,16 +591,16 @@ class _Run:
         else:
             state.revert(checkpoint)
             if reason == FailReason.OUT_OF_GAS:
-                gas_total = tx.gas_limit  # a failed allocation is consumed in full
+                gas_total = limit  # a failed allocation is consumed in full
             else:
-                gas_total = schedule.base_tx + consumed
+                gas_total = base + consumed
             delta = 0
             status = failure(reason)
         state.commit()
         state.fee_ledger += gas_total
-        lo = schedule.base_tx + need
+        lo = base + need
         self.lo = lo if lo > self.turn else self.turn
-        if gas_total == tx.gas_limit and status.reason == FailReason.OUT_OF_GAS \
+        if gas_total == limit and status.reason == FailReason.OUT_OF_GAS \
                 and schedule.gasleft:
             self.lo = self.turn  # out of gas below the path too, until a bound turns it
         return status, gas_total, delta

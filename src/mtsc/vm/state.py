@@ -9,9 +9,10 @@ Rollback journal
 ----------------
 Every write goes through the state, which first appends an undo entry
 `(target, key, old value)` to its journal: balance changes, storage
-writes, and account creation. A storage key or account that did not
-exist is recorded as absent, so undoing the write deletes it rather than
-writing a default. Rolling back to a checkpoint pops entries down to a
+writes, and, while a snapshot is open, account creation (no transaction
+creates accounts, so nothing else rewinds past one). A storage key or
+account that did not exist is recorded as absent, so undoing the write
+deletes it. Rolling back to a checkpoint pops entries down to a
 recorded journal length, in the style of go-ethereum's StateDB journal:
 a call frame costs O(its writes), not O(accounts x storage), and every
 Account object stays in place, so a reference held across a rollback
@@ -40,7 +41,7 @@ class UnknownSnapshot(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Account:
     address: str
     balance: int
@@ -56,8 +57,7 @@ class Account:
         return Account(self.address, self.balance, self.code, dict(self.storage))
 
 
-def is_zero(value) -> bool:
-    return value in (0, False, ZERO_ADDR)
+ZEROS = (0, False, ZERO_ADDR)  # the values a storage write counts as zero
 
 
 @dataclass
@@ -71,18 +71,15 @@ class WorldState:
 
     # -- accounts ----------------------------------------------------------
 
-    def _create(self, account: Account) -> str:
-        self._journal.append((self.accounts, account.address, _ABSENT))
-        self.accounts[account.address] = account
-        return account.address
-
-    def _fresh_address(self) -> str:
-        addr = f"0x{self.next_address:04x}"
-        self.next_address += 1
-        return addr
-
     def create_eoa(self, balance: int = 0) -> str:
-        return self._create(Account(self._fresh_address(), balance))
+        """A new account with no code at the next address; `deploy` adds code."""
+        n = self.next_address
+        addr = "0x%04x" % n  # %-formatting parses no format spec per call
+        self.next_address = n + 1
+        if self._snapshots:
+            self._journal.append((self.accounts, addr, _ABSENT))
+        self.accounts[addr] = Account(addr, balance)
+        return addr
 
     def account(self, addr: str) -> Account:
         return self.accounts[addr]
@@ -157,4 +154,6 @@ class WorldState:
 
 def deploy(state: WorldState, code: ast.ContractDef, initial_balance: int = 0) -> str:
     """Create a contract account for validated code at the next address."""
-    return state._create(Account(state._fresh_address(), initial_balance, code))
+    addr = state.create_eoa(initial_balance)
+    state.accounts[addr].code = code
+    return addr

@@ -2,7 +2,8 @@
 limit, and the pipeline whose ranges answer only estimator probes), an
 in-process command line, the plans as loops, whole-plan pair
 construction, trace queries and their references, a runner for a bare
-transaction, and the copy and content hash of a world state."""
+transaction, the copy and content hash of a world state, and setup
+replay as plain code."""
 
 import copy
 import hashlib
@@ -16,9 +17,10 @@ from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
 from mtsc.agents import AgentKind
 from mtsc.mr_engine import ActorInput, TestPair
 from mtsc.relations import MR1_1, MR1_2, RELATIONS
-from mtsc.scenario import Environment
+from mtsc.minisol import ast
+from mtsc.scenario import ACTOR, ALL_ACTOR_KINDS, Environment, ScenarioError
 from mtsc.traces import LOW_LEVEL_FORMS
-from mtsc.vm import TAIL, CallEntered, CallExited, OpExecuted, WorldState
+from mtsc.vm import TAIL, UINT_MAX, CallEntered, CallExited, OpExecuted, Transaction, WorldState
 from mtsc.vm import execute as vm_execute
 
 
@@ -222,3 +224,60 @@ def digest(state) -> str:
         for key in sorted(acct.storage, key=repr):
             h.update(f"{key!r}={acct.storage[key]!r};".encode())
     return h.hexdigest()
+
+
+def reference_setup(env, setup):
+    """Run the setup entries `setup` on `env`, built without them, as plain
+    code: check the arguments of every entry against the function it
+    calls, then resolve and `execute` the entries one at a time, once per
+    actor kind for an entry that names $ACTOR. Raises the ScenarioError
+    that `build_environment` raises for the same entries."""
+    roles = env.roles
+    for i, entry in enumerate(setup):
+        name = f"setup[{i}]"
+        if entry.function is None:
+            if entry.args:
+                raise ScenarioError(f"{name}: a call with no function takes no args")
+            continue
+        callee = env.state.accounts.get(roles.get(entry.callee))
+        code = callee.code if callee is not None else None
+        fn = code.functions_by_name.get(entry.function) if code is not None else None
+        if fn is None:
+            continue
+        if len(entry.args) != len(fn.params):
+            raise ScenarioError(f"{name}: {entry.function} takes {len(fn.params)} args, "
+                                f"got {len(entry.args)}")
+        for param, arg in zip(fn.params, entry.args):
+            if param.kind == ast.Kind.UINT:
+                fits = isinstance(arg, int) and not isinstance(arg, bool) \
+                    and 0 <= arg <= UINT_MAX
+            elif param.kind == ast.Kind.BOOL:
+                fits = isinstance(arg, bool)
+            else:
+                fits = arg == ACTOR or arg in roles
+            if not fits:
+                raise ScenarioError(f"{name}: argument {param.name} of {entry.function} "
+                                    f"must be {param.kind.value}, got {arg!r}")
+
+    def resolved(token, actor):
+        if token in roles:
+            return roles[token]
+        if token == ACTOR:
+            return actor
+        if isinstance(token, int):
+            return token
+        raise ScenarioError(f"unresolvable role {token!r}")
+
+    for entry in setup:
+        templated = ACTOR in (entry.actor, entry.callee) + tuple(entry.args)
+        for kind in ALL_ACTOR_KINDS if templated else [None]:
+            actor = env.actor_accounts.get(kind)
+            args = tuple(resolved(a, actor) for a in entry.args)  # arguments first
+            tx = Transaction(resolved(entry.actor, actor), env.schedule.block_gas_limit,
+                             resolved(entry.callee, actor), entry.function, args,
+                             entry.value)
+            out = vm_execute(env.state, tx, env.schedule)
+            if not out.ok:
+                who = kind.value if kind is not None else entry.actor
+                raise ScenarioError(f"setup transaction {entry.function or 'transfer'} "
+                                    f"failed for {who}: {out.status}")

@@ -4,15 +4,19 @@ All are named tuples, and the interpreter and the setup path build them
 with `tuple.__new__` rather than through the Python-level `__new__`.
 Either way they keep their class, their equality with a plain tuple of
 their fields, their hash, and the repr a report's excerpt prints. The
-functions that build them per call allocate no closure cells.
+functions that build them per call allocate no closure cells, and a
+holder keeps few containers alive in the environment.
 """
+
+import gc
+from dataclasses import replace
 
 import pytest
 
 from mtsc.minisol import parse
-from mtsc.scenario import Environment, TxTemplate, load_scenario
-from mtsc.vm import (CallEntered, CallExited, ExceptionSwallowed, OpExecuted, Transaction,
-                     WorldState, deploy, execute)
+from mtsc.scenario import Environment, TxTemplate, build_environment, load_scenario
+from mtsc.vm import (CallEntered, CallExited, ExceptionSwallowed, GasSchedule, OpExecuted,
+                     Transaction, WorldState, deploy, execute)
 from mtsc.vm.interp import _Run
 
 from conftest import scenario_path
@@ -92,3 +96,40 @@ def test_record_builders_allocate_no_closure_cells(function):
     # a comprehension over a local gives the function cells (before Python
     # 3.12), one allocated per call: per setup transaction, per evaluation
     assert function.__code__.co_cellvars == ()
+
+
+def containers_in_accounts(scenario) -> int:
+    """GC-tracked objects among the accounts of `scenario`'s environment
+    and what each holds: the account, its storage, and the storage's keys
+    and values. No collection runs until they are counted, so none
+    untracks a tuple they hold."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env = build_environment(scenario, GasSchedule())
+        count = 0
+        for acct in env.state.accounts.values():
+            for obj in (acct, acct.storage, *acct.storage, *acct.storage.values()):
+                count += gc.is_tracked(obj)
+        return count
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# A full collection scans every container the widened holders keep alive,
+# and it sets the switch-only tail: a second container per holder shows here.
+@pytest.mark.parametrize("deposits,per_holder", [(False, 1), (True, 2)],
+                         ids=["plain", "depositing"])
+def test_a_holder_keeps_its_account_and_its_position_alive(deposits, per_holder):
+    base = load_scenario(scenario_path("simple_dao_withdraw"))
+
+    def widened(holders):
+        roles = [f"holder_{i}" for i in range(holders)]
+        setup = tuple(TxTemplate(role, "SimpleDAO", "deposit", (role,), 5) for role in roles)
+        return replace(base, balances={**base.balances, **dict.fromkeys(roles, 10)},
+                       setup=base.setup + setup if deposits else base.setup)
+
+    # the account; a deposit adds its (map, address) storage key
+    assert containers_in_accounts(widened(20)) - containers_in_accounts(widened(0)) \
+        == 20 * per_holder

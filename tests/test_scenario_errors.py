@@ -71,6 +71,12 @@ LOAD_ERRORS = [
      "{path}: balance of 'owner' must be an integer in [0, 2**128 - 1]"),
     ("balance-bool", _set("balances", "$ACTOR", True),
      "{path}: balance of '$ACTOR' must be an integer in [0, 2**128 - 1]"),
+    # value only moves, so balances total at most UINT_MAX, $ACTOR's once
+    # per actor kind (5)
+    ("balances-total", _set("balances", "owner", 2**128 - 1),
+     "{path}: balances total " + str(2**128 - 1 + 5 * 1_000_000) + ", more than 2**128 - 1"),
+    ("balances-total-actor", _set("balances", "$ACTOR", 2**126),
+     "{path}: balances total " + str(5 + 5 * 2**126) + ", more than 2**128 - 1"),
     ("setup-list", _set("setup", {}), "{path}: setup must be a list"),
     ("mrs-list", _set("mrs", "MR1.1"), "{path}: mrs must be a list"),
     ("mr1-actors-list", _set("mr1_actors", None), "{path}: mr1_actors must be a list"),

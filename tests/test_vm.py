@@ -223,6 +223,30 @@ def test_assignments_to_locals_and_parameters(body, result):
         assert state.account(c).storage == {"r": result}
 
 
+# A compound assignment to a local or a parameter charges the operator's
+# arith op, as `x = x + n` does and as a compound storage assignment does.
+@pytest.mark.parametrize("compound,spelled_out", [
+    ("let x = 2; x += n;", "let x = 2; x = x + n;"),
+    ("let x = 9; x -= 4;", "let x = 9; x = x - 4;"),
+    ("n += 1;", "n = n + 1;"),
+    ("n -= n;", "n = n - n;"),
+], ids=["local-add", "local-sub-literal", "param-add", "param-sub"])
+def test_a_compound_local_assignment_costs_what_its_spelled_out_form_does(
+        compound, spelled_out):
+    def ops_and_gas(body):
+        unit = parse("contract C { fn f(n: uint) { " + body + " } }")
+        assert validate(unit) == []
+        state = WorldState()
+        actor = state.create_eoa(0)
+        out = run(state, actor, deploy(state, unit.contracts[0]), "f", (5,))
+        assert out.ok
+        return [ev.op for ev in out.trace if isinstance(ev, OpExecuted)], out.gas_consumed
+
+    ops, gas = ops_and_gas(compound)
+    assert (ops, gas) == ops_and_gas(spelled_out)
+    assert ops.count("arith") == 1
+
+
 @pytest.mark.parametrize("who,gas,message", [
     ("actor", AMPLE, "transaction actor and callee must exist"),
     ("callee", AMPLE, "transaction actor and callee must exist"),
