@@ -1,10 +1,10 @@
 """Command-line frontend: `mtsc check | bench | estimate`.
 
 Exit codes: 0 no relation violated, 1 at least one relation violated
-(check), 2 usage or configuration errors (including unparsable or invalid
-contracts), 3 an internal error, reported as one `mtsc: internal error:
-...` line. Runs are fully deterministic; repeated invocations produce
-byte-identical reports.
+(check), 2 usage or configuration errors (an `InputError` or `OSError`,
+including unparsable or invalid contracts), 3 an internal error,
+reported as one `mtsc: internal error: ...` line. Runs are fully
+deterministic; repeated invocations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -17,17 +17,12 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
-from .detector import (UnknownScenario, Verdict, check_labels, compute_metrics, emit_report,
-                       verdict_for)
+from .detector import Verdict, check_labels, compute_metrics, emit_report, verdict_for
 from .gas_oracle import estimate_intrinsic_gas  # noqa: F401  perfbench's traced run wraps it
-from .inputs import read_json
+from .inputs import InputError, read_json
 from .mr_engine import EngineConfig, estimate_kinds, run_all
-from .scenario import ALL_ACTOR_KINDS, ScenarioError, build_environment, load_scenario
-from .vm import GasSchedule, ScheduleError, Status, load_schedule
-
-
-class UsageError(Exception):
-    pass
+from .scenario import ALL_ACTOR_KINDS, build_environment, load_scenario
+from .vm import GasSchedule, Status, load_schedule
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,10 +75,10 @@ def _names(flag: Optional[str]) -> Optional[tuple]:
 def _build_config(args) -> tuple:
     """The gas schedule and engine configuration the options select."""
     if args.jobs < 0:
-        raise UsageError("--jobs must be non-negative")
+        raise InputError("--jobs must be non-negative")
     schedule = load_schedule(args.schedule) if args.schedule else GasSchedule()
     if args.car_gas_guard <= schedule.stipend:
-        raise UsageError("--car-gas-guard must exceed the transfer stipend")
+        raise InputError("--car-gas-guard must exceed the transfer stipend")
     try:
         engine = EngineConfig(n=args.n, inc_count=args.inc_count, growth=args.growth,
                               car_gas_guard=args.car_gas_guard,
@@ -91,7 +86,7 @@ def _build_config(args) -> tuple:
                               mr_filter=_names(args.mr),
                               mr1_actors_override=_names(args.mr1_actors))
     except ValueError as exc:
-        raise UsageError(str(exc))
+        raise InputError(str(exc))
     return schedule, engine
 
 
@@ -119,9 +114,9 @@ def cmd_check(args, schedule: GasSchedule, engine: EngineConfig) -> int:
 def cmd_bench(args, schedule: GasSchedule, engine: EngineConfig) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
-        raise UsageError(f"{directory} is not a directory")
+        raise InputError(f"{directory} is not a directory")
     paths = sorted(str(p) for p in directory.glob("*.scenario.json"))
-    labels = read_json(args.labels, UsageError)
+    labels = read_json(args.labels)
     check_labels(labels, [Path(path).name[: -len(".scenario.json")] for path in paths])
 
     # a fork pool starts all its workers at once: never more than there is work for
@@ -172,7 +167,7 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
         return COMMANDS[args.command](args, *_build_config(args))
-    except (UsageError, ScenarioError, ScheduleError, UnknownScenario, OSError) as exc:
+    except (InputError, OSError) as exc:
         code, line = 2, f"mtsc: error: {exc}"
     except Exception as exc:  # exit 1 means "a relation was violated"; a crash must not say so
         code, line = 3, f"mtsc: internal error: {type(exc).__name__}: {exc}"

@@ -7,15 +7,12 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from .inputs import InputError
 from .mr_engine import EngineResult, ViolationRecord
 from .relations import CATEGORIES, RELATIONS
 from .vm import TAIL
 
 REPORT_SCHEMA = "report-v1"
-
-
-class UnknownScenario(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -86,18 +83,18 @@ def check_labels(labels, scenario_ids) -> None:
     label, or a label without a scenario."""
     if not isinstance(labels, dict) or not all(
             isinstance(v, list) for v in labels.values()):
-        raise UnknownScenario("labels must map scenario ids to category lists")
+        raise InputError("labels must map scenario ids to category lists")
     for sid, categories in labels.items():
         for category in categories:
             if category not in CATEGORIES:
-                raise UnknownScenario(f"unknown category {category!r} in the labels of {sid!r}")
+                raise InputError(f"unknown category {category!r} in the labels of {sid!r}")
     for sid in scenario_ids:
         if sid not in labels:
-            raise UnknownScenario(f"no label for scenario {sid!r}")
+            raise InputError(f"no label for scenario {sid!r}")
     scored = set(scenario_ids)
     for sid in labels:
         if sid not in scored:
-            raise UnknownScenario(f"no scenario for label {sid!r}")
+            raise InputError(f"no scenario for label {sid!r}")
 
 
 def compute_metrics(verdicts, labels: dict) -> MetricsReport:

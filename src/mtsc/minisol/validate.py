@@ -113,7 +113,7 @@ class _ContractChecker:
                 kind = UINT
             self.env[stmt.name] = kind
         elif isinstance(stmt, ast.Assign):
-            target_kind = self.infer(stmt.target, lvalue=True)
+            target_kind = self.infer(stmt.target)
             value_kind = self.infer(stmt.value)
             if stmt.op in ("+=", "-=") and UINT not in (target_kind,):
                 self.error(stmt, "type-mismatch",
@@ -142,7 +142,7 @@ class _ContractChecker:
         if got != kind:
             self.error(expr, "type-mismatch", f"{what} must be {kind}, got {got}")
 
-    def infer(self, expr, lvalue: bool = False, statement: bool = False):
+    def infer(self, expr, statement: bool = False):
         if isinstance(expr, ast.IntLit):
             return UINT
         if isinstance(expr, ast.BoolLit):

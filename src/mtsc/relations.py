@@ -36,7 +36,7 @@ class Relation:
     reports_threshold: bool = False  # a violation's follow-up limit is its gas_threshold
 
 
-def _status_or_gas_changed(s, f, follow):
+def _status_or_gas_changed(s, f, _follow):
     if s.ok != f.ok:
         return "status mismatch"
     if s.gas_consumed != f.gas_consumed:
@@ -44,7 +44,7 @@ def _status_or_gas_changed(s, f, follow):
     return None
 
 
-def _balance_changed(s, f, follow):
+def _balance_changed(s, f, _follow):
     if s.ok and f.ok and s.balance_delta != f.balance_delta:
         return "balance mismatch"
     return None

@@ -44,7 +44,7 @@ from .agents import (
     agent_interact,
     make_agent,
 )
-from .inputs import read_json, read_text
+from .inputs import InputError, read_json, read_text
 from .minisol import ParseError, ast, parse, validate
 from .relations import RELATIONS, relation_ids
 from .vm import (UINT_MAX, GasSchedule, Outcome, Transaction, WorldState, deploy, execute,
@@ -55,10 +55,6 @@ ACTOR = "$ACTOR"
 DEFAULT_MR1_ACTORS = (AgentKind.EOA, AgentKind.CAH, AgentKind.CAR)
 ALL_ACTOR_KINDS = (AgentKind.EOA,) + AGENT_KINDS
 UINT, BOOL = ast.Kind.UINT, ast.Kind.BOOL  # an Enum's attribute lookup is slow
-
-
-class ScenarioError(Exception):
-    pass
 
 
 class TxTemplate(NamedTuple):
@@ -96,60 +92,60 @@ def _parse_template(obj, path: Path, index: Optional[int]) -> TxTemplate:
     """The setup entry at `index` of the scenario at `path`, or its target
     when `index` is None. Messages are built only for a failed check."""
     if type(obj) is not dict:
-        raise ScenarioError(f"{path}: {_entry(index)} must be an object")
+        raise InputError(f"{path}: {_entry(index)} must be an object")
     if not TEMPLATE_KEYS.issuperset(obj):  # its keys, with no view built
-        raise ScenarioError(f"{path}: {_entry(index)} has unknown keys "
-                            f"{sorted(set(obj) - TEMPLATE_KEYS)}")
+        raise InputError(f"{path}: {_entry(index)} has unknown keys "
+                         f"{sorted(set(obj) - TEMPLATE_KEYS)}")
     actor = ACTOR if index is None else obj.get("actor")
     if type(actor) is not str:
-        raise ScenarioError(f"{path}: {_entry(index)} needs an actor role")
+        raise InputError(f"{path}: {_entry(index)} needs an actor role")
     callee = obj.get("callee")
     if type(callee) is not str:
-        raise ScenarioError(f"{path}: {_entry(index)} needs a callee role")
+        raise InputError(f"{path}: {_entry(index)} needs a callee role")
     function = obj.get("function")
     if not (function is None or type(function) is str):
-        raise ScenarioError(f"{path}: {_entry(index)}: function must be a name or null")
+        raise InputError(f"{path}: {_entry(index)}: function must be a name or null")
     args = obj.get("args", [])
     if type(args) is not list:
-        raise ScenarioError(f"{path}: {_entry(index)}: args must be a list")
+        raise InputError(f"{path}: {_entry(index)}: args must be a list")
     for a in args:
         if not isinstance(a, (int, str)):  # a bool is an int
-            raise ScenarioError(f"{path}: {_entry(index)}: bad argument {a!r}")
+            raise InputError(f"{path}: {_entry(index)}: bad argument {a!r}")
     value = obj.get("value", 0)
     if not (type(value) is int and 0 <= value <= UINT_MAX):
-        raise ScenarioError(f"{path}: {_entry(index)}: value must be an integer "
-                            "in [0, 2**128 - 1]")
+        raise InputError(f"{path}: {_entry(index)}: value must be an integer "
+                         "in [0, 2**128 - 1]")
     return tuple.__new__(TxTemplate, (actor, callee, function, tuple(args), value))
 
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    raw = read_json(path, ScenarioError)
+    raw = read_json(path)
     if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: scenario must be a JSON object")
+        raise InputError(f"{path}: scenario must be a JSON object")
     if not raw.keys() <= SCENARIO_KEYS:
-        raise ScenarioError(f"{path}: unknown keys {sorted(set(raw) - SCENARIO_KEYS)}")
+        raise InputError(f"{path}: unknown keys {sorted(set(raw) - SCENARIO_KEYS)}")
     if raw.get("schema") != SCHEMA_V1:
-        raise ScenarioError(f"{path}: schema must be {SCHEMA_V1!r}")
+        raise InputError(f"{path}: schema must be {SCHEMA_V1!r}")
     sources = raw.get("sources")
     if not (isinstance(sources, list) and sources
             and all(isinstance(s, str) for s in sources)):
-        raise ScenarioError(f"{path}: sources must be a non-empty list of paths")
+        raise InputError(f"{path}: sources must be a non-empty list of paths")
     balances = raw.get("balances")
     if not isinstance(balances, dict):
-        raise ScenarioError(f"{path}: balances must be an object")
+        raise InputError(f"{path}: balances must be an object")
     # every role is a JSON key, so a string; value only moves, so none outgrows the total
     total = 0
     for role, amount in balances.items():
         if not (type(amount) is int and 0 <= amount <= UINT_MAX):
-            raise ScenarioError(f"{path}: balance of {role!r} must be an integer "
-                                "in [0, 2**128 - 1]")
+            raise InputError(f"{path}: balance of {role!r} must be an integer "
+                             "in [0, 2**128 - 1]")
         total += amount * len(ALL_ACTOR_KINDS) if role == ACTOR else amount
     if total > UINT_MAX:
-        raise ScenarioError(f"{path}: balances total {total}, more than 2**128 - 1")
+        raise InputError(f"{path}: balances total {total}, more than 2**128 - 1")
     for key in ("setup", "mrs", "mr1_actors"):
         if not isinstance(raw.get(key, []), list):
-            raise ScenarioError(f"{path}: {key} must be a list")
+            raise InputError(f"{path}: {key} must be a list")
     setup = tuple([_parse_template(entry, path, i)
                    for i, entry in enumerate(raw.get("setup", ()))])
     target = _parse_template(raw.get("target"), path, None)
@@ -157,7 +153,7 @@ def load_scenario(path) -> Scenario:
         mrs = relation_ids(raw.get("mrs", RELATIONS))
         kinds = actor_kinds(raw.get("mr1_actors", DEFAULT_MR1_ACTORS))
     except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}")
+        raise InputError(f"{path}: {exc}")
 
     stem = path.name
     for suffix in (".scenario.json", ".json"):
@@ -194,7 +190,7 @@ class Environment:
             return actor_addr
         if isinstance(token, int):  # a bool is an int
             return token
-        raise ScenarioError(f"unresolvable role {token!r}")
+        raise InputError(f"unresolvable role {token!r}")
 
     def transaction(self, entry: TxTemplate, actor, gas_limit: int) -> Transaction:
         """`entry` at `gas_limit`, with `$ACTOR` standing for `actor`."""
@@ -233,11 +229,11 @@ class Environment:
         for lo, hi, limit, outcome in kept:
             if (limit == gas_limit) if own else (lo <= gas_limit <= hi):
                 return outcome
-        sid = self.state.snapshot()
+        self.state.snapshot()
         try:
             outcome = self.run_target(self.state, kind, gas_limit)
         finally:
-            self.state.restore(sid)
+            self.state.restore()
         if outcome.ok and outcome.gas_consumed == gas_limit:
             kept.append((gas_limit, gas_limit, gas_limit, outcome))
         else:
@@ -253,37 +249,37 @@ def _load_contracts(scenario: Scenario):
     contracts = {}  # name -> ContractDef, in source order
     for rel in scenario.sources:
         src_path = scenario.base_dir / rel
-        text = read_text(src_path, ScenarioError, "source ")
+        text = read_text(src_path, "source ")
         try:
             unit = parse(text, str(src_path))
         except ParseError as exc:
-            raise ScenarioError(f"{src_path}: {exc}") from exc
+            raise InputError(f"{src_path}: {exc}") from exc
         errors = validate(unit)
         if errors:
             listing = "; ".join(str(e) for e in errors)
-            raise ScenarioError(f"{src_path}: semantic errors: {listing}")
+            raise InputError(f"{src_path}: semantic errors: {listing}")
         for contract in unit.contracts:
             if contract.name in contracts:
-                raise ScenarioError(f"contract {contract.name!r} defined twice")
+                raise InputError(f"contract {contract.name!r} defined twice")
             contracts[contract.name] = contract
     return contracts.values()
 
 
 def _check_args(entry: TxTemplate, fn: Optional[ast.FunctionDef], roles: dict,
                 index: Optional[int] = None):
-    """Raise ScenarioError unless the arguments of the setup entry at
+    """Raise InputError unless the arguments of the setup entry at
     `index` (the target when None) fit the parameters of `fn`, the
     function it calls, when that is known: a uint is a non-bool int in
     [0, UINT_MAX], a bool a bool, an addr a role."""
     _, _, function, args, _ = entry
     if fn is None:  # unknown, as for every plain transfer
         if function is None and args:
-            raise ScenarioError(f"{_entry(index)}: a call with no function takes no args")
+            raise InputError(f"{_entry(index)}: a call with no function takes no args")
         return
     params = fn.params
     if len(args) != len(params):
-        raise ScenarioError(f"{_entry(index)}: {function} takes {len(params)} "
-                            f"args, got {len(args)}")
+        raise InputError(f"{_entry(index)}: {function} takes {len(params)} "
+                         f"args, got {len(args)}")
     for i in range(len(params)):  # zip would cost more than the checks
         param, arg = params[i], args[i]
         kind = param.kind
@@ -294,8 +290,8 @@ def _check_args(entry: TxTemplate, fn: Optional[ast.FunctionDef], roles: dict,
         else:
             fits = arg == ACTOR or arg in roles
         if not fits:
-            raise ScenarioError(f"{_entry(index)}: argument {param.name} of "
-                                f"{function} must be {kind.value}, got {arg!r}")
+            raise InputError(f"{_entry(index)}: argument {param.name} of "
+                             f"{function} must be {kind.value}, got {arg!r}")
 
 
 def build_environment(scenario: Scenario, schedule: GasSchedule,
@@ -327,11 +323,11 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
 
     target = scenario.target
     if target.callee not in roles:
-        raise ScenarioError(f"target callee {target.callee!r} is not a known role")
+        raise InputError(f"target callee {target.callee!r} is not a known role")
     target_addr = roles[target.callee]
     target_fn = function_of(target_addr, target.function)
     if target.function is not None and target_fn is None:
-        raise ScenarioError(
+        raise InputError(
             f"target function {target.function!r} not found on {target.callee}")
     _check_args(target, target_fn, roles)
 
@@ -373,7 +369,7 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
                     txs.append(transaction(entry, accounts[kind], limit))
             else:
                 txs.append(transaction(entry, None, limit))
-        except ScenarioError as exc:
+        except InputError as exc:
             unresolved = exc
     failed = replay(state, txs, schedule)
     if failed is not None:
@@ -381,8 +377,8 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
         # an actor kind's account enters a transaction only through $ACTOR
         who = [k.value for k, a in accounts.items() if a in (tx.actor, tx.callee, *tx.args)]
         who += [role for role, addr in roles.items() if addr == tx.actor]
-        raise ScenarioError(f"setup transaction {tx.function or 'transfer'} failed "
-                            f"for {who[0]}: {status}")
+        raise InputError(f"setup transaction {tx.function or 'transfer'} failed "
+                         f"for {who[0]}: {status}")
     if unresolved is not None:
         raise unresolved
 

@@ -1,8 +1,8 @@
 """Gas-metered mini-EVM: world state, schedules, and the interpreter."""
 
 from .interp import MAX_CALL_DEPTH, TAIL, execute, replay
-from .schedule import GasSchedule, ScheduleError, load_schedule
-from .state import Account, UnknownSnapshot, WorldState, ZERO_ADDR, deploy
+from .schedule import GasSchedule, load_schedule
+from .state import Account, WorldState, ZERO_ADDR, deploy
 from .types import (
     UINT_MAX,
     CallEntered,
@@ -20,7 +20,7 @@ from .types import (
 __all__ = [
     "Account", "CallEntered", "CallExited", "ExceptionSwallowed",
     "FailReason", "GasSchedule", "MAX_CALL_DEPTH", "OpExecuted", "Outcome",
-    "STATUS_SUCCESS", "ScheduleError", "Status", "TAIL", "Transaction", "UINT_MAX",
-    "UnknownSnapshot", "WorldState", "ZERO_ADDR", "deploy", "execute",
+    "STATUS_SUCCESS", "Status", "TAIL", "Transaction", "UINT_MAX",
+    "WorldState", "ZERO_ADDR", "deploy", "execute",
     "failure", "load_schedule", "replay",
 ]

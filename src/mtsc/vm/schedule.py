@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from ..inputs import read_text
+from ..inputs import InputError, read_text
 from ..minisol.ast import UINT_MAX
 
 MAX_FRAMES = 2**16  # the most frames one run may make besides its top frame
@@ -62,30 +62,26 @@ class GasSchedule:
                              f"can make, must not exceed {MAX_FRAMES}")
 
 
-class ScheduleError(Exception):
-    pass
-
-
 def load_schedule(path: str) -> GasSchedule:
     """Parse a key=value schedule file. Blank lines and #-comments skipped."""
     known = {f.name for f in fields(GasSchedule)}
     overrides: dict[str, int] = {}
     # not splitlines(): it also breaks at \x0c, \x85, \u2028 and more, renumbering lines
-    for lineno, raw in enumerate(read_text(path, ScheduleError).split("\n"), start=1):
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ScheduleError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in known:
-            raise ScheduleError(f"{path}:{lineno}: unknown schedule key {key!r}")
+            raise InputError(f"{path}:{lineno}: unknown schedule key {key!r}")
         try:
             overrides[key] = int(value.strip().replace("_", ""))
         except ValueError:
-            raise ScheduleError(f"{path}:{lineno}: {key} needs an integer value")
+            raise InputError(f"{path}:{lineno}: {key} needs an integer value")
     try:
         return GasSchedule(**overrides)
     except ValueError as exc:
-        raise ScheduleError(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc

@@ -18,12 +18,14 @@ a call frame costs O(its writes), not O(accounts x storage), and every
 Account object stays in place, so a reference held across a rollback
 sees the rewound values.
 
-Snapshots are the public face of that one mechanism: a snapshot records
-the journal length together with the fee ledger and the address counter,
-so a deploy after a restore reassigns the same address. The interpreter
-takes its own checkpoints at each call boundary and transaction. While
-no snapshot is open nothing can rewind past a finished transaction, so
-`commit` drops the journal and setup replay does not accumulate entries.
+A snapshot is the public face of that one mechanism, and at most one is
+open at a time. It records the journal length together with the fee
+ledger and the address counter, so a deploy after a restore reassigns
+the same address; `restore` rewinds to it and closes it. The
+interpreter takes its own checkpoints at each call boundary and
+transaction. While no snapshot is open nothing can rewind past a
+finished transaction, so `commit` drops the journal and setup replay
+does not accumulate entries.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ from ..minisol import ast
 from ..minisol.ast import ZERO_ADDR  # re-exported for the VM
 
 _ABSENT = object()  # journal marker: the key did not exist before the write
-
-
-class UnknownSnapshot(Exception):
-    pass
 
 
 @dataclass(slots=True)
@@ -66,8 +64,8 @@ class WorldState:
     fee_ledger: int = 0
     next_address: int = 1
     _journal: list = field(default_factory=list, repr=False)
-    _snapshots: list = field(default_factory=list, repr=False)
-    _snapshot_seq: int = 0
+    # (journal length, fee ledger, address counter) of the open snapshot
+    _snapshot: Optional[tuple] = field(default=None, repr=False)
 
     # -- accounts ----------------------------------------------------------
 
@@ -76,7 +74,7 @@ class WorldState:
         n = self.next_address
         addr = "0x%04x" % n  # %-formatting parses no format spec per call
         self.next_address = n + 1
-        if self._snapshots:
+        if self._snapshot:
             self._journal.append((self.accounts, addr, _ABSENT))
         self.accounts[addr] = Account(addr, balance)
         return addr
@@ -128,28 +126,19 @@ class WorldState:
                 setattr(target, key, old)
 
     def commit(self):
-        """End of a transaction: keep the journal only for open snapshots."""
-        if not self._snapshots:
+        """End of a transaction: keep the journal only for an open snapshot."""
+        if not self._snapshot:
             self._journal.clear()
 
-    def snapshot(self) -> int:
-        self._snapshot_seq += 1
-        sid = self._snapshot_seq
-        self._snapshots.append((sid, len(self._journal), self.fee_ledger,
-                                self.next_address))
-        return sid
+    def snapshot(self):
+        """Open the snapshot that the next `restore` rewinds to."""
+        self._snapshot = len(self._journal), self.fee_ledger, self.next_address
 
-    def restore(self, snapshot_id: int):
-        """Rewind to a snapshot. Consumes it and anything taken after it."""
-        for i in range(len(self._snapshots) - 1, -1, -1):
-            sid, checkpoint, fees, next_addr = self._snapshots[i]
-            if sid == snapshot_id:
-                self.revert(checkpoint)
-                self.fee_ledger = fees
-                self.next_address = next_addr
-                del self._snapshots[i:]
-                return
-        raise UnknownSnapshot(f"snapshot {snapshot_id} not on the journal")
+    def restore(self):
+        """Rewind to the open snapshot and close it."""
+        checkpoint, self.fee_ledger, self.next_address = self._snapshot
+        self._snapshot = None
+        self.revert(checkpoint)
 
 
 def deploy(state: WorldState, code: ast.ContractDef, initial_balance: int = 0) -> str:

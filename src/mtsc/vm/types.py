@@ -73,7 +73,7 @@ class OpExecuted(NamedTuple):
 
 
 class CallEntered(NamedTuple):
-    call_form: str            # lowcall | dcall | send | transfer | fallback
+    call_form: str            # one of ast.CALL_FORMS: lowcall | dcall | send | transfer
     callee: str
     function: Optional[str]   # None for plain value / fallback dispatch
     value: int

@@ -14,11 +14,12 @@ from unittest import mock
 
 from mtsc import cli, mr_engine
 from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
+from mtsc.inputs import InputError
 from mtsc.agents import AgentKind
 from mtsc.mr_engine import ActorInput, TestPair
 from mtsc.relations import MR1_1, MR1_2, RELATIONS
 from mtsc.minisol import ast
-from mtsc.scenario import ACTOR, ALL_ACTOR_KINDS, Environment, ScenarioError
+from mtsc.scenario import ACTOR, ALL_ACTOR_KINDS, Environment
 from mtsc.traces import LOW_LEVEL_FORMS
 from mtsc.vm import TAIL, UINT_MAX, CallEntered, CallExited, OpExecuted, Transaction, WorldState
 from mtsc.vm import execute as vm_execute
@@ -48,11 +49,11 @@ def reference_run(env, kind, gas_limit, own=False):
     outcomes = vars(env).setdefault("reference_outcomes", {})
     key = kind, gas_limit
     if key not in outcomes:
-        sid = env.state.snapshot()
+        env.state.snapshot()
         try:
             outcomes[key] = env.run_target(env.state, kind, gas_limit)
         finally:
-            env.state.restore(sid)
+            env.state.restore()
     return outcomes[key]
 
 
@@ -198,11 +199,11 @@ def tx_runner(state, tx, schedule):
     """Estimator runner for a bare transaction: each run on a snapshot of
     `state`, restored afterwards."""
     def run(limit):
-        sid = state.snapshot()
+        state.snapshot()
         try:
             return vm_execute(state, tx._replace(gas_limit=limit), schedule)
         finally:
-            state.restore(sid)
+            state.restore()
     return run
 
 
@@ -230,14 +231,14 @@ def reference_setup(env, setup):
     """Run the setup entries `setup` on `env`, built without them, as plain
     code: check the arguments of every entry against the function it
     calls, then resolve and `execute` the entries one at a time, once per
-    actor kind for an entry that names $ACTOR. Raises the ScenarioError
+    actor kind for an entry that names $ACTOR. Raises the InputError
     that `build_environment` raises for the same entries."""
     roles = env.roles
     for i, entry in enumerate(setup):
         name = f"setup[{i}]"
         if entry.function is None:
             if entry.args:
-                raise ScenarioError(f"{name}: a call with no function takes no args")
+                raise InputError(f"{name}: a call with no function takes no args")
             continue
         callee = env.state.accounts.get(roles.get(entry.callee))
         code = callee.code if callee is not None else None
@@ -245,8 +246,8 @@ def reference_setup(env, setup):
         if fn is None:
             continue
         if len(entry.args) != len(fn.params):
-            raise ScenarioError(f"{name}: {entry.function} takes {len(fn.params)} args, "
-                                f"got {len(entry.args)}")
+            raise InputError(f"{name}: {entry.function} takes {len(fn.params)} args, "
+                             f"got {len(entry.args)}")
         for param, arg in zip(fn.params, entry.args):
             if param.kind == ast.Kind.UINT:
                 fits = isinstance(arg, int) and not isinstance(arg, bool) \
@@ -256,8 +257,8 @@ def reference_setup(env, setup):
             else:
                 fits = arg == ACTOR or arg in roles
             if not fits:
-                raise ScenarioError(f"{name}: argument {param.name} of {entry.function} "
-                                    f"must be {param.kind.value}, got {arg!r}")
+                raise InputError(f"{name}: argument {param.name} of {entry.function} "
+                                 f"must be {param.kind.value}, got {arg!r}")
 
     def resolved(token, actor):
         if token in roles:
@@ -266,7 +267,7 @@ def reference_setup(env, setup):
             return actor
         if isinstance(token, int):
             return token
-        raise ScenarioError(f"unresolvable role {token!r}")
+        raise InputError(f"unresolvable role {token!r}")
 
     for entry in setup:
         templated = ACTOR in (entry.actor, entry.callee) + tuple(entry.args)
@@ -279,5 +280,5 @@ def reference_setup(env, setup):
             out = vm_execute(env.state, tx, env.schedule)
             if not out.ok:
                 who = kind.value if kind is not None else entry.actor
-                raise ScenarioError(f"setup transaction {entry.function or 'transfer'} "
-                                    f"failed for {who}: {out.status}")
+                raise InputError(f"setup transaction {entry.function or 'transfer'} "
+                                 f"failed for {who}: {out.status}")

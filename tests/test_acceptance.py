@@ -193,9 +193,9 @@ def test_criterion_3_gas_laws_randomized(environments):
             state = env.state
             before_digest = digest(state)
             fees = state.fee_ledger
-            sid = state.snapshot()
+            state.snapshot()
             first = execute(state, tx, sched)
-            state.restore(sid)
+            state.restore()
             assert digest(state) == before_digest           # byte-equal round trip
             assert state.fee_ledger == fees
             second = execute(clone(state), tx, sched)

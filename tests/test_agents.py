@@ -14,8 +14,9 @@ from mtsc.agents import (
     build_agent_contract,
     make_agent,
 )
+from mtsc.inputs import InputError
 from mtsc.minisol import ast, parse, validate
-from mtsc.scenario import ScenarioError, build_environment, load_scenario
+from mtsc.scenario import build_environment, load_scenario
 from mtsc.traces import paired_calls
 from mtsc.vm import FailReason, GasSchedule, Transaction, WorldState, deploy, execute
 
@@ -225,7 +226,7 @@ def test_an_agent_embeds_an_addr_role_and_a_bool_in_its_target_call(tmp_path):
 
 
 def test_a_bool_target_argument_must_be_a_bool(tmp_path):
-    with pytest.raises(ScenarioError) as err:
+    with pytest.raises(InputError) as err:
         build_environment(flag_scenario(tmp_path, ["owner", 1]), S)
     assert str(err.value) == "target: argument on of set must be bool, got 1"
 

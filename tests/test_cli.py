@@ -79,6 +79,16 @@ def test_unknown_list_names_exit_two_with_the_scenario_message(capsys, flags, me
     assert (code, out, err) == (2, "", f"mtsc: error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["check", str(scenario_path("counter_baseline")), "--jobs", "-1"],
+     "--jobs must be non-negative"),
+    (["bench", str(scenario_path("counter_baseline")), LABELS],
+     f"{scenario_path('counter_baseline')} is not a directory"),
+], ids=["negative-jobs", "bench-file"])
+def test_refused_arguments_exit_two(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"mtsc: error: {message}\n")
+
+
 # A guard above what `gasleft()` can hold kept CAR from ever re-entering,
 # and a vulnerable contract got a clean verdict (exit 0).
 @pytest.mark.parametrize("guard", [str(2**128), str(10**40)])

@@ -7,7 +7,6 @@ import pytest
 from mtsc.agents import AgentKind
 from mtsc.detector import (
     Counts,
-    UnknownScenario,
     Verdict,
     classify,
     compute_metrics,
@@ -16,6 +15,7 @@ from mtsc.detector import (
     percent,
     tpr,
 )
+from mtsc.inputs import InputError
 from mtsc.mr_engine import ActorInput, TestPair, ViolationRecord
 from mtsc.relations import (
     CATEGORIES,
@@ -165,7 +165,7 @@ def test_degenerate_denominators():
 
 
 def test_unknown_scenario_rejected():
-    with pytest.raises(UnknownScenario):
+    with pytest.raises(InputError):
         compute_metrics([Verdict("mystery", (), ())], {})
 
 
@@ -179,7 +179,7 @@ def test_unknown_scenario_rejected():
     ({}, "no label for scenario 'a'"),
 ], ids=["misspelled-category", "label-without-scenario", "not-a-list", "missing-label"])
 def test_compute_metrics_rejects_labels_bench_rejects(labels, message):
-    with pytest.raises(UnknownScenario) as info:
+    with pytest.raises(InputError) as info:
         compute_metrics([Verdict("a", (), (REENTRANCY,))], labels)
     assert str(info.value) == message
 

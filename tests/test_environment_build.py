@@ -7,14 +7,15 @@ environment built without them. Over generated setups (holders that
 deposit, plain transfers, entries naming $ACTOR, and up to two bad
 arguments or unknown roles at drawn positions) both must give the same roles, actor
 accounts, world state, fee ledger and address counter, or the same
-ScenarioError message.
+InputError message.
 """
 
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from mtsc.scenario import ACTOR, ScenarioError, TxTemplate, build_environment, load_scenario
+from mtsc.inputs import InputError
+from mtsc.scenario import ACTOR, TxTemplate, build_environment, load_scenario
 from mtsc.vm import GasSchedule
 
 from conftest import scenario_path
@@ -72,7 +73,7 @@ def built(build):
     of the environment `build()` returns, or the message it raises."""
     try:
         env = build()
-    except ScenarioError as exc:
+    except InputError as exc:
         return str(exc)
     state = env.state
     return env.roles, env.actor_accounts, digest(state), state.fee_ledger, state.next_address

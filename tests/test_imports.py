@@ -1,5 +1,5 @@
 """Every import under `src/mtsc/` is used, exported, or marked with a reason,
-and every name it defines has a reader.
+every name it defines has a reader, and every parameter it takes is read.
 
 No linter ships with the project, so this reads each module's syntax tree
 with `ast`. An imported name must be read somewhere in its module, be
@@ -9,6 +9,10 @@ listed in the module's `__all__`, or sit on a line marked
 A module-level function, class or assigned name, and a method that is not
 a dunder, must occur as a whole word somewhere besides its definition: in
 any `.py` file of the program, its tests, its scripts or its benchmark.
+
+A parameter of a `def` must be read in its body, nested functions
+included, unless an underscore starts its name: a function that takes
+an argument only to fit a signature says so by that prefix.
 """
 
 import ast
@@ -117,3 +121,45 @@ def test_the_check_finds_a_definition_left_behind():
             "    def unused(self):\n"
             "        return helper()\n")
     assert unread(definitions(text), [text]) == ["Alias", "SPARE", "unused"]
+
+
+def unread_parameters(text: str) -> list:
+    """(line, function, parameter) of each parameter of a `def` in `text`
+    that its body never reads. Dunders, `self`, `cls` and parameters named
+    with a leading underscore, kept for a fixed signature, are exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        unread += [(node.lineno, node.name, param.arg) for param in params
+                   if param.arg not in read and param.arg not in ("self", "cls")
+                   and not param.arg.startswith("_")]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_parameter_left_behind():
+    text = ("def f(a, b, *rest, c=1, _fixed=2, **extra):\n"
+            "    b = 2\n"
+            "    return lambda: a + c\n"
+            "class Record:\n"
+            "    def __deepcopy__(self, memo):\n"
+            "        return self\n"
+            "    @classmethod\n"
+            "    def make(cls, value):\n"
+            "        def inner(unused):\n"
+            "            return value\n"
+            "        return inner\n")
+    assert unread_parameters(text) == [(1, "f", "b"), (1, "f", "rest"), (1, "f", "extra"),
+                                       (9, "inner", "unused")]

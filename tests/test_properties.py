@@ -18,10 +18,11 @@ from mtsc import cli, mr_engine, scenario
 from mtsc.agents import TARGET_SLOT, VALUE_SLOT, AgentKind
 from mtsc.detector import emit_report, verdict_for
 from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
+from mtsc.inputs import InputError
 from mtsc.minisol import ast, parse, validate
 from mtsc.minisol.lexer import KEYWORDS, PUNCT
 from mtsc.relations import RELATIONS
-from mtsc.scenario import ALL_ACTOR_KINDS, ScenarioError, load_scenario
+from mtsc.scenario import ALL_ACTOR_KINDS, load_scenario
 from mtsc.vm import (CallEntered, FailReason, GasSchedule, Transaction, WorldState, deploy,
                      execute)
 
@@ -94,11 +95,11 @@ def test_snapshot_execute_restore_round_trips(environments, name, kind, gas_limi
     env = environments[name]
     state = env.state
     before_digest = digest(state)
-    sid = state.snapshot()
+    state.snapshot()
     try:
         env.run_target(state, kind, gas_limit)
     finally:
-        state.restore(sid)
+        state.restore()
     assert digest(state) == before_digest
 
 
@@ -497,12 +498,12 @@ def test_journaled_runs_match_clone_runs(contract, gas):
     copied = clone(state)
     expected = [_attempt(copied, tx) for tx in txs]
     before_digest = digest(state)
-    sid = state.snapshot()
+    state.snapshot()
     try:
         assert [_attempt(state, tx) for tx in txs] == expected
         assert digest(state) == digest(copied)
     finally:
-        state.restore(sid)
+        state.restore()
     assert digest(state) == before_digest
 
 
@@ -980,7 +981,7 @@ def test_scenarios_the_engine_and_the_flags_check_lists_alike(mrs, actors):
         path.write_text(json.dumps({"schema": "scenario-v1", "sources": ["x.msol"],
                                     "balances": {}, "target": {"callee": "X"},
                                     "mrs": mrs, "mr1_actors": actors}))
-        assert _rejection(lambda: load_scenario(path), ScenarioError) == (
+        assert _rejection(lambda: load_scenario(path), InputError) == (
             expected and f"{path}: {expected}")
         assert _rejection(lambda: mr_engine.EngineConfig(
             mr_filter=mrs, mr1_actors_override=actors), ValueError) == expected

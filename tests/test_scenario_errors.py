@@ -11,7 +11,8 @@ import json
 
 import pytest
 
-from mtsc.scenario import ScenarioError, build_environment, load_scenario
+from mtsc.inputs import InputError
+from mtsc.scenario import build_environment, load_scenario
 from mtsc.vm import GasSchedule
 
 from conftest import CORPUS
@@ -196,7 +197,7 @@ def test_the_base_scenario_builds(tmp_path):
                          ids=[row[0] for row in LOAD_ERRORS])
 def test_load_errors_have_their_exact_text(tmp_path, edit, message):
     path = _write(tmp_path, _edited(edit))
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(InputError) as info:
         load_scenario(path)
     assert str(info.value) == message.format(path=path)
 
@@ -205,7 +206,7 @@ def test_load_errors_have_their_exact_text(tmp_path, edit, message):
                          ids=[row[0] for row in BUILD_ERRORS])
 def test_build_errors_have_their_exact_text(tmp_path, edit, message):
     scenario = load_scenario(_write(tmp_path, _edited(edit)))
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(InputError) as info:
         build_environment(scenario, GasSchedule())
     assert str(info.value) == message.format(dir=tmp_path)
 
@@ -227,24 +228,24 @@ def test_the_first_error_of_two_is_raised(tmp_path, edits, message):
     doc = copy.deepcopy(BASE)
     for edit in edits:
         edit(doc)
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(InputError) as info:
         build_environment(load_scenario(_write(tmp_path, doc)), GasSchedule())
     assert str(info.value) == message
 
 
 def test_file_errors_have_their_exact_text(tmp_path):
     path = tmp_path / "absent.scenario.json"
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(InputError) as info:
         load_scenario(path)
     assert str(info.value) == (f"cannot read {path}: [Errno 2] No such file or "
                                f"directory: '{path}'")
     path.write_text("{")
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(InputError) as info:
         load_scenario(path)
     assert str(info.value) == (f"{path}: invalid JSON: Expecting property name "
                                "enclosed in double quotes: line 1 column 2 (char 1)")
     path.write_text("[]")
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(InputError) as info:
         load_scenario(path)
     assert str(info.value) == f"{path}: scenario must be a JSON object"
 
@@ -272,7 +273,7 @@ UNREADABLE_SCENARIOS = [
 def test_unreadable_scenarios_exit_two(tmp_path, data, message):
     path = tmp_path / "damaged.scenario.json"
     path.write_bytes(data)
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(InputError) as info:
         load_scenario(path)
     assert str(info.value) == message.format(path=path)
     assert cli_outputs("check", str(path)) == (2, "", f"mtsc: error: {info.value}\n")
@@ -298,7 +299,7 @@ def test_unreadable_sources_exit_two(tmp_path, source, message):
     (tmp_path / "latin1.msol").write_bytes("contract Café {}\n".encode("latin-1"))
     path = _write(tmp_path, _edited(_set("sources", [source])))
     scenario = load_scenario(path)
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(InputError) as info:
         build_environment(scenario, GasSchedule())
     # the surrogate's position in the whole path, as the encoder reports it
     at = len(str(tmp_path)) + 1

@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+from mtsc.inputs import InputError
 from mtsc.minisol import parse, validate
 from mtsc.vm import (
     UINT_MAX,
@@ -19,9 +20,8 @@ from mtsc.vm import (
     FailReason,
     GasSchedule,
     OpExecuted,
-    ScheduleError,
+    STATUS_SUCCESS,
     Transaction,
-    UnknownSnapshot,
     WorldState,
     deploy,
     execute,
@@ -131,9 +131,9 @@ def test_gas_limit_below_intrinsic_fails_out_of_gas():
     state, actor, dao = fresh_dao()
     assert run(state, actor, dao, "deposit", (actor,), 100).ok
     for limit in (0, 1, S.base_tx - 1, S.base_tx, 36_215):
-        snap = state.snapshot()
+        state.snapshot()
         out = run(state, actor, dao, "withdraw", (1,), gas=limit)
-        state.restore(snap)
+        state.restore()
         assert out.status.reason == FailReason.OUT_OF_GAS
         assert out.gas_consumed == limit  # a failed allocation burns in full
         assert out.balance_delta == 0
@@ -313,6 +313,26 @@ def test_value_to_non_payable_function_reverts():
     state, actor, dao = fresh_dao()
     out = run(state, actor, dao, "withdraw", (1,), value=5)
     assert out.status.reason == FailReason.REVERT
+
+
+# The validator does not check calls through an address, so the callee's
+# dispatch refuses arguments that do not match its parameters.
+@pytest.mark.parametrize("call,ok,storage,swallowed", [
+    ("ok = lowcall this.f(1, 2);", True, {"ok": False},
+     [ExceptionSwallowed(FailReason.REVERT, 0)]),
+    ("dcall this.f();", False, {}, []),
+], ids=["lowcall-too-many", "dcall-too-few"])
+def test_a_call_with_the_wrong_argument_count_reverts(call, ok, storage, swallowed):
+    unit = parse("contract C { uint x; bool ok; fn f(n: uint) { x = n; } "
+                 "fn g() { " + call + " } }")
+    assert validate(unit) == []
+    state = WorldState()
+    actor = state.create_eoa(0)
+    c = deploy(state, unit.contracts[0])
+    out = run(state, actor, c, "g")
+    assert out.status == (STATUS_SUCCESS if ok else failure(FailReason.REVERT))
+    assert state.account(c).storage == storage
+    assert [ev for ev in out.trace if isinstance(ev, ExceptionSwallowed)] == swallowed
 
 
 def test_plain_transfer_to_eoa_costs_base_only():
@@ -502,36 +522,19 @@ def test_a_reported_run_gives_the_callee_balance_delta_and_the_target_status():
 def test_snapshot_restore_round_trip():
     state, actor, dao = fresh_dao()
     before_digest = digest(state)
-    sid = state.snapshot()
+    state.snapshot()
     assert run(state, actor, dao, "deposit", (actor,), 777).ok
     assert digest(state) != before_digest
-    state.restore(sid)
+    state.restore()
     assert digest(state) == before_digest
-
-
-def test_restore_consumes_the_snapshot():
-    state = WorldState()
-    sid = state.snapshot()
-    state.restore(sid)
-    with pytest.raises(UnknownSnapshot):
-        state.restore(sid)
-
-
-def test_restore_pops_later_snapshots():
-    state = WorldState()
-    outer = state.snapshot()
-    inner = state.snapshot()
-    state.restore(outer)
-    with pytest.raises(UnknownSnapshot):
-        state.restore(inner)
 
 
 def test_snapshot_covers_the_address_counter():
     unit = parse("contract Empty { }")
     state = WorldState()
-    sid = state.snapshot()
+    state.snapshot()
     first = deploy(state, unit.contracts[0])
-    state.restore(sid)
+    state.restore()
     assert deploy(state, unit.contracts[0]) == first
 
 
@@ -618,33 +621,15 @@ def test_caller_reference_sees_the_reverted_balance():
     assert actor_acct.balance == 1_000
 
 
-def test_nested_snapshots_restore_their_own_points():
-    state, actor, dao = fresh_dao()
-    start = digest(state)
-    outer = state.snapshot()
-    assert run(state, actor, dao, "deposit", (actor,), 10).ok
-    middle = digest(state)
-    inner = state.snapshot()
-    assert run(state, actor, dao, "deposit", (dao,), 20).ok
-    state.restore(inner)
-    assert digest(state) == middle
-    again = state.snapshot()
-    assert run(state, actor, dao, "withdraw", (5,)).ok
-    state.restore(outer)  # also consumes the snapshot taken after it
-    assert digest(state) == start
-    with pytest.raises(UnknownSnapshot):
-        state.restore(again)
-
-
 def test_create_after_restore_reuses_the_addresses():
     unit = parse("contract Empty { }")
     state = WorldState()
     state.create_eoa(5)
     start = digest(state)
-    sid = state.snapshot()
+    state.snapshot()
     eoa = state.create_eoa(7)
     contract = deploy(state, unit.contracts[0], 3)
-    state.restore(sid)
+    state.restore()
     assert eoa not in state.accounts and contract not in state.accounts
     assert digest(state) == start
     assert state.create_eoa(7) == eoa
@@ -656,10 +641,10 @@ def test_journal_is_dropped_without_an_open_snapshot():
     for _ in range(3):
         assert run(state, actor, dao, "deposit", (actor,), 10).ok
     assert state.checkpoint() == 0
-    sid = state.snapshot()
+    state.snapshot()
     assert run(state, actor, dao, "deposit", (actor,), 10).ok
     assert state.checkpoint() > 0  # the open snapshot still needs it
-    state.restore(sid)
+    state.restore()
 
 
 # -- determinism and audits ---------------------------------------------------
@@ -1022,7 +1007,7 @@ def test_schedule_file_round_trip(tmp_path):
 def test_schedule_rejects_unknown_keys(tmp_path):
     path = tmp_path / "sched.txt"
     path.write_text("sload_cost = 3\n")
-    with pytest.raises(ScheduleError):
+    with pytest.raises(InputError):
         load_schedule(str(path))
 
 
@@ -1031,7 +1016,7 @@ def test_schedule_lines_end_at_newlines_only(tmp_path):
     # unknown key would be reported at line 3
     path = tmp_path / "sched.txt"
     path.write_text("base_tx=1\x0c\nfoo=2\n")
-    with pytest.raises(ScheduleError) as info:
+    with pytest.raises(InputError) as info:
         load_schedule(str(path))
     assert str(info.value) == f"{path}:2: unknown schedule key 'foo'"
 
@@ -1039,16 +1024,16 @@ def test_schedule_lines_end_at_newlines_only(tmp_path):
 def test_schedule_rejects_bad_values(tmp_path):
     path = tmp_path / "sched.txt"
     path.write_text("sstore_set = 10\nsstore_reset = 20\n")
-    with pytest.raises(ScheduleError):
+    with pytest.raises(InputError):
         load_schedule(str(path))
     path.write_text("sload = -1\n")
-    with pytest.raises(ScheduleError):
+    with pytest.raises(InputError):
         load_schedule(str(path))
     path.write_text("sload three\n")
-    with pytest.raises(ScheduleError):
+    with pytest.raises(InputError):
         load_schedule(str(path))
     path.write_text(f"sload = {2**128}\n")
-    with pytest.raises(ScheduleError):
+    with pytest.raises(InputError):
         load_schedule(str(path))
 
 
@@ -1084,7 +1069,7 @@ def test_schedules_at_the_frame_bound_load():
 def test_gasleft_fits_a_uint_at_the_highest_block_limit(tmp_path):
     path = tmp_path / "sched.txt"
     path.write_text(f"block_gas_limit = {2**128}\n")
-    with pytest.raises(ScheduleError):
+    with pytest.raises(InputError):
         load_schedule(str(path))
     # a block limit this high needs calls costly enough to bound a run's frames
     path.write_text(f"block_gas_limit = {UINT_MAX}\ncall_base = {2**112}\n")
