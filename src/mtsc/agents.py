@@ -31,6 +31,7 @@ TARGET_SLOT = "target_contract"
 VALUE_SLOT = "call_value"
 
 DEFAULT_CAR_GAS_GUARD = 50_000
+DEFAULT_CAH_ITERATIONS = 1  # storage writes of a CAH fallback
 
 
 class AgentKind(str, Enum):
@@ -66,7 +67,7 @@ class AgentSpec:
     value: int
     stipend: int  # of the schedule the agent runs under
     car_gas_guard: int = DEFAULT_CAR_GAS_GUARD
-    cah_iterations: int = 1
+    cah_iterations: int = DEFAULT_CAH_ITERATIONS
 
     def __post_init__(self):
         if self.kind == AgentKind.EOA:

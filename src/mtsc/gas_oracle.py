@@ -31,6 +31,9 @@ from .vm import execute as vm_execute  # noqa: F401  perfbench's traced run wrap
 #: state it runs on left as it was found
 Runner = Callable[[int], Outcome]
 
+DEFAULT_GROWTH = 1.5         # the estimator's growth factor
+DEFAULT_SUBDIVISIONS = 1000  # the steps of a reducing plan
+
 
 class NeverSucceeds(Exception):
     """The transaction fails even at the block gas limit."""
@@ -57,7 +60,7 @@ def default_initial_estimator(runner: Runner, schedule: GasSchedule) -> int:
 
 
 def estimate_intrinsic_gas(schedule: GasSchedule, runner: Runner,
-                           growth: float = 1.5,
+                           growth: float = DEFAULT_GROWTH,
                            first_limit: Optional[int] = None) -> IntrinsicGas:
     """Find the transaction's intrinsic gas requirement.
 
@@ -125,7 +128,7 @@ def allocate_increasing(gc: int, count: int, block_gas_limit: int) -> range:
     return range(2 * gc, min(count + 1, block_gas_limit // gc) * gc + 1, gc)
 
 
-def allocate_reducing(gc: int, n: int = 1000) -> range:
+def allocate_reducing(gc: int, n: int = DEFAULT_SUBDIVISIONS) -> range:
     """Follow-up limits descending from gc in n even steps down to >= 0."""
     if gc < 1 or n < 1:
         raise ValueError("gc and n must be at least 1")

@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .agents import DEFAULT_CAR_GAS_GUARD, AgentKind, actor_kinds
-from .gas_oracle import NeverSucceeds, estimate_intrinsic_gas
+from .agents import DEFAULT_CAH_ITERATIONS, DEFAULT_CAR_GAS_GUARD, AgentKind, actor_kinds
+from .gas_oracle import (DEFAULT_GROWTH, DEFAULT_SUBDIVISIONS, NeverSucceeds,
+                         estimate_intrinsic_gas)
 from .relations import RELATIONS, relation_ids
 from .scenario import Environment, Scenario, build_environment
 from .vm import UINT_MAX, GasSchedule, Outcome, Status
@@ -63,11 +64,11 @@ class ViolationRecord:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    n: int = 1000                 # reducing-plan subdivisions
+    n: int = DEFAULT_SUBDIVISIONS
     inc_count: int = 5            # increasing follow-ups per sweep
-    growth: float = 1.5           # estimator growth factor
+    growth: float = DEFAULT_GROWTH
     car_gas_guard: int = DEFAULT_CAR_GAS_GUARD
-    cah_iterations: int = 1
+    cah_iterations: int = DEFAULT_CAH_ITERATIONS
     mr_filter: Optional[tuple] = None         # restricts the scenario's selection
     mr1_actors_override: Optional[tuple] = None
 

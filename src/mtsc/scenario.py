@@ -25,7 +25,7 @@ Role strings in `actor`, `callee`, and `args` resolve to addresses:
 contract names to their deployment, other balance keys to EOAs. A
 target's `actor` is ignored, as $ACTOR sends the target. The arguments
 of the target and of every setup entry must fit the called function's
-parameters. Balances and values, like every amount the VM holds, lie in
+parameters, and every setup entry is checked before any of them runs. Balances and values, like every amount the VM holds, lie in
 [0, UINT_MAX], and so does the balances' total, $ACTOR's once per kind.
 """
 
@@ -37,6 +37,7 @@ from typing import NamedTuple, Optional
 
 from .agents import (
     AGENT_KINDS,
+    DEFAULT_CAH_ITERATIONS,
     DEFAULT_CAR_GAS_GUARD,
     AgentKind,
     AgentSpec,
@@ -184,24 +185,17 @@ class Environment:
     # AgentKind -> [(lo, hi, gas limit, Outcome)] of every run in the context
     _kept: dict = field(default_factory=dict, init=False, repr=False)
 
-    def resolve(self, token, actor_addr: str):
-        """A token that names no role: $ACTOR, or a uint or bool argument."""
-        if token == ACTOR:
-            return actor_addr
-        if isinstance(token, int):  # a bool is an int
-            return token
-        raise InputError(f"unresolvable role {token!r}")
-
     def transaction(self, entry: TxTemplate, actor, gas_limit: int) -> Transaction:
-        """`entry` at `gas_limit`, with `$ACTOR` standing for `actor`."""
+        """Checked `entry` at `gas_limit`, with `$ACTOR` standing for `actor`:
+        a role becomes its address, and a uint or bool stays as it is."""
         roles = self.roles  # no role is $ACTOR, and no address is empty
         sender, callee, function, tokens, value = entry
         args = []  # a loop, not a comprehension: no closure cells per transaction
-        for a in tokens:
-            args.append(roles.get(a) or self.resolve(a, actor))
+        for t in tokens:
+            args.append(roles.get(t) or (actor if t == ACTOR else t))
         return tuple.__new__(Transaction, (
-            roles.get(sender) or self.resolve(sender, actor), gas_limit,
-            roles.get(callee) or self.resolve(callee, actor), function, tuple(args), value))
+            roles.get(sender) or actor, gas_limit,
+            roles.get(callee) or actor, function, tuple(args), value))
 
     def run_target(self, state: WorldState, kind: AgentKind, gas_limit: int, *,
                    ops: bool = False) -> Outcome:
@@ -267,14 +261,23 @@ def _load_contracts(scenario: Scenario):
 
 def _check_args(entry: TxTemplate, fn: Optional[ast.FunctionDef], roles: dict,
                 index: Optional[int] = None):
-    """Raise InputError unless the arguments of the setup entry at
-    `index` (the target when None) fit the parameters of `fn`, the
-    function it calls, when that is known: a uint is a non-bool int in
-    [0, UINT_MAX], a bool a bool, an addr a role."""
-    _, _, function, args, _ = entry
-    if fn is None:  # unknown, as for every plain transfer
+    """Raise InputError unless the setup entry at `index` (the target when
+    None) resolves: its actor, then its callee, is a role or $ACTOR, and
+    its arguments fit the parameters of `fn`, the function it calls: a
+    uint is a non-bool int in [0, UINT_MAX], a bool a bool, an addr a role
+    or $ACTOR. When `fn` is unknown, as for every plain transfer and
+    fallback dispatch, each string argument is a role or $ACTOR."""
+    sender, callee, function, args, _ = entry
+    if sender not in roles and sender != ACTOR:
+        raise InputError(f"unresolvable role {sender!r}")
+    if callee not in roles and callee != ACTOR:
+        raise InputError(f"unresolvable role {callee!r}")
+    if fn is None:
         if function is None and args:
             raise InputError(f"{_entry(index)}: a call with no function takes no args")
+        for arg in args:
+            if type(arg) is str and arg not in roles and arg != ACTOR:
+                raise InputError(f"unresolvable role {arg!r}")
         return
     params = fn.params
     if len(args) != len(params):
@@ -296,7 +299,7 @@ def _check_args(entry: TxTemplate, fn: Optional[ast.FunctionDef], roles: dict,
 
 def build_environment(scenario: Scenario, schedule: GasSchedule,
                       car_gas_guard: int = DEFAULT_CAR_GAS_GUARD,
-                      cah_iterations: int = 1) -> Environment:
+                      cah_iterations: int = DEFAULT_CAH_ITERATIONS) -> Environment:
     """Deploy contracts, agents, and EOAs; fund them; replay the setup.
 
     Every actor kind is positioned in the same world state so each test
@@ -346,13 +349,11 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
     for kind in ALL_ACTOR_KINDS:
         state.fund(env.actor_accounts[kind], stake)
 
-    # One pass checks every setup entry and resolves it into its
-    # transactions: one per actor kind if it mentions $ACTOR, else one. A
-    # role that resolves to nothing is raised once the entries before it
-    # replay, as it would be were the transactions built as replay reaches them.
+    # One pass checks every setup entry, so the first error in entry order
+    # is raised before anything replays, and resolves it into its
+    # transactions: one per actor kind if it mentions $ACTOR, else one.
     txs = []
     functions = {}  # (callee role, function) -> its FunctionDef, if known
-    unresolved = None
     accounts, limit, transaction = env.actor_accounts, schedule.block_gas_limit, env.transaction
     for i, entry in enumerate(scenario.setup):
         sender, callee, function, args, _ = entry
@@ -361,16 +362,11 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
         if fn is None and key not in functions:
             fn = functions[key] = function_of(roles.get(callee), function)
         _check_args(entry, fn, roles, i)
-        if unresolved is not None:
-            continue
-        try:
-            if sender == ACTOR or callee == ACTOR or ACTOR in args:
-                for kind in ALL_ACTOR_KINDS:
-                    txs.append(transaction(entry, accounts[kind], limit))
-            else:
-                txs.append(transaction(entry, None, limit))
-        except InputError as exc:
-            unresolved = exc
+        if sender == ACTOR or callee == ACTOR or ACTOR in args:
+            for kind in ALL_ACTOR_KINDS:
+                txs.append(transaction(entry, accounts[kind], limit))
+        else:
+            txs.append(transaction(entry, None, limit))
     failed = replay(state, txs, schedule)
     if failed is not None:
         tx, status = txs[failed[0]], failed[1]
@@ -379,7 +375,4 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
         who += [role for role, addr in roles.items() if addr == tx.actor]
         raise InputError(f"setup transaction {tx.function or 'transfer'} failed "
                          f"for {who[0]}: {status}")
-    if unresolved is not None:
-        raise unresolved
-
     return env

@@ -44,8 +44,8 @@ around its dispatch and commits when it returns. Snapshots taken by the
 harness use the same journal, so world-state rollback is one mechanism.
 
 Top level: a Failure outcome leaves the world state untouched, the actor
-balance delta is zero, and OutOfGas consumes the full gas limit. Fees
-accrue on the fee ledger, never on balances.
+balance delta is zero, and OutOfGas consumes the full gas limit. Gas is
+reported in the outcome and never charged to a balance.
 
 Traces
 ------
@@ -544,7 +544,7 @@ class _Run:
     # -- transaction ---------------------------------------------------------
 
     def transact(self, tx: Transaction):
-        """Run `tx` on the state, which keeps its effects and fees; returns
+        """Run `tx` on the state, which keeps its effects; returns
         (status, gas consumed, balance delta of the actor, or of the callee
         when the run `reports`) and leaves the run's invariance range in
         `lo` and `hi`."""
@@ -571,7 +571,6 @@ class _Run:
 
         if limit < base:
             self.tail.append(("base_tx", limit, 0))
-            state.fee_ledger += limit
             self.hi = base - 1
             return failure(FailReason.OUT_OF_GAS), limit, 0
         self.tail.append(("base_tx", base, 0))
@@ -597,7 +596,6 @@ class _Run:
             delta = 0
             status = failure(reason)
         state.commit()
-        state.fee_ledger += gas_total
         lo = base + need
         self.lo = lo if lo > self.turn else self.turn
         if gas_total == limit and status.reason == FailReason.OUT_OF_GAS \
@@ -627,9 +625,9 @@ def replay(state: WorldState, txs, schedule: GasSchedule) -> Optional[tuple]:
     """Run transactions in order, as setup does, until one fails; return
     (its index, its Status), or None when every one succeeds.
 
-    The world state ends as the same `execute` calls would leave it, fee
-    ledger and address counter included; one run object runs them all,
-    keeping no op events and building no outcomes, as nothing reads them.
+    The world state ends as the same `execute` calls would leave it; one
+    run object runs them all, keeping no op events and building no
+    outcomes, as nothing reads them.
     `txs` may be any iterable: it is consumed one transaction at a time,
     and not past the first that fails."""
     run = _Run(state, schedule, None, 0)

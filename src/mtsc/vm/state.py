@@ -1,27 +1,26 @@
 """World state: accounts, balances, contract storage, and snapshots.
 
 A WorldState is single-owner; one execution runs against it at a time.
-The fee ledger accumulates gas charges separately from account balances,
-so balance deltas compare cleanly across externally-owned and contract
-actors.
+Balances move only by value transfer and setup funding: gas is charged
+against the transaction's limit and reported in its outcome, never taken
+from an account.
 
 Rollback journal
 ----------------
 Every write goes through the state, which first appends an undo entry
 `(target, key, old value)` to its journal: balance changes, storage
-writes, and, while a snapshot is open, account creation (no transaction
-creates accounts, so nothing else rewinds past one). A storage key or
-account that did not exist is recorded as absent, so undoing the write
-deletes it. Rolling back to a checkpoint pops entries down to a
-recorded journal length, in the style of go-ethereum's StateDB journal:
-a call frame costs O(its writes), not O(accounts x storage), and every
-Account object stays in place, so a reference held across a rollback
-sees the rewound values.
+writes, and, while a snapshot is open, account creation together with
+the address counter (no transaction creates accounts, so nothing else
+rewinds past one). A storage key or account that did not exist is
+recorded as absent, so undoing the write deletes it. Rolling back to a
+checkpoint pops entries down to a recorded journal length, in the style
+of go-ethereum's StateDB journal: a call frame costs O(its writes), not
+O(accounts x storage), and every Account object stays in place, so a
+reference held across a rollback sees the rewound values.
 
 A snapshot is the public face of that one mechanism, and at most one is
-open at a time. It records the journal length together with the fee
-ledger and the address counter, so a deploy after a restore reassigns
-the same address; `restore` rewinds to it and closes it. The
+open at a time: it is a journal length, and `restore` reverts to it and
+closes it, so a deploy after a restore reassigns the same address. The
 interpreter takes its own checkpoints at each call boundary and
 transaction. While no snapshot is open nothing can rewind past a
 finished transaction, so `commit` drops the journal and setup replay
@@ -61,11 +60,9 @@ ZEROS = (0, False, ZERO_ADDR)  # the values a storage write counts as zero
 @dataclass
 class WorldState:
     accounts: dict = field(default_factory=dict)
-    fee_ledger: int = 0
     next_address: int = 1
     _journal: list = field(default_factory=list, repr=False)
-    # (journal length, fee ledger, address counter) of the open snapshot
-    _snapshot: Optional[tuple] = field(default=None, repr=False)
+    _snapshot: Optional[int] = field(default=None, repr=False)  # its journal length
 
     # -- accounts ----------------------------------------------------------
 
@@ -74,8 +71,8 @@ class WorldState:
         n = self.next_address
         addr = "0x%04x" % n  # %-formatting parses no format spec per call
         self.next_address = n + 1
-        if self._snapshot:
-            self._journal.append((self.accounts, addr, _ABSENT))
+        if self._snapshot is not None:
+            self._journal += (self.accounts, addr, _ABSENT), (self, "next_address", n)
         self.accounts[addr] = Account(addr, balance)
         return addr
 
@@ -127,18 +124,17 @@ class WorldState:
 
     def commit(self):
         """End of a transaction: keep the journal only for an open snapshot."""
-        if not self._snapshot:
+        if self._snapshot is None:
             self._journal.clear()
 
     def snapshot(self):
         """Open the snapshot that the next `restore` rewinds to."""
-        self._snapshot = len(self._journal), self.fee_ledger, self.next_address
+        self._snapshot = len(self._journal)
 
     def restore(self):
         """Rewind to the open snapshot and close it."""
-        checkpoint, self.fee_ledger, self.next_address = self._snapshot
+        self.revert(self._snapshot)
         self._snapshot = None
-        self.revert(checkpoint)
 
 
 def deploy(state: WorldState, code: ast.ContractDef, initial_balance: int = 0) -> str:

@@ -98,8 +98,8 @@ class ExceptionSwallowed(NamedTuple):
 class Outcome:
     """Result of executing one transaction.
 
-    gas_consumed is the whole-transaction figure (fees accrue on it even
-    for failures); balance_delta is the actor's balance change, zero for
+    gas_consumed is the whole-transaction figure, a failure's included, and
+    no balance pays it; balance_delta is the actor's balance change, zero for
     any failure because state rolls back. limits = (lo, hi) is the run's
     invariance range: every gas limit in it gives the same status, balance
     delta, state changes and consumption, except that a run that consumed

@@ -209,15 +209,14 @@ def tx_runner(state, tx, schedule):
 
 def clone(state):
     """Independent copy of a world state with an empty journal."""
-    return WorldState(accounts=copy.deepcopy(state.accounts),
-                      fee_ledger=state.fee_ledger, next_address=state.next_address)
+    return WorldState(accounts=copy.deepcopy(state.accounts), next_address=state.next_address)
 
 
 def digest(state) -> str:
-    """Canonical content hash of a world state: accounts, fees, and the
-    address counter."""
+    """Canonical content hash of a world state: accounts and the address
+    counter."""
     h = hashlib.sha256()
-    h.update(f"fees={state.fee_ledger};next={state.next_address};".encode())
+    h.update(f"next={state.next_address};".encode())
     for addr in sorted(state.accounts):
         acct = state.accounts[addr]
         kind, code_name = ("EOA", "") if acct.code is None else ("Contract", acct.code.name)
@@ -229,21 +228,30 @@ def digest(state) -> str:
 
 def reference_setup(env, setup):
     """Run the setup entries `setup` on `env`, built without them, as plain
-    code: check the arguments of every entry against the function it
-    calls, then resolve and `execute` the entries one at a time, once per
-    actor kind for an entry that names $ACTOR. Raises the InputError
-    that `build_environment` raises for the same entries."""
+    code: check every entry in order (its actor, its callee, then its
+    arguments against the function it calls), then `execute` the entries
+    one at a time, once per actor kind for an entry that names $ACTOR.
+    Raises the InputError that `build_environment` raises for the same
+    entries."""
     roles = env.roles
+
+    def role(token):
+        if token != ACTOR and token not in roles:
+            raise InputError(f"unresolvable role {token!r}")
+
     for i, entry in enumerate(setup):
         name = f"setup[{i}]"
-        if entry.function is None:
-            if entry.args:
-                raise InputError(f"{name}: a call with no function takes no args")
-            continue
+        role(entry.actor)
+        role(entry.callee)
         callee = env.state.accounts.get(roles.get(entry.callee))
         code = callee.code if callee is not None else None
         fn = code.functions_by_name.get(entry.function) if code is not None else None
         if fn is None:
+            if entry.function is None and entry.args:
+                raise InputError(f"{name}: a call with no function takes no args")
+            for arg in entry.args:
+                if isinstance(arg, str):
+                    role(arg)
             continue
         if len(entry.args) != len(fn.params):
             raise InputError(f"{name}: {entry.function} takes {len(fn.params)} args, "
@@ -261,22 +269,15 @@ def reference_setup(env, setup):
                                  f"must be {param.kind.value}, got {arg!r}")
 
     def resolved(token, actor):
-        if token in roles:
-            return roles[token]
-        if token == ACTOR:
-            return actor
-        if isinstance(token, int):
-            return token
-        raise InputError(f"unresolvable role {token!r}")
+        return actor if token == ACTOR else roles.get(token, token)
 
     for entry in setup:
         templated = ACTOR in (entry.actor, entry.callee) + tuple(entry.args)
         for kind in ALL_ACTOR_KINDS if templated else [None]:
             actor = env.actor_accounts.get(kind)
-            args = tuple(resolved(a, actor) for a in entry.args)  # arguments first
             tx = Transaction(resolved(entry.actor, actor), env.schedule.block_gas_limit,
-                             resolved(entry.callee, actor), entry.function, args,
-                             entry.value)
+                             resolved(entry.callee, actor), entry.function,
+                             tuple(resolved(a, actor) for a in entry.args), entry.value)
             out = vm_execute(env.state, tx, env.schedule)
             if not out.ok:
                 who = kind.value if kind is not None else entry.actor

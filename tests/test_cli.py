@@ -15,9 +15,11 @@ import pytest
 
 from mtsc import cli
 from mtsc.cli import main
+from mtsc.agents import AgentSpec
+from mtsc.gas_oracle import allocate_reducing, estimate_intrinsic_gas
 from mtsc.mr_engine import EngineConfig
 from mtsc.minisol.parser import MAX_NESTING
-from mtsc.scenario import load_scenario
+from mtsc.scenario import build_environment, load_scenario
 from mtsc.vm import UINT_MAX
 
 from conftest import CORPUS, CORPUS_SCENARIOS, FIXTURES, ROOT, scenario_path
@@ -580,6 +582,21 @@ def test_check_help_shows_the_engine_config_defaults(capsys):
                         ("--car-gas-guard CAR_GAS_GUARD", EngineConfig.car_gas_guard),
                         ("--cah-iterations CAH_ITERATIONS", EngineConfig.cah_iterations)]:
         assert f"{flag} " in text and f"(default {value})" in text, flag
+
+
+# each engine default is named once, beside its algorithm, so the
+# library's own signatures default to what EngineConfig does
+@pytest.mark.parametrize("function,parameter", [
+    (estimate_intrinsic_gas, "growth"),
+    (allocate_reducing, "n"),
+    (AgentSpec, "car_gas_guard"),
+    (AgentSpec, "cah_iterations"),
+    (build_environment, "car_gas_guard"),
+    (build_environment, "cah_iterations"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_library_defaults_are_the_engine_config_defaults(function, parameter):
+    default = inspect.signature(function).parameters[parameter].default
+    assert default == getattr(EngineConfig, parameter)
 
 
 def test_main_builds_no_argument_parser(monkeypatch, capsys):

@@ -1,13 +1,14 @@
 """`build_environment` against setup replay as plain code.
 
-The build checks every setup entry, resolves the entries into their
-transactions and replays them in one pass. `support.reference_setup`
-checks, resolves and executes the same entries one at a time on an
-environment built without them. Over generated setups (holders that
-deposit, plain transfers, entries naming $ACTOR, and up to two bad
-arguments or unknown roles at drawn positions) both must give the same roles, actor
-accounts, world state, fee ledger and address counter, or the same
-InputError message.
+The build checks every setup entry and resolves it into its
+transactions in one pass, then replays them. `support.reference_setup`
+checks every entry, then resolves and executes the entries one at a time
+on an environment built without them. Over generated setups (holders
+that deposit, plain transfers, entries naming $ACTOR, and up to two bad
+arguments or unknown roles at drawn positions) both must give the same
+roles, actor accounts, world state and address counter, or the same
+InputError message: the first failed check in entry order, else the
+first failed transaction.
 """
 
 from dataclasses import replace
@@ -69,14 +70,14 @@ def setups(draw):
 
 
 def built(build):
-    """(roles, actor accounts, state digest, fee ledger, address counter)
-    of the environment `build()` returns, or the message it raises."""
+    """(roles, actor accounts, state digest, address counter) of the
+    environment `build()` returns, or the message it raises."""
     try:
         env = build()
     except InputError as exc:
         return str(exc)
     state = env.state
-    return env.roles, env.actor_accounts, digest(state), state.fee_ledger, state.next_address
+    return env.roles, env.actor_accounts, digest(state), state.next_address
 
 
 def by_reference(scenario):

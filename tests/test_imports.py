@@ -13,6 +13,11 @@ any `.py` file of the program, its tests, its scripts or its benchmark.
 A parameter of a `def` must be read in its body, nested functions
 included, unless an underscore starts its name: a function that takes
 an argument only to fit a signature says so by that prefix.
+
+The packages are layered: a module under `vm/` imports from the program
+only what `mtsc.vm`, `mtsc.minisol` and `mtsc.inputs` hold, and one under
+`minisol/` only what `mtsc.minisol` holds. The README's repository layout
+names every module and subpackage of `src/mtsc/`.
 """
 
 import ast
@@ -163,3 +168,64 @@ def test_the_check_finds_a_parameter_left_behind():
             "        return inner\n")
     assert unread_parameters(text) == [(1, "f", "b"), (1, "f", "rest"), (1, "f", "extra"),
                                        (9, "inner", "unused")]
+
+
+# what the program's modules under each package may import from the program
+LAYERS = {"vm": ("mtsc.vm", "mtsc.minisol", "mtsc.inputs"), "minisol": ("mtsc.minisol",)}
+
+
+def imported_modules(text: str, package: str) -> list:
+    """(line, module) of each import in `text`, a module of `package`,
+    with a relative import made absolute."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                base = ".".join(parts[:len(parts) - node.level + 1])
+                name = f"{base}.{name}" if name else base
+            found.append((node.lineno, name))
+    return found
+
+
+def layer_breaches(text: str, package: str, allowed) -> list:
+    """(line, module) of each import in `text` of a program module that
+    lies in none of the `allowed` packages."""
+    return [(line, name) for line, name in imported_modules(text, package)
+            if name.split(".")[0] == "mtsc"
+            and not any(name == a or name.startswith(a + ".") for a in allowed)]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.parent.name in LAYERS],
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_each_package_imports_only_from_the_layers_below_it(path):
+    assert layer_breaches(path.read_text(encoding="utf-8"), f"mtsc.{path.parent.name}",
+                          LAYERS[path.parent.name]) == []
+
+
+def test_the_check_finds_an_import_across_layers():
+    text = ("import sys\n"
+            "from . import ast\n"
+            "from .state import WorldState\n"
+            "from ..minisol import ast as tree\n"
+            "from mtsc.inputs import InputError\n"
+            "from ..scenario import Environment\n"
+            "import mtsc.cli\n"
+            "from ..vmx import y\n"
+            "from .. import agents\n")
+    assert layer_breaches(text, "mtsc.vm", LAYERS["vm"]) == [
+        (6, "mtsc.scenario"), (7, "mtsc.cli"), (8, "mtsc.vmx"), (9, "mtsc")]
+    assert layer_breaches(text, "mtsc.minisol", LAYERS["minisol"]) == [
+        (5, "mtsc.inputs"), (6, "mtsc.scenario"), (7, "mtsc.cli"), (8, "mtsc.vmx"), (9, "mtsc")]
+
+
+def test_the_readme_layout_names_every_module_and_subpackage():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Repository layout\n", 1)[1].split("```")[1]
+    listed = {m.group(1) for m in re.finditer(r"^  (\S+)", block, re.MULTILINE)}
+    parts = {path.name + "/" for path in SRC.iterdir() if (path / "__init__.py").is_file()}
+    parts |= {path.name for path in SRC.glob("*.py") if not path.name.startswith("__")}
+    assert sorted(parts - listed) == []

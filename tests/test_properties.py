@@ -115,13 +115,11 @@ def test_balances_are_conserved_and_failures_roll_back(environments, name, kind,
     state = clone(env.state)
     total_before = sum(a.balance for a in state.accounts.values())
     digest_before = digest(state)
-    fees_before = state.fee_ledger
     out = env.run_target(state, kind, gas_limit)
-    # fees accrue on the ledger, never on balances
+    # gas is never charged to a balance
     assert sum(a.balance for a in state.accounts.values()) == total_before
     if not out.ok:
         assert out.balance_delta == 0
-        state.fee_ledger = fees_before
         # agent-level failures may leave agent-internal bookkeeping behind;
         # the envelope-level rollback guarantee binds EOA transactions
         if kind == AgentKind.EOA:
@@ -742,11 +740,10 @@ range_shape_sources = st.builds(
 
 def _observe(env, kind, limit):
     """The outcome of a run on a clone of the context, and the digest of
-    the state it leaves: fees, and an agent wrapper's own bookkeeping
-    slots, aside."""
+    the state it leaves, an agent wrapper's own bookkeeping slots
+    aside."""
     state = clone(env.state)
     out = env.run_target(state, kind, limit)
-    state.fee_ledger = env.state.fee_ledger
     if kind != AgentKind.EOA:
         storage = state.account(env.actor_accounts[kind]).storage
         for slot in (TARGET_SLOT, VALUE_SLOT):

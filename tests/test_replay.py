@@ -1,9 +1,10 @@
 """`vm.replay`, the setup path, against one `execute` per transaction.
 
-Both must leave the same world state (accounts, storage, fee ledger and
-address counter, all in `WorldState.digest`) and report the same first
-failure, over the corpus setups, widened copies of them, and generated
-sequences that include failing transactions.
+Both must leave the same world state (accounts, storage and address
+counter, all in `support.digest`) and report the same first failure,
+over the corpus setups, widened copies of them, and generated sequences
+that include failing transactions. A replayed transaction's gas is
+observable only through its status, which the first failure compares.
 """
 
 import json

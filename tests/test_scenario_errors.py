@@ -8,12 +8,14 @@ built from an index or a role cannot drift unnoticed.
 
 import copy
 import json
+from unittest import mock
 
 import pytest
 
+from mtsc import scenario as scenario_module
 from mtsc.inputs import InputError
 from mtsc.scenario import build_environment, load_scenario
-from mtsc.vm import GasSchedule
+from mtsc.vm import GasSchedule, replay
 
 from conftest import CORPUS
 from support import cli_outputs
@@ -211,19 +213,19 @@ def test_build_errors_have_their_exact_text(tmp_path, edit, message):
     assert str(info.value) == message.format(dir=tmp_path)
 
 
-# Two broken entries: every argument check runs before replay, and a role
-# that resolves to nothing counts only once the entries before it replay.
+# Two broken entries: every check of every entry (its roles, then its
+# arguments) runs, in entry order, before anything replays.
 @pytest.mark.parametrize("edits,message", [
     ([_set("setup", 0, "actor", "nobody"), _set("setup", 2, "args", [])],
-     "setup[2]: add takes 1 args, got 0"),
+     "unresolvable role 'nobody'"),
     ([_set("setup", 2, "args", [0]), _append_setup({"actor": "nobody", "callee": "owner",
                                                     "function": None})],
-     "setup transaction add failed for owner: Failure(RequireFailed)"),
+     "unresolvable role 'nobody'"),
     ([_set("setup", 1, "callee", "nobody"), _append_setup({"actor": "owner",
                                                           "callee": "Counter",
                                                           "function": None})],
      "unresolvable role 'nobody'"),
-], ids=["check-before-role", "replay-before-later-role", "role-before-later-replay"])
+], ids=["role-before-later-check", "later-role-before-replay", "role-before-later-replay"])
 def test_the_first_error_of_two_is_raised(tmp_path, edits, message):
     doc = copy.deepcopy(BASE)
     for edit in edits:
@@ -231,6 +233,22 @@ def test_the_first_error_of_two_is_raised(tmp_path, edits, message):
     with pytest.raises(InputError) as info:
         build_environment(load_scenario(_write(tmp_path, doc)), GasSchedule())
     assert str(info.value) == message
+
+
+def test_a_role_in_the_last_entry_is_refused_before_anything_replays(tmp_path):
+    doc = _edited(_append_setup({"actor": "owner", "callee": "nobody", "function": None}))
+    scenario = load_scenario(_write(tmp_path, doc))
+    replays = []
+
+    def recorder(state, txs, schedule):
+        replays.append(list(txs))
+        return replay(state, replays[-1], schedule)
+
+    with mock.patch.object(scenario_module, "replay", recorder), \
+            pytest.raises(InputError) as info:
+        build_environment(scenario, GasSchedule())
+    assert str(info.value) == "unresolvable role 'nobody'"
+    assert replays == []
 
 
 def test_file_errors_have_their_exact_text(tmp_path):

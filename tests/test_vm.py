@@ -156,9 +156,6 @@ def test_require_failure_rolls_back():
     out = run(state, actor, dao, "withdraw", (1,))  # nothing deposited
     assert out.status.reason == FailReason.REQUIRE_FAILED
     assert out.balance_delta == 0
-    fee = out.gas_consumed
-    assert state.fee_ledger == fee
-    state.fee_ledger = 0
     assert digest(state) == before_digest
 
 
@@ -166,10 +163,8 @@ def test_failure_leaves_state_byte_equal():
     state, actor, dao = fresh_dao()
     assert run(state, actor, dao, "deposit", (actor,), 1_000).ok
     before = digest(state)
-    fees = state.fee_ledger
     out = run(state, actor, dao, "withdraw", (1_000,), gas=30_000)
     assert not out.ok
-    state.fee_ledger = fees
     assert digest(state) == before
 
 
@@ -575,10 +570,9 @@ def journal_world():
     return state, actor, inner, middle, outer
 
 
-def expected_digest(before, out, addr, storage):
-    """Digest of `before` plus only the fee and the given top-frame writes."""
+def expected_digest(before, addr, storage):
+    """Digest of `before` plus only the given top-frame writes."""
     ref = clone(before)
-    ref.fee_ledger += out.gas_consumed
     ref.account(addr).storage.update(storage)
     return digest(ref)
 
@@ -591,7 +585,7 @@ def test_swallowed_child_writes_to_absent_keys_are_deleted():
     assert sum(isinstance(ev, ExceptionSwallowed) for ev in out.trace) == 1
     # the child's fresh keys are gone, not reset to their defaults
     assert state.account(inner).storage == {}
-    assert digest(state) == expected_digest(before, out, outer, {"ok": False})
+    assert digest(state) == expected_digest(before, outer, {"ok": False})
 
 
 def test_failing_dcall_unwinds_two_frames():
@@ -605,7 +599,7 @@ def test_failing_dcall_unwinds_two_frames():
     assert state.account(middle).storage == {}
     assert state.account(middle).balance == 50
     assert state.account(inner).balance == 0
-    assert digest(state) == expected_digest(before, out, outer, {"ok": False})
+    assert digest(state) == expected_digest(before, outer, {"ok": False})
 
 
 def test_caller_reference_sees_the_reverted_balance():

@@ -34,7 +34,7 @@ from support import clone, digest
 S = GasSchedule()
 
 # sha256 over the runs `test_vm_behaviour_is_pinned` makes
-VM_DIGEST = "ad45cbf04c73791c197edf850afdd25f8807a10f81f0f98d55b473603bdcbf8a"
+VM_DIGEST = "a8fc03303072d75ec0d3d557f1c31e152555784c04a5822b0a5c3bdfe17c25bf"
 
 
 def pin(h, outcome, state):
