@@ -107,9 +107,7 @@ class _ContractChecker:
                 self.error(stmt, "duplicate-local",
                            f"name {stmt.name!r} is already in use")
             self.names.add(stmt.name)
-            if kind == NONE:
-                self.error(stmt, "no-result",
-                           "dcall/transfer produce no value to bind")
+            if kind == NONE:  # infer reported it; go on as if it gave a uint
                 kind = UINT
             self.env[stmt.name] = kind
         elif isinstance(stmt, ast.Assign):
@@ -121,9 +119,6 @@ class _ContractChecker:
             elif value_kind != NONE and target_kind != value_kind:
                 self.error(stmt, "type-mismatch",
                            f"cannot assign {value_kind} to {target_kind} target")
-            if value_kind == NONE:
-                self.error(stmt, "no-result",
-                           "dcall/transfer produce no value to assign")
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 self.infer(stmt.value)

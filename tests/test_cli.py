@@ -348,6 +348,16 @@ def test_bad_schedule_exits_two(tmp_path, capsys):
     assert "mystery_key" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_a_schedule_value_that_is_not_an_integer_exits_two(tmp_path, capsys, value):
+    sched = tmp_path / "sched.txt"
+    sched.write_text(f"# comment\nbase_tx={value}\n")
+    code, out, err = run_cli(capsys, "check", str(scenario_path("counter_baseline")),
+                             "--schedule", str(sched))
+    assert (code, out) == (2, "")
+    assert err == f"mtsc: error: {sched}:2: base_tx needs an integer value\n"
+
+
 # A schedule is read as a scenario is, and its errors name the file. A byte
 # that is not UTF-8 used to exit 3.
 UNREADABLE_SCHEDULES = [

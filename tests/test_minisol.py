@@ -264,6 +264,20 @@ def test_dcall_has_no_value_result():
     ]
 
 
+# one mistake, one error: the statement used to add a second `[no-result]`
+@pytest.mark.parametrize("statement,column,form", [
+    ("x = dcall t.g();", 42, "dcall"),
+    ("x = transfer t value 1;", 42, "transfer"),
+    ("let y = dcall t.g();", 46, "dcall"),
+    ("let y = transfer t value 1;", 46, "transfer"),
+], ids=["assign-dcall", "assign-transfer", "let-dcall", "let-transfer"])
+def test_a_result_that_does_not_exist_is_one_error(statement, column, form):
+    errors = validate(parse(
+        f"contract C {{ uint x; fn f(t: addr) {{ {statement} }} fn g() {{ }} }}"))
+    assert [str(e) for e in errors] == [
+        f"1:{column}: [no-result] {form} has no result; use it as a statement"]
+
+
 def test_condition_types_checked():
     assert "type-mismatch" in _errors("contract X { fn f() { require(1 + 2); } }")
     assert "type-mismatch" in _errors(
