@@ -31,7 +31,6 @@ quietly with exit status 1.
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,13 +61,6 @@ def main(argv=None) -> int:
     schedule = GasSchedule()
     env = build_environment(load_scenario(args.scenario), schedule)
     kind = AgentKind(args.kind)
-    run_target, ran = env.run_target, []
-
-    def counted(state, kind, limit):
-        ran.append(limit)
-        return run_target(state, kind, limit)
-
-    env.run_target = counted  # counts the runs that reach the VM
     try:
         gc = estimate_intrinsic_gas(schedule, runner=env.runner_for(kind))
     except NeverSucceeds as exc:
@@ -76,11 +68,12 @@ def main(argv=None) -> int:
         return 1
     print(f"intrinsic gas for {kind.value}: {gc.value} "
           f"(trials={gc.trials}, converged=True)")  # every estimate is verified
-    # the rough estimate's block-limit run is not a trial
-    probes = len(ran) - 1
+    # the environment keeps every run that reached the VM; the rough
+    # estimate's block-limit run is not a trial
+    probes = len(env._kept[kind]) - 1
     print(f"estimate {gc.value}: {gc.trials} trials, {probes} of them reached "
           f"the runner, {gc.trials - probes} answered from a range")
-    fresh = replace(env)  # the same context, no run kept
+    fresh = env.fresh()
     lo, hi = fresh.run(kind, gc.value).limits
     print(f"source range: [{lo}, {hi}]")
     for done in mr_engine.sweep(fresh, MR1_2, kind, gc.value,

@@ -19,11 +19,11 @@ call argument naming the agent itself is `this`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .minisol import ast
+from .minisol.record import FrozenRecord
 from .vm import GasSchedule, Outcome, Transaction, WorldState, deploy, execute
 
 AGENT_CALL = "AgentCall"
@@ -58,23 +58,22 @@ def actor_kinds(names) -> tuple:
     return tuple(kinds)
 
 
-@dataclass(frozen=True)
-class AgentSpec:
-    kind: AgentKind
-    target: str
-    function: Optional[str]  # the target call; None = plain value transfer
-    args: tuple
-    value: int
-    stipend: int  # of the schedule the agent runs under
-    car_gas_guard: int = DEFAULT_CAR_GAS_GUARD
-    cah_iterations: int = DEFAULT_CAH_ITERATIONS
+class AgentSpec(FrozenRecord):
+    __slots__ = _fields = ("kind", "target", "function", "args", "value", "stipend",
+                           "car_gas_guard", "cah_iterations")
 
-    def __post_init__(self):
-        if self.kind == AgentKind.EOA:
+    def __init__(self, kind: AgentKind, target: str,
+                 function: Optional[str],  # the target call; None = plain value transfer
+                 args: tuple, value: int,
+                 stipend: int,  # of the schedule the agent runs under
+                 car_gas_guard: int = DEFAULT_CAR_GAS_GUARD,
+                 cah_iterations: int = DEFAULT_CAH_ITERATIONS):
+        self._set(locals())
+        if kind == AgentKind.EOA:
             raise ValueError("EOA is the identity actor; no agent to deploy")
-        if self.kind == AgentKind.CAR and self.car_gas_guard <= self.stipend:
+        if kind == AgentKind.CAR and car_gas_guard <= stipend:
             raise ValueError("the recursion guard must exceed the transfer stipend")
-        if self.kind == AgentKind.CAH and self.cah_iterations < 1:
+        if kind == AgentKind.CAH and cah_iterations < 1:
             raise ValueError("the heavy fallback needs at least one storage write")
 
 

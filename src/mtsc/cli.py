@@ -11,6 +11,12 @@ The first `main` call in a process freezes the heap it finds
 full collection then skips the import-time objects, which helps `bench`
 over many scenarios and callers that run `main` many times; a host that
 later wants the frozen objects collected can call `gc.unfreeze()`.
+
+Start-up is most of a one-scenario process, so importing this module
+builds no `dataclasses` class and loads no process pool: the records are
+plain classes (`minisol.record`), and `concurrent.futures` is imported
+the first time `ProcessPoolExecutor` is read from this module, which
+only `bench --jobs N` with N > 1 does.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import gc
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -32,19 +37,30 @@ from .scenario import ALL_ACTOR_KINDS, build_environment, load_scenario
 from .vm import GasSchedule, Status, load_schedule
 
 
+def __getattr__(name):
+    # `ProcessPoolExecutor` on first read: importing it loads multiprocessing,
+    # and only a pool needs it. cmd_bench reads it from the module, so a
+    # caller may replace it (perfbench's traced run does).
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = EngineConfig()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--schedule", metavar="PATH",
                         help="gas schedule file (key=value lines)")
-    common.add_argument("--n", type=int, default=EngineConfig.n,
+    common.add_argument("--n", type=int, default=defaults.n,
                         help="subdivisions of the reducing gas sweep (default %(default)s)")
-    common.add_argument("--inc-count", type=int, default=EngineConfig.inc_count,
+    common.add_argument("--inc-count", type=int, default=defaults.inc_count,
                         help="follow-ups per increasing gas sweep (default %(default)s)")
-    common.add_argument("--growth", type=float, default=EngineConfig.growth,
+    common.add_argument("--growth", type=float, default=defaults.growth,
                         help="estimator growth factor (default %(default)s)")
-    common.add_argument("--car-gas-guard", type=int, default=EngineConfig.car_gas_guard,
+    common.add_argument("--car-gas-guard", type=int, default=defaults.car_gas_guard,
                         help="recursion guard of the CAR agent (default %(default)s)")
-    common.add_argument("--cah-iterations", type=int, default=EngineConfig.cah_iterations,
+    common.add_argument("--cah-iterations", type=int, default=defaults.cah_iterations,
                         help="storage writes in the CAH fallback (default %(default)s)")
     common.add_argument("--mr", metavar="LIST",
                         help="comma-separated relations to run (restricts scenarios)")
@@ -129,7 +145,7 @@ def cmd_bench(args, schedule: GasSchedule, engine: EngineConfig) -> int:
     # a fork pool starts all its workers at once: never more than there is work for
     jobs = min(args.jobs or os.cpu_count() or 1, len(paths))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
             verdicts = list(pool.map(_worker, [(p, schedule, engine) for p in paths]))
     else:
         verdicts = [_run_one(p, schedule, engine) for p in paths]

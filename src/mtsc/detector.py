@@ -4,8 +4,7 @@ of `relations.RELATIONS`), benchmark metrics, and report rendering."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .inputs import InputError
 from .mr_engine import EngineResult, ViolationRecord
@@ -15,8 +14,7 @@ from .vm import TAIL
 REPORT_SCHEMA = "report-v1"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     scenario_id: str
     violations: tuple
     categories: tuple           # sorted subset of CATEGORIES
@@ -47,8 +45,7 @@ def verdict_for(result: EngineResult) -> Verdict:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Counts:
+class Counts(NamedTuple):
     tp: int = 0
     fp: int = 0
     fn: int = 0
@@ -68,8 +65,7 @@ def percent(ratio: Optional[float]) -> str:
     return "n/a" if ratio is None else f"{ratio * 100:.2f}%"
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     per_category: dict
     totals: Counts
     tpr: Optional[float]

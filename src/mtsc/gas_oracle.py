@@ -20,8 +20,7 @@ trial count is the one a run of every probe gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .traces import child_frame_gas
 from .vm import GasSchedule, Outcome
@@ -43,8 +42,7 @@ class NeverSucceeds(Exception):
         self.status = status
 
 
-@dataclass(frozen=True)
-class IntrinsicGas:
+class IntrinsicGas(NamedTuple):
     value: int        # smallest verified-sufficient gas limit
     trials: int       # probes made, a probe answered from a range included
 

@@ -5,6 +5,11 @@ equality so that parse -> pretty-print -> parse round-trips compare equal.
 Agent synthesis builds these nodes directly, without going through the
 parser, so every node is constructible with plain values.
 
+Nodes are mutable records (`record.Record`): each class names its fields,
+positions aside, in `_fields`, which equality compares and a walk over a
+tree follows, and writes its own `__init__`, taking `line` and `col`
+first and every field by keyword with a default.
+
 The four call forms (`lowcall`, `dcall`, `send`, `transfer`) share one
 node, `Call`, named by its `form`; `SWALLOWING` and `STIPEND_ONLY` name
 the forms that swallow a failed call and that forward no gas.
@@ -12,10 +17,10 @@ the forms that swallow a failed call and that forward no gas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Union
+
+from .record import Record, field_repr
 
 UINT_MAX = 2**128 - 1  # values and balances are unsigned 128-bit
 ZERO_ADDR = ""         # the address default; no account has it
@@ -38,14 +43,11 @@ class Kind(str, Enum):
         return self.value
 
 
-def _pos():
-    return field(default=0, compare=False)
+class Node(Record):
+    __slots__ = ("line", "col")
 
-
-@dataclass
-class Node:
-    line: int = _pos()
-    col: int = _pos()
+    def __repr__(self):
+        return field_repr(self, ("line", "col") + self._fields)
 
 
 # --------------------------------------------------------------------------
@@ -53,75 +55,118 @@ class Node:
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class IntLit(Node):
-    value: int = 0
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, line=0, col=0, value=0):
+        self.line = line
+        self.col = col
+        self.value = value
 
 
-@dataclass
 class BoolLit(Node):
-    value: bool = False
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, line=0, col=0, value=False):
+        self.line = line
+        self.col = col
+        self.value = value
 
 
-@dataclass
 class AddrLit(Node):
     """Literal account address. Not produced by the parser; used by
     generated code (agent contracts) that must reference concrete accounts."""
 
-    value: str = ""
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, line=0, col=0, value=""):
+        self.line = line
+        self.col = col
+        self.value = value
 
 
-@dataclass
 class Var(Node):
     """Reference to a parameter, local, or scalar state variable."""
 
-    name: str = ""
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, line=0, col=0, name=""):
+        self.line = line
+        self.col = col
+        self.name = name
 
 
-@dataclass
 class MapIndex(Node):
-    name: str = ""
-    key: "Expr" = None
+    __slots__ = _fields = ("name", "key")
+
+    def __init__(self, line=0, col=0, name="", key: Expr = None):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.key = key
 
 
-@dataclass
 class Binary(Node):
-    op: str = ""  # + - * == != < <= > >= && ||
-    left: "Expr" = None
-    right: "Expr" = None
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, line=0, col=0, op="", left: Expr = None, right: Expr = None):
+        self.line = line
+        self.col = col
+        self.op = op  # + - * == != < <= > >= && ||
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class Not(Node):
-    operand: "Expr" = None
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, line=0, col=0, operand: Expr = None):
+        self.line = line
+        self.col = col
+        self.operand = operand
 
 
-@dataclass
 class MsgSender(Node):
-    pass
+    __slots__ = _fields = ()
+
+    def __init__(self, line=0, col=0):
+        self.line = line
+        self.col = col
 
 
-@dataclass
 class MsgValue(Node):
-    pass
+    __slots__ = _fields = ()
+
+    def __init__(self, line=0, col=0):
+        self.line = line
+        self.col = col
 
 
-@dataclass
 class This(Node):
-    pass
+    __slots__ = _fields = ()
+
+    def __init__(self, line=0, col=0):
+        self.line = line
+        self.col = col
 
 
-@dataclass
 class GasLeft(Node):
-    pass
+    __slots__ = _fields = ()
+
+    def __init__(self, line=0, col=0):
+        self.line = line
+        self.col = col
 
 
-@dataclass
 class BalanceOf(Node):
-    target: "Expr" = None
+    __slots__ = _fields = ("target",)
+
+    def __init__(self, line=0, col=0, target: Expr = None):
+        self.line = line
+        self.col = col
+        self.target = target
 
 
-@dataclass
 class Call(Node):
     """A call in one of the four forms. `function` None is a plain value
     transfer, the only kind `send` and `transfer` make; only `lowcall`
@@ -129,12 +174,19 @@ class Call(Node):
     failed call into false; the others yield nothing and re-raise it.
     Forms in STIPEND_ONLY forward none of the caller's gas."""
 
-    form: str = "lowcall"  # one of CALL_FORMS
-    target: "Expr" = None
-    function: Optional[str] = None
-    args: list = field(default_factory=list)
-    value: Optional["Expr"] = None
-    gas: Optional["Expr"] = None
+    __slots__ = _fields = ("form", "target", "function", "args", "value", "gas")
+
+    def __init__(self, line=0, col=0, form="lowcall", target: Expr = None,
+                 function: Optional[str] = None, args: list = None,
+                 value: Optional[Expr] = None, gas: Optional[Expr] = None):
+        self.line = line
+        self.col = col
+        self.form = form  # one of CALL_FORMS
+        self.target = target
+        self.function = function
+        self.args = [] if args is None else args
+        self.value = value
+        self.gas = gas
 
 
 Expr = Union[
@@ -148,52 +200,85 @@ Expr = Union[
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class Require(Node):
-    condition: Expr = None
+    __slots__ = _fields = ("condition",)
+
+    def __init__(self, line=0, col=0, condition: Expr = None):
+        self.line = line
+        self.col = col
+        self.condition = condition
 
 
-@dataclass
 class Revert(Node):
-    pass
+    __slots__ = _fields = ()
+
+    def __init__(self, line=0, col=0):
+        self.line = line
+        self.col = col
 
 
-@dataclass
 class If(Node):
-    condition: Expr = None
-    then: list = field(default_factory=list)
-    otherwise: list = field(default_factory=list)
+    __slots__ = _fields = ("condition", "then", "otherwise")
+
+    def __init__(self, line=0, col=0, condition: Expr = None, then: list = None,
+                 otherwise: list = None):
+        self.line = line
+        self.col = col
+        self.condition = condition
+        self.then = [] if then is None else then
+        self.otherwise = [] if otherwise is None else otherwise
 
 
-@dataclass
 class Let(Node):
-    name: str = ""
-    value: Expr = None
+    __slots__ = _fields = ("name", "value")
+
+    def __init__(self, line=0, col=0, name="", value: Expr = None):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.value = value
 
 
-@dataclass
 class Assign(Node):
-    target: Union[Var, MapIndex] = None
-    op: str = "="  # = += -=
-    value: Expr = None
+    __slots__ = _fields = ("target", "op", "value")
+
+    def __init__(self, line=0, col=0, target: Union[Var, MapIndex] = None, op="=",
+                 value: Expr = None):
+        self.line = line
+        self.col = col
+        self.target = target
+        self.op = op  # = += -=
+        self.value = value
 
 
-@dataclass
 class Return(Node):
-    value: Optional[Expr] = None
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, line=0, col=0, value: Optional[Expr] = None):
+        self.line = line
+        self.col = col
+        self.value = value
 
 
-@dataclass
 class Emit(Node):
     """Event emission placeholder: fixed gas cost, no other effect."""
 
-    name: str = ""
-    args: list = field(default_factory=list)
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, line=0, col=0, name="", args: list = None):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.args = [] if args is None else args
 
 
-@dataclass
 class ExprStmt(Node):
-    expr: Expr = None
+    __slots__ = _fields = ("expr",)
+
+    def __init__(self, line=0, col=0, expr: Expr = None):
+        self.line = line
+        self.col = col
+        self.expr = expr
 
 
 Stmt = Union[Require, Revert, If, Let, Assign, Return, Emit, ExprStmt]
@@ -204,58 +289,89 @@ Stmt = Union[Require, Revert, If, Let, Assign, Return, Emit, ExprStmt]
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class Param(Node):
-    name: str = ""
-    kind: Kind = Kind.UINT
+    __slots__ = _fields = ("name", "kind")
+
+    def __init__(self, line=0, col=0, name="", kind=Kind.UINT):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.kind = kind
 
 
-@dataclass
 class StateVar(Node):
-    name: str = ""
-    kind: Kind = Kind.UINT
+    __slots__ = _fields = ("name", "kind")
+
+    def __init__(self, line=0, col=0, name="", kind=Kind.UINT):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.kind = kind
 
 
-@dataclass
 class FunctionDef(Node):
-    name: str = ""
-    params: list = field(default_factory=list)
-    payable: bool = False
-    body: list = field(default_factory=list)
+    __slots__ = _fields = ("name", "params", "payable", "body")
+
+    def __init__(self, line=0, col=0, name="", params: list = None, payable=False,
+                 body: list = None):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.params = [] if params is None else params
+        self.payable = payable
+        self.body = [] if body is None else body
 
 
-@dataclass
 class FallbackDef(Node):
-    payable: bool = False
-    body: list = field(default_factory=list)
+    __slots__ = _fields = ("payable", "body")
+
+    def __init__(self, line=0, col=0, payable=False, body: list = None):
+        self.line = line
+        self.col = col
+        self.payable = payable
+        self.body = [] if body is None else body
 
 
-@dataclass
 class ContractDef(Node):
-    name: str = ""
-    state_vars: list = field(default_factory=list)
-    functions: list = field(default_factory=list)
-    fallback: Optional[FallbackDef] = None
+    _fields = ("name", "state_vars", "functions", "fallback")
+    # and two lookup tables, unset until the first lookup builds them
+    __slots__ = _fields + ("functions_by_name", "defaults")
 
-    # Lookup tables, built at the first lookup: declarations do not change
-    # after parsing or agent synthesis. The first declaration of a name wins.
+    def __init__(self, line=0, col=0, name="", state_vars: list = None,
+                 functions: list = None, fallback: Optional[FallbackDef] = None):
+        self.line = line
+        self.col = col
+        self.name = name
+        self.state_vars = [] if state_vars is None else state_vars
+        self.functions = [] if functions is None else functions
+        self.fallback = fallback
 
-    @cached_property
-    def functions_by_name(self) -> dict:
-        return {fn.name: fn for fn in reversed(self.functions)}
+    def __getattr__(self, name):
+        # called only while a table's slot is unset: declarations do not
+        # change after parsing or agent synthesis, so each table is built
+        # once, and every later read is a plain slot read. The first
+        # declaration of a name wins.
+        if name == "functions_by_name":
+            table = {fn.name: fn for fn in reversed(self.functions)}
+        elif name == "defaults":
+            # scalar state variable name -> its value before the first write
+            value = {Kind.UINT: 0, Kind.BOOL: False, Kind.ADDR: ZERO_ADDR}
+            table = {sv.name: value[sv.kind] for sv in reversed(self.state_vars)
+                     if sv.kind in value}
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, table)
+        return table
 
-    @cached_property
-    def defaults(self) -> dict:
-        """Scalar state variable name -> its value before the first write."""
-        value = {Kind.UINT: 0, Kind.BOOL: False, Kind.ADDR: ZERO_ADDR}
-        return {sv.name: value[sv.kind] for sv in reversed(self.state_vars)
-                if sv.kind in value}
 
-
-@dataclass
 class SourceUnit(Node):
-    contracts: list = field(default_factory=list)
-    source_name: str = "<string>"
+    __slots__ = _fields = ("contracts", "source_name")
+
+    def __init__(self, line=0, col=0, contracts: list = None, source_name="<string>"):
+        self.line = line
+        self.col = col
+        self.contracts = [] if contracts is None else contracts
+        self.source_name = source_name
 
     def contract(self, name: str) -> Optional[ContractDef]:
         for c in self.contracts:

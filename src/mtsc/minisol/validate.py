@@ -20,21 +20,22 @@ Messages spell kinds as in source (`uint`, `bool`, `addr`, `map`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ast
 from .ast import Kind
+from .record import Record
 
 UINT, BOOL, ADDR = Kind.UINT, Kind.BOOL, Kind.ADDR
 NONE = "none"  # dcall / transfer: no usable result
 
 
-@dataclass
-class SemanticError:
-    line: int
-    col: int
-    code: str
-    message: str
+class SemanticError(Record):
+    __slots__ = _fields = ("line", "col", "code", "message")
+
+    def __init__(self, line: int, col: int, code: str, message: str):
+        self.line = line
+        self.col = col
+        self.code = code
+        self.message = message
 
     def __str__(self):
         return f"{self.line}:{self.col}: [{self.code}] {self.message}"

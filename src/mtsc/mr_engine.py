@@ -24,12 +24,12 @@ a sweep runs one to three pairs, in about the same time, whatever `n` is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .agents import DEFAULT_CAH_ITERATIONS, DEFAULT_CAR_GAS_GUARD, AgentKind, actor_kinds
 from .gas_oracle import (DEFAULT_GROWTH, DEFAULT_SUBDIVISIONS, NeverSucceeds,
                          estimate_intrinsic_gas)
+from .minisol.record import FrozenRecord, Record
 from .relations import RELATIONS, relation_ids
 from .scenario import Environment, Scenario, build_environment
 from .vm import UINT_MAX, GasSchedule, Outcome, Status
@@ -37,16 +37,14 @@ from .vm import UINT_MAX, GasSchedule, Outcome, Status
 ALL_MRS = tuple(RELATIONS)  # perfbench's traced run reads it
 
 
-@dataclass(frozen=True)
-class ActorInput:
+class ActorInput(NamedTuple):
     kind: AgentKind
     address: str
     gas_limit: int
 
 
-@dataclass(frozen=True)
-class TestPair:
-    __test__ = False  # keep pytest from collecting the dataclass
+class TestPair(NamedTuple):
+    __test__ = False  # keep pytest from collecting the class
 
     mr_id: str
     source: ActorInput
@@ -55,46 +53,48 @@ class TestPair:
     follow_outcome: Optional[Outcome] = None
 
 
-@dataclass(frozen=True)
-class ViolationRecord:
+class ViolationRecord(NamedTuple):
     pair: TestPair
     observed: str
     gas_threshold: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    n: int = DEFAULT_SUBDIVISIONS
-    inc_count: int = 5            # increasing follow-ups per sweep
-    growth: float = DEFAULT_GROWTH
-    car_gas_guard: int = DEFAULT_CAR_GAS_GUARD
-    cah_iterations: int = DEFAULT_CAH_ITERATIONS
-    mr_filter: Optional[tuple] = None         # restricts the scenario's selection
-    mr1_actors_override: Optional[tuple] = None
+class EngineConfig(FrozenRecord):
+    __slots__ = _fields = ("n", "inc_count", "growth", "car_gas_guard", "cah_iterations",
+                           "mr_filter", "mr1_actors_override")
 
-    def __post_init__(self):
-        if self.mr_filter is not None:
-            object.__setattr__(self, "mr_filter", relation_ids(self.mr_filter))
-        if self.mr1_actors_override is not None:
-            object.__setattr__(self, "mr1_actors_override", actor_kinds(self.mr1_actors_override))
-        if self.n < 1 or self.inc_count < 1:
+    def __init__(self, n: int = DEFAULT_SUBDIVISIONS,
+                 inc_count: int = 5,  # increasing follow-ups per sweep
+                 growth: float = DEFAULT_GROWTH,
+                 car_gas_guard: int = DEFAULT_CAR_GAS_GUARD,
+                 cah_iterations: int = DEFAULT_CAH_ITERATIONS,
+                 mr_filter: Optional[tuple] = None,  # restricts the scenario's selection
+                 mr1_actors_override: Optional[tuple] = None):
+        if mr_filter is not None:
+            mr_filter = relation_ids(mr_filter)
+        if mr1_actors_override is not None:
+            mr1_actors_override = actor_kinds(mr1_actors_override)
+        self._set(locals())
+        if n < 1 or inc_count < 1:
             raise ValueError("n and inc_count must be at least 1")
-        if not self.growth > 1.0:  # NaN included
+        if not growth > 1.0:  # NaN included
             raise ValueError("growth must exceed 1")
         # a CAH agent's fallback is built, one write per iteration, before
         # any run; the default block pays for 1500 writes
-        if not 1 <= self.cah_iterations <= 2**16:
+        if not 1 <= cah_iterations <= 2**16:
             raise ValueError("cah_iterations must be at least 1 and at most 2**16")
         # `gasleft()` never exceeds a guard the VM cannot hold: CAR would never re-enter
-        if self.car_gas_guard > UINT_MAX:
+        if car_gas_guard > UINT_MAX:
             raise ValueError("car_gas_guard must be at most 2**128 - 1")
 
 
-@dataclass
-class EngineResult:
-    scenario_id: str
-    violations: list
-    diagnostics: list  # "scope: message" per sweep skipped
+class EngineResult(Record):
+    __slots__ = _fields = ("scenario_id", "violations", "diagnostics")
+
+    def __init__(self, scenario_id: str, violations: list, diagnostics: list):
+        self.scenario_id = scenario_id
+        self.violations = violations
+        self.diagnostics = diagnostics  # "scope: message" per sweep skipped
 
 
 def estimate_kinds(env: Environment, kinds, growth: float) -> list:
@@ -112,16 +112,17 @@ def estimate_kinds(env: Environment, kinds, growth: float) -> list:
     return rows
 
 
-def run_pair(env: Environment, pair: TestPair) -> TestPair:
-    """Both outcomes of a pair from `Environment.run`, in its context.
+def run_pair(env: Environment, mr_id: str, source: ActorInput,
+             follow_up: ActorInput) -> TestPair:
+    """The pair of relation `mr_id` with both outcomes from
+    `Environment.run`, in its context.
 
     Either may be answered from a kept range, as another run's outcome
     with the same status and, for a success, consumption and balance
     delta: the relation holds or fails as with the input's own run.
     """
-    source, follow = pair.source, pair.follow_up
-    return replace(pair, source_outcome=env.run(source.kind, source.gas_limit),
-                   follow_outcome=env.run(follow.kind, follow.gas_limit))
+    return TestPair(mr_id, source, follow_up, env.run(source.kind, source.gas_limit),
+                    env.run(follow_up.kind, follow_up.gas_limit))
 
 
 def check(pair: TestPair) -> Optional[ViolationRecord]:
@@ -145,7 +146,7 @@ def sweep(env: Environment, mr: str, kind: AgentKind, gc: int, plan: range):
     addr = env.actor_accounts[follow_kind]
     while plan:
         g = plan[0]
-        done = run_pair(env, TestPair(mr, source, ActorInput(follow_kind, addr, g)))
+        done = run_pair(env, mr, source, ActorInput(follow_kind, addr, g))
         yield done
         lo, hi = done.follow_outcome.limits
         plan = plan[1 + (g - lo if plan.step < 0 else hi - g) // abs(plan.step):]
@@ -197,7 +198,7 @@ def run_all(scenario: Scenario, schedule: GasSchedule,
                     # included; a violation's source succeeded, and a range
                     # answers a success's status, consumption and delta
                     own = env.run(done.follow_up.kind, done.follow_up.gas_limit, own=True)
-                    violations.append(check(replace(done, follow_outcome=own)))
+                    violations.append(check(done._replace(follow_outcome=own)))
                     break
 
     return EngineResult(scenario_id=scenario.scenario_id, violations=violations,

@@ -8,8 +8,7 @@ relation, and which vulnerability categories a violation reveals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .agents import AgentKind
 from .gas_oracle import allocate_increasing, allocate_reducing
@@ -24,8 +23,7 @@ CATEGORIES = (REENTRANCY, GASLESS_SEND, EXCEPTION_DISORDER)
 MR1_1, MR1_2, MR2_1, MR2_2, MR2_3 = "MR1.1", "MR1.2", "MR2.1", "MR2.2", "MR2.3"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     mr_id: str
     # follow-up: this agent in place of the EOA, both at the block gas limit;
     # or, when None, the source's kind at each limit of plan(gc, config, block)

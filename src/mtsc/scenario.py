@@ -31,7 +31,6 @@ parameters, and every setup entry is checked before any of them runs. Balances a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -47,6 +46,7 @@ from .agents import (
 )
 from .inputs import InputError, read_json, read_text
 from .minisol import ParseError, ast, parse, validate
+from .minisol.record import Record
 from .relations import RELATIONS, relation_ids
 from .vm import (UINT_MAX, GasSchedule, Outcome, Transaction, WorldState, deploy, execute,
                  replay)
@@ -66,8 +66,7 @@ class TxTemplate(NamedTuple):
     value: int = 0
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     scenario_id: str
     base_dir: Path
     sources: tuple
@@ -171,19 +170,28 @@ def load_scenario(path) -> Scenario:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class Environment:
+class Environment(Record):
     """A deployed, set-up scenario; `state` is the shared context, and
     `run` the pipeline's one way to run a target input in it."""
 
-    state: WorldState
-    schedule: GasSchedule
-    scenario: Scenario
-    roles: dict
-    actor_accounts: dict          # AgentKind -> address
-    driver: str
-    # AgentKind -> [(lo, hi, gas limit, Outcome)] of every run in the context
-    _kept: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = _fields = ("state", "schedule", "scenario", "roles", "actor_accounts",
+                           "driver", "_kept")
+
+    def __init__(self, state: WorldState, schedule: GasSchedule, scenario: Scenario,
+                 roles: dict, actor_accounts: dict, driver: str):
+        self.state = state
+        self.schedule = schedule
+        self.scenario = scenario
+        self.roles = roles
+        self.actor_accounts = actor_accounts  # AgentKind -> address
+        self.driver = driver
+        # AgentKind -> [(lo, hi, gas limit, Outcome)] of every run in the context
+        self._kept = {}
+
+    def fresh(self) -> Environment:
+        """The same context, its state shared, with no run kept."""
+        return Environment(self.state, self.schedule, self.scenario, self.roles,
+                           self.actor_accounts, self.driver)
 
     def transaction(self, entry: TxTemplate, actor, gas_limit: int) -> Transaction:
         """Checked `entry` at `gas_limit`, with `$ACTOR` standing for `actor`:

@@ -67,6 +67,8 @@ transaction that fails. Trace events are built with `tuple.__new__`.
 Calls nest up to `MAX_CALL_DEPTH` deep, and each container a waiting frame
 holds brings the cyclic GC's next pass nearer: frames run statements by index,
 not through an iterator, and `eval` has no comprehension (closure cells).
+Each call builds one `_Frame`, a slotted record (`minisol.record`) with
+its `__init__` written out: every field positional, `peak` starting at 0.
 
 Invariance ranges
 -----------------
@@ -119,11 +121,11 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from ..minisol import ast
 from ..minisol.parser import MAX_NESTING
+from ..minisol.record import Record
 from .schedule import GasSchedule
 from .state import ZEROS, Account, WorldState
 from .types import (
@@ -172,17 +174,21 @@ class _ReturnSignal(Exception):
     pass
 
 
-@dataclass(slots=True)
-class _Frame:
-    account: Account
-    msg_sender: str
-    msg_value: int
-    depth: int
-    gas: int
-    budget: int
-    env: dict
-    elastic: bool          # gas moves one for one with the gas limit
-    peak: int = 0          # need beyond consumption: reserves, children
+class _Frame(Record):
+    __slots__ = _fields = ("account", "msg_sender", "msg_value", "depth", "gas", "budget",
+                           "env", "elastic", "peak")
+
+    def __init__(self, account: Account, msg_sender: str, msg_value: int, depth: int,
+                 gas: int, budget: int, env: dict, elastic: bool):
+        self.account = account
+        self.msg_sender = msg_sender
+        self.msg_value = msg_value
+        self.depth = depth
+        self.gas = gas
+        self.budget = budget
+        self.env = env
+        self.elastic = elastic  # gas moves one for one with the gas limit
+        self.peak = 0           # need beyond consumption: reserves, children
 
 
 class _Run:

@@ -14,57 +14,49 @@ set above MAX_FRAMES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 from ..inputs import InputError, read_text
 from ..minisol.ast import UINT_MAX
+from ..minisol.record import FrozenRecord
 
 MAX_FRAMES = 2**16  # the most frames one run may make besides its top frame
 
 
-@dataclass(frozen=True)
-class GasSchedule:
-    base_tx: int = 21_000
-    dispatch: int = 100
-    arith: int = 3
-    compare: int = 3
-    logic: int = 3
-    sload: int = 200
-    sstore_set: int = 20_000    # storage slot changed from zero to non-zero
-    sstore_reset: int = 5_000   # any other storage write
-    call_base: int = 700
-    value_transfer_surcharge: int = 9_000
-    stipend: int = 2_300        # gas granted to the callee of a value transfer
-    emit: int = 375
-    require: int = 10
-    revert: int = 0
-    balance_of: int = 20
-    gasleft: int = 2
-    block_gas_limit: int = 30_000_000
+class GasSchedule(FrozenRecord):
+    __slots__ = _fields = (
+        "base_tx", "dispatch", "arith", "compare", "logic", "sload", "sstore_set",
+        "sstore_reset", "call_base", "value_transfer_surcharge", "stipend", "emit",
+        "require", "revert", "balance_of", "gasleft", "block_gas_limit")
 
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+    def __init__(self, base_tx=21_000, dispatch=100, arith=3, compare=3, logic=3, sload=200,
+                 sstore_set=20_000,    # storage slot changed from zero to non-zero
+                 sstore_reset=5_000,   # any other storage write
+                 call_base=700, value_transfer_surcharge=9_000,
+                 stipend=2_300,        # gas granted to the callee of a value transfer
+                 emit=375, require=10, revert=0, balance_of=20, gasleft=2,
+                 block_gas_limit=30_000_000):
+        self._set(locals())
+        for name in self._fields:
+            v = getattr(self, name)
             # gasleft() reads gas as a uint, so no amount of gas exceeds one
             if not isinstance(v, int) or not 0 <= v <= UINT_MAX:
-                raise ValueError(f"gas schedule entry {f.name} must be an integer "
+                raise ValueError(f"gas schedule entry {name} must be an integer "
                                  "in [0, 2**128 - 1]")
-        if self.sstore_set <= self.sstore_reset:
+        if sstore_set <= sstore_reset:
             raise ValueError("sstore_set must exceed sstore_reset")
-        if self.call_base == 0:
+        if call_base == 0:
             raise ValueError("call_base must be positive: free calls leave a run's "
                              "call frames unbounded")
-        if self.stipend > self.value_transfer_surcharge:
+        if stipend > value_transfer_surcharge:
             raise ValueError("stipend must not exceed value_transfer_surcharge: the "
                              "excess would mint gas on every value transfer")
-        if self.block_gas_limit // self.call_base > MAX_FRAMES:
+        if block_gas_limit // call_base > MAX_FRAMES:
             raise ValueError(f"block_gas_limit // call_base, the most calls one run "
                              f"can make, must not exceed {MAX_FRAMES}")
 
 
 def load_schedule(path: str) -> GasSchedule:
     """Parse a key=value schedule file. Blank lines and #-comments skipped."""
-    known = {f.name for f in fields(GasSchedule)}
+    known = GasSchedule._fields
     overrides: dict[str, int] = {}
     # not splitlines(): it also breaks at \x0c, \x85, \u2028 and more, renumbering lines
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):

@@ -29,22 +29,25 @@ does not accumulate entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ..minisol import ast
 from ..minisol.ast import ZERO_ADDR  # re-exported for the VM
+from ..minisol.record import Record
 
 _ABSENT = object()  # journal marker: the key did not exist before the write
 
 
-@dataclass(slots=True)
-class Account:
-    address: str
-    balance: int
-    code: Optional[ast.ContractDef] = None  # None for an EOA
-    # scalar vars keyed by name, map entries keyed by (name, addr)
-    storage: dict = field(default_factory=dict)
+class Account(Record):
+    __slots__ = _fields = ("address", "balance", "code", "storage")
+
+    def __init__(self, address: str, balance: int,
+                 code: Optional[ast.ContractDef] = None, storage: dict = None):
+        self.address = address
+        self.balance = balance
+        self.code = code  # None for an EOA
+        # scalar vars keyed by name, map entries keyed by (name, addr)
+        self.storage = {} if storage is None else storage
 
     def __deepcopy__(self, memo):
         # flat: storage holds immutables and code never mutates after deploy.
@@ -57,12 +60,14 @@ class Account:
 ZEROS = (0, False, ZERO_ADDR)  # the values a storage write counts as zero
 
 
-@dataclass
-class WorldState:
-    accounts: dict = field(default_factory=dict)
-    next_address: int = 1
-    _journal: list = field(default_factory=list, repr=False)
-    _snapshot: Optional[int] = field(default=None, repr=False)  # its journal length
+class WorldState(Record):
+    __slots__ = _fields = ("accounts", "next_address", "_journal", "_snapshot")
+
+    def __init__(self, accounts: dict = None, next_address: int = 1):
+        self.accounts = {} if accounts is None else accounts
+        self.next_address = next_address
+        self._journal = []
+        self._snapshot = None  # the open snapshot's journal length
 
     # -- accounts ----------------------------------------------------------
 

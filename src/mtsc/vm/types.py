@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -21,8 +20,7 @@ class FailReason(str, Enum):
 SUCCESS = "Success"
 
 
-@dataclass(frozen=True)
-class Status:
+class Status(NamedTuple):
     """Execution status: Success, or Failure with a reason."""
 
     ok: bool
@@ -94,8 +92,7 @@ class ExceptionSwallowed(NamedTuple):
     depth: int
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """Result of executing one transaction.
 
     gas_consumed is the whole-transaction figure, a failure's included, and

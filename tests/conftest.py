@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -55,7 +54,7 @@ def unmemoised(environments):
     """name -> that scenario's shared context behind an empty memo, so an
     input a test runs through `Environment.run` reaches the VM unless a run
     the test made answers it."""
-    return lambda name: replace(environments[name])
+    return lambda name: environments[name].fresh()
 
 
 @pytest.fixture

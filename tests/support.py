@@ -2,14 +2,19 @@
 limit, and the pipeline whose ranges answer only estimator probes), an
 in-process command line, the plans as loops, whole-plan pair
 construction, trace queries and their references, a runner for a bare
-transaction, the copy and content hash of a world state, and setup
-replay as plain code."""
+transaction, the copy and content hash of a world state, setup replay
+as plain code, and a fresh interpreter's run of a snippet."""
 
 import copy
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 from mtsc import cli, mr_engine
@@ -39,14 +44,16 @@ def reference_sweep(env, mr, kind, gc, plan):
     """`mr_engine.sweep` without invariance ranges: every pair of the plan,
     in order. Report differentials patch it in."""
     for pair in sweep_pairs(env, mr, kind, gc, plan):
-        yield mr_engine.run_pair(env, pair)
+        yield mr_engine.run_pair(env, pair.mr_id, pair.source, pair.follow_up)
 
 
 def reference_run(env, kind, gas_limit, own=False):
     """`Environment.run` with a memo of exact inputs in place of its
     ranges: every distinct input reaches the VM, once, and every outcome
-    is the input's own run."""
-    outcomes = vars(env).setdefault("reference_outcomes", {})
+    is the input's own run. Its memo sits in the environment's own memo
+    table under a key no actor kind has, so a copy (`fresh`) starts
+    without it."""
+    outcomes = env._kept.setdefault("reference", {})
     key = kind, gas_limit
     if key not in outcomes:
         env.state.snapshot()
@@ -283,3 +290,14 @@ def reference_setup(env, setup):
                 who = kind.value if kind is not None else entry.actor
                 raise InputError(f"setup transaction {entry.function or 'transfer'} "
                                  f"failed for {who}: {out.status}")
+
+
+def run_fresh(code: str, *args) -> dict:
+    """Run `code` in a new interpreter that imports from `src/`; the JSON
+    object it prints last."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])

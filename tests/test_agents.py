@@ -1,7 +1,6 @@
 """Agent contract synthesis and the agent-wrapped interaction view."""
 
 import json
-from dataclasses import fields
 
 import pytest
 
@@ -183,8 +182,8 @@ def nodes(value):
     """Every AST node in `value`, itself included."""
     if isinstance(value, ast.Node):
         yield value
-        for f in fields(value):
-            yield from nodes(getattr(value, f.name))
+        for name in value._fields:
+            yield from nodes(getattr(value, name))
     elif isinstance(value, list):
         for item in value:
             yield from nodes(item)

@@ -586,11 +586,12 @@ def test_check_help_shows_the_engine_config_defaults(capsys):
         main(["check", "--help"])
     assert exit_.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    for flag, value in [("--n N", EngineConfig.n),
-                        ("--inc-count INC_COUNT", EngineConfig.inc_count),
-                        ("--growth GROWTH", EngineConfig.growth),
-                        ("--car-gas-guard CAR_GAS_GUARD", EngineConfig.car_gas_guard),
-                        ("--cah-iterations CAH_ITERATIONS", EngineConfig.cah_iterations)]:
+    defaults = EngineConfig()
+    for flag, value in [("--n N", defaults.n),
+                        ("--inc-count INC_COUNT", defaults.inc_count),
+                        ("--growth GROWTH", defaults.growth),
+                        ("--car-gas-guard CAR_GAS_GUARD", defaults.car_gas_guard),
+                        ("--cah-iterations CAH_ITERATIONS", defaults.cah_iterations)]:
         assert f"{flag} " in text and f"(default {value})" in text, flag
 
 
@@ -606,7 +607,7 @@ def test_check_help_shows_the_engine_config_defaults(capsys):
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_library_defaults_are_the_engine_config_defaults(function, parameter):
     default = inspect.signature(function).parameters[parameter].default
-    assert default == getattr(EngineConfig, parameter)
+    assert default == getattr(EngineConfig(), parameter)
 
 
 def test_main_builds_no_argument_parser(monkeypatch, capsys):

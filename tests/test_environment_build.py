@@ -11,7 +11,6 @@ InputError message: the first failed check in entry order, else the
 first failed transaction.
 """
 
-from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -81,7 +80,7 @@ def built(build):
 
 
 def by_reference(scenario):
-    env = build_environment(replace(scenario, setup=()), SCHEDULE)
+    env = build_environment(scenario._replace(setup=()), SCHEDULE)
     reference_setup(env, scenario.setup)
     return env
 
@@ -91,6 +90,6 @@ def by_reference(scenario):
                                        max_size=len(HOLDERS) + 1))
 def test_the_build_matches_plain_setup_replay(setup, stakes):
     balances = {"SimpleDAO": stakes[0], ACTOR: stakes[0], **dict(zip(HOLDERS, stakes[1:]))}
-    scenario = replace(BASE, balances=balances, setup=setup)
+    scenario = BASE._replace(balances=balances, setup=setup)
     assert built(lambda: build_environment(scenario, SCHEDULE)) \
         == built(lambda: by_reference(scenario))

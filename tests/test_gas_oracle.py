@@ -1,7 +1,6 @@
 """Intrinsic-gas estimation and allocation plans."""
 
 import json
-from dataclasses import replace
 from functools import partial
 from itertools import product
 
@@ -103,7 +102,7 @@ def test_estimates_match_the_estimator_that_runs_every_probe(environments, targe
         load_scenario(scenario_path(name)), S)
     for kind in ALL_ACTOR_KINDS:
         # one memo of each kind for every case
-        ranged, exact = replace(env), replace(env)
+        ranged, exact = env.fresh(), env.fresh()
         for growth, first in product((1.01, 1.1, 1.5, 2, 3, 1e9),
                                      (None, 1, S.base_tx, 30_000, 100_000)):
             got = estimate_or_status(S, ranged.runner_for(kind), growth, first)

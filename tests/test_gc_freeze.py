@@ -4,22 +4,8 @@ Each case runs in a fresh interpreter: the test process has long since
 called `main`, so its own freeze count says nothing.
 """
 
-import json
-import os
-import subprocess
-import sys
-
-from conftest import ROOT, scenario_path
-
-
-def run_fresh(code: str, *args) -> dict:
-    """Run `code` in a new interpreter that imports from `src/`; the JSON
-    object it prints last."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+from conftest import scenario_path
+from support import run_fresh
 
 
 def test_importing_the_package_freezes_nothing():

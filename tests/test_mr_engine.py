@@ -2,7 +2,6 @@
 
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import replace
 
 import pytest
 
@@ -139,13 +138,13 @@ def test_identical_inputs_give_identical_outcomes(unmemoised, target_runs,
     built = context_digests["simple_dao_withdraw"]
     env = unmemoised("simple_dao_withdraw")
     source, follow = distinct_limits(env)
-    done = run_pair(env, TestPair(MR1_1, source, follow))
+    done = run_pair(env, MR1_1, source, follow)
     # the source's range answers the follow-up
     assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000)]
     assert done.follow_outcome is done.source_outcome
     target_runs.clear()
     with uncut():
-        ref = run_pair(unmemoised("simple_dao_withdraw"), TestPair(MR1_1, source, follow))
+        ref = run_pair(unmemoised("simple_dao_withdraw"), MR1_1, source, follow)
     assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000), (AgentKind.EOA, 40_001)]
     assert starting_digests(target_runs) == [built] * 2
     s, f = ref.source_outcome, ref.follow_outcome
@@ -163,7 +162,7 @@ def test_run_pair_restores_the_shared_context(unmemoised, target_runs, context_d
         car = ActorInput(AgentKind.CAR, env.actor_accounts[AgentKind.CAR],
                          S.block_gas_limit)
         with uncut() if reference else nullcontext():
-            run_pair(env, TestPair(MR2_2, eoa, car))
+            run_pair(env, MR2_2, eoa, car)
         # two actor kinds: no range of one answers the other
         assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000),
                                           (AgentKind.CAR, S.block_gas_limit)]
@@ -175,7 +174,7 @@ def test_follow_up_sees_pristine_context(unmemoised, target_runs, context_digest
     built = context_digests["simple_dao_withdraw"]
     env = unmemoised("simple_dao_withdraw")
     source, follow = distinct_limits(env)
-    done = run_pair(env, TestPair(MR1_1, source, follow))
+    done = run_pair(env, MR1_1, source, follow)
     assert digest(env.state) == built
     assert starting_digests(target_runs) == [built]
     # without ranges the follow-up runs too: the source run withdraws from
@@ -183,7 +182,7 @@ def test_follow_up_sees_pristine_context(unmemoised, target_runs, context_digest
     # set up
     target_runs.clear()
     with uncut():
-        ref = run_pair(unmemoised("simple_dao_withdraw"), TestPair(MR1_1, source, follow))
+        ref = run_pair(unmemoised("simple_dao_withdraw"), MR1_1, source, follow)
     assert digest(env.state) == built
     assert starting_digests(target_runs) == [built] * 2
     for pair in (done, ref):
@@ -194,8 +193,8 @@ def test_follow_up_sees_pristine_context(unmemoised, target_runs, context_digest
 def test_run_pair_keeps_the_source_outcome_only(unmemoised, target_runs):
     env = unmemoised("simple_dao_withdraw")
     source, follow = distinct_limits(env)
-    first = run_pair(env, TestPair(MR1_1, source, follow))
-    again = run_pair(env, TestPair(MR1_1, source, follow))
+    first = run_pair(env, MR1_1, source, follow)
+    again = run_pair(env, MR1_1, source, follow)
     # the source's kept run answers both sides of both pairs
     assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000)]
     assert again.source_outcome is first.source_outcome is again.follow_outcome
@@ -207,7 +206,7 @@ def test_run_pair_keeps_the_source_outcome_only(unmemoised, target_runs):
     target_runs.clear()
     with uncut():
         ref_env = unmemoised("simple_dao_withdraw")
-        ref = [run_pair(ref_env, TestPair(MR1_1, source, follow)) for _ in range(2)]
+        ref = [run_pair(ref_env, MR1_1, source, follow) for _ in range(2)]
     # without ranges each input runs once, its outcome kept for its own input
     assert vm_inputs(target_runs) == [(AgentKind.EOA, 40_000), (AgentKind.EOA, 40_001)]
     assert ref[1].source_outcome is ref[0].source_outcome
@@ -237,8 +236,8 @@ def test_each_source_input_runs_once_per_environment(monkeypatch, target_runs, n
     build_environment = mr_engine.build_environment
     run_pair_once = mr_engine.run_pair
 
-    def tracked_run_pair(env, pair):
-        pairs.append(run_pair_once(env, pair))
+    def tracked_run_pair(*args):
+        pairs.append(run_pair_once(*args))
         return pairs[-1]
 
     def captured_build_environment(*args, **kwargs):
@@ -505,7 +504,7 @@ CERTIFICATE_CONFIGS = {
 
 def report_bytes(name, schedule, config):
     scenario = load_scenario(scenario_path(name))
-    config = replace(config, mr1_actors_override=ALL_ACTOR_KINDS)
+    config = config._replace(mr1_actors_override=ALL_ACTOR_KINDS)
     return emit_report([verdict_for(run_all(scenario, schedule, config))], fmt="json")
 
 
@@ -544,9 +543,9 @@ def count_corpus_pairs(monkeypatch, config=EngineConfig(), names=CORPUS_SCENARIO
     runs = Counter()
     run_pair_once = mr_engine.run_pair
 
-    def counted_run_pair(env, pair):
-        runs[(env.scenario.scenario_id, pair.mr_id, pair.source.kind.value)] += 1
-        return run_pair_once(env, pair)
+    def counted_run_pair(env, mr_id, source, follow_up):
+        runs[(env.scenario.scenario_id, mr_id, source.kind.value)] += 1
+        return run_pair_once(env, mr_id, source, follow_up)
 
     monkeypatch.setattr(mr_engine, "run_pair", counted_run_pair)
     verdicts = [verdict_for(run_all(load_scenario(scenario_path(name)), S, config))
@@ -610,7 +609,7 @@ def skip_loop_limits(env, kind, plan):
                                   "token_ether_transfer"])
 def test_sweep_runs_the_first_plan_limit_outside_each_range(unmemoised, name, n):
     env = unmemoised(name)
-    for kind, gc in estimate_kinds(env, ALL_ACTOR_KINDS, EngineConfig.growth):
+    for kind, gc in estimate_kinds(env, ALL_ACTOR_KINDS, EngineConfig().growth):
         if isinstance(gc, Status):
             continue
         for mr, plan in ((MR1_1, allocate_increasing(gc.value, 5, S.block_gas_limit)),

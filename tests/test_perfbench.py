@@ -1,7 +1,6 @@
 """The benchmark's traced run still finds the program functions it wraps."""
 
 import importlib.util
-from dataclasses import replace
 
 from mtsc import detector, mr_engine
 from mtsc.relations import RELATIONS
@@ -24,8 +23,8 @@ def test_traced_run_counts_executions_and_estimator_trials(tmp_path):
     t = tracer.Tracer()
     layers.install(t, tmp_path)
     # the scenario file leaves MR2.3 out; select all five relations
-    scenario = replace(load_scenario(scenario_path("simple_dao_withdraw")),
-                       mrs=tuple(RELATIONS))
+    scenario = load_scenario(scenario_path("simple_dao_withdraw"))._replace(
+        mrs=tuple(RELATIONS))
     try:
         detector.verdict_for(mr_engine.run_all(scenario, GasSchedule()))
     finally:

@@ -2,7 +2,6 @@
 round-trips over randomly generated syntax trees."""
 
 import copy
-import dataclasses
 import io
 import json
 import shutil
@@ -367,7 +366,7 @@ def test_token_soup_never_crashes_the_command_line(tokens, separator, frame):
 
 # -- schedules and scenarios through the command line ---------------------------
 
-SCHEDULE_KEYS = [f.name for f in dataclasses.fields(GasSchedule)]
+SCHEDULE_KEYS = list(GasSchedule._fields)
 
 
 @given(entries=st.dictionaries(st.sampled_from(SCHEDULE_KEYS),
@@ -382,7 +381,7 @@ def test_extreme_schedules_never_crash_the_command_line(entries, block_below_bas
     """Any schedule, however extreme, gives a verdict (0 or 1) or an error
     in the input (2), never an internal error (3)."""
     if block_below_base:
-        entries["block_gas_limit"] = entries.get("base_tx", GasSchedule.base_tx) - 1
+        entries["block_gas_limit"] = entries.get("base_tx", GasSchedule().base_tx) - 1
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "extreme.schedule")
         path.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
@@ -902,7 +901,8 @@ INPUT_FILES = {
     "schedule": ["gas.schedule"],
     "labels": ["labels.json"],
 }
-SCHEDULE_TEXT = "".join(f"{f.name} = {f.default}\n" for f in dataclasses.fields(GasSchedule))
+SCHEDULE_TEXT = "".join(f"{name} = {value}\n"
+                        for name, value in zip(GasSchedule._fields, GasSchedule()._values()))
 
 
 @st.composite

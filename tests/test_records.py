@@ -9,7 +9,6 @@ holder keeps few containers alive in the environment.
 """
 
 import gc
-from dataclasses import replace
 
 import pytest
 
@@ -127,8 +126,8 @@ def test_a_holder_keeps_its_account_and_its_position_alive(deposits, per_holder)
     def widened(holders):
         roles = [f"holder_{i}" for i in range(holders)]
         setup = tuple(TxTemplate(role, "SimpleDAO", "deposit", (role,), 5) for role in roles)
-        return replace(base, balances={**base.balances, **dict.fromkeys(roles, 10)},
-                       setup=base.setup + setup if deposits else base.setup)
+        return base._replace(balances={**base.balances, **dict.fromkeys(roles, 10)},
+                             setup=base.setup + setup if deposits else base.setup)
 
     # the account; a deposit adds its (map, address) storage key
     assert containers_in_accounts(widened(20)) - containers_in_accounts(widened(0)) \

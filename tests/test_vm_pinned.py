@@ -9,7 +9,6 @@ branches the corpus never evaluates.
 
 import hashlib
 import typing
-from dataclasses import fields, is_dataclass
 
 from mtsc.minisol import ast, parse, validate
 from mtsc.agents import AgentKind
@@ -149,9 +148,9 @@ def node_types(node) -> set:
     """The types of `node` and of every node below it."""
     if isinstance(node, list):
         return set().union(*map(node_types, node))
-    if not is_dataclass(node):
+    if not isinstance(node, ast.Node):
         return set()
-    return {type(node)}.union(*(node_types(getattr(node, f.name)) for f in fields(node)))
+    return {type(node)}.union(*(node_types(getattr(node, name)) for name in node._fields))
 
 
 def ops_and_gas(outcome):
