@@ -11,11 +11,14 @@ on as it found it (`Environment.runner_for` gives one for a scenario's
 target input), so the caller's state never changes.
 
 Every run reports its invariance range (`Outcome.limits`): the gas
-limits at which it gives the same status and consumption. The estimator
-asks its runner for every probe and counts each as a trial; the
-pipeline's runner, `Environment.run`, answers a probe inside the range
-of a run it already made without running it, so every estimate and
-trial count is the one a run of every probe gives.
+limits at which it gives the same status and consumption, and a success
+that left gas over reports the band below it (`Outcome.floor`), where
+every limit runs out of gas at its whole limit. The estimator asks its
+runner for every probe and counts each as a trial; the pipeline's
+runner, `Environment.run`, answers a probe inside the range or band of
+a run it already made without running it, so every estimate and trial
+count is the one a run of every probe gives. A growth-phase probe
+below the rough estimate's block-limit run often lies in its band.
 """
 
 from __future__ import annotations

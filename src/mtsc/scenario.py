@@ -8,8 +8,9 @@ in follow-up runs. Setup entries mentioning `$ACTOR` are instantiated
 once per account kind; all instantiations land in one shared world state,
 the common context of every run. `Environment.run` executes one (actor
 kind, gas limit) input in that context, restores it, and keeps the run
-with its invariance range, which answers every later input inside it:
-estimator probes and both sides of every test pair alike.
+with its invariance range and, below a success, its out-of-gas band,
+which answer every later input inside them: estimator probes and both
+sides of every test pair alike.
 
 Schema (JSON object, unknown keys rejected):
 
@@ -48,14 +49,15 @@ from .inputs import InputError, read_json, read_text
 from .minisol import ParseError, ast, parse, validate
 from .minisol.record import Record
 from .relations import RELATIONS, relation_ids
-from .vm import (UINT_MAX, GasSchedule, Outcome, Transaction, WorldState, deploy, execute,
-                 replay)
+from .vm import (UINT_MAX, FailReason, GasSchedule, Outcome, Transaction, WorldState, deploy,
+                 execute, failure, replay)
 
 SCHEMA_V1 = "scenario-v1"
 ACTOR = "$ACTOR"
 DEFAULT_MR1_ACTORS = (AgentKind.EOA, AgentKind.CAH, AgentKind.CAR)
 ALL_ACTOR_KINDS = (AgentKind.EOA,) + AGENT_KINDS
 UINT, BOOL = ast.Kind.UINT, ast.Kind.BOOL  # an Enum's attribute lookup is slow
+OUT_OF_GAS = failure(FailReason.OUT_OF_GAS)
 
 
 class TxTemplate(NamedTuple):
@@ -185,7 +187,8 @@ class Environment(Record):
         self.roles = roles
         self.actor_accounts = actor_accounts  # AgentKind -> address
         self.driver = driver
-        # AgentKind -> [(lo, hi, gas limit, Outcome)] of every run in the context
+        # AgentKind -> [(floor, lo, hi, gas limit, Outcome)] of every run in the
+        # context, floor = lo when the run has no band
         self._kept = {}
 
     def fresh(self) -> Environment:
@@ -223,23 +226,34 @@ class Environment(Record):
         gives its status and, for a success, its balance delta and, unless
         it consumed its whole limit, its consumption. So each run is kept
         with the limits it answers: its range, or its own limit alone for
-        a success that consumed the whole of it. An input inside a kept
-        range takes that run's outcome, trace and range included, without
-        running; `own=True` asks for the input's own run instead, made now
-        unless it is kept, for what a report shows."""
+        a success that consumed the whole of it, and the band below a
+        success that left gas over (`Outcome.floor`). An input inside a
+        kept range takes that run's outcome, trace and range included,
+        without running. An input inside a band gets the outcome it has
+        there, out of gas at its whole limit with no balance moved, with no
+        trace and the band as its range: no relation or estimator reads the
+        trace of a failure. `own=True` asks for the input's own run
+        instead, made now unless it is kept, for what a report shows."""
         kept = self._kept.setdefault(kind, [])
-        for lo, hi, limit, outcome in kept:
-            if (limit == gas_limit) if own else (lo <= gas_limit <= hi):
-                return outcome
+        for floor, lo, hi, limit, outcome in kept:
+            if own:
+                if limit == gas_limit:
+                    return outcome
+            elif floor <= gas_limit <= hi:
+                if gas_limit >= lo:
+                    return outcome
+                return Outcome(OUT_OF_GAS, gas_limit, 0, (), (floor, lo - 1))
         self.state.snapshot()
         try:
             outcome = self.run_target(self.state, kind, gas_limit)
         finally:
             self.state.restore()
         if outcome.ok and outcome.gas_consumed == gas_limit:
-            kept.append((gas_limit, gas_limit, gas_limit, outcome))
+            kept.append((gas_limit, gas_limit, gas_limit, gas_limit, outcome))
         else:
-            kept.append((*outcome.limits, gas_limit, outcome))
+            lo, hi = outcome.limits
+            floor = lo if outcome.floor is None else outcome.floor
+            kept.append((floor, lo, hi, gas_limit, outcome))
         return outcome
 
     def runner_for(self, kind: AgentKind):

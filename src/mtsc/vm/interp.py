@@ -115,6 +115,29 @@ frame's first call into that address, which the range describes, and
 the callee's balance delta. Below the path the top frame itself may
 then run short before its call; it fails out of gas, which is the
 status reported, but its own writes roll back.
+
+A success that did not consume its whole limit has a *band* below its
+path, `[Outcome.floor, lo - 1]`: every limit in it runs out of gas,
+consumes that whole limit and moves no balance. Below the path some
+elastic frame runs short first and fails out of gas. A `dcall` re-raises
+that failure; at a swallowing boundary the caller goes on, dry, and
+fails at its next charge, unless it has nothing left to pay and so
+succeeds. So `floor` is the highest of these bounds, each a limit below
+which a swallowing boundary or a `gasleft()` read can change the path:
+
+* every bound that raises the turn, but the top frame's reported call:
+  lower down that call fails out of gas, which is the status reported,
+  and the wrapper's top frame, left dry, has nothing more to do;
+* for each swallowed forward-all child that failed, the limit below
+  which it runs short of its need: there it may run dry instead, and
+  leave its caller dry.
+
+Within the band every swallowed child then repeats its own path, so the
+frame that runs short reaches the top through `dcall`s alone. A failure
+has no band, and, as for out-of-gas ranges, a schedule that makes
+`gasleft()` free gives none. With `reports` the band holds for the agent
+wrapper's shape: a top frame that moves no value and makes its reported
+call last.
 """
 
 from __future__ import annotations
@@ -241,11 +264,13 @@ class _Run:
             # the comparison keeps its result while the gas stays between
             # the cuts around it; any other use needs this exact gas
             if not offsets:
-                self.hi = self.turn = self.limit
+                self.hi = self.turn = self.floor = self.limit
             for d in offsets:
                 cut = c + d
                 if cut <= gas:
-                    self.turn = max(self.turn, self.limit - gas + cut)
+                    bound = self.limit - gas + cut
+                    self.turn = max(self.turn, bound)
+                    self.floor = max(self.floor, bound)
                 else:
                     self.hi = min(self.hi, self.limit + cut - 1 - gas)
         return gas
@@ -445,6 +470,7 @@ class _Run:
             elastic = caller.elastic
 
         depth = caller.depth
+        reporting = depth == 0 and target == self.reports and self.reported is None
         trace, tail = self.trace, self.tail
         target_acct = self.state.accounts.get(target)
         if depth + 1 >= MAX_CALL_DEPTH:
@@ -476,10 +502,15 @@ class _Run:
                 short = need - grant if need > grant else 0
                 if caller.budget - fwd + short > caller.peak:
                     caller.peak = caller.budget - fwd + short
-                if ok and short and form in ast.SWALLOWING:
-                    # lower down this child fails, and the caller goes on with false
-                    if self.limit - fwd + short > self.turn:
-                        self.turn = self.limit - fwd + short
+                if form in ast.SWALLOWING and (short or not ok):
+                    # lower down this child runs short: a success fails, and
+                    # the caller goes on with false; a failure may run dry
+                    # instead, and leave the caller dry
+                    bound = self.limit - fwd + short
+                    if ok and bound > self.turn:
+                        self.turn = bound
+                    if bound > self.floor and not reporting:
+                        self.floor = bound
                 if dry:  # the child hands no gas back at any limit on this path
                     caller.elastic = False
             if consumed > grant:
@@ -493,7 +524,7 @@ class _Run:
         event = new(CallExited, (ok, consumed, reason, stipend_used, depth))
         trace.append(event)
         tail.append(event)
-        if depth == 0 and target == self.reports and self.reported is None:
+        if reporting:
             self.reported = ok, reason
         if ok:
             return True
@@ -563,6 +594,7 @@ class _Run:
         self.lo = 0                          # lowest limit on this path
         self.hi = schedule.block_gas_limit   # highest limit on this path
         self.turn = 0                        # highest lower bound that turns it
+        self.floor = 0                       # lowest limit of a success's band
         self.reported = None                 # (ok, reason) of the reported call
         actor, callee = state.accounts.get(sender), state.accounts.get(to)
         if actor is None or callee is None:
@@ -615,8 +647,10 @@ def execute(state: WorldState, tx: Transaction, schedule: GasSchedule,
     """Run one transaction to completion; never raises for execution
     failures. With `reports`, a successful transaction reports the status
     of its top frame's first call into that address, and the balance delta
-    is the callee's, as an agent wrapper sees the run. With `ops` false the
-    run is lean: its trace keeps op events only among its last `TAIL`."""
+    is the callee's, as an agent wrapper sees the run; its band
+    (`Outcome.floor`) holds for the wrapper's shape, a top frame that
+    moves no value and makes that call last. With `ops` false the run is
+    lean: its trace keeps op events only among its last `TAIL`."""
     run = _Run(state, schedule, reports, None if ops else TAIL)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + RECURSION_BUDGET)
@@ -624,7 +658,9 @@ def execute(state: WorldState, tx: Transaction, schedule: GasSchedule,
         status, gas_total, delta = run.transact(tx)
     finally:
         sys.setrecursionlimit(limit)
-    return Outcome(status, gas_total, delta, run.events(), (run.lo, run.hi))
+    # a success that left gas over has the band [floor, lo - 1] below its path
+    floor = run.floor if status.ok and gas_total < tx.gas_limit and schedule.gasleft else None
+    return Outcome(status, gas_total, delta, run.events(), (run.lo, run.hi), floor)
 
 
 def replay(state: WorldState, txs, schedule: GasSchedule) -> Optional[tuple]:

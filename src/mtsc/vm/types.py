@@ -104,6 +104,11 @@ class Outcome(NamedTuple):
     (see the interpreter's "Invariance ranges" notes). The default, an
     empty range, decides no limit. Not part of a report.
 
+    floor is the lowest limit of the band below the range of a success
+    that did not consume its whole limit: every limit in
+    [floor, limits[0] - 1] runs out of gas, consumes that whole limit and
+    moves no balance. The default, None, is no band, as for any failure.
+
     trace holds the run's events in order. A lean run's trace (the
     pipeline's target runs) keeps op events only among its last `TAIL`
     events, which a report's excerpt shows; every call, exit and swallow
@@ -115,6 +120,7 @@ class Outcome(NamedTuple):
     balance_delta: int
     trace: tuple = ()
     limits: tuple = (0, -1)
+    floor: Optional[int] = None
 
     @property
     def ok(self) -> bool:

@@ -120,7 +120,7 @@ WHOLE_LIMIT_SRC = ("contract C { uint x; fn f0() { lowcall this.g(); } "
                    "fn g() { x = 1; x = 2; x = 3; lowcall this.g(); } }")
 
 
-def eoa_env(tmp_path, source, function):
+def eoa_env(tmp_path, source, function, schedule=S):
     """The environment of a scenario whose target calls `function` of the
     contract C in `source`."""
     (tmp_path / "c.msol").write_text(source)
@@ -128,7 +128,7 @@ def eoa_env(tmp_path, source, function):
     path.write_text(json.dumps({"schema": "scenario-v1", "sources": ["c.msol"],
                                 "balances": {}, "target": {"callee": "C",
                                                            "function": function}}))
-    return build_environment(load_scenario(path), S)
+    return build_environment(load_scenario(path), schedule)
 
 
 def vm_limits(target_runs):
@@ -163,6 +163,59 @@ def test_ranges_answer_the_probes_inside_them_only(tmp_path, target_runs):
     assert own is not fail and own.status == fail.status
     assert env.run(AgentKind.EOA, 50_000, own=True) is own
     assert vm_limits(target_runs) == [30_000, 21_114, 71_116, 50_000]
+
+
+def oog_verdict(out):
+    return out.status.reason, out.gas_consumed, out.balance_delta
+
+
+def test_a_success_answers_the_band_below_its_range_out_of_gas(tmp_path, target_runs):
+    env = eoa_env(tmp_path, "contract C { uint x; fn f() { x = 1; } }", "f")
+    ok = env.run(AgentKind.EOA, 100_000)
+    # it left gas over, and no bound turns its path: out of gas down to 0
+    assert (ok.ok, ok.gas_consumed, ok.limits[0], ok.floor) == (True, 41_100, 41_100, 0)
+    limits = (0, 20_999, 21_000, 30_000, 41_099)
+    answers = [env.run(AgentKind.EOA, limit) for limit in limits]
+    assert vm_limits(target_runs) == [100_000]
+    for limit, band in zip(limits, answers):
+        assert (oog_verdict(band), band.trace, band.limits) \
+            == ((FailReason.OUT_OF_GAS, limit, 0), (), (0, 41_099))
+        # the input's own run, made when asked for
+        assert oog_verdict(band) == oog_verdict(env.run(AgentKind.EOA, limit, own=True))
+    assert vm_limits(target_runs) == [100_000, *limits]
+
+
+def test_a_gasleft_guard_puts_the_floor_at_its_cut(tmp_path, target_runs):
+    env = eoa_env(tmp_path,
+                  "contract C { uint x; fn f() { require(gasleft() > 100); x = 1; } }", "f")
+    ok = env.run(AgentKind.EOA, 100_000)
+    # 21 115 pays up to the read, which must leave it the cut, 101
+    assert (ok.ok, ok.limits[0], ok.floor) == (True, 41_115, 21_216)
+    for limit in (21_216, 41_114):
+        assert oog_verdict(env.run(AgentKind.EOA, limit)) == (FailReason.OUT_OF_GAS, limit, 0)
+    assert vm_limits(target_runs) == [100_000]
+    # below the cut the require fails: the band ends there
+    assert str(env.run(AgentKind.EOA, 21_215).status) == "Failure(RequireFailed)"
+    assert vm_limits(target_runs) == [100_000, 21_215]
+
+
+def test_a_failure_has_no_band(tmp_path, target_runs):
+    env = eoa_env(tmp_path, "contract C { uint x; fn f() { x = 1; revert(); } }", "f")
+    fail = env.run(AgentKind.EOA, 100_000)
+    assert (str(fail.status), fail.limits, fail.floor) \
+        == ("Failure(Revert)", (41_100, S.block_gas_limit), None)
+    assert oog_verdict(env.run(AgentKind.EOA, 41_099)) == (FailReason.OUT_OF_GAS, 41_099, 0)
+    assert vm_limits(target_runs) == [100_000, 41_099]
+
+
+def test_a_free_gasleft_gives_no_band(tmp_path, target_runs):
+    # a frame with no gas left could still read gasleft() and turn
+    env = eoa_env(tmp_path, "contract C { uint x; fn f() { x = 1; } }", "f",
+                  S._replace(gasleft=0))
+    ok = env.run(AgentKind.EOA, 100_000)
+    assert (ok.ok, ok.gas_consumed, ok.floor) == (True, 41_100, None)
+    env.run(AgentKind.EOA, 41_099)
+    assert vm_limits(target_runs) == [100_000, 41_099]
 
 
 def test_never_succeeds_reports_reason():

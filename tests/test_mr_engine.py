@@ -216,14 +216,14 @@ def test_run_pair_keeps_the_source_outcome_only(unmemoised, target_runs):
 # target runs per serial pass of each corpus scenario: without ranges
 # other than the estimator's own, and with the environment's
 CORPUS_RUNS = {
-    "approve_notify_checked": (7, 5),
-    "counter_baseline": (17, 11),
-    "crowd_pay_guarded": (14, 9),
-    "dividend_vault_payout": (12, 8),
-    "simple_dao_withdraw": (17, 11),
-    "simple_dao_withdraw_a": (17, 9),
-    "simple_dao_withdraw_b": (14, 8),
-    "token_ether_transfer": (19, 13),
+    "approve_notify_checked": (7, 4),
+    "counter_baseline": (17, 4),
+    "crowd_pay_guarded": (14, 7),
+    "dividend_vault_payout": (12, 4),
+    "simple_dao_withdraw": (17, 8),
+    "simple_dao_withdraw_a": (17, 4),
+    "simple_dao_withdraw_b": (14, 3),
+    "token_ether_transfer": (19, 10),
 }
 
 
@@ -267,6 +267,12 @@ def test_each_source_input_runs_once_per_environment(monkeypatch, target_runs, n
     for pair in pairs:
         assert same_verdict(pair.source_outcome, fresh(pair.source))
         assert same_verdict(pair.follow_outcome, fresh(pair.follow_up))
+        # an out-of-gas answer with no trace comes from a band below a
+        # success: it consumed its input's whole limit and moved nothing
+        for actor, out in ((pair.source, pair.source_outcome),
+                           (pair.follow_up, pair.follow_outcome)):
+            if out.trace == () and out.status.reason == FailReason.OUT_OF_GAS:
+                assert (out.gas_consumed, out.balance_delta) == (actor.gas_limit, 0)
     # a violation shows its follow-up's own run
     for violation in result.violations:
         assert violation.pair.follow_outcome == fresh(violation.pair.follow_up)
@@ -580,10 +586,11 @@ def test_out_of_gas_ranges_stop_the_remaining_mr12_sweeps(monkeypatch, target_ru
     }
     assert sum(runs.values()) == 67
     # estimator probes included: each distinct input runs at most once,
-    # and an input inside the range of a run already made runs not at
-    # all (153 runs when every input ran, 117 when the ranges answered
-    # estimator probes only)
-    assert len(target_runs) == 74
+    # and an input inside the range of a run already made, or inside the
+    # out-of-gas band below a success's range, runs not at all (153 runs
+    # when every input ran, 117 when the ranges answered estimator probes
+    # only, 74 when no band answered)
+    assert len(target_runs) == 44
     cut = dict(runs)  # a second count wraps the counting `run_pair` and adds to it
     target_runs.clear()
     with uncut():

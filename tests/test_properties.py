@@ -737,6 +737,41 @@ range_shape_sources = st.builds(
     _gas_shape, st.lists(_range_body, min_size=GAS_FNS, max_size=GAS_FNS), _range_body)
 
 
+@given(source=st.one_of(gas_shape_sources, range_shape_sources),
+       entry=st.sampled_from(["f0", "f1", None]),
+       value=st.sampled_from([0, 1, 700]))
+@settings(deadline=None, max_examples=40)
+# CAE's fallback reverts the swallowed call at the path; a unit below it
+# runs dry instead, and f0, left dry with nothing more to pay, succeeds
+@example(source=_gas_shape(["lowcall msg.sender;", "", ""]), entry="f0", value=0)
+# CAH's heavy fallback succeeds at the path and starves lower down, where
+# f0's require fails; under CAE the run fails, and has no band
+@example(source=_gas_shape(["require(lowcall msg.sender);", "", ""]), entry="f0", value=0)
+def test_out_of_gas_bands_below_successes_fail_at_every_limit(source, entry, value):
+    env = _gas_shape_env(source, entry, value)
+    block = env.schedule.block_gas_limit
+    for kind in ALL_ACTOR_KINDS:
+        def run(limit):
+            return env.run_target(clone(env.state), kind, limit)
+
+        # the grid of `test_failures_ranged_down_to_zero_fail_at_every_lower_limit`
+        top = run(block).gas_consumed
+        limits = sorted({block} | {max(0, top - d) for d in range(0, 3_000, 97)}
+                        | {top * k // 16 for k in range(16)})
+        for limit in limits:
+            out = run(limit)
+            # a band below every success that left gas over, and no other
+            assert (out.floor is None) == (not out.ok or out.gas_consumed == limit)
+            if out.floor is None:
+                continue
+            floor, lo = out.floor, out.limits[0]
+            band = {g for g in limits if floor <= g < lo} | {floor, lo - 1, (floor + lo) // 2}
+            for g in band if floor < lo else ():
+                again = run(g)
+                assert (again.status.reason, again.gas_consumed, again.balance_delta) \
+                    == (FailReason.OUT_OF_GAS, g, 0), (kind, limit, g)
+
+
 def _observe(env, kind, limit):
     """The outcome of a run on a clone of the context, and the digest of
     the state it leaves, an agent wrapper's own bookkeeping slots
