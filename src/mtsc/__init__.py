@@ -8,11 +8,10 @@ gasless-send, and exception-disorder defects.
 Library entry points:
 
     scenario = mtsc.load_scenario("corpus/simple_dao_withdraw.scenario.json")
-    result = mtsc.run_all(scenario, mtsc.GasSchedule())
-    verdict = mtsc.verdict_for(result)
+    verdict = mtsc.run_all(scenario, mtsc.GasSchedule())
 """
 
-from .detector import classify, compute_metrics, emit_report, verdict_for
+from .detector import classify, compute_metrics, emit_report
 from .mr_engine import EngineConfig, run_all
 from .scenario import build_environment, load_scenario
 from .vm import GasSchedule
@@ -21,6 +20,5 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EngineConfig", "GasSchedule", "build_environment", "classify",
-    "compute_metrics", "emit_report", "load_scenario", "run_all",
-    "verdict_for", "__version__",
+    "compute_metrics", "emit_report", "load_scenario", "run_all", "__version__",
 ]

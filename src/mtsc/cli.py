@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .detector import Verdict, check_labels, compute_metrics, emit_report, verdict_for
+from .detector import Verdict, check_labels, compute_metrics, emit_report
 from .gas_oracle import estimate_intrinsic_gas  # noqa: F401  perfbench's traced run wraps it
 from .inputs import InputError, read_json
 from .mr_engine import EngineConfig, estimate_kinds, run_all
@@ -121,7 +121,7 @@ def _emit(text: str, out: Optional[str]):
 
 
 def _run_one(path: str, schedule: GasSchedule, engine: EngineConfig) -> Verdict:
-    return verdict_for(run_all(load_scenario(path), schedule, engine))
+    return run_all(load_scenario(path), schedule, engine)
 
 
 def _worker(payload):

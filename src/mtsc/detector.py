@@ -1,5 +1,6 @@
 """Mapping of relation violations to vulnerability categories (by the rows
-of `relations.RELATIONS`), benchmark metrics, and report rendering."""
+of `relations.RELATIONS`), benchmark metrics, and report rendering.
+`mr_engine.run_all` builds each scenario's `Verdict`."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ import json
 from typing import NamedTuple, Optional
 
 from .inputs import InputError
-from .mr_engine import EngineResult, ViolationRecord
 from .relations import CATEGORIES, RELATIONS
 from .vm import TAIL
 
@@ -18,7 +18,7 @@ class Verdict(NamedTuple):
     scenario_id: str
     violations: tuple
     categories: tuple           # sorted subset of CATEGORIES
-    diagnostics: tuple = ()
+    diagnostics: tuple = ()     # "scope: message" per sweep skipped
 
     @property
     def vulnerable(self) -> bool:
@@ -31,13 +31,6 @@ def classify(violations) -> tuple:
     for v in violations:
         found |= RELATIONS[v.pair.mr_id].categories(v)
     return tuple(sorted(found))
-
-
-def verdict_for(result: EngineResult) -> Verdict:
-    return Verdict(scenario_id=result.scenario_id,
-                   violations=tuple(result.violations),
-                   categories=classify(result.violations),
-                   diagnostics=tuple(result.diagnostics))
 
 
 # --------------------------------------------------------------------------
@@ -66,11 +59,24 @@ def percent(ratio: Optional[float]) -> str:
 
 
 class MetricsReport(NamedTuple):
-    per_category: dict
-    totals: Counts
-    tpr: Optional[float]
-    fdr: float
-    fdr_degenerate: bool = False   # no positives flagged at all
+    per_category: dict  # category -> Counts
+
+    @property
+    def totals(self) -> Counts:
+        return Counts(*map(sum, zip(*self.per_category.values())))
+
+    # the rates call this module's functions of the same names
+    @property
+    def tpr(self) -> Optional[float]:
+        return tpr(self.totals.tp, self.totals.fn)
+
+    @property
+    def fdr(self) -> float:
+        return fdr(self.totals.tp, self.totals.fp)
+
+    @property
+    def fdr_degenerate(self) -> bool:  # no positives flagged at all
+        return self.totals.tp + self.totals.fp == 0
 
 
 def check_labels(labels, scenario_ids) -> None:
@@ -109,13 +115,7 @@ def compute_metrics(verdicts, labels: dict) -> MetricsReport:
             elif labeled and not flagged:
                 fn += 1
         per[cat] = Counts(tp, fp, fn)
-    totals = Counts(sum(c.tp for c in per.values()),
-                    sum(c.fp for c in per.values()),
-                    sum(c.fn for c in per.values()))
-    return MetricsReport(per_category=per, totals=totals,
-                         tpr=tpr(totals.tp, totals.fn),
-                         fdr=fdr(totals.tp, totals.fp),
-                         fdr_degenerate=totals.tp + totals.fp == 0)
+    return MetricsReport(per)
 
 
 # --------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def _outcome_obj(actor_input, outcome):
     }
 
 
-def _violation_obj(v: ViolationRecord):
+def _violation_obj(v):
     excerpt = [repr(ev) for ev in v.pair.follow_outcome.trace[-TAIL:]]
     return {
         "mr": v.pair.mr_id,

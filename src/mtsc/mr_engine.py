@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from . import detector  # `detector.classify` through the module: perfbench's traced run wraps it
 from .agents import DEFAULT_CAH_ITERATIONS, DEFAULT_CAR_GAS_GUARD, AgentKind, actor_kinds
 from .gas_oracle import (DEFAULT_GROWTH, DEFAULT_SUBDIVISIONS, NeverSucceeds,
                          estimate_intrinsic_gas)
-from .minisol.record import FrozenRecord, Record
+from .minisol.record import FrozenRecord
 from .relations import RELATIONS, relation_ids
 from .scenario import Environment, Scenario, build_environment
 from .vm import UINT_MAX, GasSchedule, Outcome, Status
@@ -56,7 +57,13 @@ class TestPair(NamedTuple):
 class ViolationRecord(NamedTuple):
     pair: TestPair
     observed: str
-    gas_threshold: Optional[int] = None
+
+    @property
+    def gas_threshold(self) -> Optional[int]:
+        """The follow-up's gas limit, when the relation reports it."""
+        if RELATIONS[self.pair.mr_id].reports_threshold:
+            return self.pair.follow_up.gas_limit
+        return None
 
 
 class EngineConfig(FrozenRecord):
@@ -86,15 +93,6 @@ class EngineConfig(FrozenRecord):
         # `gasleft()` never exceeds a guard the VM cannot hold: CAR would never re-enter
         if car_gas_guard > UINT_MAX:
             raise ValueError("car_gas_guard must be at most 2**128 - 1")
-
-
-class EngineResult(Record):
-    __slots__ = _fields = ("scenario_id", "violations", "diagnostics")
-
-    def __init__(self, scenario_id: str, violations: list, diagnostics: list):
-        self.scenario_id = scenario_id
-        self.violations = violations
-        self.diagnostics = diagnostics  # "scope: message" per sweep skipped
 
 
 def estimate_kinds(env: Environment, kinds, growth: float) -> list:
@@ -127,12 +125,9 @@ def run_pair(env: Environment, mr_id: str, source: ActorInput,
 
 def check(pair: TestPair) -> Optional[ViolationRecord]:
     """Evaluate a pair's output relation; None when the relation holds."""
-    relation = RELATIONS[pair.mr_id]
-    observed = relation.violated(pair.source_outcome, pair.follow_outcome, pair.follow_up)
-    if observed is None:
-        return None
-    threshold = pair.follow_up.gas_limit if relation.reports_threshold else None
-    return ViolationRecord(pair, observed, gas_threshold=threshold)
+    observed = RELATIONS[pair.mr_id].violated(pair.source_outcome, pair.follow_outcome,
+                                              pair.follow_up)
+    return None if observed is None else ViolationRecord(pair, observed)
 
 
 def sweep(env: Environment, mr: str, kind: AgentKind, gc: int, plan: range):
@@ -153,7 +148,7 @@ def sweep(env: Environment, mr: str, kind: AgentKind, gc: int, plan: range):
 
 
 def run_all(scenario: Scenario, schedule: GasSchedule,
-            config: EngineConfig = EngineConfig()) -> EngineResult:
+            config: EngineConfig = EngineConfig()) -> detector.Verdict:
     """Full pipeline for one scenario: deploy, estimate, then the sweeps of
     each selected relation in table order, each up to its first violation."""
     env = build_environment(scenario, schedule,
@@ -201,5 +196,5 @@ def run_all(scenario: Scenario, schedule: GasSchedule,
                     violations.append(check(done._replace(follow_outcome=own)))
                     break
 
-    return EngineResult(scenario_id=scenario.scenario_id, violations=violations,
-                        diagnostics=diagnostics)
+    return detector.Verdict(scenario.scenario_id, tuple(violations),
+                            detector.classify(violations), tuple(diagnostics))

@@ -26,7 +26,8 @@ Role strings in `actor`, `callee`, and `args` resolve to addresses:
 contract names to their deployment, other balance keys to EOAs. A
 target's `actor` is ignored, as $ACTOR sends the target. The arguments
 of the target and of every setup entry must fit the called function's
-parameters, and every setup entry is checked before any of them runs. Balances and values, like every amount the VM holds, lie in
+parameters, and every setup entry is checked before any of them runs.
+Balances and values, like every amount the VM holds, lie in
 [0, UINT_MAX], and so does the balances' total, $ACTOR's once per kind.
 """
 

@@ -31,7 +31,6 @@ from mtsc.detector import (
     fdr,
     percent,
     tpr,
-    verdict_for,
 )
 from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
 from mtsc.mr_engine import EngineConfig, run_all
@@ -75,7 +74,7 @@ def bench():
         scenario = load_scenario(CORPUS / f"{name}.scenario.json")
         results[name] = run_all(scenario, S, EngineConfig(n=1000))
     elapsed = time.monotonic() - started
-    verdicts = {name: verdict_for(res) for name, res in results.items()}
+    verdicts = results  # `run_all` returns each scenario's verdict
     return results, verdicts, elapsed
 
 

@@ -33,10 +33,11 @@ from mtsc.vm import CallEntered, CallExited, FailReason, Outcome, STATUS_SUCCESS
 AGENT = "0xaaaa"
 
 
-def violation(mr, kind=AgentKind.CAH, trace=(), observed="balance mismatch"):
+def violation(mr, kind=AgentKind.CAH, trace=(), observed="balance mismatch",
+              follow_gas=100):
     out = Outcome(STATUS_SUCCESS, 30_000, 0, tuple(trace))
     pair = TestPair(mr, ActorInput(AgentKind.EOA, "0x0002", 100),
-                    ActorInput(kind, AGENT, 100),
+                    ActorInput(kind, AGENT, follow_gas),
                     source_outcome=out, follow_outcome=out)
     return ViolationRecord(pair, observed)
 
@@ -221,9 +222,12 @@ def test_json_report_carries_violation_details():
 
 
 def test_text_report_includes_threshold():
-    pair = violation(MR1_2, kind=AgentKind.EOA, observed="status mismatch").pair
-    v = Verdict("a", (ViolationRecord(pair, "status mismatch", gas_threshold=42_000),),
+    v = Verdict("a", (violation(MR1_2, kind=AgentKind.EOA, observed="status mismatch",
+                                follow_gas=42_000),),
                 (EXCEPTION_DISORDER,))
     text = emit_report([v], fmt="text")
     assert "gas_threshold=42000" in text
     assert "VULNERABLE" in text
+    # an account-switching relation reports no threshold
+    v = Verdict("b", (violation(MR2_1, trace=failed_transfer("send")),), (GASLESS_SEND,))
+    assert "gas_threshold" not in emit_report([v], fmt="text")

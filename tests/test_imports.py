@@ -16,8 +16,10 @@ an argument only to fit a signature says so by that prefix.
 
 The packages are layered: a module under `vm/` imports from the program
 only what `mtsc.vm`, `mtsc.minisol` and `mtsc.inputs` hold, and one under
-`minisol/` only what `mtsc.minisol` holds. The README's repository layout
-names every module and subpackage of `src/mtsc/`.
+`minisol/` only what `mtsc.minisol` holds. `detector.py` imports only
+from `mtsc.inputs`, `mtsc.relations` and `mtsc.vm`, so `mr_engine`, which
+imports it, never closes a cycle. The README's repository layout names
+every module and subpackage of `src/mtsc/`.
 """
 
 import ast
@@ -170,8 +172,15 @@ def test_the_check_finds_a_parameter_left_behind():
                                        (9, "inner", "unused")]
 
 
-# what the program's modules under each package may import from the program
-LAYERS = {"vm": ("mtsc.vm", "mtsc.minisol", "mtsc.inputs"), "minisol": ("mtsc.minisol",)}
+# what the program's modules under each package, or one top-level module,
+# may import from the program
+LAYERS = {"vm": ("mtsc.vm", "mtsc.minisol", "mtsc.inputs"), "minisol": ("mtsc.minisol",),
+          "detector": ("mtsc.inputs", "mtsc.relations", "mtsc.vm")}
+
+
+def layer(path: Path) -> str:
+    """The row of LAYERS for `path`: its package, or a top-level module's name."""
+    return path.stem if path.parent == SRC else path.parent.name
 
 
 def imported_modules(text: str, package: str) -> list:
@@ -199,11 +208,12 @@ def layer_breaches(text: str, package: str, allowed) -> list:
             and not any(name == a or name.startswith(a + ".") for a in allowed)]
 
 
-@pytest.mark.parametrize("path", [path for path in MODULES if path.parent.name in LAYERS],
+@pytest.mark.parametrize("path", [path for path in MODULES if layer(path) in LAYERS],
                          ids=lambda p: str(p.relative_to(SRC)))
 def test_each_package_imports_only_from_the_layers_below_it(path):
-    assert layer_breaches(path.read_text(encoding="utf-8"), f"mtsc.{path.parent.name}",
-                          LAYERS[path.parent.name]) == []
+    package = ".".join(path.relative_to(SRC.parent).parent.parts)
+    assert layer_breaches(path.read_text(encoding="utf-8"), package,
+                          LAYERS[layer(path)]) == []
 
 
 def test_the_check_finds_an_import_across_layers():

@@ -7,7 +7,7 @@ import pytest
 
 from mtsc import mr_engine
 from mtsc.agents import AgentKind
-from mtsc.detector import emit_report, verdict_for
+from mtsc.detector import emit_report
 from mtsc.gas_oracle import (
     IntrinsicGas,
     allocate_increasing,
@@ -248,7 +248,7 @@ def test_each_source_input_runs_once_per_environment(monkeypatch, target_runs, n
     monkeypatch.setattr(mr_engine, "run_pair", tracked_run_pair)
     scenario = load_scenario(scenario_path(name))
     with uncut():
-        ref = emit_report([verdict_for(run_all(scenario, S))], fmt="json")
+        ref = emit_report([run_all(scenario, S)], fmt="json")
     ref_runs = len(target_runs)
     target_runs.clear()
     del envs[:], pairs[:]
@@ -257,7 +257,7 @@ def test_each_source_input_runs_once_per_environment(monkeypatch, target_runs, n
     (env,) = envs
     assert pairs
     assert (ref_runs, len(target_runs)) == CORPUS_RUNS[name]
-    assert emit_report([verdict_for(result)], fmt="json") == ref
+    assert emit_report([result], fmt="json") == ref
     runs = Counter(vm_inputs(target_runs))
     assert [key for key, count in runs.items() if count > 1] == []
 
@@ -355,7 +355,7 @@ def run_scenario(name, **config):
 
 def test_transfer_based_contract_is_clean():
     result = run_scenario("dividend_vault_payout")
-    assert result.violations == []
+    assert result.violations == ()
     assert any(d.startswith("MR1.x/CAH: ") for d in result.diagnostics)
 
 
@@ -372,8 +372,8 @@ def test_empty_increasing_plan_is_a_diagnostic():
 
 def test_empty_selection_runs_nothing():
     result = run_scenario("simple_dao_withdraw", mr_filter=())
-    assert result.violations == []
-    assert result.diagnostics == []
+    assert result.violations == ()
+    assert result.diagnostics == ()
 
 
 def test_simple_dao_family_violations():
@@ -395,8 +395,8 @@ def test_simple_dao_family_violations():
 
 def test_pure_direct_call_baseline_clean_across_all_relations():
     result = run_scenario("counter_baseline")
-    assert result.violations == []
-    assert result.diagnostics == []
+    assert result.violations == ()
+    assert result.diagnostics == ()
 
 
 def test_sweeps_stop_at_the_first_violation():
@@ -413,6 +413,17 @@ def test_reduced_gas_success_is_flagged_with_threshold():
     assert v.gas_threshold == v.pair.follow_up.gas_limit
     assert v.gas_threshold < v.pair.source.gas_limit
     assert v.pair.follow_outcome.ok
+    # all five relations on the corpus too: a violation's threshold is its
+    # follow-up limit exactly when its relation reports one
+    config = EngineConfig(mr1_actors_override=ALL_ACTOR_KINDS)
+    seen = set()
+    for name in CORPUS_SCENARIOS + ["notifier_ping"]:
+        scenario = load_scenario(scenario_path(name))._replace(mrs=tuple(RELATIONS))
+        for v in run_all(scenario, S, config).violations:
+            reports = RELATIONS[v.pair.mr_id].reports_threshold
+            assert v.gas_threshold == (v.pair.follow_up.gas_limit if reports else None)
+            seen.add(v.pair.mr_id)
+    assert seen == set(RELATIONS)
 
 
 def test_mr12_violation_trace_shows_a_swallowed_exception():
@@ -511,7 +522,7 @@ CERTIFICATE_CONFIGS = {
 def report_bytes(name, schedule, config):
     scenario = load_scenario(scenario_path(name))
     config = config._replace(mr1_actors_override=ALL_ACTOR_KINDS)
-    return emit_report([verdict_for(run_all(scenario, schedule, config))], fmt="json")
+    return emit_report([run_all(scenario, schedule, config)], fmt="json")
 
 
 # `reference_sweep` runs every pair of an MR1.x sweep: the sweep the
@@ -554,8 +565,7 @@ def count_corpus_pairs(monkeypatch, config=EngineConfig(), names=CORPUS_SCENARIO
         return run_pair_once(env, mr_id, source, follow_up)
 
     monkeypatch.setattr(mr_engine, "run_pair", counted_run_pair)
-    verdicts = [verdict_for(run_all(load_scenario(scenario_path(name)), S, config))
-                for name in names]
+    verdicts = [run_all(load_scenario(scenario_path(name)), S, config) for name in names]
     return runs, verdicts
 
 
@@ -629,7 +639,7 @@ def test_sweep_runs_the_first_plan_limit_outside_each_range(unmemoised, name, n)
 def test_sweep_cost_does_not_grow_with_n(monkeypatch):
     # plans of one follow-up per unit of gas below the intrinsic 127 822
     name = "crowd_pay_guarded"
-    coarse = verdict_for(run_all(load_scenario(scenario_path(name)), S, EngineConfig()))
+    coarse = run_all(load_scenario(scenario_path(name)), S, EngineConfig())
     plans = []
     sweep_once = mr_engine.sweep
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mtsc import cli, mr_engine, scenario
 from mtsc.agents import TARGET_SLOT, VALUE_SLOT, AgentKind
-from mtsc.detector import emit_report, verdict_for
+from mtsc.detector import emit_report
 from mtsc.gas_oracle import NeverSucceeds, estimate_intrinsic_gas
 from mtsc.inputs import InputError
 from mtsc.minisol import ast, parse, validate
@@ -516,7 +516,7 @@ def _report_or_error(path, config):
         result = mr_engine.run_all(scenario.load_scenario(path), GEN_SCHEDULE, config)
     except Exception as exc:  # generated programs are unvalidated
         return type(exc)
-    return emit_report([verdict_for(result)], fmt="json")
+    return emit_report([result], fmt="json")
 
 
 # `reference_sweep` runs every pair of an MR1.x sweep: the sweep the

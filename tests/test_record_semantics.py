@@ -13,11 +13,11 @@ import types
 import pytest
 
 from mtsc.agents import AgentKind, AgentSpec, _lit
-from mtsc.detector import Counts, Verdict, compute_metrics, verdict_for
+from mtsc.detector import Counts, Verdict, compute_metrics
 from mtsc.gas_oracle import IntrinsicGas
 from mtsc.minisol import ParseError, ast, parse
 from mtsc.minisol.record import Record
-from mtsc.mr_engine import ActorInput, EngineConfig, EngineResult, TestPair, run_all
+from mtsc.mr_engine import ActorInput, EngineConfig, TestPair, run_all
 from mtsc.relations import RELATIONS
 from mtsc.scenario import Environment, build_environment, load_scenario
 from mtsc.vm import STATUS_SUCCESS, FailReason, GasSchedule, Outcome, WorldState, failure
@@ -28,7 +28,7 @@ S = GasSchedule()
 
 
 def vulnerable_verdict() -> Verdict:
-    return verdict_for(run_all(load_scenario(scenario_path("simple_dao_withdraw")), S))
+    return run_all(load_scenario(scenario_path("simple_dao_withdraw")), S)
 
 
 def pool_payloads():
@@ -124,13 +124,9 @@ def test_records_of_other_classes_never_compare_equal():
 
 def test_mutable_records_do_not_hash():
     env = build_environment(load_scenario(scenario_path("counter_baseline")), S)
-    result = EngineResult("x", [], [])
-    for record in (ast.Var(name="x"), WorldState(), env.state.accounts[env.driver], env,
-                   result):
+    for record in (ast.Var(name="x"), WorldState(), env.state.accounts[env.driver], env):
         with pytest.raises(TypeError):
             hash(record)
-    result.violations.append(1)
-    assert result == EngineResult("x", [1], [])
 
 
 def test_ast_equality_ignores_positions_and_nodes_stay_mutable():
