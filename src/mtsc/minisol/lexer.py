@@ -5,6 +5,11 @@ Token set (frozen, documented in the README): ASCII identifiers
 (`[0-9][0-9_]*`), punctuation, and the keyword list below; any other
 character outside a comment is a ParseError. `msg.sender` and `msg.value`
 are lexed as three tokens and assembled by the parser.
+
+One `findall` splits the source into lexemes, blanks and newlines
+included; a lexeme that is a keyword or punctuation is its own token
+type, any other is classed by its first character. Columns count
+characters, so a tab is one column.
 """
 
 from __future__ import annotations
@@ -41,16 +46,20 @@ PUNCT = [
 ]
 
 
-# one alternative per token class, tried in order; PUNCT lists two-character
-# operators before their one-character prefixes
+# alternatives tried in order: newline, blanks, comment, INT, IDENT, the
+# punctuation (two-character operators before their one-character
+# prefixes), then any other single character, which is an error
 TOKEN = re.compile("|".join([
-    r"(?P<newline>\n)",
-    r"(?P<space>[ \t\r]+)",
-    r"(?P<comment>//[^\n]*)",
-    r"(?P<INT>[0-9][0-9_]*)",
-    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
-    "(?P<PUNCT>" + "|".join(re.escape(p) for p in PUNCT) + ")",
+    r"\n", r"[ \t\r]+", r"//[^\n]*", r"[0-9][0-9_]*", r"[A-Za-z_][A-Za-z0-9_]*",
+    *(re.escape(p) for p in PUNCT), ".",
 ]))
+
+TYPES = {text: text for text in (*KEYWORDS, *PUNCT)}
+# the class of any other lexeme by its first character: a token type, or
+# "" for blanks; newlines, comments and errors are not listed
+CLASSES = {**dict.fromkeys("0123456789", "INT"), **dict.fromkeys(" \t\r", ""),
+           **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_",
+                           "IDENT")}
 
 
 class Token(NamedTuple):
@@ -66,18 +75,20 @@ new = tuple.__new__  # builds a token without its Python-level __new__
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        match = TOKEN.match(source, i)
-        if match is None:
-            raise ParseError(line, col, f"unexpected character {source[i]!r}")
-        kind, text, i = match.lastgroup, match.group(), match.end()
-        if kind == "newline":
-            line, col = line + 1, 1
-        else:
-            if kind not in ("space", "comment"):
-                ttype = text if kind == "PUNCT" or text in KEYWORDS else kind
+    for text in TOKEN.findall(source):
+        ttype = TYPES.get(text)
+        if ttype is None:
+            ttype = CLASSES.get(text[0])
+            if ttype is None:
+                if text == "\n":
+                    line, col = line + 1, 1
+                    continue
+                if text[:2] != "//":
+                    raise ParseError(line, col, f"unexpected character {text!r}")
+            elif ttype:
                 tokens.append(new(Token, (ttype, text, line, col)))
-            col += len(text)
+        else:
+            tokens.append(new(Token, (ttype, text, line, col)))
+        col += len(text)
     tokens.append(Token("EOF", "", line, col))
     return tokens

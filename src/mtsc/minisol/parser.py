@@ -10,6 +10,11 @@ lowcall takes `gas`. The `value`/`gas` operands parse at additive
 precedence, so comparisons around a call need parentheses. Integer
 literals above the uint maximum, 2**128 - 1, are a ParseError.
 
+Binary expressions are read by one loop over the operator table
+`BINARY`, which gives each operator its precedence level and whether it
+chains; the right operand of an operator is read by a recursive call that
+takes only tighter operators.
+
 Expressions and blocks nest at most MAX_NESTING levels deep; deeper input
 raises ParseError instead of exhausting the Python stack of the passes
 that walk the tree. Every binary operator counts as a level, a chain of
@@ -26,12 +31,13 @@ KIND_TOKENS = {"uint": ast.Kind.UINT, "bool": ast.Kind.BOOL,
                "addr": ast.Kind.ADDR, "map": ast.Kind.MAP}
 
 ASSIGN_OPS = {"=", "+=", "-="}
-COMPARE_OPS = {"==", "!=", "<", "<=", ">", ">="}
 
-# binary operators by precedence, loosest first, and whether they chain
-BINARY_LEVELS = (({"||"}, True), ({"&&"}, True), (COMPARE_OPS, False),
-                 ({"+", "-"}, True), ({"*"}, True))
-ADDITIVE = 3  # index of `+ -` in BINARY_LEVELS
+# binary operator -> (precedence level, loosest 0, and whether it chains)
+BINARY = {"||": (0, True), "&&": (1, True),
+          **dict.fromkeys(("==", "!=", "<", "<=", ">", ">="), (2, False)),
+          "+": (3, True), "-": (3, True), "*": (4, True)}
+NOT_BINARY = (-1, False)  # below every level
+ADDITIVE, TIGHTEST = 3, 4  # the levels of `+ -` and of `*`
 
 UINT_DIGITS = len(str(ast.UINT_MAX))
 
@@ -50,32 +56,24 @@ class _Parser:
         self.reach = 0  # deepest level the tree reaches so far
 
     # -- token plumbing ----------------------------------------------------
-
-    def peek(self) -> Token:
-        # `advance` stops at the closing EOF token, so `pos` always indexes one
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.type != "EOF":
-            self.pos += 1
-        return tok
-
-    def check(self, ttype: str) -> bool:
-        return self.tokens[self.pos].type == ttype
+    # `pos` moves only past a token of a type other than EOF, so it always
+    # indexes a token
 
     def accept(self, ttype: str) -> Token | None:
-        if self.check(ttype):
-            return self.advance()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.type != ttype:
+            return None
+        self.pos += 1
+        return tok
 
     def expect(self, ttype: str, what: str = "") -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type != ttype:
             want = what or repr(ttype)
             raise ParseError(tok.line, tok.col,
                              f"expected {want}, found {tok.text or 'end of input'!r}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def deepen(self, level: int, tok: Token):
         """Record that the tree reaches `level` levels deep at `tok`."""
@@ -85,20 +83,14 @@ class _Parser:
         if level > self.reach:
             self.reach = level
 
-    def enter(self):
-        """Go one level deeper, at the next token. The caller comes back up
-        with `self.depth -= 1`; a ParseError ends the parse, so it need not."""
-        self.depth += 1
-        self.deepen(self.depth, self.tokens[self.pos])
-
     # -- declarations ------------------------------------------------------
 
     def parse_unit(self) -> ast.SourceUnit:
         contracts = []
-        while not self.check("EOF"):
+        while self.tokens[self.pos].type != "EOF":
             contracts.append(self.parse_contract())
         if not contracts:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             raise ParseError(tok.line, tok.col, "expected at least one contract")
         first = contracts[0]
         return ast.SourceUnit(line=first.line, col=first.col,
@@ -111,7 +103,7 @@ class _Parser:
         state_vars, functions = [], []
         fallback = None
         while not self.accept("}"):
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             if tok.type in KIND_TOKENS:
                 state_vars.append(self.parse_state_var())
             elif tok.type == "fn":
@@ -131,7 +123,8 @@ class _Parser:
                                fallback=fallback)
 
     def parse_state_var(self) -> ast.StateVar:
-        kind_tok = self.advance()
+        kind_tok = self.tokens[self.pos]
+        self.pos += 1
         name = self.expect("IDENT", "state variable name")
         self.expect(";")
         return ast.StateVar(line=kind_tok.line, col=kind_tok.col,
@@ -142,7 +135,7 @@ class _Parser:
         name = self.expect("IDENT", "function name").text
         self.expect("(")
         params = []
-        if not self.check(")"):
+        if self.tokens[self.pos].type != ")":
             params.append(self.parse_param())
             while self.accept(","):
                 params.append(self.parse_param())
@@ -155,11 +148,11 @@ class _Parser:
     def parse_param(self) -> ast.Param:
         name = self.expect("IDENT", "parameter name")
         self.expect(":")
-        kind_tok = self.peek()
+        kind_tok = self.tokens[self.pos]
         if kind_tok.type not in ("uint", "bool", "addr"):
-            raise ParseError(kind_tok.line, kind_tok.col,
-                             f"expected parameter kind, found {kind_tok.text!r}")
-        self.advance()
+            raise ParseError(kind_tok.line, kind_tok.col, "expected parameter kind, "
+                             f"found {kind_tok.text or 'end of input'!r}")
+        self.pos += 1
         return ast.Param(line=name.line, col=name.col, name=name.text,
                          kind=KIND_TOKENS[kind_tok.type])
 
@@ -174,29 +167,32 @@ class _Parser:
     def parse_block(self) -> list:
         self.expect("{")
         stmts = []
-        self.enter()
+        # one level deeper; a ParseError ends the parse, so only a block
+        # that closes comes back up
+        self.depth += 1
+        self.deepen(self.depth, self.tokens[self.pos])
         while not self.accept("}"):
             stmts.append(self.parse_stmt())
         self.depth -= 1
         return stmts
 
     def parse_stmt(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type == "require":
-            self.advance()
+            self.pos += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             self.expect(";")
             return ast.Require(line=tok.line, col=tok.col, condition=cond)
         if tok.type == "revert":
-            self.advance()
+            self.pos += 1
             self.expect("(")
             self.expect(")")
             self.expect(";")
             return ast.Revert(line=tok.line, col=tok.col)
         if tok.type == "if":
-            self.advance()
+            self.pos += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
@@ -205,31 +201,31 @@ class _Parser:
             return ast.If(line=tok.line, col=tok.col, condition=cond,
                           then=then, otherwise=otherwise)
         if tok.type == "let":
-            self.advance()
+            self.pos += 1
             name = self.expect("IDENT", "local name").text
             self.expect("=")
             value = self.parse_expr()
             self.expect(";")
             return ast.Let(line=tok.line, col=tok.col, name=name, value=value)
         if tok.type == "return":
-            self.advance()
-            value = None if self.check(";") else self.parse_expr()
+            self.pos += 1
+            value = None if self.tokens[self.pos].type == ";" else self.parse_expr()
             self.expect(";")
             return ast.Return(line=tok.line, col=tok.col, value=value)
         if tok.type == "emit":
-            self.advance()
+            self.pos += 1
             name = self.expect("IDENT", "event name").text
             args = self.parse_call_args()
             self.expect(";")
             return ast.Emit(line=tok.line, col=tok.col, name=name, args=args)
 
         expr = self.parse_expr()
-        nxt = self.peek()
+        nxt = self.tokens[self.pos]
         if nxt.type in ASSIGN_OPS:
             if not isinstance(expr, (ast.Var, ast.MapIndex)):
                 raise ParseError(nxt.line, nxt.col,
                                  "assignment target must be a name or map index")
-            self.advance()
+            self.pos += 1
             value = self.parse_expr()
             self.expect(";")
             return ast.Assign(line=expr.line, col=expr.col, target=expr,
@@ -239,48 +235,51 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self):
-        return self.parse_binary(0)
+    def parse_expr(self, lowest: int = 0):
+        """Operands joined left-associatively by the binary operators of
+        level `lowest` and tighter.
 
-    def parse_binary(self, level: int):
-        """Operands of `BINARY_LEVELS[level]` and tighter, joined left-
-        associatively by that level's operators.
-
-        Each operator puts its node above everything the chain has parsed
+        Each operator puts its node above everything the loop has parsed
         so far, so it deepens all of it by one level; its right operand
-        starts one level below the node.
+        starts one level below the node and takes only tighter operators.
+        After an operator of level L the loop takes operators of level L
+        or looser if it chains, and only looser ones if it does not.
         """
-        if level == len(BINARY_LEVELS):
-            return self.parse_unary()
-        ops, chained = BINARY_LEVELS[level]
+        tokens = self.tokens
         outer, self.reach = self.reach, self.depth
-        left = self.parse_binary(level + 1)
-        while self.tokens[self.pos].type in ops:
-            op = self.advance()
+        left = self.parse_unary()
+        highest = TIGHTEST
+        while True:
+            op = tokens[self.pos]
+            level, chained = BINARY.get(op.type, NOT_BINARY)
+            if level < lowest or level > highest:
+                break
+            self.pos += 1
             self.deepen(self.reach + 1, op)
-            self.enter()
-            right = self.parse_binary(level + 1)
+            self.depth += 1  # the left operand already reaches this level
+            right = self.parse_expr(level + 1)
             self.depth -= 1
             left = ast.Binary(line=op.line, col=op.col, op=op.type, left=left, right=right)
-            if not chained:
-                break
+            highest = level if chained else level - 1
         if outer > self.reach:
             self.reach = outer
         return left
 
     def parse_unary(self):
-        if self.check("!"):
-            self.enter()
-            op = self.advance()
-            node = ast.Not(line=op.line, col=op.col, operand=self.parse_unary())
-            self.depth -= 1
-            return node
-        return self.parse_primary()
+        tok = self.tokens[self.pos]
+        if tok.type != "!":
+            return self.parse_primary()
+        self.depth += 1
+        self.deepen(self.depth, tok)
+        self.pos += 1
+        node = ast.Not(line=tok.line, col=tok.col, operand=self.parse_unary())
+        self.depth -= 1
+        return node
 
     def parse_call_args(self) -> list:
         self.expect("(")
         args = []
-        if not self.check(")"):
+        if self.tokens[self.pos].type != ")":
             args.append(self.parse_expr())
             while self.accept(","):
                 args.append(self.parse_expr())
@@ -288,81 +287,79 @@ class _Parser:
         return args
 
     def parse_primary(self):
-        self.enter()
-        node = self.parse_primary_unguarded()
-        self.depth -= 1
-        return node
-
-    def parse_primary_unguarded(self):
-        tok = self.peek()
-
-        if tok.type == "INT":
-            self.advance()
+        tok = self.tokens[self.pos]
+        ttype = tok.type
+        self.depth += 1
+        self.deepen(self.depth, tok)
+        if ttype == "IDENT":
+            self.pos += 1
+            if self.accept("["):
+                key = self.parse_expr()
+                self.expect("]")
+                node = ast.MapIndex(line=tok.line, col=tok.col, name=tok.text, key=key)
+            else:
+                node = ast.Var(line=tok.line, col=tok.col, name=tok.text)
+        elif ttype == "INT":
+            self.pos += 1
             digits = tok.text.replace("_", "").lstrip("0") or "0"
             # the digit count first: int() refuses very long digit strings
             if len(digits) > UINT_DIGITS or int(digits) > ast.UINT_MAX:
                 raise ParseError(tok.line, tok.col,
                                  f"integer literal exceeds the uint maximum {ast.UINT_MAX}")
-            return ast.IntLit(line=tok.line, col=tok.col, value=int(digits))
-        if tok.type in ("true", "false"):
-            self.advance()
-            return ast.BoolLit(line=tok.line, col=tok.col, value=tok.type == "true")
-        if tok.type == "msg":
-            self.advance()
+            node = ast.IntLit(line=tok.line, col=tok.col, value=int(digits))
+        elif ttype == "true" or ttype == "false":
+            self.pos += 1
+            node = ast.BoolLit(line=tok.line, col=tok.col, value=ttype == "true")
+        elif ttype == "msg":
+            self.pos += 1
             self.expect(".")
-            member = self.peek()
+            member = self.tokens[self.pos]
             if member.type == "value":  # `value` is also a keyword
-                self.advance()
-                return ast.MsgValue(line=tok.line, col=tok.col)
-            if member.type == "IDENT" and member.text == "sender":
-                self.advance()
-                return ast.MsgSender(line=tok.line, col=tok.col)
-            raise ParseError(member.line, member.col,
-                             f"expected 'sender' or 'value', found {member.text!r}")
-        if tok.type == "this":
-            self.advance()
-            return ast.This(line=tok.line, col=tok.col)
-        if tok.type == "gasleft":
-            self.advance()
+                node = ast.MsgValue(line=tok.line, col=tok.col)
+            elif member.type == "IDENT" and member.text == "sender":
+                node = ast.MsgSender(line=tok.line, col=tok.col)
+            else:
+                raise ParseError(member.line, member.col, "expected 'sender' or 'value', "
+                                 f"found {member.text or 'end of input'!r}")
+            self.pos += 1
+        elif ttype == "this":
+            self.pos += 1
+            node = ast.This(line=tok.line, col=tok.col)
+        elif ttype == "gasleft":
+            self.pos += 1
             self.expect("(")
             self.expect(")")
-            return ast.GasLeft(line=tok.line, col=tok.col)
-        if tok.type == "balance":
-            self.advance()
+            node = ast.GasLeft(line=tok.line, col=tok.col)
+        elif ttype == "balance":
+            self.pos += 1
             self.expect("(")
             target = self.parse_expr()
             self.expect(")")
-            return ast.BalanceOf(line=tok.line, col=tok.col, target=target)
-        if tok.type in ast.CALL_FORMS:
-            form = self.advance().type
+            node = ast.BalanceOf(line=tok.line, col=tok.col, target=target)
+        elif ttype in ast.CALL_FORMS:
+            self.pos += 1
             target = self.parse_primary()
             function, args, value, gas = None, [], None, None
-            if form == "dcall" or form == "lowcall" and self.check("."):
+            if ttype == "dcall" or ttype == "lowcall" and self.tokens[self.pos].type == ".":
                 self.expect(".")
                 function = self.expect("IDENT", "function name").text
                 args = self.parse_call_args()
             # send and transfer require the value clause
-            if self.accept("value") or form in ast.STIPEND_ONLY and self.expect("value"):
-                value = self.parse_binary(ADDITIVE)
-            if form == "lowcall" and self.accept("gas"):
-                gas = self.parse_binary(ADDITIVE)
-            return ast.Call(line=tok.line, col=tok.col, form=form, target=target,
+            if self.accept("value") or ttype in ast.STIPEND_ONLY and self.expect("value"):
+                value = self.parse_expr(ADDITIVE)
+            if ttype == "lowcall" and self.accept("gas"):
+                gas = self.parse_expr(ADDITIVE)
+            node = ast.Call(line=tok.line, col=tok.col, form=ttype, target=target,
                             function=function, args=args, value=value, gas=gas)
-        if tok.type == "(":
-            self.advance()
-            expr = self.parse_expr()
+        elif ttype == "(":
+            self.pos += 1
+            node = self.parse_expr()
             self.expect(")")
-            return expr
-        if tok.type == "IDENT":
-            self.advance()
-            if self.accept("["):
-                key = self.parse_expr()
-                self.expect("]")
-                return ast.MapIndex(line=tok.line, col=tok.col, name=tok.text, key=key)
-            return ast.Var(line=tok.line, col=tok.col, name=tok.text)
-
-        raise ParseError(tok.line, tok.col,
-                         f"expected expression, found {tok.text or 'end of input'!r}")
+        else:
+            raise ParseError(tok.line, tok.col,
+                             f"expected expression, found {tok.text or 'end of input'!r}")
+        self.depth -= 1
+        return node
 
 
 def parse(source: str, source_name: str = "<string>") -> ast.SourceUnit:

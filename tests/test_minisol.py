@@ -68,6 +68,16 @@ MALFORMED = {
     "contract X { fn f() { msg.gas; } }": "1:27: expected 'sender' or 'value', found 'gas'",
     "contract C { fn f(a: map) { } }": "1:22: expected parameter kind, found 'map'",
     "contract C { fn f() { 1 = 2; } }": "1:25: assignment target must be a name or map index",
+    "contract C { fn f(a:": "1:21: expected parameter kind, found 'end of input'",
+    "contract C { fn f() { msg.": "1:27: expected 'sender' or 'value', found 'end of input'",
+    # comparisons do not chain, also inside a looser operator's operand
+    "contract C { fn f() { require(a < b < c); } }": "1:37: expected ')', found '<'",
+    "contract C { fn f() { require(x && a < b < c); } }": "1:42: expected ')', found '<'",
+    # columns count characters: a tab is one, and `\r` is a blank
+    "contract C { fn f() { x = 1 / 2; } }": "1:29: unexpected character '/'",
+    "contract C { } /": "1:16: unexpected character '/'",
+    "contract C {\tuint é; }": "1:19: unexpected character 'é'",
+    "contract C {\r\n\r é }": "2:3: unexpected character 'é'",
 }
 
 
