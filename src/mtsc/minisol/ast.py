@@ -334,7 +334,8 @@ class FallbackDef(Node):
 
 class ContractDef(Node):
     _fields = ("name", "state_vars", "functions", "fallback")
-    # and two lookup tables, unset until the first lookup builds them
+    # and two lookup tables, built here from declarations that the parser
+    # and agent synthesis pass complete and never change
     __slots__ = _fields + ("functions_by_name", "defaults")
 
     def __init__(self, line=0, col=0, name="", state_vars: list = None,
@@ -345,23 +346,12 @@ class ContractDef(Node):
         self.state_vars = [] if state_vars is None else state_vars
         self.functions = [] if functions is None else functions
         self.fallback = fallback
-
-    def __getattr__(self, name):
-        # called only while a table's slot is unset: declarations do not
-        # change after parsing or agent synthesis, so each table is built
-        # once, and every later read is a plain slot read. The first
-        # declaration of a name wins.
-        if name == "functions_by_name":
-            table = {fn.name: fn for fn in reversed(self.functions)}
-        elif name == "defaults":
-            # scalar state variable name -> its value before the first write
-            value = {Kind.UINT: 0, Kind.BOOL: False, Kind.ADDR: ZERO_ADDR}
-            table = {sv.name: value[sv.kind] for sv in reversed(self.state_vars)
-                     if sv.kind in value}
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        setattr(self, name, table)
-        return table
+        # the first declaration of a name wins
+        self.functions_by_name = {fn.name: fn for fn in reversed(self.functions)}
+        # scalar state variable name -> its value before the first write
+        zero = {Kind.UINT: 0, Kind.BOOL: False, Kind.ADDR: ZERO_ADDR}
+        self.defaults = {sv.name: zero[sv.kind] for sv in reversed(self.state_vars)
+                         if sv.kind in zero}
 
 
 class SourceUnit(Node):

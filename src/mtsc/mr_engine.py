@@ -82,6 +82,9 @@ class EngineConfig(FrozenRecord):
         if mr1_actors_override is not None:
             mr1_actors_override = actor_kinds(mr1_actors_override)
         self._set(locals())
+        for name in ("n", "inc_count", "car_gas_guard", "cah_iterations"):
+            if type(getattr(self, name)) is not int:  # a bool is an int
+                raise ValueError(f"{name} must be an integer")
         if n < 1 or inc_count < 1:
             raise ValueError("n and inc_count must be at least 1")
         if not growth > 1.0:  # NaN included

@@ -262,8 +262,9 @@ class Environment(Record):
         return lambda limit: self.run(kind, limit)
 
 
-def _load_contracts(scenario: Scenario):
-    contracts = {}  # name -> ContractDef, in source order
+def _load_contracts(scenario: Scenario) -> dict:
+    """Contract name -> ContractDef, in source order; a contract's role is its name."""
+    contracts = {}
     for rel in scenario.sources:
         src_path = scenario.base_dir / rel
         text = read_text(src_path, "source ")
@@ -279,7 +280,7 @@ def _load_contracts(scenario: Scenario):
             if contract.name in contracts:
                 raise InputError(f"contract {contract.name!r} defined twice")
             contracts[contract.name] = contract
-    return contracts.values()
+    return contracts
 
 
 def _check_args(entry: TxTemplate, fn: Optional[ast.FunctionDef], roles: dict,
@@ -329,29 +330,28 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
     pair observes an identical context regardless of which accounts it
     exercises. The returned environment's state is that shared context.
     """
-    contracts = _load_contracts(scenario)
+    code = _load_contracts(scenario)  # contract role -> ContractDef
     state = WorldState()
     driver = state.create_eoa(0)
     eoa_actor = state.create_eoa(0)
 
     roles: dict[str, str] = {}
-    for contract in contracts:
-        roles[contract.name] = deploy(state, contract,
-                                      scenario.balances.get(contract.name, 0))
+    for name, contract in code.items():
+        roles[name] = deploy(state, contract, scenario.balances.get(name, 0))
     for role, amount in scenario.balances.items():
         if role == ACTOR or role in roles:
             continue
         roles[role] = state.create_eoa(amount)
 
-    def function_of(callee: Optional[str], name: Optional[str]):
-        code = state.account(callee).code if callee is not None else None
-        return code.functions_by_name.get(name) if code is not None and name else None
+    def function_of(role: str, name: Optional[str]) -> Optional[ast.FunctionDef]:
+        contract = code.get(role)  # None for an EOA role or $ACTOR
+        return contract.functions_by_name.get(name) if contract is not None else None
 
     target = scenario.target
     if target.callee not in roles:
         raise InputError(f"target callee {target.callee!r} is not a known role")
     target_addr = roles[target.callee]
-    target_fn = function_of(target_addr, target.function)
+    target_fn = function_of(target.callee, target.function)
     if target.function is not None and target_fn is None:
         raise InputError(
             f"target function {target.function!r} not found on {target.callee}")
@@ -376,15 +376,10 @@ def build_environment(scenario: Scenario, schedule: GasSchedule,
     # is raised before anything replays, and resolves it into its
     # transactions: one per actor kind if it mentions $ACTOR, else one.
     txs = []
-    functions = {}  # (callee role, function) -> its FunctionDef, if known
     accounts, limit, transaction = env.actor_accounts, schedule.block_gas_limit, env.transaction
     for i, entry in enumerate(scenario.setup):
         sender, callee, function, args, _ = entry
-        key = callee, function
-        fn = functions.get(key)
-        if fn is None and key not in functions:
-            fn = functions[key] = function_of(roles.get(callee), function)
-        _check_args(entry, fn, roles, i)
+        _check_args(entry, function_of(callee, function), roles, i)
         if sender == ACTOR or callee == ACTOR or ACTOR in args:
             for kind in ALL_ACTOR_KINDS:
                 txs.append(transaction(entry, accounts[kind], limit))

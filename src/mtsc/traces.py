@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .vm import CallEntered, CallExited, ExceptionSwallowed
-from .vm.interp import STILLBORN
+from .vm import STILLBORN, CallEntered, CallExited, ExceptionSwallowed
 
 LOW_LEVEL_FORMS = ("lowcall", "send", "transfer")
 

@@ -12,6 +12,7 @@ from .types import (
     OpExecuted,
     Outcome,
     STATUS_SUCCESS,
+    STILLBORN,
     Status,
     Transaction,
     failure,
@@ -20,7 +21,7 @@ from .types import (
 __all__ = [
     "Account", "CallEntered", "CallExited", "ExceptionSwallowed",
     "FailReason", "GasSchedule", "MAX_CALL_DEPTH", "OpExecuted", "Outcome",
-    "STATUS_SUCCESS", "Status", "TAIL", "Transaction", "UINT_MAX",
+    "STATUS_SUCCESS", "STILLBORN", "Status", "TAIL", "Transaction", "UINT_MAX",
     "WorldState", "ZERO_ADDR", "deploy", "execute",
     "failure", "load_schedule", "replay",
 ]

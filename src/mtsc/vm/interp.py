@@ -183,9 +183,6 @@ MIRROR = {">": "<", "<": ">", ">=": "<=", "<=": ">=", "==": "==", "!=": "!="}
 # level and 32 for the tail allowed here.
 RECURSION_BUDGET = MAX_CALL_DEPTH * (12 * MAX_NESTING + 32)
 
-# call failures that never dispatched the callee
-STILLBORN = (FailReason.DEPTH_EXCEEDED, FailReason.BALANCE_INSUFFICIENT)
-
 new = tuple.__new__  # builds a trace event without its Python-level __new__
 
 

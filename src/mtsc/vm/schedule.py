@@ -38,7 +38,7 @@ class GasSchedule(FrozenRecord):
         for name in self._fields:
             v = getattr(self, name)
             # gasleft() reads gas as a uint, so no amount of gas exceeds one
-            if not isinstance(v, int) or not 0 <= v <= UINT_MAX:
+            if type(v) is not int or not 0 <= v <= UINT_MAX:  # a bool is an int
                 raise ValueError(f"gas schedule entry {name} must be an integer "
                                  "in [0, 2**128 - 1]")
         if sstore_set <= sstore_reset:

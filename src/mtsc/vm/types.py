@@ -17,6 +17,10 @@ class FailReason(str, Enum):
     DEPTH_EXCEEDED = "DepthExceeded"
 
 
+# call failures that never dispatched the callee
+STILLBORN = (FailReason.DEPTH_EXCEEDED, FailReason.BALANCE_INSUFFICIENT)
+
+
 SUCCESS = "Success"
 
 

@@ -18,7 +18,8 @@ The packages are layered: a module under `vm/` imports from the program
 only what `mtsc.vm`, `mtsc.minisol` and `mtsc.inputs` hold, and one under
 `minisol/` only what `mtsc.minisol` holds. `detector.py` imports only
 from `mtsc.inputs`, `mtsc.relations` and `mtsc.vm`, so `mr_engine`, which
-imports it, never closes a cycle. The README's repository layout names
+imports it, never closes a cycle. A module outside `vm/` imports the VM
+through `mtsc.vm` alone, never from a submodule such as `mtsc.vm.interp`. The README's repository layout names
 every module and subpackage of `src/mtsc/`.
 """
 
@@ -230,6 +231,30 @@ def test_the_check_finds_an_import_across_layers():
         (6, "mtsc.scenario"), (7, "mtsc.cli"), (8, "mtsc.vmx"), (9, "mtsc")]
     assert layer_breaches(text, "mtsc.minisol", LAYERS["minisol"]) == [
         (5, "mtsc.inputs"), (6, "mtsc.scenario"), (7, "mtsc.cli"), (8, "mtsc.vmx"), (9, "mtsc")]
+
+
+def vm_submodule_imports(text: str, package: str) -> list:
+    """(line, module) of each import in `text` of a submodule of `mtsc.vm`."""
+    return [(line, name) for line, name in imported_modules(text, package)
+            if name.startswith("mtsc.vm.")]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if layer(path) != "vm"],
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_the_vm_is_imported_only_through_its_package(path):
+    package = ".".join(path.relative_to(SRC.parent).parent.parts)
+    assert vm_submodule_imports(path.read_text(encoding="utf-8"), package) == []
+
+
+def test_the_check_finds_an_import_from_inside_the_vm():
+    text = ("from .vm import execute\n"
+            "from .vm.interp import STILLBORN\n"
+            "import mtsc.vm.state\n"
+            "from ..vm.types import Outcome\n"
+            "from .vmx import y\n")
+    assert vm_submodule_imports(text, "mtsc") == [(2, "mtsc.vm.interp"), (3, "mtsc.vm.state")]
+    assert vm_submodule_imports(text, "mtsc.minisol") == [(3, "mtsc.vm.state"),
+                                                           (4, "mtsc.vm.types")]
 
 
 def test_the_readme_layout_names_every_module_and_subpackage():

@@ -442,6 +442,9 @@ def test_mr12_violation_trace_shows_a_swallowed_exception():
     ("cah_iterations", 2**16 + 1), ("cah_iterations", 10**8),
     # a guard above what `gasleft()` can hold kept CAR from ever re-entering
     ("car_gas_guard", 2**128), ("car_gas_guard", 10**40),
+    # a float or a bool used to construct: `run_all` then raised TypeError, or ran
+    ("n", 2.5), ("inc_count", 1.5), ("cah_iterations", 1.5), ("car_gas_guard", 50000.5),
+    ("n", True),
 ])
 def test_engine_config_rejects_unusable_fields(field, value):
     with pytest.raises(ValueError, match="must"):

@@ -1031,6 +1031,14 @@ def test_schedule_rejects_bad_values(tmp_path):
         load_schedule(str(path))
 
 
+# `True` used to pass as an entry, which a scenario refuses as a uint
+@pytest.mark.parametrize("entries", [{"gasleft": True}, {"gasleft": True, "revert": False},
+                                     {"sload": 1.5}])
+def test_schedule_entries_are_integers_and_not_bools(entries):
+    with pytest.raises(ValueError, match="must be an integer"):
+        GasSchedule(**entries)
+
+
 # Free calls, or a stipend larger than the surcharge that pays for it,
 # let a run make unboundedly many frames; so does a block limit that buys
 # more than MAX_FRAMES calls.
