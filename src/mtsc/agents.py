@@ -132,7 +132,7 @@ def build_agent_contract(spec: AgentSpec) -> ast.ContractDef:
         name=f"Agent{spec.kind.value}",
         state_vars=state_vars,
         functions=[agent_call],
-        fallback=ast.FallbackDef(payable=True, body=fallback_body),
+        fallback=ast.FunctionDef(payable=True, body=fallback_body),
     )
 
 

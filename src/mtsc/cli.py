@@ -33,7 +33,7 @@ from .detector import Verdict, check_labels, compute_metrics, emit_report
 from .gas_oracle import estimate_intrinsic_gas  # noqa: F401  perfbench's traced run wraps it
 from .inputs import InputError, read_json
 from .mr_engine import EngineConfig, estimate_kinds, run_all
-from .scenario import ALL_ACTOR_KINDS, build_environment, load_scenario
+from .scenario import ALL_ACTOR_KINDS, build_environment, load_scenario, scenario_id
 from .vm import GasSchedule, Status, load_schedule
 
 
@@ -140,7 +140,7 @@ def cmd_bench(args, schedule: GasSchedule, engine: EngineConfig) -> int:
         raise InputError(f"{directory} is not a directory")
     paths = sorted(str(p) for p in directory.glob("*.scenario.json"))
     labels = read_json(args.labels)
-    check_labels(labels, [Path(path).name[: -len(".scenario.json")] for path in paths])
+    check_labels(labels, [scenario_id(path) for path in paths])
 
     # a fork pool starts all its workers at once: never more than there is work for
     jobs = min(args.jobs or os.cpu_count() or 1, len(paths))

@@ -7,8 +7,12 @@ parser, so every node is constructible with plain values.
 
 Nodes are mutable records (`record.Record`): each class names its fields,
 positions aside, in `_fields`, which equality compares and a walk over a
-tree follows, and writes its own `__init__`, taking `line` and `col`
-first and every field by keyword with a default.
+tree follows. Its `__init__` is written out, taking `line` and `col`
+first and every field by keyword with a default; the nodes that hold
+nothing but a position share one, from `_Positioned`.
+
+Every body a call can run is a `FunctionDef`: a contract's fallback is
+one with no name and no parameters, kept apart from the named functions.
 
 The four call forms (`lowcall`, `dcall`, `send`, `transfer`) share one
 node, `Call`, named by its `form`; `SWALLOWING` and `STIPEND_ONLY` name
@@ -48,6 +52,16 @@ class Node(Record):
 
     def __repr__(self):
         return field_repr(self, ("line", "col") + self._fields)
+
+
+class _Positioned(Node):
+    """A node that holds its position and no field."""
+
+    __slots__ = ()
+
+    def __init__(self, line=0, col=0):
+        self.line = line
+        self.col = col
 
 
 # --------------------------------------------------------------------------
@@ -126,36 +140,20 @@ class Not(Node):
         self.operand = operand
 
 
-class MsgSender(Node):
-    __slots__ = _fields = ()
-
-    def __init__(self, line=0, col=0):
-        self.line = line
-        self.col = col
+class MsgSender(_Positioned):
+    __slots__ = ()
 
 
-class MsgValue(Node):
-    __slots__ = _fields = ()
-
-    def __init__(self, line=0, col=0):
-        self.line = line
-        self.col = col
+class MsgValue(_Positioned):
+    __slots__ = ()
 
 
-class This(Node):
-    __slots__ = _fields = ()
-
-    def __init__(self, line=0, col=0):
-        self.line = line
-        self.col = col
+class This(_Positioned):
+    __slots__ = ()
 
 
-class GasLeft(Node):
-    __slots__ = _fields = ()
-
-    def __init__(self, line=0, col=0):
-        self.line = line
-        self.col = col
+class GasLeft(_Positioned):
+    __slots__ = ()
 
 
 class BalanceOf(Node):
@@ -209,12 +207,8 @@ class Require(Node):
         self.condition = condition
 
 
-class Revert(Node):
-    __slots__ = _fields = ()
-
-    def __init__(self, line=0, col=0):
-        self.line = line
-        self.col = col
+class Revert(_Positioned):
+    __slots__ = ()
 
 
 class If(Node):
@@ -322,24 +316,16 @@ class FunctionDef(Node):
         self.body = [] if body is None else body
 
 
-class FallbackDef(Node):
-    __slots__ = _fields = ("payable", "body")
-
-    def __init__(self, line=0, col=0, payable=False, body: list = None):
-        self.line = line
-        self.col = col
-        self.payable = payable
-        self.body = [] if body is None else body
-
-
 class ContractDef(Node):
+    # `fallback` is None or a FunctionDef with no name and no parameters;
+    # it is not in `functions`, so no lookup by name finds it
     _fields = ("name", "state_vars", "functions", "fallback")
     # and two lookup tables, built here from declarations that the parser
     # and agent synthesis pass complete and never change
     __slots__ = _fields + ("functions_by_name", "defaults")
 
     def __init__(self, line=0, col=0, name="", state_vars: list = None,
-                 functions: list = None, fallback: Optional[FallbackDef] = None):
+                 functions: list = None, fallback: Optional[FunctionDef] = None):
         self.line = line
         self.col = col
         self.name = name

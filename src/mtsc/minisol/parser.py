@@ -156,11 +156,11 @@ class _Parser:
         return ast.Param(line=name.line, col=name.col, name=name.text,
                          kind=KIND_TOKENS[kind_tok.type])
 
-    def parse_fallback(self) -> ast.FallbackDef:
+    def parse_fallback(self) -> ast.FunctionDef:
         kw = self.expect("fallback")
         payable = self.accept("payable") is not None
         body = self.parse_block()
-        return ast.FallbackDef(line=kw.line, col=kw.col, payable=payable, body=body)
+        return ast.FunctionDef(line=kw.line, col=kw.col, payable=payable, body=body)
 
     # -- statements ----------------------------------------------------------
 

@@ -67,14 +67,14 @@ class _ContractChecker:
                 self.error(fn, "duplicate-function",
                            f"function {fn.name!r} declared twice")
             fn_names.add(fn.name)
-            self.check_function(fn.params, fn.body)
+            self.check_function(fn)
         if self.contract.fallback is not None:
-            self.check_function([], self.contract.fallback.body)
+            self.check_function(self.contract.fallback)
 
-    def check_function(self, params, body):
+    def check_function(self, fn: ast.FunctionDef):
         self.env = {}
         seen = set()
-        for p in params:
+        for p in fn.params:
             if p.name in seen:
                 self.error(p, "duplicate-param", f"parameter {p.name!r} declared twice")
             if p.name in self.state_kinds:
@@ -83,7 +83,7 @@ class _ContractChecker:
             seen.add(p.name)
             self.env[p.name] = p.kind
         self.names = seen
-        self.check_block(body)
+        self.check_block(fn.body)
 
     # -- statements ----------------------------------------------------------
 

@@ -121,6 +121,16 @@ def _parse_template(obj, path: Path, index: Optional[int]) -> TxTemplate:
     return tuple.__new__(TxTemplate, (actor, callee, function, tuple(args), value))
 
 
+def scenario_id(path) -> str:
+    """The id of the scenario file at `path`: its name without
+    `.scenario.json`, or else without `.json`."""
+    name = Path(path).name
+    for suffix in (".scenario.json", ".json"):
+        if name.endswith(suffix):
+            return name[: -len(suffix)]
+    return name
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
     raw = read_json(path)
@@ -158,14 +168,9 @@ def load_scenario(path) -> Scenario:
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
 
-    stem = path.name
-    for suffix in (".scenario.json", ".json"):
-        if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
-            break
-    return Scenario(scenario_id=stem, base_dir=path.parent, sources=tuple(sources),
-                    balances=dict(balances), setup=setup, target=target,
-                    mrs=mrs, mr1_actors=kinds)
+    return Scenario(scenario_id=scenario_id(path), base_dir=path.parent,
+                    sources=tuple(sources), balances=dict(balances), setup=setup,
+                    target=target, mrs=mrs, mr1_actors=kinds)
 
 
 # --------------------------------------------------------------------------

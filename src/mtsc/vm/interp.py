@@ -536,25 +536,21 @@ class _Run:
                  value: int, sender: str, budget: int, depth: int,
                  elastic: bool):
         """Run the callee; returns (ok, gas_consumed, fail_reason, need, dry),
-        where dry says an elastic callee ran dry."""
+        where dry says an elastic callee ran dry. The code run is the named
+        function, or else the contract's fallback; a call with no code to
+        run, the wrong number of arguments, or value for code that is not
+        payable reverts before anything is charged."""
         contract = acct.code
         if contract is None:
             return True, 0, None, 0, False  # an EOA: receives value, executes nothing
         fn = contract.functions_by_name.get(function)  # None for a plain transfer
-        if fn is not None:
-            if len(fn.params) != len(args):
-                return False, 0, FailReason.REVERT, 0, False
-            payable, params, body = fn.payable, fn.params, fn.body
-        else:
-            # unknown function or plain transfer: the fallback handles it,
-            # discarding whatever call data came along
-            if contract.fallback is None:
-                return False, 0, FailReason.REVERT, 0, False
-            payable = contract.fallback.payable
-            params, args = (), ()
-            body = contract.fallback.body
-        if value > 0 and not payable:
+        if fn is None:
+            # unknown function or plain transfer: the fallback, if any, runs
+            # and whatever call data came along is dropped
+            fn, args = contract.fallback, ()
+        if fn is None or len(fn.params) != len(args) or value > 0 and not fn.payable:
             return False, 0, FailReason.REVERT, 0, False
+        params, body = fn.params, fn.body
 
         env = {}  # neither a comprehension nor zip: both cost more than one binding
         if params:

@@ -38,6 +38,14 @@ def test_generated_contracts_validate_clean(kind):
     assert contract.fallback is not None and contract.fallback.payable
 
 
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+def test_agent_fallbacks_are_functions_with_no_name_and_no_parameters(kind):
+    contract = build_agent_contract(spec_for(kind))
+    assert type(contract.fallback) is ast.FunctionDef
+    assert (contract.fallback.name, contract.fallback.params) == ("", [])
+    assert contract.fallback not in contract.functions_by_name.values()
+
+
 def test_cae_fallback_is_a_single_revert():
     contract = build_agent_contract(spec_for(AgentKind.CAE))
     assert contract.fallback.body == [ast.Revert()]

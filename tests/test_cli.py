@@ -19,7 +19,7 @@ from mtsc.agents import AgentSpec
 from mtsc.gas_oracle import allocate_reducing, estimate_intrinsic_gas
 from mtsc.mr_engine import EngineConfig
 from mtsc.minisol.parser import MAX_NESTING
-from mtsc.scenario import build_environment, load_scenario
+from mtsc.scenario import build_environment, load_scenario, scenario_id
 from mtsc.vm import UINT_MAX
 
 from conftest import CORPUS, CORPUS_SCENARIOS, FIXTURES, ROOT, scenario_path
@@ -202,6 +202,22 @@ def test_bench_parse_error_is_the_same_at_any_job_count(tmp_path, capsys):
     parallel = run_cli(capsys, "bench", str(tmp_path), str(labels), "--jobs", "2")
     assert serial == parallel == (
         2, "", f"mtsc: error: {bad}: 1:22: expected parameter name, found '{{'\n")
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("simple_dao_withdraw.scenario.json", "simple_dao_withdraw"),
+    ("a.json.scenario.json", "a.json"),
+    ("plain.json", "plain"),
+    ("plain.txt", "plain.txt"),
+])
+def test_bench_labels_and_reports_name_a_scenario_alike(tmp_path, name, expected):
+    # `bench` checks the labels against `scenario_id`; a verdict carries the
+    # id `load_scenario` gave
+    doc = json.loads(scenario_path("counter_baseline").read_text())
+    doc["sources"] = [str(CORPUS / src) for src in doc["sources"]]
+    (tmp_path / name).write_text(json.dumps(doc))
+    assert scenario_id(tmp_path / name) == load_scenario(tmp_path / name).scenario_id \
+        == expected
 
 
 def test_bench_corrupt_labels_exit_two(tmp_path, capsys):

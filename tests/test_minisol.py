@@ -162,6 +162,17 @@ def test_chained_operands_count_their_own_depth():
         parse(source(MAX_NESTING - 31))
 
 
+def test_a_fallback_is_a_function_with_no_name_and_no_parameters():
+    contract = parse("contract X {\n  fallback payable { revert(); }\n  fn f() { }\n}"
+                     ).contracts[0]
+    fallback = contract.fallback
+    assert type(fallback) is ast.FunctionDef
+    assert fallback == ast.FunctionDef(payable=True, body=[ast.Revert()])
+    assert (fallback.line, fallback.col) == (2, 3)  # at the keyword
+    # declared apart from the named functions, so no lookup by name finds it
+    assert contract.functions_by_name == {"f": contract.functions[0]}
+
+
 def test_duplicate_fallback_rejected():
     src = "contract X { fallback { } fallback payable { } }"
     with pytest.raises(ParseError):

@@ -4,6 +4,7 @@ round-trips over randomly generated syntax trees."""
 import copy
 import io
 import json
+import math
 import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,8 +23,8 @@ from mtsc.minisol import ast, parse, validate
 from mtsc.minisol.lexer import KEYWORDS, PUNCT
 from mtsc.relations import RELATIONS
 from mtsc.scenario import ALL_ACTOR_KINDS, load_scenario
-from mtsc.vm import (CallEntered, FailReason, GasSchedule, Transaction, WorldState, deploy,
-                     execute)
+from mtsc.vm import (UINT_MAX, CallEntered, FailReason, GasSchedule, Transaction, WorldState,
+                     deploy, execute)
 
 from conftest import CORPUS, CORPUS_SCENARIOS
 from pretty import pretty
@@ -226,7 +227,7 @@ contracts = st.builds(
     st.lists(st.tuples(st.lists(KINDS, max_size=2), st.booleans(),
                        st.lists(stmts(), max_size=4)), max_size=3),
     st.one_of(st.none(),
-              st.builds(lambda p, b: ast.FallbackDef(payable=p, body=b),
+              st.builds(lambda p, b: ast.FunctionDef(payable=p, body=b),
                         st.booleans(), st.lists(stmts(), max_size=3))),
 )
 
@@ -304,7 +305,7 @@ typed_contracts = st.lists(st.lists(_TYPED_STMTS, max_size=4), min_size=1, max_s
                                    params=[ast.Param(name="p", kind=ast.Kind.UINT),
                                            ast.Param(name="q", kind=ast.Kind.ADDR)])
                    for i, body in enumerate(bodies)],
-        fallback=ast.FallbackDef(payable=True, body=[])))
+        fallback=ast.FunctionDef(payable=True, body=[])))
 
 # validated, then crashed the interpreter when the block did not run
 UNSCOPED_LET = "contract C { uint total; fn f(x: uint) { if (x > 5) { let y = 1; } total = y; } }"
@@ -463,7 +464,7 @@ journal_contracts = st.builds(
         functions=[ast.FunctionDef(name=n, params=[], payable=True,
                                    body=_writes(n) + b)
                    for n, b in fns.items()],
-        fallback=ast.FallbackDef(payable=True, body=_writes("qux") + fb)),
+        fallback=ast.FunctionDef(payable=True, body=_writes("qux") + fb)),
     st.dictionaries(NAMES, st.lists(stmts(EXECUTABLE_OPS), max_size=4), max_size=3),
     st.lists(stmts(EXECUTABLE_OPS), max_size=3),
 )
@@ -1032,3 +1033,61 @@ def test_scenarios_the_engine_and_the_flags_check_lists_alike(mrs, actors):
         assert err == f"mtsc: error: {expected}\n"
     else:  # the options passed, and the scenario was read next
         assert err.startswith(f"mtsc: error: cannot read {missing}: ")
+
+
+# -- engine flags --------------------------------------------------------------
+
+STIPEND = GasSchedule().stipend
+# each flag at 0, at 1, at its bounds and just past them; 2**64 stands for
+# "no upper bound". The CAH agents are built before any run, one storage
+# write per iteration, about 0.2 s a build at the bound of 2**16, so the
+# bound runs once, as an explicit example, and the draws stay small.
+ENGINE_FLAGS = {
+    "--n": st.sampled_from([0, 1, 2, 1000, 2**64, -1]),
+    "--inc-count": st.sampled_from([0, 1, 2, 5, 2**64, -1]),
+    "--growth": st.one_of(
+        st.sampled_from([0.0, 1.0, math.nextafter(1.0, 2.0), 1.5, math.inf, math.nan, -1.0]),
+        st.floats(min_value=1.0, max_value=1.001)),
+    "--car-gas-guard": st.sampled_from([0, 1, STIPEND, STIPEND + 1, 50_000, UINT_MAX,
+                                        UINT_MAX + 1]),
+    "--cah-iterations": st.sampled_from([0, 1, 2, 3, 2**16 + 1]),
+}
+
+
+def _a_report_or_one_error_line(code, out, err):
+    """Exit 2 writes one line to stderr and no report; 0 and 1 write a
+    report and nothing to stderr."""
+    if code == 2:
+        return out == "" and err.endswith("\n") and err.count("\n") == 1
+    return out != "" and err == ""
+
+
+@given(flags=st.fixed_dictionaries({}, optional=ENGINE_FLAGS),
+       names=st.lists(st.sampled_from(CORPUS_SCENARIOS), min_size=1, max_size=2, unique=True))
+@settings(deadline=None, max_examples=40)
+@example(flags={"--cah-iterations": 2**16}, names=["counter_baseline", "simple_dao_withdraw_b"])
+def test_engine_flags_never_crash_and_repeat_their_bytes(flags, names):
+    """Whatever the engine flags, `check` gives a verdict (0 or 1) or one
+    error line (2), and the same bytes again; `bench` over a directory
+    gives the same bytes at one job and at two."""
+    argv = [part for flag, value in flags.items() for part in (flag, repr(value))]
+    labels = json.loads((CORPUS / "labels.json").read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            shutil.copy(CORPUS / f"{name}.scenario.json", tmp)
+            for source in json.loads((CORPUS / f"{name}.scenario.json").read_text())["sources"]:
+                shutil.copy(CORPUS / source, tmp)
+        Path(tmp, "labels.json").write_text(json.dumps({name: labels[name] for name in names}))
+
+        scenario = str(Path(tmp, f"{names[0]}.scenario.json"))
+        check = cli_outputs("check", scenario, *argv)
+        assert check[0] in (0, 1, 2), check[2]
+        assert _a_report_or_one_error_line(*check), check
+        assert cli_outputs("check", scenario, *argv) == check
+
+        bench = ("bench", tmp, str(Path(tmp, "labels.json")), *argv)
+        serial = cli_outputs(*bench, "--jobs", "1")
+        assert serial[0] in (0, 2), serial[2]
+        assert (serial[0] == 2) == (check[0] == 2)  # both refuse the same flags
+        assert _a_report_or_one_error_line(*serial), serial
+        assert cli_outputs(*bench, "--jobs", "2") == serial

@@ -7,6 +7,7 @@ compare without their positions and show them in their repr.
 """
 
 import copy
+import inspect
 import pickle
 import types
 
@@ -163,6 +164,31 @@ def test_contract_tables_are_plain_slots_filled_at_the_first_lookup():
     assert contract.defaults == {"a": 0, "b": False}
     with pytest.raises(AttributeError, match="'ContractDef' object has no attribute 'nope'"):
         contract.nope
+
+
+AST_NODES = [cls for name, cls in vars(ast).items() if not name.startswith("_")
+             and isinstance(cls, type) and issubclass(cls, ast.Node) and cls is not ast.Node]
+
+
+@pytest.mark.parametrize("cls", AST_NODES, ids=lambda cls: cls.__name__)
+def test_node_initializers_take_the_position_and_then_the_fields(cls):
+    # the initializers are written out by hand; `_fields` is what equality
+    # compares and a walk follows, so each must set exactly those
+    params = inspect.signature(cls).parameters
+    assert list(params) == ["line", "col", *cls._fields]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is not p.empty
+               for p in params.values())
+    node = cls()
+    for slot in {name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ())}:
+        getattr(node, slot)  # an unset slot raises AttributeError
+
+
+def test_nodes_that_hold_only_a_position_share_one_initializer():
+    bare = [cls for cls in AST_NODES if not cls._fields]
+    assert {cls.__name__ for cls in bare} == {"MsgSender", "MsgValue", "This", "GasLeft",
+                                              "Revert"}
+    assert all("__init__" not in vars(cls) for cls in bare)
+    assert len({cls.__init__ for cls in bare}) == 1
 
 
 def test_a_source_unit_names_no_contract_it_lacks():

@@ -304,6 +304,36 @@ def test_plain_transfer_to_contract_without_fallback_reverts():
     assert state.account(c).balance == 0
 
 
+# A call runs the named function, or else the fallback with its call data
+# dropped; the wrong argument count, or value for code that is not
+# payable, reverts with nothing charged past the base fee.
+DISPATCH = ("contract C { uint hits; fn f(x: uint) payable { hits += x; }"
+            " fallback { hits += 100; } }")
+
+
+@pytest.mark.parametrize("function,args,value,hits", [
+    ("f", (2,), 0, 2),
+    ("f", (2,), 5, 2),
+    ("f", (), 0, None),       # a mis-called function does not fall back
+    ("f", (2, 3), 0, None),
+    ("g", (2, 3), 0, 100),    # an unknown one does, and drops the arguments
+    (None, (), 0, 100),
+    (None, (), 5, None),      # the fallback is not payable
+    ("g", (), 5, None),
+])
+def test_a_call_runs_one_function_or_reverts_charging_nothing(function, args, value, hits):
+    state = WorldState()
+    actor = state.create_eoa(100)
+    c = deploy(state, parse(DISPATCH).contracts[0])
+    out = execute(state, Transaction(actor, AMPLE, c, function, args, value), S)
+    if hits is None:
+        assert out.status.reason == FailReason.REVERT and out.gas_consumed == S.base_tx
+        assert state.account(c).storage == {} and state.account(c).balance == 0
+    else:
+        assert out.ok and state.account(c).storage["hits"] == hits
+        assert state.account(c).balance == value
+
+
 def test_value_to_non_payable_function_reverts():
     state, actor, dao = fresh_dao()
     out = run(state, actor, dao, "withdraw", (1,), value=5)
