@@ -7,9 +7,11 @@ parser, so every node is constructible with plain values.
 
 Nodes are mutable records (`record.Record`): each class names its fields,
 positions aside, in `_fields`, which equality compares and a walk over a
-tree follows. Its `__init__` is written out, taking `line` and `col`
-first and every field by keyword with a default; the nodes that hold
-nothing but a position share one, from `_Positioned`.
+tree follows, and their defaults in `_defaults`, from which `Node`
+compiles its `__init__`: `line` and `col` first, then every field with
+its default; a list default gives each node a fresh list. The nodes that
+hold only a position share `_Positioned`'s written-out one; `ContractDef`
+writes its own, which also builds its lookup tables.
 
 Every body a call can run is a `FunctionDef`: a contract's fallback is
 one with no name and no parameters, kept apart from the named functions.
@@ -47,8 +49,30 @@ class Kind(str, Enum):
         return self.value
 
 
+def _initializer(cls):
+    """`__init__(self, line=0, col=0, <field>=<default>, ...)` compiled from
+    the `_fields` and `_defaults` of the node class `cls`: the code a
+    written-out one would be, one assignment per field. A list default
+    stands for a fresh list per node. The defaults are the function's
+    globals, never formatted into its source."""
+    params, lines, env = "self, line=0, col=0", ["self.line = line", "self.col = col"], {}
+    for name, default in zip(cls._fields, cls._defaults, strict=True):
+        fresh = isinstance(default, list)
+        env["_" + name] = None if fresh else default
+        params += f", {name}=_{name}"
+        lines.append(f"self.{name} = " + (f"[] if {name} is None else {name}" if fresh else name))
+    exec(f"def __init__({params}):\n    " + "\n    ".join(lines), env)
+    init = env["__init__"]
+    init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+    return init
+
+
 class Node(Record):
     __slots__ = ("line", "col")
+
+    def __init_subclass__(cls):
+        if "_defaults" in vars(cls):
+            cls.__init__ = _initializer(cls)
 
     def __repr__(self):
         return field_repr(self, ("line", "col") + self._fields)
@@ -71,20 +95,12 @@ class _Positioned(Node):
 
 class IntLit(Node):
     __slots__ = _fields = ("value",)
-
-    def __init__(self, line=0, col=0, value=0):
-        self.line = line
-        self.col = col
-        self.value = value
+    _defaults = (0,)
 
 
 class BoolLit(Node):
     __slots__ = _fields = ("value",)
-
-    def __init__(self, line=0, col=0, value=False):
-        self.line = line
-        self.col = col
-        self.value = value
+    _defaults = (False,)
 
 
 class AddrLit(Node):
@@ -92,52 +108,29 @@ class AddrLit(Node):
     generated code (agent contracts) that must reference concrete accounts."""
 
     __slots__ = _fields = ("value",)
-
-    def __init__(self, line=0, col=0, value=""):
-        self.line = line
-        self.col = col
-        self.value = value
+    _defaults = ("",)
 
 
 class Var(Node):
     """Reference to a parameter, local, or scalar state variable."""
 
     __slots__ = _fields = ("name",)
-
-    def __init__(self, line=0, col=0, name=""):
-        self.line = line
-        self.col = col
-        self.name = name
+    _defaults = ("",)
 
 
 class MapIndex(Node):
     __slots__ = _fields = ("name", "key")
-
-    def __init__(self, line=0, col=0, name="", key: Expr = None):
-        self.line = line
-        self.col = col
-        self.name = name
-        self.key = key
+    _defaults = ("", None)
 
 
 class Binary(Node):
     __slots__ = _fields = ("op", "left", "right")
-
-    def __init__(self, line=0, col=0, op="", left: Expr = None, right: Expr = None):
-        self.line = line
-        self.col = col
-        self.op = op  # + - * == != < <= > >= && ||
-        self.left = left
-        self.right = right
+    _defaults = ("", None, None)  # op: + - * == != < <= > >= && ||
 
 
 class Not(Node):
     __slots__ = _fields = ("operand",)
-
-    def __init__(self, line=0, col=0, operand: Expr = None):
-        self.line = line
-        self.col = col
-        self.operand = operand
+    _defaults = (None,)
 
 
 class MsgSender(_Positioned):
@@ -158,11 +151,7 @@ class GasLeft(_Positioned):
 
 class BalanceOf(Node):
     __slots__ = _fields = ("target",)
-
-    def __init__(self, line=0, col=0, target: Expr = None):
-        self.line = line
-        self.col = col
-        self.target = target
+    _defaults = (None,)
 
 
 class Call(Node):
@@ -173,18 +162,7 @@ class Call(Node):
     Forms in STIPEND_ONLY forward none of the caller's gas."""
 
     __slots__ = _fields = ("form", "target", "function", "args", "value", "gas")
-
-    def __init__(self, line=0, col=0, form="lowcall", target: Expr = None,
-                 function: Optional[str] = None, args: list = None,
-                 value: Optional[Expr] = None, gas: Optional[Expr] = None):
-        self.line = line
-        self.col = col
-        self.form = form  # one of CALL_FORMS
-        self.target = target
-        self.function = function
-        self.args = [] if args is None else args
-        self.value = value
-        self.gas = gas
+    _defaults = ("lowcall", None, None, [], None, None)  # form: one of CALL_FORMS
 
 
 Expr = Union[
@@ -200,11 +178,7 @@ Expr = Union[
 
 class Require(Node):
     __slots__ = _fields = ("condition",)
-
-    def __init__(self, line=0, col=0, condition: Expr = None):
-        self.line = line
-        self.col = col
-        self.condition = condition
+    _defaults = (None,)
 
 
 class Revert(_Positioned):
@@ -213,66 +187,34 @@ class Revert(_Positioned):
 
 class If(Node):
     __slots__ = _fields = ("condition", "then", "otherwise")
-
-    def __init__(self, line=0, col=0, condition: Expr = None, then: list = None,
-                 otherwise: list = None):
-        self.line = line
-        self.col = col
-        self.condition = condition
-        self.then = [] if then is None else then
-        self.otherwise = [] if otherwise is None else otherwise
+    _defaults = (None, [], [])
 
 
 class Let(Node):
     __slots__ = _fields = ("name", "value")
-
-    def __init__(self, line=0, col=0, name="", value: Expr = None):
-        self.line = line
-        self.col = col
-        self.name = name
-        self.value = value
+    _defaults = ("", None)
 
 
 class Assign(Node):
     __slots__ = _fields = ("target", "op", "value")
-
-    def __init__(self, line=0, col=0, target: Union[Var, MapIndex] = None, op="=",
-                 value: Expr = None):
-        self.line = line
-        self.col = col
-        self.target = target
-        self.op = op  # = += -=
-        self.value = value
+    _defaults = (None, "=", None)  # op: = += -=
 
 
 class Return(Node):
     __slots__ = _fields = ("value",)
-
-    def __init__(self, line=0, col=0, value: Optional[Expr] = None):
-        self.line = line
-        self.col = col
-        self.value = value
+    _defaults = (None,)
 
 
 class Emit(Node):
     """Event emission placeholder: fixed gas cost, no other effect."""
 
     __slots__ = _fields = ("name", "args")
-
-    def __init__(self, line=0, col=0, name="", args: list = None):
-        self.line = line
-        self.col = col
-        self.name = name
-        self.args = [] if args is None else args
+    _defaults = ("", [])
 
 
 class ExprStmt(Node):
     __slots__ = _fields = ("expr",)
-
-    def __init__(self, line=0, col=0, expr: Expr = None):
-        self.line = line
-        self.col = col
-        self.expr = expr
+    _defaults = (None,)
 
 
 Stmt = Union[Require, Revert, If, Let, Assign, Return, Emit, ExprStmt]
@@ -285,35 +227,17 @@ Stmt = Union[Require, Revert, If, Let, Assign, Return, Emit, ExprStmt]
 
 class Param(Node):
     __slots__ = _fields = ("name", "kind")
-
-    def __init__(self, line=0, col=0, name="", kind=Kind.UINT):
-        self.line = line
-        self.col = col
-        self.name = name
-        self.kind = kind
+    _defaults = ("", Kind.UINT)
 
 
 class StateVar(Node):
     __slots__ = _fields = ("name", "kind")
-
-    def __init__(self, line=0, col=0, name="", kind=Kind.UINT):
-        self.line = line
-        self.col = col
-        self.name = name
-        self.kind = kind
+    _defaults = ("", Kind.UINT)
 
 
 class FunctionDef(Node):
     __slots__ = _fields = ("name", "params", "payable", "body")
-
-    def __init__(self, line=0, col=0, name="", params: list = None, payable=False,
-                 body: list = None):
-        self.line = line
-        self.col = col
-        self.name = name
-        self.params = [] if params is None else params
-        self.payable = payable
-        self.body = [] if body is None else body
+    _defaults = ("", [], False, [])
 
 
 class ContractDef(Node):
@@ -342,12 +266,7 @@ class ContractDef(Node):
 
 class SourceUnit(Node):
     __slots__ = _fields = ("contracts", "source_name")
-
-    def __init__(self, line=0, col=0, contracts: list = None, source_name="<string>"):
-        self.line = line
-        self.col = col
-        self.contracts = [] if contracts is None else contracts
-        self.source_name = source_name
+    _defaults = ([], "<string>")
 
     def contract(self, name: str) -> Optional[ContractDef]:
         for c in self.contracts:

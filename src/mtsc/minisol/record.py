@@ -7,10 +7,13 @@ as source text and runs `exec` on it when the class is created, about
 A record here is a plain slotted class instead: it names its fields in
 `_fields`, usually also its `__slots__`, and writes its own `__init__`,
 which for the records built on every call is as fast as a generated one.
-`Record` adds equality between instances of one class and a
-dataclass-style repr, both from `_fields`; a field whose name starts
-with an underscore is compared but not shown. A Record is mutable, so it
-does not hash, as a dataclass with `eq` that is not frozen.
+AST nodes get theirs compiled from `_fields` and `_defaults` instead
+(`ast._initializer`): one small `exec` a class, with no `inspect` and no
+generated `__eq__` or `__repr__`, as a dataclass would have. `Record`
+adds equality between instances of one class and a dataclass-style
+repr, both from `_fields`; a field whose name starts with an underscore
+is compared but not shown. A Record is mutable, so it does not hash, as
+a dataclass with `eq` that is not frozen.
 
 `FrozenRecord` refuses assignment once built, hashes its fields, has a
 named tuple's `_replace`, and pickles and copies as a call of its class

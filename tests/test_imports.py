@@ -21,6 +21,11 @@ from `mtsc.inputs`, `mtsc.relations` and `mtsc.vm`, so `mr_engine`, which
 imports it, never closes a cycle. A module outside `vm/` imports the VM
 through `mtsc.vm` alone, never from a submodule such as `mtsc.vm.interp`. The README's repository layout names
 every module and subpackage of `src/mtsc/`.
+
+The one call in `src/mtsc/` of a builtin that compiles or runs source
+(`exec`, `eval` or `compile`) is the one that makes the AST nodes'
+initializers; a method of the same name, such as `re.compile`, is no
+such call.
 """
 
 import ast
@@ -255,6 +260,40 @@ def test_the_check_finds_an_import_from_inside_the_vm():
     assert vm_submodule_imports(text, "mtsc") == [(2, "mtsc.vm.interp"), (3, "mtsc.vm.state")]
     assert vm_submodule_imports(text, "mtsc.minisol") == [(3, "mtsc.vm.state"),
                                                            (4, "mtsc.vm.types")]
+
+
+SOURCE_RUNNERS = ("exec", "eval", "compile")
+
+
+def source_runner_calls(text: str) -> list:
+    """(line, top-level definition or None, builtin) of each call in `text`
+    of a builtin in SOURCE_RUNNERS by its bare name."""
+    found = []
+    for top in ast.parse(text).body:
+        found += [(node.lineno, getattr(top, "name", None), node.func.id)
+                  for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id in SOURCE_RUNNERS]
+    return found
+
+
+def test_only_the_node_initializer_generator_runs_source():
+    found = [(path.relative_to(SRC).as_posix(), where, name) for path in MODULES
+             for _, where, name in source_runner_calls(path.read_text(encoding="utf-8"))]
+    assert found == [("minisol/ast.py", "_initializer", "exec")]
+
+
+def test_the_check_finds_a_call_that_runs_source():
+    text = ("import re\n"
+            "PATTERN = re.compile('x')\n"
+            "CODE = compile('1', '<s>', 'eval')\n"
+            "def run(vm, source):\n"
+            "    vm.eval(source)\n"
+            "    return eval(source)\n"
+            "class Loader:\n"
+            "    def load(self, source):\n"
+            "        exec(source, {})\n")
+    assert source_runner_calls(text) == [(3, None, "compile"), (6, "run", "eval"),
+                                         (9, "Loader", "exec")]
 
 
 def test_the_readme_layout_names_every_module_and_subpackage():

@@ -172,15 +172,35 @@ AST_NODES = [cls for name, cls in vars(ast).items() if not name.startswith("_")
 
 @pytest.mark.parametrize("cls", AST_NODES, ids=lambda cls: cls.__name__)
 def test_node_initializers_take_the_position_and_then_the_fields(cls):
-    # the initializers are written out by hand; `_fields` is what equality
-    # compares and a walk follows, so each must set exactly those
+    # most initializers are compiled from `_fields` and `_defaults`, two are
+    # written out; `_fields` is what equality compares and a walk follows,
+    # so each must set exactly those
     params = inspect.signature(cls).parameters
     assert list(params) == ["line", "col", *cls._fields]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is not p.empty
                for p in params.values())
-    node = cls()
+    node, other = cls(), cls()
     for slot in {name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ())}:
         getattr(node, slot)  # an unset slot raises AttributeError
+    if "_defaults" in vars(cls):
+        assert node._values() == cls._defaults
+    for name in cls._fields:
+        if isinstance(getattr(node, name), list):  # a fresh list for each node
+            assert getattr(node, name) == [] and getattr(node, name) is not getattr(other, name)
+
+
+def test_a_node_class_whose_defaults_do_not_match_its_fields_is_refused():
+    with pytest.raises(ValueError, match="shorter"):
+        class Pair(ast.Node):
+            __slots__ = _fields = ("left", "right")
+            _defaults = (None,)
+
+
+def test_a_generated_initializer_reads_as_a_written_one():
+    with pytest.raises(TypeError, match=r"^Binary\.__init__\(\) takes"):
+        ast.Binary(1, 2, "+", None, None, None)
+    assert ast.Binary.__init__.__qualname__ == "Binary.__init__"
+    assert ast.Binary.__init__.__module__ == "mtsc.minisol.ast"
 
 
 def test_nodes_that_hold_only_a_position_share_one_initializer():
