@@ -16,7 +16,8 @@ Start-up is most of a one-scenario process, so importing this module
 builds no `dataclasses` class and loads no process pool: the records are
 plain classes (`minisol.record`), and `concurrent.futures` is imported
 the first time `ProcessPoolExecutor` is read from this module, which
-only `bench --jobs N` with N > 1 does.
+only `bench --jobs N` with N > 1 does. A command line that starts with a
+command takes one argparse pass, and calls share one frozen default schedule.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional
 
 from .detector import Verdict, check_labels, compute_metrics, emit_report
 from .gas_oracle import estimate_intrinsic_gas  # noqa: F401  perfbench's traced run wraps it
-from .inputs import InputError, read_json
+from .inputs import InputError, read_json, write_text
 from .mr_engine import EngineConfig, estimate_kinds, run_all
 from .scenario import ALL_ACTOR_KINDS, build_environment, load_scenario, scenario_id
 from .vm import GasSchedule, Status, load_schedule
@@ -47,7 +48,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
     defaults = EngineConfig()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--schedule", metavar="PATH",
@@ -76,18 +77,20 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mtsc",
         description="metamorphic testing for smart-contract vulnerabilities")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for command, summary, positionals in (
             ("check", "test one scenario", ("scenario",)),
             ("bench", "run a labeled scenario directory", ("dir", "labels")),
             ("estimate", "intrinsic gas per actor kind", ("scenario",))):
-        p = sub.add_parser(command, help=summary, parents=[common])
+        p = commands[command] = sub.add_parser(command, help=summary, parents=[common])
         for name in positionals:
             p.add_argument(name)
-    return parser
+    return parser, commands
 
 
 # built once per process: construction does not depend on the arguments
-PARSER = _build_parser()
+PARSER, COMMAND_PARSERS = _build_parser()
+DEFAULT_SCHEDULE = GasSchedule()
 
 
 def _names(flag: Optional[str]) -> Optional[tuple]:
@@ -99,7 +102,7 @@ def _build_config(args) -> tuple:
     """The gas schedule and engine configuration the options select."""
     if args.jobs < 0:
         raise InputError("--jobs must be non-negative")
-    schedule = load_schedule(args.schedule) if args.schedule else GasSchedule()
+    schedule = load_schedule(args.schedule) if args.schedule else DEFAULT_SCHEDULE
     if args.car_gas_guard <= schedule.stipend:
         raise InputError("--car-gas-guard must exceed the transfer stipend")
     try:
@@ -115,7 +118,7 @@ def _build_config(args) -> tuple:
 
 def _emit(text: str, out: Optional[str]):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -195,7 +198,14 @@ def main(argv=None) -> int:
     if not _frozen:  # freezing again would keep the earlier runs' objects for good
         gc.freeze()
         _frozen = True
-    args = PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = COMMAND_PARSERS.get(argv[0]) if argv else None
+    if parser is None:  # no command, -h, an unknown command
+        args = PARSER.parse_args(argv)
+    else:  # one pass: the command's parser reads the rest, as PARSER would hand it over
+        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return COMMANDS[args.command](args, *_build_config(args))
     except (InputError, OSError) as exc:

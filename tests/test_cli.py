@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from mtsc import cli
+from mtsc import cli, inputs
 from mtsc.cli import main
 from mtsc.agents import AgentSpec
 from mtsc.gas_oracle import allocate_reducing, estimate_intrinsic_gas
@@ -909,20 +909,23 @@ def test_the_package_runs_as_a_module():
     assert proc.stdout.startswith("usage: mtsc ")
 
 
-# file access in `src/mtsc`: the text and JSON readers, and the writers
-FILE_ACCESS = re.compile(r"\bopen\(|\.read_(text|bytes)\(|\.write_(text|bytes)\(|json\.load")
+# file access in `src/mtsc`: the text and JSON readers, the writers, and
+# the OS and io calls that open, read or write a file
+FILE_ACCESS = re.compile(r"\bopen\(|\.read_(text|bytes)\(|\.write_(text|bytes)\(|json\.load"
+                         r"|\bos\.(open|read|write)\(|\bio\.open\(")
 
 
 def test_only_the_reader_module_reads_files():
-    # every input file is read, and a failed read reported, in mtsc.inputs;
-    # the one other file access writes the report that --out names
+    # every input file is read, and a failed read reported, in mtsc.inputs,
+    # and the report that --out names is written there too
     src = ROOT / "src" / "mtsc"
     found = [(path.relative_to(src).as_posix(), line.strip())
              for path in sorted(src.rglob("*.py")) if path.name != "inputs.py"
              for line in path.read_text(encoding="utf-8").split("\n")
              if FILE_ACCESS.search(line)]
-    assert found == [("cli.py", 'Path(out).write_text(text, encoding="utf-8")')]
-    assert "Path(out).write_text(" in inspect.getsource(cli._emit)
+    assert found == []
+    assert "write_text(out, text)" in inspect.getsource(cli._emit)
+    assert cli.write_text is inputs.write_text
 
 
 def _is_default_schedule(node) -> bool:
@@ -946,6 +949,29 @@ def test_addresses_and_the_default_schedule_have_one_home_each():
         defaults += [name for node in ast.walk(ast.parse(text)) if _is_default_schedule(node)]
     assert formats == ["vm/state.py"]
     assert defaults == ["cli.py"]
+
+
+# A report written with --out used to exit 3 with a UnicodeEncodeError on a
+# scenario whose file name is not UTF-8: its id keeps the name's bytes
+# through surrogateescape, and the report must hold those bytes.
+@pytest.mark.parametrize("argv,escaped", [
+    (["check"], False), (["check", "--format", "json"], True),
+    (["estimate", "--cah-iterations", "8"], False)], ids=["check", "check-json", "estimate"])
+def test_out_writes_a_scenario_name_that_is_not_utf8(tmp_path, argv, escaped):
+    doc = json.loads(scenario_path("simple_dao_withdraw").read_text())
+    doc["sources"] = [str(CORPUS / src) for src in doc["sources"]]
+    plain, raw = "plainname", os.fsdecode(b"bad\xff")
+    codes, reports = [], []
+    for name in (plain, raw):
+        path = tmp_path / f"{name}.scenario.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"{name}.txt"
+        codes.append(main([argv[0], str(path), *argv[1:], "--out", str(out)]))
+        reports.append(out.read_bytes())
+    shown = json.dumps(raw)[1:-1].encode() if escaped else b"bad\xff"
+    assert codes[1] == codes[0]
+    assert plain.encode() in reports[0]
+    assert reports[1] == reports[0].replace(plain.encode(), shown)
 
 
 # A NUL used to reach stderr as a raw byte, and a lone surrogate raised
